@@ -385,22 +385,23 @@ mod tests {
         };
         // Per family: the floor batch-16 must clear relative to batch-1.
         // Both wins are structural, so both families must show a real
-        // gain, not merely avoid regressing. The MLP family coalesces a
-        // batch into one stacked matmul (tile weights stage once per
-        // batch — ~1.15× measured). The conv family runs batch-major
-        // (`BatchPlan::ConvBatchMajor`): each tile's packed weights and
-        // decimation table are staged/validated once per batch,
-        // requests after the first skip cycle accounting entirely
-        // (reusing request 0's input-value-independent statistics), and
-        // — the larger share — those requests run request-inner through
-        // the transposed-patch sweep, loading each weight byte and
-        // gather index once for eight requests' multiply-adds (~1.8×
-        // measured at b16). The floors sit well below the measured
+        // gain, not merely avoid regressing. The MLP family runs a
+        // batch through each Linear tile as one token stream (tile
+        // weights stage once per batch — ~1.15× measured). The conv
+        // family runs batch-major (`BatchPlan::ConvBatchMajor`): each
+        // tile's packed weights and decimation table are
+        // staged/validated once per batch, requests after the first
+        // skip cycle accounting entirely (reusing request 0's
+        // input-value-independent statistics), and — the larger share —
+        // those requests run request-inner through the transposed-patch
+        // sweep, loading each weight byte and gather index once for
+        // eight requests' multiply-adds (~1.8× measured at b16). The floors sit well below the measured
         // gains so the swings observed between best-of refreshes cannot
-        // trip them, while losing the batch-major win (silent
-        // sequential fallback, per-request restaging, re-charging, or a
-        // sweep that degenerates to per-request walks) drops the ratio
-        // toward ~1.0 and fails.
+        // trip them, while losing the batch-major win (per-request
+        // restaging, re-charging, or a sweep that degenerates to
+        // per-request walks) drops the ratio toward ~1.0 and fails.
+        // `BatchPlan` only reports the sharing; these ratios are what
+        // prove it happens.
         for (family, floor) in [("net-serve-resnet18", 1.10), ("net-serve-mlp", 1.05)] {
             for b in [1, 4, 16] {
                 let kernel = format!("{family}-b{b}");

@@ -17,7 +17,7 @@
 
 use super::sparse_sw::SparseFcJob;
 use super::{run_fc, EPILOGUE_ALU};
-use crate::bulk::{gather_dot2_pair, loop_scaffold, nm_gather_dot, offsets_len, write_out};
+use crate::bulk::{gather_dot2_pair, loop_scaffold, write_out};
 use crate::conv::sparse_isa::decimate_mode;
 use crate::layout::nm_segment_bytes;
 use crate::stats::{Ctx, ExecPath, KernelStats};
@@ -162,50 +162,8 @@ fn channel_pair(
     let entries_per_word = job.nm.offsets_per_word();
     let k = 2 * pair;
 
-    // Shared bulk/native pair body; `P` decides whether the pair's
-    // accounting block exists at all.
-    fn pair_body<P: ChargePolicy>(
-        mem: &mut Scratchpad,
-        core: &mut Core,
-        job: &SparseFcJob,
-        pair: usize,
-        seg_bytes: u32,
-    ) {
-        let nz = job.nz_per_channel();
-        let k = 2 * pair;
-        let m = job.nm.m();
-        let bits = job.nm.offset_bits();
-        let seg = job.fc.bufs.offsets + pair as u32 * seg_bytes;
-        let mut outs = [0i8; 2];
-        {
-            let input = mem
-                .slice(job.fc.bufs.input, nz * m)
-                .expect("scratchpad is zero-copy");
-            // Interleaved stream: entry 2b + q is block b of channel
-            // k + q, exactly what the csr walk of the reference's
-            // xDecimate sequence selects.
-            let offs = mem
-                .slice(seg, offsets_len(2 * nz, bits))
-                .expect("scratchpad is zero-copy");
-            for (q, out) in outs.iter_mut().enumerate() {
-                let values = mem
-                    .slice(job.fc.bufs.weights + ((k + q) * nz) as u32, nz)
-                    .expect("scratchpad is zero-copy");
-                *out = job
-                    .fc
-                    .requant
-                    .apply(nm_gather_dot(values, input, offs, bits, m, q, 2));
-            }
-        }
-        for (q, &out) in outs.iter().enumerate() {
-            mem.store_i8(job.fc.bufs.output + (k + q) as u32, out);
-        }
-        P::charge_block(core, || pair_block(nz / 4, nz % 4));
-    }
-
     match ctx.path() {
-        ExecPath::Bulk(mem) => pair_body::<Charged>(mem, core, job, pair, seg_bytes),
-        ExecPath::Native(mem) => pair_body::<Uncharged>(mem, core, job, pair, seg_bytes),
+        ExecPath::Bulk(_) | ExecPath::Native(_) => unreachable!("handled by core_body"),
         ExecPath::Reference(mem) => {
             core.xdecimate_clear();
             let vrow = [

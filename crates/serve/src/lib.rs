@@ -10,11 +10,10 @@
 //! programs decoded exactly once per (model, format, options) cache
 //! key), a bounded submission queue applies backpressure by shedding,
 //! and a worker pool coalesces same-model requests into batches that
-//! execute under the model's [`BatchPlan`]: Linear/activation chains
-//! stack into one multi-token pass, conv graphs run layer-major with
-//! each conv tile's packed weights staged once per batch, and
-//! everything else runs sequentially — with the executed plan reported
-//! on every result ([`InferenceResult::mode`]).
+//! run layer-major through [`PreparedGraph::run_batch`], each
+//! Conv/Linear tile's packed weights staged once per batch. Every
+//! result reports what its batch shared ([`InferenceResult::mode`], a
+//! [`BatchPlan`]).
 //!
 //! ```no_run
 //! # use nm_serve::{Service, ServiceConfig};
@@ -70,18 +69,17 @@
 //!   `nm_platform::ScratchpadPool` that resets pads to the fresh state
 //!   on checkin);
 //! * batch coalescing routes through [`PreparedGraph::run_batch`],
-//!   which executes the graph's [`BatchPlan`]
-//!   ([`PreparedGraph::batch_plan`]). Under
-//!   [`BatchPlan::TokenCoalesced`] each request is its own token of one
-//!   stacked multi-token pass; under [`BatchPlan::ConvBatchMajor`] each
-//!   request is its own sweep over every conv tile's held weight
-//!   staging, with per-request kernel statistics threaded out of the
-//!   batched kernels. Either way each request is a separate sequence of
-//!   kernel invocations on the shared staged weights — kernel cycle
-//!   counts depend only on geometry and weights, never on activation
-//!   values — so per-request outputs and cycle attribution match the
-//!   sequential run bit for bit. [`BatchPlan::Sequential`] *is* the
-//!   sequential loop;
+//!   the same layer-major graph walk as [`PreparedGraph::run`] over B
+//!   requests instead of one. Every request's tokens are their own
+//!   rows of each Linear tile's token stream, and every request is its
+//!   own sweep over each conv tile's held weight staging, with
+//!   per-request kernel statistics threaded out of the batched kernels.
+//!   Each request is a separate sequence of kernel invocations on the
+//!   shared staged weights — kernel cycle counts depend only on
+//!   geometry and weights, never on activation values — so per-request
+//!   outputs and cycle attribution match the sequential run bit for
+//!   bit. The graph's [`BatchPlan`] ([`PreparedGraph::batch_plan`])
+//!   reports what the walk shares; it selects no code path;
 //! * scheduling affects only *wall-clock* quantities, which are
 //!   reported separately ([`InferenceResult::latency`],
 //!   [`InferenceResult::batch_size`]) and carry no simulated meaning.

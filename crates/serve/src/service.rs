@@ -296,9 +296,9 @@ pub struct InferenceResult {
     /// by itself mean any work was shared — `mode` is the authority on
     /// that.
     pub batch_size: usize,
-    /// The [`BatchPlan`] the batch actually executed under:
-    /// [`BatchPlan::Sequential`] (with the reason) when the requests
-    /// ran one by one, the sharing plan otherwise.
+    /// What the batch actually shared ([`BatchPlan`]):
+    /// [`BatchPlan::Sequential`] (with the reason) when it shared no
+    /// work, the sharing plan otherwise.
     pub mode: BatchPlan,
     /// Wall-clock submit-to-completion latency (informational,
     /// host-dependent — the deterministic quantity is `sim_cycles`).

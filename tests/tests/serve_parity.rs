@@ -6,26 +6,29 @@
 //! totals too. This is the determinism contract documented at the top
 //! of `nm-serve`.
 
-use nm_compiler::{BatchPlan, ExecTier, Options, PreparedGraph, Target};
+use nm_compiler::plan::compile;
+use nm_compiler::{BatchPlan, ExecTier, KernelChoice, Options, PreparedGraph, Target};
 use nm_core::quant::Requant;
 use nm_core::sparsity::Nm;
 use nm_core::{FcGeom, Tensor};
 use nm_integration::{make_exact_nm, random_i8, sparse_conv_fc_graph};
-use nm_models::{mlp_serve_sparse, resnet18_cifar_serve_sparse};
+use nm_models::vit::vit_tiny_sparse_for_tests;
+use nm_models::{mlp_serve_sparse, resnet18_cifar_serve_sparse, vit_small, VitConfig};
 use nm_nn::graph::Graph;
 use nm_nn::layer::LinearLayer;
+use nm_nn::prune::{prune_graph, vit_ff_policy};
 use nm_nn::rng::XorShift;
 use nm_nn::GraphBuilder;
 use nm_serve::{Service, ServiceConfig};
 use std::sync::Arc;
 
-/// A small conv+fc graph — not a Linear chain, so its batch plan is the
-/// conv-batch-major walk (conv tiles staged once per batch).
+/// A small conv+fc graph — its batch plan reports the conv-batch-major
+/// sharing (conv tiles staged once per batch).
 fn conv_fc_graph(nm: Nm) -> Arc<Graph> {
     Arc::new(sparse_conv_fc_graph(10, 6, nm, 3))
 }
 
-/// A token-coalescible sparse MLP — the stacked multi-token plan's
+/// A sparse MLP with no conv layers — the token-coalesced plan's
 /// subject.
 fn mlp_graph(nm: Nm) -> Arc<Graph> {
     Arc::new(mlp_serve_sparse(&[64, 48, 32], nm, 5).unwrap())
@@ -318,8 +321,9 @@ fn native_tier_service_matches_bulk_outputs() {
 }
 
 /// `run_batch` itself (no service): the batched entry point must equal
-/// per-request `run` calls under both work-sharing plans, and reject
-/// shape mismatches atomically — naming the failing request.
+/// per-request `run` calls under both work-sharing plans at batch sizes
+/// 0, 1 and 5, and reject shape mismatches atomically — naming the
+/// failing request.
 #[test]
 fn run_batch_matches_individual_runs() {
     let nm = Nm::ONE_OF_EIGHT;
@@ -333,15 +337,17 @@ fn run_batch_matches_individual_runs() {
         let label = plan.label();
         let xs = random_inputs(graph.input_shape(), 5, 77);
         let refs: Vec<&Tensor<i8>> = xs.iter().collect();
-        let batched = prepared.run_batch(&refs).unwrap();
-        assert_eq!(batched.len(), xs.len());
-        for (x, b) in xs.iter().zip(&batched) {
-            let solo = prepared.run(x).unwrap();
-            assert_eq!(b.output, solo.output, "plan={label}");
-            assert_eq!(
-                b.matmul_compute_cycles, solo.matmul_compute_cycles,
-                "plan={label}"
-            );
+        for n in [0, 1, 5] {
+            let batched = prepared.run_batch(&refs[..n]).unwrap();
+            assert_eq!(batched.len(), n);
+            for (x, b) in xs.iter().zip(&batched) {
+                let solo = prepared.run(x).unwrap();
+                assert_eq!(b.output, solo.output, "plan={label} n={n}");
+                assert_eq!(
+                    b.matmul_compute_cycles, solo.matmul_compute_cycles,
+                    "plan={label} n={n}"
+                );
+            }
         }
         // A wrong-shaped rider poisons the whole batch up front, and
         // the error names which request it was.
@@ -356,13 +362,13 @@ fn run_batch_matches_individual_runs() {
     }
 }
 
-/// Coalescing requires a *chain*, not just whitelisted ops: a graph of
-/// pure Linear nodes that is a DAG (here: two linears both reading the
-/// input node, one of them dead) must take the per-request fallback —
-/// the stacked multi-token sweep threads values sequentially and would
-/// silently compute the wrong function on such a graph.
+/// A Linear DAG shares staging like a chain does: a graph of pure
+/// Linear nodes that is not a chain (here: two linears both reading the
+/// input node, one of them dead) keeps per-request values per node in
+/// the one graph walk, so its Linear tiles stage once per batch and
+/// every request still gets exactly its sequential result.
 #[test]
-fn linear_dag_is_not_coalesced_but_still_batches_correctly() {
+fn linear_dag_is_token_coalesced_and_batches_correctly() {
     let nm = Nm::ONE_OF_EIGHT;
     let (c, k) = (64, 32);
     let mut w1 = random_i8(k * c, 41);
@@ -377,17 +383,93 @@ fn linear_dag_is_not_coalesced_but_still_batches_correctly() {
     let graph = b.finish(out).unwrap();
     let opts = Options::new(Target::SparseIsa);
     let prepared = PreparedGraph::prepare(&graph, &opts).unwrap();
-    assert!(
-        matches!(prepared.batch_plan(), BatchPlan::Sequential { .. }),
-        "a non-chain Linear DAG must plan sequential execution, got {:?}",
-        prepared.batch_plan()
-    );
+    assert_eq!(prepared.batch_plan(), BatchPlan::TokenCoalesced);
     let xs = random_inputs(&[c], 4, 47);
     let refs: Vec<&Tensor<i8>> = xs.iter().collect();
     for (x, run) in xs.iter().zip(prepared.run_batch(&refs).unwrap()) {
         let solo = prepared.run(x).unwrap();
         assert_eq!(run.output, solo.output);
         assert_eq!(run.matmul_compute_cycles, solo.matmul_compute_cycles);
+    }
+}
+
+/// An L1 budget that K-tiles [`wide_vit`]'s feed-forward Linears while
+/// its conv patch embedding still fits (asserted in the test).
+const VIT_K_TILING_BUDGET: usize = 1536;
+
+/// A one-block ViT with `vit_tiny_sparse_for_tests`'s structure but
+/// wider feed-forward Linears and a smaller patch embedding: the tiny
+/// ViT's embedding needs more L1 than its largest Linear does untiled,
+/// so no budget K-tiles that model's Linears.
+fn wide_vit(nm: Nm) -> Graph {
+    let cfg = VitConfig {
+        image: 8,
+        patch: 4,
+        dim: 64,
+        depth: 1,
+        heads: 2,
+        mlp_ratio: 2,
+        classes: 4,
+    };
+    let mut g = vit_small(&cfg, 6).unwrap();
+    prune_graph(&mut g, nm, vit_ff_policy(nm, 16)).unwrap();
+    g
+}
+
+/// `run_batch` over ViTs — conv patch embedding, attention and `[T, C]`
+/// Linears, whose B×T rows run through each Linear tile as one token
+/// stream — equals each request's own `run`, bit and cycle, on both
+/// cycle-accurate tiers: at B = 2 and 5, with untiled (default budget)
+/// and K-tiled Linears, and at a thread count whose token chunks
+/// straddle request boundaries.
+#[test]
+fn run_batch_matches_individual_runs_on_vit() {
+    let nm = Nm::ONE_OF_EIGHT;
+    let tiny = vit_tiny_sparse_for_tests(nm, 4).unwrap();
+    let wide = wide_vit(nm);
+    let default_budget = Options::new(Target::SparseIsa).l1_budget;
+    let mut k_tiled = Options::new(Target::SparseIsa);
+    k_tiled.l1_budget = VIT_K_TILING_BUDGET;
+    let ff_tiles: Vec<usize> = compile(&wide, &k_tiled)
+        .unwrap()
+        .layers
+        .iter()
+        .filter(|l| matches!(l.choice, Some(KernelChoice::FcSparseIsa(_))))
+        .map(|l| l.n_tiles)
+        .collect();
+    assert!(
+        ff_tiles.len() == 2 && ff_tiles.iter().all(|&n| n > 1),
+        "the budget no longer K-tiles both feed-forward Linears: {ff_tiles:?}"
+    );
+    for (name, graph, l1_budget) in [
+        ("vit-tiny", &tiny, default_budget),
+        ("wide-vit-k-tiled", &wide, VIT_K_TILING_BUDGET),
+    ] {
+        for tier in [ExecTier::Bulk, ExecTier::Reference] {
+            for host_threads in [1, 3] {
+                let mut opts = Options::new(Target::SparseIsa);
+                opts.tier = tier;
+                opts.l1_budget = l1_budget;
+                opts.host_threads = host_threads;
+                let prepared = PreparedGraph::prepare(graph, &opts).unwrap();
+                assert_eq!(prepared.batch_plan(), BatchPlan::ConvBatchMajor);
+                for b in [2, 5] {
+                    let xs = random_inputs(graph.input_shape(), b, 60 + b as u64);
+                    let refs: Vec<&Tensor<i8>> = xs.iter().collect();
+                    let batched = prepared.run_batch(&refs).unwrap();
+                    assert_eq!(batched.len(), b);
+                    for (i, (x, got)) in xs.iter().zip(&batched).enumerate() {
+                        let solo = prepared.run(x).unwrap();
+                        let at = format!("{name} {tier:?} threads={host_threads} b={b} req {i}");
+                        assert_eq!(got.output, solo.output, "{at}");
+                        assert_eq!(
+                            got.matmul_compute_cycles, solo.matmul_compute_cycles,
+                            "{at}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 
