@@ -7,7 +7,8 @@
 //! epilogue): per-class instruction counts plus the derived stall and
 //! branch-penalty counts. Kernels on the bulk fast path build the block
 //! table for a whole channel with [`InstrBlock::repeat`]/[`InstrBlock::then`]
-//! and charge it with a single [`crate::Core::charge_block`] call.
+//! and charge it with a single [`crate::Core::charge_block`] call;
+//! analytic mode charges the same tables without touching memory.
 //!
 //! Exactness contract: charging a block must change `cycles`, `instret`,
 //! `macs` and every per-class counter by exactly what the equivalent
@@ -25,19 +26,22 @@ use crate::class::InstrClass;
 ///
 /// # Example
 /// ```
-/// use nm_isa::{Core, CostModel, InstrBlock, InstrClass};
+/// use nm_isa::{Core, CostModel, FlatMem, InstrBlock};
 ///
 /// // One 4-NZ software-decimation chunk: 6 loads, 9 ALU, 1 dot product.
 /// let chunk = InstrBlock::new().loads(6).alu(9).sdotp(1);
-/// let mut fast = Core::new(CostModel::default());
+/// let costs = CostModel { load_stall: 2, ..CostModel::default() };
+/// let mut fast = Core::new(costs);
 /// fast.charge_block(&chunk.repeat(10));
 ///
-/// let mut reference = Core::new(CostModel::default());
+/// let mem = FlatMem::new(16);
+/// let mut reference = Core::new(costs);
 /// for _ in 0..10 {
-///     reference.charge(InstrClass::Load, 6);
-///     reference.charge(InstrClass::Alu, 9);
-///     reference.charge(InstrClass::SimdDotp, 1);
-///     reference.add_macs(4);
+///     for _ in 0..6 {
+///         reference.lw(&mem, 0);
+///     }
+///     reference.alu_n(9);
+///     reference.sdotp(0, 0, 0);
 /// }
 /// assert_eq!(fast.stats(), reference.stats());
 /// ```
@@ -151,13 +155,6 @@ impl InstrBlock {
             return self;
         }
         self.alu(costs.outer_loop_instrs - 1).branches_taken(1)
-    }
-
-    /// Adds `n` effective MACs with no instruction — the batched
-    /// equivalent of [`crate::Core::add_macs`].
-    pub const fn extra_macs(mut self, n: u64) -> Self {
-        self.macs += n;
-        self
     }
 
     /// The block repeated `n` times.

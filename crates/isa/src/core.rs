@@ -103,7 +103,7 @@ impl Core {
     /// base cycles, load stalls and taken-branch penalties, exactly as the
     /// equivalent sequence of per-instruction calls would (see
     /// [`InstrBlock`] for the contract). This is the accounting engine of
-    /// the kernels' bulk fast path.
+    /// the kernels' bulk fast path and of their analytic mode.
     #[inline]
     pub fn charge_block(&mut self, block: &InstrBlock) {
         let mut instrs = 0;
@@ -115,14 +115,6 @@ impl Core {
             + block.stalled_loads() * self.costs.load_stall
             + block.taken_branches() * self.costs.branch_taken_penalty;
         self.macs += block.macs();
-    }
-
-    /// Records `n` effective MACs without charging instructions — used by
-    /// kernels in analytic mode, where dot products are charged via
-    /// [`Core::charge`] instead of executed.
-    #[inline]
-    pub fn add_macs(&mut self, n: u64) {
-        self.macs += n;
     }
 
     /// One ALU instruction (add/shift/mask/address update).

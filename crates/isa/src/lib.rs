@@ -40,8 +40,9 @@
 //! The parity suite in the workspace `tests` crate (`bulk_parity.rs`)
 //! enforces this for every kernel, pattern and tail geometry; treat a
 //! divergence as a bug in the fast path, never as a tolerable drift.
-//! Analytic mode (`Ctx::Analytic`) additionally matches both on cycle
-//! and instruction totals under the default (stall-free) Vega model.
+//! Analytic mode (`Ctx::Analytic`) charges the bulk path's own
+//! [`InstrBlock`]s without touching memory, so it matches both on every
+//! statistic for any [`CostModel`] as well.
 //!
 //! # Example
 //!

@@ -9,10 +9,10 @@
 
 use super::super::fc::{run_fc, FcJob, EPILOGUE_ALU};
 use crate::bulk::{blockwise_rows_out, loop_scaffold, u16_indices_below, write_out};
-use crate::stats::{Ctx, ExecPath, KernelStats};
+use crate::stats::{Ctx, KernelStats};
 use nm_core::format::BlockwiseMatrix;
 use nm_core::{Error, Result};
-use nm_isa::{ChargePolicy, Charged, Core, InstrBlock, InstrClass, Memory, Uncharged};
+use nm_isa::{ChargePolicy, Charged, Core, CostModel, InstrBlock, Memory, Uncharged};
 use nm_platform::{chunk_range, Cluster, Scratchpad};
 use std::ops::Range;
 
@@ -169,18 +169,7 @@ pub fn fc_blockwise(
             write_out(mem, job.bufs.output + range.start as u32, &outs);
         }
         let costs = *core.costs();
-        P::charge_block(core, || {
-            let blocks_range = (row_start[range.end] - row_start[range.start]) as u64;
-            let per_channel =
-                loop_scaffold(&costs, 3).then(InstrBlock::new().alu(EPILOGUE_ALU).stores(1));
-            per_channel.repeat(range.len() as u64).then(
-                InstrBlock::new()
-                    .loads(3)
-                    .alu(1)
-                    .sdotp(1)
-                    .repeat(blocks_range),
-            )
-        });
+        P::charge_block(core, || core_block(&costs, row_start, range));
     }
 
     let native = ctx.is_native();
@@ -191,46 +180,53 @@ pub fn fc_blockwise(
         native,
         |core_id, core| {
             let range = chunk_range(geom.k, cluster.n_cores(), core_id);
-            match ctx.path() {
-                ExecPath::Bulk(mem) => {
+            let mem = match ctx.path() {
+                Ctx::MemBulk(mem) => {
                     return core_body::<Charged>(mem, core, job, &row_start, range)
                 }
-                ExecPath::Native(mem) => {
+                Ctx::MemNative(mem) => {
                     return core_body::<Uncharged>(mem, core, job, &row_start, range)
                 }
-                _ => {}
-            }
+                Ctx::Analytic => {
+                    return core.charge_block(&core_block(core.costs(), &row_start, range))
+                }
+                Ctx::Mem(mem) => mem,
+            };
             for k in range {
                 core.outer_loop_iter();
                 core.alu_n(3);
                 core.hwloop_setup();
                 let blocks = job.blocks_per_row[k];
-                if let Some(mem) = ctx.mem() {
-                    let mut acc = 0i32;
-                    for b in 0..blocks {
-                        let flat = row_start[k] + b;
-                        let lo = core.lb(mem, job.bufs.block_idx + (2 * flat) as u32) as u8;
-                        let hi = mem.load_u8(job.bufs.block_idx + (2 * flat + 1) as u32);
-                        let idx = u32::from(lo) | (u32::from(hi) << 8); // one lhu: charged as the lb above
-                        core.alu_n(1);
-                        let a = core.lw(mem, job.bufs.input + idx * 4);
-                        let w = core.lw(mem, job.bufs.values + (flat * 4) as u32);
-                        acc = core.sdotp(w, a, acc);
-                    }
-                    core.alu_n(EPILOGUE_ALU);
-                    let out = job.fc.requant.apply(acc);
-                    core.sb(mem, job.bufs.output + k as u32, out);
-                } else {
-                    core.charge(InstrClass::Load, blocks as u64 * 3);
-                    core.charge(InstrClass::Alu, blocks as u64);
-                    core.charge(InstrClass::SimdDotp, blocks as u64);
-                    core.add_macs(blocks as u64 * 4);
-                    core.charge(InstrClass::Alu, EPILOGUE_ALU);
-                    core.charge(InstrClass::Store, 1);
+                let mut acc = 0i32;
+                for b in 0..blocks {
+                    let flat = row_start[k] + b;
+                    let lo = core.lb(mem, job.bufs.block_idx + (2 * flat) as u32) as u8;
+                    let hi = mem.load_u8(job.bufs.block_idx + (2 * flat + 1) as u32);
+                    let idx = u32::from(lo) | (u32::from(hi) << 8); // one lhu: charged as the lb above
+                    core.alu_n(1);
+                    let a = core.lw(mem, job.bufs.input + idx * 4);
+                    let w = core.lw(mem, job.bufs.values + (flat * 4) as u32);
+                    acc = core.sdotp(w, a, acc);
                 }
+                core.alu_n(EPILOGUE_ALU);
+                let out = job.fc.requant.apply(acc);
+                core.sb(mem, job.bufs.output + k as u32, out);
             }
         },
     ))
+}
+
+/// The accounting block of one core's range of blockwise rows
+/// (`row_start` holds the prefix sums of the per-row block counts): the
+/// loop scaffold and epilogue per row plus one 4-wide block step per
+/// stored block (block charging is order-independent, so the ragged
+/// rows simply sum).
+fn core_block(costs: &CostModel, row_start: &[usize], range: Range<usize>) -> InstrBlock {
+    let blocks = (row_start[range.end] - row_start[range.start]) as u64;
+    loop_scaffold(costs, 3)
+        .then(InstrBlock::new().alu(EPILOGUE_ALU).stores(1))
+        .repeat(range.len() as u64)
+        .then(InstrBlock::new().loads(3).alu(1).sdotp(1).repeat(blocks))
 }
 
 #[cfg(test)]

@@ -11,10 +11,10 @@
 
 use super::super::fc::{run_fc, FcJob, EPILOGUE_ALU};
 use crate::bulk::{dcsr_gather_dot, loop_scaffold, write_out};
-use crate::stats::{Ctx, ExecPath, KernelStats};
+use crate::stats::{Ctx, KernelStats};
 use nm_core::format::DcsrMatrix;
 use nm_core::{Error, Result};
-use nm_isa::{ChargePolicy, Charged, Core, InstrBlock, InstrClass, Memory, Uncharged};
+use nm_isa::{ChargePolicy, Charged, Core, CostModel, InstrBlock, InstrClass, Memory, Uncharged};
 use nm_platform::{chunk_range, Cluster, Scratchpad};
 use std::ops::Range;
 
@@ -157,7 +157,6 @@ pub fn fc_dcsr(ctx: &mut Ctx<'_>, job: &DcsrFcJob, cluster: &Cluster) -> Result<
         job: &DcsrFcJob,
         range: Range<usize>,
     ) {
-        let (mut nnz_t, mut esc_t, mut stream_bytes_t) = (0u64, 0u64, 0u64);
         {
             // As in the CSR/blockwise arms, the activation window
             // extends to the end of the scratchpad: a decoded column
@@ -173,9 +172,6 @@ pub fn fc_dcsr(ctx: &mut Ctx<'_>, job: &DcsrFcJob, cluster: &Cluster) -> Result<
                 .map(|k| {
                     let (nnz, esc) = (job.row_nnz[k] as u64, job.row_escapes[k] as u64);
                     let nibbles = nnz + 2 * esc;
-                    nnz_t += nnz;
-                    esc_t += esc;
-                    stream_bytes_t += nibbles.div_ceil(2);
                     let values = mem
                         .slice(job.bufs.values + job.value_starts[k] as u32, nnz as usize)
                         .expect("scratchpad is zero-copy");
@@ -193,19 +189,7 @@ pub fn fc_dcsr(ctx: &mut Ctx<'_>, job: &DcsrFcJob, cluster: &Cluster) -> Result<
             write_out(mem, job.bufs.output + range.start as u32, &outs);
         }
         let costs = *core.costs();
-        P::charge_block(core, || {
-            let per_channel =
-                loop_scaffold(&costs, 3).then(InstrBlock::new().alu(EPILOGUE_ALU).stores(1));
-            per_channel.repeat(range.len() as u64).then(
-                InstrBlock::new()
-                    .loads(stream_bytes_t) // stream byte fetches
-                    .alu(3 * nnz_t + 5 * esc_t) // extracts + col accumulate
-                    .op(InstrClass::Branch, nnz_t - esc_t) // escape tests, not taken
-                    .branches_taken(esc_t) // escape paths
-                    .loads(2 * nnz_t) // activation + weight
-                    .mac(nnz_t),
-            )
-        });
+        P::charge_block(core, || core_block(&costs, job, range));
     }
 
     let native = ctx.is_native();
@@ -216,60 +200,71 @@ pub fn fc_dcsr(ctx: &mut Ctx<'_>, job: &DcsrFcJob, cluster: &Cluster) -> Result<
         native,
         |core_id, core| {
             let range = chunk_range(geom.k, cluster.n_cores(), core_id);
-            match ctx.path() {
-                ExecPath::Bulk(mem) => return core_body::<Charged>(mem, core, job, range),
-                ExecPath::Native(mem) => return core_body::<Uncharged>(mem, core, job, range),
-                _ => {}
-            }
+            let mem = match ctx.path() {
+                Ctx::MemBulk(mem) => return core_body::<Charged>(mem, core, job, range),
+                Ctx::MemNative(mem) => return core_body::<Uncharged>(mem, core, job, range),
+                Ctx::Analytic => return core.charge_block(&core_block(core.costs(), job, range)),
+                Ctx::Mem(mem) => mem,
+            };
             for k in range {
                 core.outer_loop_iter();
                 core.alu_n(3);
                 core.hwloop_setup();
                 let nnz = job.row_nnz[k];
-                let esc = job.row_escapes[k];
-                if let Some(mem) = ctx.mem() {
-                    let mut stream =
-                        NibbleStream::new(job.bufs.deltas + job.delta_starts[k] as u32);
-                    let mut col: i64 = -1;
-                    let mut acc = 0i32;
-                    for i in 0..nnz {
-                        core.alu_n(2); // nibble extract (shift + mask)
-                        let field = stream.next(core, mem);
-                        let d = if field == 0 {
-                            core.branch(true); // escape path
-                            core.alu_n(5); // two more extracts + combine
-                            let lo = stream.next(core, mem);
-                            let hi = stream.next(core, mem);
-                            16 + i64::from(lo) + (i64::from(hi) << 4)
-                        } else {
-                            core.branch(false);
-                            i64::from(field)
-                        };
-                        core.alu(); // col += d
-                        col += d;
-                        let a = core.lb(mem, job.bufs.input + col as u32);
-                        let w = core.lb(mem, job.bufs.values + (job.value_starts[k] + i) as u32);
-                        acc = core.mac(i32::from(w), i32::from(a), acc);
-                    }
-                    core.alu_n(EPILOGUE_ALU);
-                    let out = job.fc.requant.apply(acc);
-                    core.sb(mem, job.bufs.output + k as u32, out);
-                } else {
-                    let nibbles = nnz + 2 * esc;
-                    core.charge(InstrClass::Load, nibbles.div_ceil(2) as u64); // stream bytes
-                    core.charge(InstrClass::Alu, (3 * nnz + 5 * esc) as u64);
-                    for i in 0..nnz {
-                        core.branch(i < esc); // esc taken branches, rest not taken
-                    }
-                    core.charge(InstrClass::Load, 2 * nnz as u64); // activation + weight
-                    core.charge(InstrClass::Mac, nnz as u64);
-                    core.add_macs(nnz as u64);
-                    core.charge(InstrClass::Alu, EPILOGUE_ALU);
-                    core.charge(InstrClass::Store, 1);
+                let mut stream = NibbleStream::new(job.bufs.deltas + job.delta_starts[k] as u32);
+                let mut col: i64 = -1;
+                let mut acc = 0i32;
+                for i in 0..nnz {
+                    core.alu_n(2); // nibble extract (shift + mask)
+                    let field = stream.next(core, mem);
+                    let d = if field == 0 {
+                        core.branch(true); // escape path
+                        core.alu_n(5); // two more extracts + combine
+                        let lo = stream.next(core, mem);
+                        let hi = stream.next(core, mem);
+                        16 + i64::from(lo) + (i64::from(hi) << 4)
+                    } else {
+                        core.branch(false);
+                        i64::from(field)
+                    };
+                    core.alu(); // col += d
+                    col += d;
+                    let a = core.lb(mem, job.bufs.input + col as u32);
+                    let w = core.lb(mem, job.bufs.values + (job.value_starts[k] + i) as u32);
+                    acc = core.mac(i32::from(w), i32::from(a), acc);
                 }
+                core.alu_n(EPILOGUE_ALU);
+                let out = job.fc.requant.apply(acc);
+                core.sb(mem, job.bufs.output + k as u32, out);
             }
         },
     ))
+}
+
+/// The accounting block of one core's range of dCSR rows: the loop
+/// scaffold and epilogue per row plus the decode and MAC work of every
+/// non-zero (block charging is order-independent, so the ragged rows
+/// simply sum).
+fn core_block(costs: &CostModel, job: &DcsrFcJob, range: Range<usize>) -> InstrBlock {
+    let (mut nnz, mut esc, mut stream_bytes) = (0u64, 0u64, 0u64);
+    for k in range.clone() {
+        let (n, e) = (job.row_nnz[k] as u64, job.row_escapes[k] as u64);
+        nnz += n;
+        esc += e;
+        stream_bytes += (n + 2 * e).div_ceil(2);
+    }
+    loop_scaffold(costs, 3)
+        .then(InstrBlock::new().alu(EPILOGUE_ALU).stores(1))
+        .repeat(range.len() as u64)
+        .then(
+            InstrBlock::new()
+                .loads(stream_bytes) // stream byte fetches
+                .alu(3 * nnz + 5 * esc) // extracts + col accumulate
+                .op(InstrClass::Branch, nnz - esc) // escape tests, not taken
+                .branches_taken(esc) // escape paths
+                .loads(2 * nnz) // activation + weight
+                .mac(nnz),
+        )
 }
 
 #[cfg(test)]

@@ -1100,11 +1100,10 @@ fn patch_row<const CHECKED: bool>(patches: &[u8], i: usize) -> &[u8; SWEEP_WIDTH
 /// Batched equivalent of one `outer_loop_iter(); alu_n(extra);
 /// hwloop_setup()` scaffold iteration of a kernel's channel loop.
 pub(crate) fn loop_scaffold(costs: &CostModel, extra_alu: u64) -> InstrBlock {
-    let mut block = InstrBlock::new();
-    if costs.outer_loop_instrs > 0 {
-        block = block.alu(costs.outer_loop_instrs - 1).branches_taken(1);
-    }
-    block.alu(extra_alu).op(InstrClass::HwLoop, 1)
+    InstrBlock::new()
+        .outer_iter(costs)
+        .alu(extra_alu)
+        .op(InstrClass::HwLoop, 1)
 }
 
 #[cfg(test)]

@@ -3,9 +3,9 @@
 
 use super::{drive, drive_conv_batch, BatchInner, ConvBatch, ConvBatchRun, ConvJob, EPILOGUE_ALU};
 use crate::bulk::dense_dot;
-use crate::stats::{Ctx, ExecPath, KernelStats};
+use crate::stats::{Ctx, KernelStats};
 use nm_core::Result;
-use nm_isa::{ChargePolicy, Charged, Core, InstrBlock, InstrClass, Memory, Uncharged};
+use nm_isa::{ChargePolicy, Charged, Core, InstrBlock, Memory, Uncharged};
 use nm_platform::{Cluster, Scratchpad};
 
 /// The 1×2 kernel's channel loop over one position pair, shared by the
@@ -176,14 +176,30 @@ pub(crate) fn channel_1xn(
     charge: bool,
 ) {
     match ctx.path() {
-        ExecPath::Bulk(mem) => channel_1xn_body::<Charged>(
+        Ctx::MemBulk(mem) => channel_1xn_body::<Charged>(
             mem, core, job, pos, n_patches, buf, k, wrow, chunks, tail, charge,
         ),
-        ExecPath::Native(mem) => channel_1xn_body::<Uncharged>(
+        Ctx::MemNative(mem) => channel_1xn_body::<Uncharged>(
             mem, core, job, pos, n_patches, buf, k, wrow, chunks, tail, false,
         ),
-        path => channel_1xn_slow(path, core, job, pos, n_patches, buf, k, wrow, chunks, tail),
+        Ctx::Analytic => core.charge_block(&channel_1xn_block(chunks, tail, n_patches as u64)),
+        Ctx::Mem(mem) => {
+            channel_1xn_reference(mem, core, job, pos, n_patches, buf, k, wrow, chunks, tail)
+        }
     }
+}
+
+/// The accounting block of one dense output channel over `np` patches
+/// (the exact batched equivalent of [`channel_1xn_reference`]'s charge
+/// sequence).
+fn channel_1xn_block(chunks: usize, tail: usize, np: u64) -> InstrBlock {
+    let per_chunk = InstrBlock::new().loads(1 + np).sdotp(np);
+    let per_tail = InstrBlock::new().loads(1 + np).mac(np);
+    let epilogue = InstrBlock::new().alu(EPILOGUE_ALU).stores(1).repeat(np);
+    per_chunk
+        .repeat(chunks as u64)
+        .then(per_tail.repeat(tail as u64))
+        .then(epilogue)
 }
 
 /// The shared 1×N bulk/native kernel body: compute from zero-copy slices,
@@ -218,21 +234,13 @@ fn channel_1xn_body<P: ChargePolicy>(
     for (p, &out) in outs.iter().enumerate().take(n_patches) {
         mem.store_i8(job.bufs.output + ((pos + p) * geom.k + k) as u32, out);
     }
-    P::charge_block_if(core, charge, || {
-        let per_chunk = InstrBlock::new().loads(1 + np).sdotp(np);
-        let per_tail = InstrBlock::new().loads(1 + np).mac(np);
-        let epilogue = InstrBlock::new().alu(EPILOGUE_ALU).stores(1).repeat(np);
-        per_chunk
-            .repeat(chunks as u64)
-            .then(per_tail.repeat(tail as u64))
-            .then(epilogue)
-    });
+    P::charge_block_if(core, charge, || channel_1xn_block(chunks, tail, np));
 }
 
-/// The reference/analytic arms of [`channel_1xn`].
+/// The per-instruction reference arm of [`channel_1xn`].
 #[allow(clippy::too_many_arguments)]
-fn channel_1xn_slow(
-    path: ExecPath<'_>,
+fn channel_1xn_reference(
+    mem: &mut Scratchpad,
     core: &mut Core,
     job: &ConvJob,
     pos: usize,
@@ -245,41 +253,26 @@ fn channel_1xn_slow(
 ) {
     let geom = &job.geom;
     let plen = geom.patch_len();
-    let np = n_patches as u64;
-    match path {
-        ExecPath::Bulk(_) | ExecPath::Native(_) => unreachable!("handled by channel_1xn_body"),
-        ExecPath::Reference(mem) => {
-            let mut acc = [0i32; 2];
-            for j in 0..chunks {
-                let w = core.lw(mem, wrow + (4 * j) as u32);
-                for p in 0..n_patches {
-                    let a = core.lw(mem, buf + (p * plen + 4 * j) as u32);
-                    acc[p] = core.sdotp(w, a, acc[p]);
-                }
-            }
-            for t in 0..tail {
-                let idx = (chunks * 4 + t) as u32;
-                let w = core.lb(mem, wrow + idx);
-                for p in 0..n_patches {
-                    let a = core.lb(mem, buf + (p * plen) as u32 + idx);
-                    acc[p] = core.mac(i32::from(w), i32::from(a), acc[p]);
-                }
-            }
-            for p in 0..n_patches {
-                core.alu_n(EPILOGUE_ALU);
-                let out = job.requant.apply(acc[p]);
-                core.sb(mem, job.bufs.output + ((pos + p) * geom.k + k) as u32, out);
-            }
+    let mut acc = [0i32; 2];
+    for j in 0..chunks {
+        let w = core.lw(mem, wrow + (4 * j) as u32);
+        for p in 0..n_patches {
+            let a = core.lw(mem, buf + (p * plen + 4 * j) as u32);
+            acc[p] = core.sdotp(w, a, acc[p]);
         }
-        ExecPath::Analytic => {
-            core.charge(InstrClass::Load, chunks as u64 * (1 + np));
-            core.charge(InstrClass::SimdDotp, chunks as u64 * np);
-            core.charge(InstrClass::Load, tail as u64 * (1 + np));
-            core.charge(InstrClass::Mac, tail as u64 * np);
-            core.add_macs((chunks * 4 + tail) as u64 * np);
-            core.charge(InstrClass::Alu, EPILOGUE_ALU * np);
-            core.charge(InstrClass::Store, np);
+    }
+    for t in 0..tail {
+        let idx = (chunks * 4 + t) as u32;
+        let w = core.lb(mem, wrow + idx);
+        for p in 0..n_patches {
+            let a = core.lb(mem, buf + (p * plen) as u32 + idx);
+            acc[p] = core.mac(i32::from(w), i32::from(a), acc[p]);
         }
+    }
+    for p in 0..n_patches {
+        core.alu_n(EPILOGUE_ALU);
+        let out = job.requant.apply(acc[p]);
+        core.sb(mem, job.bufs.output + ((pos + p) * geom.k + k) as u32, out);
     }
 }
 
@@ -299,14 +292,30 @@ fn quad_channels(
     charge: bool,
 ) {
     match ctx.path() {
-        ExecPath::Bulk(mem) => quad_channels_body::<Charged>(
+        Ctx::MemBulk(mem) => quad_channels_body::<Charged>(
             mem, core, job, pos, n_patches, buf, k0, chunks, tail, charge,
         ),
-        ExecPath::Native(mem) => quad_channels_body::<Uncharged>(
+        Ctx::MemNative(mem) => quad_channels_body::<Uncharged>(
             mem, core, job, pos, n_patches, buf, k0, chunks, tail, false,
         ),
-        path => quad_channels_slow(path, core, job, pos, n_patches, buf, k0, chunks, tail),
+        Ctx::Analytic => core.charge_block(&quad_block(chunks, tail, n_patches as u64)),
+        Ctx::Mem(mem) => {
+            quad_channels_reference(mem, core, job, pos, n_patches, buf, k0, chunks, tail)
+        }
     }
+}
+
+/// The accounting block of four dense output channels over `np` patches
+/// (the exact batched equivalent of [`quad_channels_reference`]'s charge
+/// sequence).
+fn quad_block(chunks: usize, tail: usize, np: u64) -> InstrBlock {
+    let per_chunk = InstrBlock::new().loads(4 + np).sdotp(4 * np);
+    let per_tail = InstrBlock::new().loads(4 + np).mac(4 * np);
+    let epilogue = InstrBlock::new().alu(EPILOGUE_ALU).stores(1).repeat(4 * np);
+    per_chunk
+        .repeat(chunks as u64)
+        .then(per_tail.repeat(tail as u64))
+        .then(epilogue)
 }
 
 /// The shared 4×N bulk/native kernel body (charge policy as in
@@ -347,21 +356,13 @@ fn quad_channels_body<P: ChargePolicy>(
     for (p, out) in outs.iter().enumerate().take(n_patches) {
         crate::bulk::write_out(mem, job.bufs.output + ((pos + p) * geom.k + k0) as u32, out);
     }
-    P::charge_block_if(core, charge, || {
-        let per_chunk = InstrBlock::new().loads(4 + np).sdotp(4 * np);
-        let per_tail = InstrBlock::new().loads(4 + np).mac(4 * np);
-        let epilogue = InstrBlock::new().alu(EPILOGUE_ALU).stores(1).repeat(4 * np);
-        per_chunk
-            .repeat(chunks as u64)
-            .then(per_tail.repeat(tail as u64))
-            .then(epilogue)
-    });
+    P::charge_block_if(core, charge, || quad_block(chunks, tail, np));
 }
 
-/// The reference/analytic arms of [`quad_channels`].
+/// The per-instruction reference arm of [`quad_channels`].
 #[allow(clippy::too_many_arguments)]
-fn quad_channels_slow(
-    path: ExecPath<'_>,
+fn quad_channels_reference(
+    mem: &mut Scratchpad,
     core: &mut Core,
     job: &ConvJob,
     pos: usize,
@@ -373,56 +374,41 @@ fn quad_channels_slow(
 ) {
     let geom = &job.geom;
     let plen = geom.patch_len();
-    let np = n_patches as u64;
-    match path {
-        ExecPath::Bulk(_) | ExecPath::Native(_) => unreachable!("handled by quad_channels_body"),
-        ExecPath::Reference(mem) => {
-            let mut acc = [[0i32; 2]; 4];
-            for j in 0..chunks {
-                let mut w = [0u32; 4];
-                for (f, wf) in w.iter_mut().enumerate() {
-                    *wf = core.lw(mem, job.bufs.weights + ((k0 + f) * plen + 4 * j) as u32);
-                }
-                for p in 0..n_patches {
-                    let a = core.lw(mem, buf + (p * plen + 4 * j) as u32);
-                    for f in 0..4 {
-                        acc[f][p] = core.sdotp(w[f], a, acc[f][p]);
-                    }
-                }
-            }
-            for t in 0..tail {
-                let idx = (chunks * 4 + t) as u32;
-                let mut w = [0i8; 4];
-                for (f, wf) in w.iter_mut().enumerate() {
-                    *wf = core.lb(mem, job.bufs.weights + ((k0 + f) * plen) as u32 + idx);
-                }
-                for p in 0..n_patches {
-                    let a = core.lb(mem, buf + (p * plen) as u32 + idx);
-                    for f in 0..4 {
-                        acc[f][p] = core.mac(i32::from(w[f]), i32::from(a), acc[f][p]);
-                    }
-                }
-            }
-            for p in 0..n_patches {
-                for f in 0..4 {
-                    core.alu_n(EPILOGUE_ALU);
-                    let out = job.requant.apply(acc[f][p]);
-                    core.sb(
-                        mem,
-                        job.bufs.output + ((pos + p) * geom.k + k0 + f) as u32,
-                        out,
-                    );
-                }
+    let mut acc = [[0i32; 2]; 4];
+    for j in 0..chunks {
+        let mut w = [0u32; 4];
+        for (f, wf) in w.iter_mut().enumerate() {
+            *wf = core.lw(mem, job.bufs.weights + ((k0 + f) * plen + 4 * j) as u32);
+        }
+        for p in 0..n_patches {
+            let a = core.lw(mem, buf + (p * plen + 4 * j) as u32);
+            for f in 0..4 {
+                acc[f][p] = core.sdotp(w[f], a, acc[f][p]);
             }
         }
-        ExecPath::Analytic => {
-            core.charge(InstrClass::Load, chunks as u64 * (4 + np));
-            core.charge(InstrClass::SimdDotp, chunks as u64 * 4 * np);
-            core.charge(InstrClass::Load, tail as u64 * (4 + np));
-            core.charge(InstrClass::Mac, tail as u64 * 4 * np);
-            core.add_macs((chunks * 4 + tail) as u64 * 4 * np);
-            core.charge(InstrClass::Alu, EPILOGUE_ALU * 4 * np);
-            core.charge(InstrClass::Store, 4 * np);
+    }
+    for t in 0..tail {
+        let idx = (chunks * 4 + t) as u32;
+        let mut w = [0i8; 4];
+        for (f, wf) in w.iter_mut().enumerate() {
+            *wf = core.lb(mem, job.bufs.weights + ((k0 + f) * plen) as u32 + idx);
+        }
+        for p in 0..n_patches {
+            let a = core.lb(mem, buf + (p * plen) as u32 + idx);
+            for f in 0..4 {
+                acc[f][p] = core.mac(i32::from(w[f]), i32::from(a), acc[f][p]);
+            }
+        }
+    }
+    for p in 0..n_patches {
+        for f in 0..4 {
+            core.alu_n(EPILOGUE_ALU);
+            let out = job.requant.apply(acc[f][p]);
+            core.sb(
+                mem,
+                job.bufs.output + ((pos + p) * geom.k + k0 + f) as u32,
+                out,
+            );
         }
     }
 }

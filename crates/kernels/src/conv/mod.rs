@@ -26,7 +26,7 @@ pub mod sparse_sw;
 use crate::bulk::decim_table;
 use crate::im2col::{im2col_patches, Im2colCharges, PatchState};
 use crate::layout::{copy_i8_to_bytes, ConvBufs};
-use crate::stats::{Ctx, ExecPath, KernelStats};
+use crate::stats::{Ctx, KernelStats};
 use nm_core::format::{NmMatrix, OffsetLayout};
 use nm_core::quant::Requant;
 use nm_core::sparsity::Nm;
@@ -190,11 +190,12 @@ where
 
 /// [`drive`] with an explicit patch-consumption policy.
 ///
-/// On the reference and analytic paths the im2col runs per position as
-/// always. On the bulk path ([`Ctx::MemBulk`]) each core keeps a
-/// [`PatchState`]: charging is closed-form (memoized per padding class,
-/// shared across cores via one [`Im2colCharges`]) and data movement is
-/// incremental. With `patches_read` the buffers are materialized before
+/// On the reference path the im2col runs per position, instruction by
+/// instruction. Every other path keeps a [`PatchState`] per core whose
+/// charging is closed-form (memoized per padding class, shared across
+/// cores via one [`Im2colCharges`]); the analytic path stops there. On
+/// the bulk and native paths data movement is incremental on top of
+/// that. With `patches_read` the buffers are materialized before
 /// every `channel_loop` call (sliding from the previous pair's
 /// contents); without it — the im2col-only engine workloads — only each
 /// core's *final* patch buffers are written, preserving full-memory
@@ -234,7 +235,7 @@ where
     let n_pos = geom.oy() * geom.ox();
     let mut charges = Im2colCharges::new(cluster.costs());
     // The per-iteration scaffold (outer_loop_iter + patch-pointer ALU)
-    // folded into the bulk path's single per-pair charge.
+    // folded into the bulk and analytic paths' single per-pair charge.
     let scaffold = InstrBlock::new().outer_iter(&cluster.costs()).alu(4);
     let mut per_core = Vec::with_capacity(cluster.n_cores());
     for core_id in 0..cluster.n_cores() {
@@ -248,24 +249,30 @@ where
         let mut pos = range.start;
         while pos < range.end {
             let n_patches = (range.end - pos).min(2);
-            if let ExecPath::Bulk(mem) | ExecPath::Native(mem) = ctx.path() {
-                if charge {
+            match ctx.path() {
+                Ctx::MemBulk(mem) | Ctx::MemNative(mem) => {
+                    if charge {
+                        patches.fill(&mut core, &mut charges, geom, &scaffold, pos, n_patches);
+                    } else {
+                        patches.record(geom, pos, n_patches);
+                    }
+                    if patches_read {
+                        patches.materialize(mem, geom);
+                    }
+                }
+                Ctx::Analytic => {
                     patches.fill(&mut core, &mut charges, geom, &scaffold, pos, n_patches);
-                } else {
-                    patches.record(geom, pos, n_patches);
                 }
-                if patches_read {
-                    patches.materialize(mem, geom);
+                Ctx::Mem(mem) => {
+                    core.outer_loop_iter();
+                    core.alu_n(4); // patch pointers + position bookkeeping
+                    im2col_patches(&mut core, mem, geom, job.bufs.input, buf, pos, n_patches);
                 }
-            } else {
-                core.outer_loop_iter();
-                core.alu_n(4); // patch pointers + position bookkeeping
-                im2col_patches(&mut core, ctx, geom, job.bufs.input, buf, pos, n_patches);
             }
             channel_loop(&mut core, ctx, pos, n_patches, buf, charge);
             pos += n_patches;
         }
-        if let ExecPath::Bulk(mem) | ExecPath::Native(mem) = ctx.path() {
+        if let Ctx::MemBulk(mem) | Ctx::MemNative(mem) = ctx.path() {
             patches.finish(mem, geom);
         }
         per_core.push(core.stats());

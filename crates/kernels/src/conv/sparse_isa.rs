@@ -21,13 +21,11 @@ use crate::bulk::{
     conv_pair_outputs, decim_table, loop_scaffold, nm_gather_dot, offsets_len, table_below,
 };
 use crate::layout::nm_segment_bytes;
-use crate::stats::{Ctx, ExecPath, KernelStats};
+use crate::stats::{Ctx, KernelStats};
 use nm_core::format::OffsetLayout;
 use nm_core::sparsity::Nm;
 use nm_core::Result;
-use nm_isa::{
-    ChargePolicy, Charged, Core, DecimateMode, InstrBlock, InstrClass, Memory, Uncharged,
-};
+use nm_isa::{ChargePolicy, Charged, Core, CostModel, DecimateMode, InstrBlock, Memory, Uncharged};
 use nm_platform::{Cluster, Scratchpad};
 use std::borrow::Cow;
 
@@ -151,7 +149,7 @@ fn duplicated_table<'p>(
     let geom = job.conv.geom;
     let nz = job.nz_per_channel();
     match ctx.path() {
-        ExecPath::Bulk(mem) | ExecPath::Native(mem) => match program {
+        Ctx::MemBulk(mem) | Ctx::MemNative(mem) => match program {
             Some(p) => (Some(Cow::Borrowed(p.table())), p.in_range()),
             None => {
                 let offs = mem
@@ -209,22 +207,17 @@ fn isa_channel_loop<'a>(
                 mem, &job.conv, nz, table, in_range, pos, n_patches, buf, outs,
             );
             let costs = *core.costs();
-            P::charge_block_if(core, charge, || {
-                let (chunks, tail) = (nz / 4, nz % 4);
-                let np = n_patches as u64;
-                loop_scaffold(&costs, 3)
-                    .then(channel_block(chunks, tail, np))
-                    .repeat(job.conv.geom.k as u64)
-            });
+            P::charge_block_if(core, charge, || pair_block(&costs, job, n_patches as u64));
         }
         match ctx.path() {
-            ExecPath::Bulk(mem) => pair_body::<Charged>(
+            Ctx::MemBulk(mem) => pair_body::<Charged>(
                 mem, core, job, table, in_range, pos, n_patches, buf, &mut outs, charge,
             ),
-            ExecPath::Native(mem) => pair_body::<Uncharged>(
+            Ctx::MemNative(mem) => pair_body::<Uncharged>(
                 mem, core, job, table, in_range, pos, n_patches, buf, &mut outs, false,
             ),
-            _ => {
+            Ctx::Analytic => core.charge_block(&pair_block(core.costs(), job, n_patches as u64)),
+            Ctx::Mem(_) => {
                 for k in 0..geom.k {
                     core.outer_loop_iter();
                     core.alu_n(3);
@@ -236,6 +229,16 @@ fn isa_channel_loop<'a>(
             }
         }
     }
+}
+
+/// The accounting block of the ISA kernel's channel loop over one
+/// position pair of `np` patches: every channel's loop scaffold and
+/// inner loop (uniform channels, one repeated block).
+fn pair_block(costs: &CostModel, job: &SparseConvJob, np: u64) -> InstrBlock {
+    let nz = job.nz_per_channel();
+    loop_scaffold(costs, 3)
+        .then(channel_block(nz / 4, nz % 4, np))
+        .repeat(job.conv.geom.k as u64)
 }
 
 /// The accounting block of one `xDecimate` conv channel over `np`
@@ -335,13 +338,14 @@ pub(crate) fn channel_sparse_isa(
     }
 
     match ctx.path() {
-        ExecPath::Bulk(mem) => {
+        Ctx::MemBulk(mem) => {
             channel_body::<Charged>(mem, core, job, pos, n_patches, buf, k, wrow, seg)
         }
-        ExecPath::Native(mem) => {
+        Ctx::MemNative(mem) => {
             channel_body::<Uncharged>(mem, core, job, pos, n_patches, buf, k, wrow, seg)
         }
-        ExecPath::Reference(mem) => {
+        Ctx::Analytic => core.charge_block(&channel_block(chunks, tail, np)),
+        Ctx::Mem(mem) => {
             core.xdecimate_clear();
             let vrow = wrow;
             let mut acc = [0i32; 2];
@@ -389,21 +393,6 @@ pub(crate) fn channel_sparse_isa(
                     out,
                 );
             }
-        }
-        ExecPath::Analytic => {
-            core.charge(InstrClass::Xfu, 1); // xDecimate.clear
-            core.charge(InstrClass::Load, chunks as u64 * 2); // offsets word + weight word
-            core.charge(InstrClass::Xfu, chunks as u64 * 8);
-            core.charge(InstrClass::SimdDotp, chunks as u64 * np);
-            if tail > 0 {
-                core.charge(InstrClass::Load, 1);
-            }
-            core.charge(InstrClass::Load, tail as u64); // weight bytes
-            core.charge(InstrClass::Xfu, tail as u64 * 2);
-            core.charge(InstrClass::Mac, tail as u64 * np);
-            core.add_macs((chunks * 4 + tail) as u64 * np);
-            core.charge(InstrClass::Alu, EPILOGUE_ALU * np);
-            core.charge(InstrClass::Store, np);
         }
     }
 }

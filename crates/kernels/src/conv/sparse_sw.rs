@@ -22,11 +22,11 @@ use crate::bulk::{
     conv_pair_outputs, decim_table, loop_scaffold, nm_gather_dot, offsets_len, table_below,
 };
 use crate::layout::nm_segment_bytes;
-use crate::stats::{Ctx, ExecPath, KernelStats};
+use crate::stats::{Ctx, KernelStats};
 use nm_core::format::OffsetLayout;
 use nm_core::sparsity::Nm;
 use nm_core::{Error, Result};
-use nm_isa::{ChargePolicy, Charged, Core, InstrBlock, InstrClass, Memory, Uncharged};
+use nm_isa::{ChargePolicy, Charged, Core, CostModel, InstrBlock, InstrClass, Memory, Uncharged};
 use nm_platform::{Cluster, Scratchpad};
 use std::borrow::Cow;
 
@@ -168,7 +168,7 @@ fn plain_table<'p>(
     let geom = job.conv.geom;
     let nz = job.nz_per_channel();
     match ctx.path() {
-        ExecPath::Bulk(mem) | ExecPath::Native(mem) => match program {
+        Ctx::MemBulk(mem) | Ctx::MemNative(mem) => match program {
             Some(p) => (Some(Cow::Borrowed(p.table())), p.in_range()),
             None => {
                 let offs = mem
@@ -226,23 +226,17 @@ fn sw_channel_loop<'a>(
                 mem, &job.conv, nz, table, in_range, pos, n_patches, buf, outs,
             );
             let costs = *core.costs();
-            P::charge_block_if(core, charge, || {
-                let bits = job.nm.offset_bits();
-                let (chunks, tail) = (nz / 4, nz % 4);
-                let np = n_patches as u64;
-                loop_scaffold(&costs, 3)
-                    .then(channel_block(bits, chunks, tail, np))
-                    .repeat(job.conv.geom.k as u64)
-            });
+            P::charge_block_if(core, charge, || pair_block(&costs, job, n_patches as u64));
         }
         match ctx.path() {
-            ExecPath::Bulk(mem) => pair_body::<Charged>(
+            Ctx::MemBulk(mem) => pair_body::<Charged>(
                 mem, core, job, table, in_range, pos, n_patches, buf, &mut outs, charge,
             ),
-            ExecPath::Native(mem) => pair_body::<Uncharged>(
+            Ctx::MemNative(mem) => pair_body::<Uncharged>(
                 mem, core, job, table, in_range, pos, n_patches, buf, &mut outs, false,
             ),
-            _ => {
+            Ctx::Analytic => core.charge_block(&pair_block(core.costs(), job, n_patches as u64)),
+            Ctx::Mem(_) => {
                 for k in 0..geom.k {
                     core.outer_loop_iter();
                     core.alu_n(3);
@@ -254,6 +248,16 @@ fn sw_channel_loop<'a>(
             }
         }
     }
+}
+
+/// The accounting block of the software kernel's channel loop over one
+/// position pair of `np` patches: every channel's loop scaffold and
+/// inner loop (uniform channels, one repeated block).
+fn pair_block(costs: &CostModel, job: &SparseConvJob, np: u64) -> InstrBlock {
+    let nz = job.nz_per_channel();
+    loop_scaffold(costs, 3)
+        .then(channel_block(job.nm.offset_bits(), nz / 4, nz % 4, np))
+        .repeat(job.conv.geom.k as u64)
 }
 
 /// The accounting block of one software-decimation conv channel over
@@ -345,13 +349,14 @@ pub(crate) fn channel_sparse_sw(
     }
 
     match ctx.path() {
-        ExecPath::Bulk(mem) => {
+        Ctx::MemBulk(mem) => {
             channel_body::<Charged>(mem, core, job, pos, n_patches, buf, k, wrow, seg)
         }
-        ExecPath::Native(mem) => {
+        Ctx::MemNative(mem) => {
             channel_body::<Uncharged>(mem, core, job, pos, n_patches, buf, k, wrow, seg)
         }
-        ExecPath::Reference(mem) => {
+        Ctx::Analytic => core.charge_block(&channel_block(bits, chunks, tail, np)),
+        Ctx::Mem(mem) => {
             let vrow = wrow;
             let mut acc = [0i32; 2];
             for j in 0..chunks {
@@ -408,23 +413,6 @@ pub(crate) fn channel_sparse_sw(
                     out,
                 );
             }
-        }
-        ExecPath::Analytic => {
-            let (idx_alu, idx_loads) = if bits == 4 { (8, 1) } else { (9, 1) };
-            core.charge(InstrClass::Load, chunks as u64 * idx_loads);
-            core.charge(InstrClass::Alu, chunks as u64 * (idx_alu + 2));
-            core.charge(InstrClass::Load, chunks as u64 * 4 * np); // decimated byte loads
-            core.charge(InstrClass::Load, chunks as u64); // weight words
-            core.charge(InstrClass::SimdDotp, chunks as u64 * np);
-            if tail > 0 {
-                core.charge(InstrClass::Load, 1);
-            }
-            core.charge(InstrClass::Alu, tail as u64 * 3);
-            core.charge(InstrClass::Load, tail as u64 * (1 + np));
-            core.charge(InstrClass::Mac, tail as u64 * np);
-            core.add_macs((chunks * 4 + tail) as u64 * np);
-            core.charge(InstrClass::Alu, EPILOGUE_ALU * np);
-            core.charge(InstrClass::Store, np);
         }
     }
 }

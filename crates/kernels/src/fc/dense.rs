@@ -5,9 +5,9 @@
 
 use super::{run_fc, FcJob, EPILOGUE_ALU};
 use crate::bulk::{dense_dot, loop_scaffold, write_out};
-use crate::stats::{Ctx, ExecPath, KernelStats};
+use crate::stats::{Ctx, KernelStats};
 use nm_core::Result;
-use nm_isa::{ChargePolicy, Charged, Core, InstrBlock, InstrClass, Memory, Uncharged};
+use nm_isa::{ChargePolicy, Charged, Core, CostModel, InstrBlock, Memory, Uncharged};
 use nm_platform::{chunk_range, Cluster, Scratchpad};
 use std::ops::Range;
 
@@ -27,9 +27,10 @@ pub fn fc_dense(ctx: &mut Ctx<'_>, job: &FcJob, cluster: &Cluster) -> Result<Ker
         |core_id, core| {
             let range = chunk_range(geom.k, cluster.n_cores(), core_id);
             match ctx.path() {
-                ExecPath::Bulk(mem) => core_body::<Charged>(mem, core, job, range),
-                ExecPath::Native(mem) => core_body::<Uncharged>(mem, core, job, range),
-                _ => {
+                Ctx::MemBulk(mem) => core_body::<Charged>(mem, core, job, range),
+                Ctx::MemNative(mem) => core_body::<Uncharged>(mem, core, job, range),
+                Ctx::Analytic => core.charge_block(&core_block(core.costs(), geom.c, range.len())),
+                Ctx::Mem(_) => {
                     let mut k = range.start;
                     while k < range.end {
                         let nk = (range.end - k).min(2);
@@ -76,16 +77,23 @@ fn core_body<P: ChargePolicy>(
         write_out(mem, out0, &outs);
     }
     let costs = *core.costs();
-    P::charge_block(core, || {
-        let (chunks, tail) = (c / 4, c % 4);
-        let n_pairs = (n_channels / 2) as u64;
-        let odd = (n_channels % 2) as u64;
-        let scaffold = loop_scaffold(&costs, 2);
-        scaffold
-            .then(channels_block(chunks, tail, 2))
-            .repeat(n_pairs)
-            .then(scaffold.then(channels_block(chunks, tail, 1)).repeat(odd))
-    });
+    P::charge_block(core, || core_block(&costs, c, n_channels));
+}
+
+/// The accounting block of one core's range of `n_channels` dense FC
+/// channels over `c` inputs: channel pairs, then an odd leftover channel,
+/// each behind its loop scaffold.
+fn core_block(costs: &CostModel, c: usize, n_channels: usize) -> InstrBlock {
+    let (chunks, tail) = (c / 4, c % 4);
+    let scaffold = loop_scaffold(costs, 2);
+    scaffold
+        .then(channels_block(chunks, tail, 2))
+        .repeat((n_channels / 2) as u64)
+        .then(
+            scaffold
+                .then(channels_block(chunks, tail, 1))
+                .repeat((n_channels % 2) as u64),
+        )
 }
 
 /// The accounting block of `nk` dense FC channels (the exact batched
@@ -113,7 +121,6 @@ pub(crate) fn channels(
 ) {
     let c = job.geom.c;
     let (chunks, tail) = (c / 4, c % 4);
-    let nku = nk as u64;
     // Outputs from zero-copy slices; one accounting call for the whole
     // channel group (compiled out entirely on the native tier).
     fn group_body<P: ChargePolicy>(
@@ -143,9 +150,10 @@ pub(crate) fn channels(
         P::charge_block(core, || channels_block(c / 4, c % 4, nk as u64));
     }
     match ctx.path() {
-        ExecPath::Bulk(mem) => group_body::<Charged>(mem, core, job, k, wrow, nk),
-        ExecPath::Native(mem) => group_body::<Uncharged>(mem, core, job, k, wrow, nk),
-        ExecPath::Reference(mem) => {
+        Ctx::MemBulk(mem) => group_body::<Charged>(mem, core, job, k, wrow, nk),
+        Ctx::MemNative(mem) => group_body::<Uncharged>(mem, core, job, k, wrow, nk),
+        Ctx::Analytic => core.charge_block(&channels_block(chunks, tail, nk as u64)),
+        Ctx::Mem(mem) => {
             let mut acc = [0i32; 2];
             for j in 0..chunks {
                 let mut w = [0u32; 2];
@@ -170,15 +178,6 @@ pub(crate) fn channels(
                 let out = job.requant.apply(a);
                 core.sb(mem, job.bufs.output + (k + q) as u32, out);
             }
-        }
-        ExecPath::Analytic => {
-            core.charge(InstrClass::Load, chunks as u64 * (nku + 1));
-            core.charge(InstrClass::SimdDotp, chunks as u64 * nku);
-            core.charge(InstrClass::Load, tail as u64 * (nku + 1));
-            core.charge(InstrClass::Mac, tail as u64 * nku);
-            core.add_macs((chunks * 4 + tail) as u64 * nku);
-            core.charge(InstrClass::Alu, EPILOGUE_ALU * nku);
-            core.charge(InstrClass::Store, nku);
         }
     }
 }

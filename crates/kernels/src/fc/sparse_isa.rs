@@ -20,12 +20,10 @@ use super::{run_fc, EPILOGUE_ALU};
 use crate::bulk::{gather_dot2_pair, loop_scaffold, write_out};
 use crate::conv::sparse_isa::decimate_mode;
 use crate::layout::nm_segment_bytes;
-use crate::stats::{Ctx, ExecPath, KernelStats};
+use crate::stats::{Ctx, KernelStats};
 use nm_core::format::OffsetLayout;
 use nm_core::{Error, Result};
-use nm_isa::{
-    ChargePolicy, Charged, Core, DecimateMode, InstrBlock, InstrClass, Memory, Uncharged,
-};
+use nm_isa::{ChargePolicy, Charged, Core, CostModel, DecimateMode, InstrBlock, Memory, Uncharged};
 use nm_platform::{chunk_range, Cluster, Scratchpad};
 use std::ops::Range;
 
@@ -58,14 +56,15 @@ pub fn fc_sparse_isa(
     Ok(run_fc(name, &geom, cluster, native, |core_id, core| {
         let range = chunk_range(n_pairs, cluster.n_cores(), core_id);
         match ctx.path() {
-            ExecPath::Bulk(mem) => core_body::<Charged>(mem, core, job, seg, range),
-            ExecPath::Native(mem) => core_body::<Uncharged>(mem, core, job, seg, range),
-            _ => {
+            Ctx::MemBulk(mem) => core_body::<Charged>(mem, core, job, seg, range),
+            Ctx::MemNative(mem) => core_body::<Uncharged>(mem, core, job, seg, range),
+            Ctx::Analytic => core.charge_block(&core_block(core.costs(), nz, range.len())),
+            Ctx::Mem(mem) => {
                 for pair in range {
                     core.outer_loop_iter();
                     core.alu_n(4);
                     core.hwloop_setup();
-                    channel_pair(core, ctx, job, mode, pair, seg);
+                    channel_pair(core, mem, job, mode, pair, seg);
                 }
             }
         }
@@ -88,7 +87,7 @@ fn core_body<P: ChargePolicy>(
     let m = job.nm.m();
     let bits = job.nm.offset_bits();
     let nz = job.nz_per_channel();
-    let pairs = range.len() as u64;
+    let pairs = range.len();
     let out0 = job.fc.bufs.output + (2 * range.start) as u32;
     {
         let input = mem
@@ -117,12 +116,16 @@ fn core_body<P: ChargePolicy>(
         write_out(mem, out0, &outs);
     }
     let costs = *core.costs();
-    P::charge_block(core, || {
-        let (chunks, tail) = (nz / 4, nz % 4);
-        loop_scaffold(&costs, 4)
-            .then(pair_block(chunks, tail))
-            .repeat(pairs)
-    });
+    P::charge_block(core, || core_block(&costs, nz, pairs));
+}
+
+/// The accounting block of one core's range of `n_pairs` `xDecimate` FC
+/// channel pairs with `nz` non-zeros per channel: uniform pairs, one
+/// repeated block.
+fn core_block(costs: &CostModel, nz: usize, n_pairs: usize) -> InstrBlock {
+    loop_scaffold(costs, 4)
+        .then(pair_block(nz / 4, nz % 4))
+        .repeat(n_pairs as u64)
 }
 
 /// The accounting block of one `xDecimate` FC channel pair (the exact
@@ -148,10 +151,11 @@ fn pair_block(chunks: usize, tail: usize) -> InstrBlock {
         .then(InstrBlock::new().alu(EPILOGUE_ALU).stores(1).repeat(2))
 }
 
-/// Two output channels `(2*pair, 2*pair+1)` with `xDecimate`.
+/// Two output channels `(2*pair, 2*pair+1)` with `xDecimate`: the
+/// per-instruction reference the bulk body and [`pair_block`] match.
 fn channel_pair(
     core: &mut Core,
-    ctx: &mut Ctx<'_>,
+    mem: &mut Scratchpad,
     job: &SparseFcJob,
     mode: DecimateMode,
     pair: usize,
@@ -162,69 +166,49 @@ fn channel_pair(
     let entries_per_word = job.nm.offsets_per_word();
     let k = 2 * pair;
 
-    match ctx.path() {
-        ExecPath::Bulk(_) | ExecPath::Native(_) => unreachable!("handled by core_body"),
-        ExecPath::Reference(mem) => {
-            core.xdecimate_clear();
-            let vrow = [
-                job.fc.bufs.weights + (k * nz) as u32,
-                job.fc.bufs.weights + ((k + 1) * nz) as u32,
-            ];
-            let seg = job.fc.bufs.offsets + pair as u32 * seg_bytes;
-            let mut acc = [0i32; 2];
-            for j in 0..chunks {
-                let word_off = 4 * ((8 * j) / entries_per_word) as u32;
-                let rs2 = core.lw(mem, seg + word_off);
-                let va = [
-                    core.lw(mem, vrow[0] + (4 * j) as u32),
-                    core.lw(mem, vrow[1] + (4 * j) as u32),
-                ];
-                let mut vb = [0u32; 2];
-                for _ in 0..4 {
-                    for (q, v) in vb.iter_mut().enumerate() {
-                        let _ = q;
-                        *v = core.xdecimate(mode, mem, job.fc.bufs.input, rs2, *v);
-                    }
-                }
-                for q in 0..2 {
-                    acc[q] = core.sdotp(va[q], vb[q], acc[q]);
-                }
-            }
-            if tail > 0 {
-                let word_off = 4 * ((8 * chunks) / entries_per_word) as u32;
-                let rs2 = core.lw(mem, seg + word_off);
-                for t in 0..tail {
-                    let idx = chunks * 4 + t;
-                    for (q, a) in acc.iter_mut().enumerate() {
-                        let wv = core.lb(mem, vrow[q] + idx as u32);
-                        let lane = u32::from(core.xfu_csr() >> 1) & 0x3;
-                        let rd = core.xdecimate(mode, mem, job.fc.bufs.input, rs2, 0);
-                        let byte = ((rd >> (lane * 8)) & 0xFF) as u8 as i8;
-                        *a = core.mac(i32::from(wv), i32::from(byte), *a);
-                    }
-                }
-            }
-            for (q, &a) in acc.iter().enumerate() {
-                core.alu_n(EPILOGUE_ALU);
-                let out = job.fc.requant.apply(a);
-                core.sb(mem, job.fc.bufs.output + (k + q) as u32, out);
+    core.xdecimate_clear();
+    let vrow = [
+        job.fc.bufs.weights + (k * nz) as u32,
+        job.fc.bufs.weights + ((k + 1) * nz) as u32,
+    ];
+    let seg = job.fc.bufs.offsets + pair as u32 * seg_bytes;
+    let mut acc = [0i32; 2];
+    for j in 0..chunks {
+        let word_off = 4 * ((8 * j) / entries_per_word) as u32;
+        let rs2 = core.lw(mem, seg + word_off);
+        let va = [
+            core.lw(mem, vrow[0] + (4 * j) as u32),
+            core.lw(mem, vrow[1] + (4 * j) as u32),
+        ];
+        let mut vb = [0u32; 2];
+        for _ in 0..4 {
+            for (q, v) in vb.iter_mut().enumerate() {
+                let _ = q;
+                *v = core.xdecimate(mode, mem, job.fc.bufs.input, rs2, *v);
             }
         }
-        ExecPath::Analytic => {
-            core.charge(InstrClass::Xfu, 1); // xDecimate.clear
-            core.charge(InstrClass::Load, chunks as u64 * 3); // offsets word + 2 weight words
-            core.charge(InstrClass::Xfu, chunks as u64 * 8);
-            core.charge(InstrClass::SimdDotp, chunks as u64 * 2);
-            if tail > 0 {
-                core.charge(InstrClass::Load, 1);
-            }
-            core.charge(InstrClass::Load, tail as u64 * 2);
-            core.charge(InstrClass::Xfu, tail as u64 * 2);
-            core.charge(InstrClass::Mac, tail as u64 * 2);
-            core.add_macs((chunks * 4 + tail) as u64 * 2);
-            core.charge(InstrClass::Alu, EPILOGUE_ALU * 2);
-            core.charge(InstrClass::Store, 2);
+        for q in 0..2 {
+            acc[q] = core.sdotp(va[q], vb[q], acc[q]);
         }
+    }
+    if tail > 0 {
+        let word_off = 4 * ((8 * chunks) / entries_per_word) as u32;
+        let rs2 = core.lw(mem, seg + word_off);
+        for t in 0..tail {
+            let idx = chunks * 4 + t;
+            for (q, a) in acc.iter_mut().enumerate() {
+                let wv = core.lb(mem, vrow[q] + idx as u32);
+                let lane = u32::from(core.xfu_csr() >> 1) & 0x3;
+                let rd = core.xdecimate(mode, mem, job.fc.bufs.input, rs2, 0);
+                let byte = ((rd >> (lane * 8)) & 0xFF) as u8 as i8;
+                *a = core.mac(i32::from(wv), i32::from(byte), *a);
+            }
+        }
+    }
+    for (q, &a) in acc.iter().enumerate() {
+        core.alu_n(EPILOGUE_ALU);
+        let out = job.fc.requant.apply(a);
+        core.sb(mem, job.fc.bufs.output + (k + q) as u32, out);
     }
 }
 

@@ -13,11 +13,11 @@ use super::{run_fc, FcJob, EPILOGUE_ALU};
 use crate::bulk::{loop_scaffold, nm_gather_dot, offsets_len, write_out};
 use crate::conv::sparse_sw::read_offset;
 use crate::layout::nm_segment_bytes;
-use crate::stats::{Ctx, ExecPath, KernelStats};
+use crate::stats::{Ctx, KernelStats};
 use nm_core::format::OffsetLayout;
 use nm_core::sparsity::Nm;
 use nm_core::{Error, Result};
-use nm_isa::{ChargePolicy, Charged, Core, InstrBlock, InstrClass, Memory, Uncharged};
+use nm_isa::{ChargePolicy, Charged, Core, CostModel, InstrBlock, InstrClass, Memory, Uncharged};
 use nm_platform::{chunk_range, Cluster, Scratchpad};
 use std::ops::Range;
 
@@ -74,9 +74,10 @@ pub fn fc_sparse_sw(
     Ok(run_fc(name, &geom, cluster, native, |core_id, core| {
         let range = chunk_range(geom.k, cluster.n_cores(), core_id);
         match ctx.path() {
-            ExecPath::Bulk(mem) => core_body::<Charged>(mem, core, job, seg, range),
-            ExecPath::Native(mem) => core_body::<Uncharged>(mem, core, job, seg, range),
-            _ => {
+            Ctx::MemBulk(mem) => core_body::<Charged>(mem, core, job, seg, range),
+            Ctx::MemNative(mem) => core_body::<Uncharged>(mem, core, job, seg, range),
+            Ctx::Analytic => core.charge_block(&core_block(core.costs(), nz, range.len())),
+            Ctx::Mem(_) => {
                 for k in range {
                     core.outer_loop_iter();
                     core.alu_n(3);
@@ -106,7 +107,7 @@ fn core_body<P: ChargePolicy>(
     let nz = job.nz_per_channel();
     let m = job.nm.m();
     let bits = job.nm.offset_bits();
-    let channels = range.len() as u64;
+    let channels = range.len();
     let out0 = job.fc.bufs.output + range.start as u32;
     {
         let input = mem
@@ -135,12 +136,16 @@ fn core_body<P: ChargePolicy>(
         write_out(mem, out0, &outs);
     }
     let costs = *core.costs();
-    P::charge_block(core, || {
-        let (chunks, tail) = (nz / 4, nz % 4);
-        loop_scaffold(&costs, 3)
-            .then(channel_block(chunks, tail))
-            .repeat(channels)
-    });
+    P::charge_block(core, || core_block(&costs, nz, channels));
+}
+
+/// The accounting block of one core's range of `n_channels`
+/// software-decimation FC channels with `nz` non-zeros each: every
+/// channel has the same shape, so the range is one repeated block.
+fn core_block(costs: &CostModel, nz: usize, n_channels: usize) -> InstrBlock {
+    loop_scaffold(costs, 3)
+        .then(channel_block(nz / 4, nz % 4))
+        .repeat(n_channels as u64)
 }
 
 /// The accounting block of one software-decimation FC channel (the exact
@@ -203,9 +208,10 @@ pub(crate) fn channel(
     }
 
     match ctx.path() {
-        ExecPath::Bulk(mem) => channel_body::<Charged>(mem, core, job, k, wrow, seg),
-        ExecPath::Native(mem) => channel_body::<Uncharged>(mem, core, job, k, wrow, seg),
-        ExecPath::Reference(mem) => {
+        Ctx::MemBulk(mem) => channel_body::<Charged>(mem, core, job, k, wrow, seg),
+        Ctx::MemNative(mem) => channel_body::<Uncharged>(mem, core, job, k, wrow, seg),
+        Ctx::Analytic => core.charge_block(&channel_block(chunks, tail)),
+        Ctx::Mem(mem) => {
             let vrow = wrow;
             let mut acc = 0i32;
             for j in 0..chunks {
@@ -246,22 +252,6 @@ pub(crate) fn channel(
             core.alu_n(EPILOGUE_ALU);
             let out = job.fc.requant.apply(acc);
             core.sb(mem, job.fc.bufs.output + k as u32, out);
-        }
-        ExecPath::Analytic => {
-            core.charge(InstrClass::Load, chunks as u64); // offsets fetch
-            core.charge(InstrClass::Alu, chunks as u64 * 9); // 4x(shift,mask) + ptr update
-            core.charge(InstrClass::Load, chunks as u64 * 4); // decimated byte loads
-            core.charge(InstrClass::Load, chunks as u64); // weight words
-            core.charge(InstrClass::SimdDotp, chunks as u64);
-            if tail > 0 {
-                core.charge(InstrClass::Load, 1);
-            }
-            core.charge(InstrClass::Alu, tail as u64 * 2);
-            core.charge(InstrClass::Load, tail as u64 * 2);
-            core.charge(InstrClass::Mac, tail as u64);
-            core.add_macs((chunks * 4 + tail) as u64);
-            core.charge(InstrClass::Alu, EPILOGUE_ALU);
-            core.charge(InstrClass::Store, 1);
         }
     }
 }

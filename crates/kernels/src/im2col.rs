@@ -16,15 +16,17 @@
 //! splits into left padding / in-bounds span / right padding (the split's
 //! pointer and length updates — a heavily padded row is not free). The
 //! same split code (the private `row_split` helper) drives the
-//! per-instruction reference, the analytic mode and the bulk path's
-//! closed-form [`patch_block`], so all three agree by construction.
+//! per-instruction reference and the closed-form [`patch_block`] that
+//! the bulk and analytic paths charge, so they agree by construction.
 //!
 //! # The incremental bulk path ([`PatchState`])
 //!
 //! On the per-instruction reference path ([`crate::Ctx::Mem`]) every
 //! output position pair rebuilds both patch buffers from the input
 //! tensor, exactly as the modeled kernel does. The bulk fast path
-//! ([`crate::Ctx::MemBulk`]) keeps a per-core [`PatchState`] instead:
+//! ([`crate::Ctx::MemBulk`]) keeps a per-core [`PatchState`] instead.
+//! Analytic mode ([`crate::Ctx::Analytic`]) keeps one too, but only
+//! charges through it ([`PatchState::fill`]); it never materializes:
 //!
 //! * **Charging is closed-form and unchanged.** [`PatchState::fill`]
 //!   charges the exact per-position cost of the full rebuild through a
@@ -53,7 +55,6 @@
 //! and exact statistics for strided, padded (including `pad >= fx`),
 //! pointwise and no-reuse geometries, under stalled cost models too.
 
-use crate::stats::Ctx;
 use nm_core::ConvGeom;
 use nm_isa::{Core, CostModel, InstrBlock, InstrClass, Memory};
 use nm_platform::Scratchpad;
@@ -170,39 +171,36 @@ pub(crate) fn patch_transposed<const NR: usize>(
     }
 }
 
-/// Charges (and, when emulating, performs) a copy of `len` bytes from
-/// `src` to `dst` using word accesses plus a byte tail.
-fn copy_bytes(core: &mut Core, ctx: &mut Ctx<'_>, src: u32, dst: u32, len: usize) {
+/// Charges and performs a copy of `len` bytes from `src` to `dst` using
+/// word accesses plus a byte tail.
+fn copy_bytes(core: &mut Core, mem: &mut Scratchpad, src: u32, dst: u32, len: usize) {
     let words = len / 4;
     let tail = len % 4;
     core.charge(InstrClass::Load, (words + tail) as u64);
     core.charge(InstrClass::Store, (words + tail) as u64);
-    if let Some(mem) = ctx.mem() {
-        // Bulk data movement on both emulation paths: the charging above
-        // is the cost model; the copy itself has no per-byte semantics.
-        mem.copy_within(src, dst, len);
-    }
+    // The charging above is the cost model; the copy itself has no
+    // per-byte semantics, so it moves in bulk.
+    mem.copy_within(src, dst, len);
 }
 
-/// Charges (and performs) a zero fill of `len` bytes at `dst`.
-fn zero_bytes(core: &mut Core, ctx: &mut Ctx<'_>, dst: u32, len: usize) {
+/// Charges and performs a zero fill of `len` bytes at `dst`.
+fn zero_bytes(core: &mut Core, mem: &mut Scratchpad, dst: u32, len: usize) {
     let words = len / 4;
     let tail = len % 4;
     core.charge(InstrClass::Store, (words + tail) as u64);
-    if let Some(mem) = ctx.mem() {
-        mem.fill_bytes(dst, len, 0);
-    }
+    mem.fill_bytes(dst, len, 0);
 }
 
 /// Fills one im2col buffer at `buf` with the patch for output position
-/// `(oy, ox)`, charging the copy cost on `core`.
+/// `(oy, ox)`, charging the copy cost on `core` instruction by
+/// instruction — the reference the closed-form [`patch_block`] matches.
 ///
 /// The buffer layout is `(ky, kx, c)` row-major — the same flattening as
 /// one weight filter row, so dense word loads and N:M block offsets index
 /// it directly.
 pub fn im2col_patch(
     core: &mut Core,
-    ctx: &mut Ctx<'_>,
+    mem: &mut Scratchpad,
     geom: &ConvGeom,
     input: u32,
     buf: u32,
@@ -217,21 +215,21 @@ pub fn im2col_patch(
         core.outer_loop_iter();
         core.alu_n(2); // row address computation
         let Some(y) = s.y else {
-            zero_bytes(core, ctx, dst_row, row_bytes);
+            zero_bytes(core, mem, dst_row, row_bytes);
             continue;
         };
         core.alu_n(s.split_alu()); // pad-split pointer/length updates
         if s.left > 0 {
-            zero_bytes(core, ctx, dst_row, s.left * c);
+            zero_bytes(core, mem, dst_row, s.left * c);
         }
         if s.span > 0 {
             let src = input + ((y * geom.ix + s.x) * c) as u32;
-            copy_bytes(core, ctx, src, dst_row + (s.left * c) as u32, s.span * c);
+            copy_bytes(core, mem, src, dst_row + (s.left * c) as u32, s.span * c);
         }
         if s.right > 0 {
             zero_bytes(
                 core,
-                ctx,
+                mem,
                 dst_row + ((s.left + s.span) * c) as u32,
                 s.right * c,
             );
@@ -240,9 +238,10 @@ pub fn im2col_patch(
 }
 
 /// The closed-form cost of [`im2col_patch`] for output position
-/// `(oy, ox)` under `costs` — the bulk path's batched equivalent of the
-/// reference's per-row charge sequence (loop bookkeeping, row address
-/// ALU, pad-split ALU, word-copy loads/stores, zero-fill stores).
+/// `(oy, ox)` under `costs` — the bulk and analytic paths' batched
+/// equivalent of the reference's per-row charge sequence (loop
+/// bookkeeping, row address ALU, pad-split ALU, word-copy loads/stores,
+/// zero-fill stores).
 ///
 /// Exactness contract: charging this block changes every [`Core`]
 /// statistic by exactly what [`im2col_patch`] would, for any cost model.
@@ -279,7 +278,7 @@ pub fn patch_block(costs: &CostModel, geom: &ConvGeom, oy: usize, ox: usize) -> 
 /// Panics if `n_patches` is not 1 or 2 or positions run past the output.
 pub fn im2col_patches(
     core: &mut Core,
-    ctx: &mut Ctx<'_>,
+    mem: &mut Scratchpad,
     geom: &ConvGeom,
     input: u32,
     buf: u32,
@@ -297,7 +296,7 @@ pub fn im2col_patches(
         let (oy, ox) = (flat / ox_total, flat % ox_total);
         im2col_patch(
             core,
-            ctx,
+            mem,
             geom,
             input,
             buf + (p * geom.patch_len()) as u32,
@@ -726,8 +725,7 @@ mod tests {
             for pos in 0..g.oy() * g.ox() {
                 let (oy, ox) = (pos / g.ox(), pos % g.ox());
                 let mut core = Core::new(CostModel::default());
-                let mut ctx = Ctx::Mem(&mut l1);
-                im2col_patch(&mut core, &mut ctx, &g, input_addr, buf, oy, ox);
+                im2col_patch(&mut core, &mut l1, &g, input_addr, buf, oy, ox);
                 let got: Vec<i8> = (0..g.patch_len() as u32)
                     .map(|i| l1.load_i8(buf + i))
                     .collect();
@@ -736,23 +734,6 @@ mod tests {
                     reference_patch(&g, &input, oy, ox),
                     "geom {g:?} pos {pos}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn analytic_cost_equals_emulated_cost() {
-        for g in geom_grid() {
-            let (mut l1, input_addr, buf) = staged(&g);
-            for pos in 0..(g.oy() * g.ox()).saturating_sub(1) {
-                let mut em = Core::new(CostModel::default());
-                let mut ctx = Ctx::Mem(&mut l1);
-                im2col_patches(&mut em, &mut ctx, &g, input_addr, buf, pos, 2);
-                let mut an = Core::new(CostModel::default());
-                let mut ctx = Ctx::Analytic;
-                im2col_patches(&mut an, &mut ctx, &g, input_addr, buf, pos, 2);
-                assert_eq!(em.cycles(), an.cycles(), "geom {g:?} pos {pos}");
-                assert_eq!(em.instret(), an.instret());
             }
         }
     }
@@ -774,8 +755,7 @@ mod tests {
                 for pos in 0..g.oy() * g.ox() {
                     let (oy, ox) = (pos / g.ox(), pos % g.ox());
                     let mut reference = Core::new(costs);
-                    let mut ctx = Ctx::Mem(&mut l1);
-                    im2col_patch(&mut reference, &mut ctx, &g, input_addr, buf, oy, ox);
+                    im2col_patch(&mut reference, &mut l1, &g, input_addr, buf, oy, ox);
                     let mut fast = Core::new(costs);
                     fast.charge_block(&patch_block(&costs, &g, oy, ox));
                     assert_eq!(
@@ -806,8 +786,7 @@ mod tests {
                 let mut pos = 0;
                 while pos < n_pos {
                     let n = (n_pos - pos).min(2);
-                    let mut ctx = Ctx::Mem(&mut l1_ref);
-                    im2col_patches(&mut reference, &mut ctx, &g, input_addr, buf, pos, n);
+                    im2col_patches(&mut reference, &mut l1_ref, &g, input_addr, buf, pos, n);
                     state.fill(&mut fast, &mut charges, &g, &InstrBlock::new(), pos, n);
                     if eager {
                         state.materialize(&mut l1_bulk, &g);
@@ -833,9 +812,8 @@ mod tests {
         let g = ConvGeom::new(4, 1, 4, 4, 2, 2, 1, 3).unwrap();
         let (mut l1, input_addr, buf) = staged(&g);
         let mut core = Core::new(CostModel::default());
-        let mut ctx = Ctx::Mem(&mut l1);
         // position (0,0) with pad 3 and filter 2x2: rows -3,-2 -> all pad.
-        im2col_patch(&mut core, &mut ctx, &g, input_addr, buf, 0, 0);
+        im2col_patch(&mut core, &mut l1, &g, input_addr, buf, 0, 0);
         assert_eq!(core.count(InstrClass::Load), 0);
         assert!(core.count(InstrClass::Store) > 0);
     }
@@ -848,12 +826,8 @@ mod tests {
         // (1, 2) is interior pad-free — identical spans of loads/stores
         // per row differ, but the ALU delta is what this test pins.
         let g = ConvGeom::square(4, 1, 5, 3, 1, 1).unwrap();
-        let cost_at = |ox: usize| {
-            let mut core = Core::new(CostModel::default());
-            let mut ctx = Ctx::Analytic;
-            im2col_patch(&mut core, &mut ctx, &g, 0, 0, 1, ox);
-            core.count(InstrClass::Alu)
-        };
+        let cost_at =
+            |ox: usize| patch_block(&CostModel::default(), &g, 1, ox).count(InstrClass::Alu);
         // Interior row: 1 region -> no split ALU. Left-pad position:
         // 2 regions (pad fill + span copy) -> +2 ALU per in-bounds row.
         assert_eq!(cost_at(0), cost_at(2) + 3 * 2);
@@ -882,8 +856,8 @@ mod tests {
     #[should_panic]
     fn more_than_two_patches_panics() {
         let g = geom();
+        let (mut l1, input_addr, buf) = staged(&g);
         let mut core = Core::new(CostModel::default());
-        let mut ctx = Ctx::Analytic;
-        im2col_patches(&mut core, &mut ctx, &g, 0, 0, 0, 3);
+        im2col_patches(&mut core, &mut l1, &g, input_addr, buf, 0, 3);
     }
 }

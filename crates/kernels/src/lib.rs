@@ -11,11 +11,16 @@
 //! * **Emulation** ([`Ctx::Mem`]): the kernel reads and writes real int8
 //!   data in the simulated L1 scratchpad, producing bit-exact outputs
 //!   (verified against [`mod@reference`]) while counting cycles.
-//! * **Analytic** ([`Ctx::Analytic`]): the same loop structure runs
-//!   without touching memory, charging identical per-chunk instruction
-//!   counts in O(output positions) — used for end-to-end networks, where
-//!   emulating every MAC of a ViT would be needlessly slow. Property
-//!   tests pin `analytic cycles == emulated cycles` exactly.
+//! * **Analytic** ([`Ctx::Analytic`]): no memory traffic and no
+//!   outputs. Each kernel charges the same [`nm_isa::InstrBlock`]
+//!   builder its bulk fast path charges — per core's channel range for
+//!   the FC kernels, per position pair for the sparse conv kernels, per
+//!   channel or quad for dense conv and the per-channel mixed kernels —
+//!   and conv im2col charges the bulk path's memoized closed form, so a
+//!   whole network is costed in O(output positions) and the statistics
+//!   equal the emulated ones for any cost model. Parity tests pin
+//!   analytic == reference on whole [`KernelStats`], under the default
+//!   and a stalled cost model.
 //!
 //! Inner-loop instruction budgets match the paper's Sec. 4 analysis and
 //! are locked by guard tests:
@@ -46,4 +51,4 @@ pub mod reference;
 pub mod stats;
 pub mod testdata;
 
-pub use stats::{Ctx, ExecPath, ExecTier, KernelStats};
+pub use stats::{Ctx, ExecTier, KernelStats};

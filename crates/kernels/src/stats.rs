@@ -65,9 +65,15 @@ impl ExecTier {
 /// [`nm_isa::Core::charge_block`], which makes host emulation several
 /// times faster. [`Ctx::MemNative`] runs the same bulk kernel bodies
 /// with charging compiled out ([`nm_isa::Uncharged`]): identical outputs,
-/// zero statistics, fastest wall-clock. Use `Mem` when validating the
-/// model, `MemBulk` for sweeps and gated benches, `MemNative` for
-/// serving traffic that only wants outputs.
+/// zero statistics, fastest wall-clock. [`Ctx::Analytic`] moves no data
+/// and computes no outputs: each kernel charges the same
+/// [`nm_isa::InstrBlock`] builder its bulk body charges, and the conv
+/// driver charges im2col through the same memoized closed form, so
+/// analytic statistics equal the bulk tier's — and therefore the
+/// reference's — for any [`nm_isa::CostModel`]. Use `Mem` when
+/// validating the model, `MemBulk` for sweeps and gated benches,
+/// `MemNative` for serving traffic that only wants outputs, and
+/// `Analytic` for planning.
 #[derive(Debug)]
 pub enum Ctx<'a> {
     /// Emulate per-instruction against this L1 scratchpad (reference).
@@ -77,19 +83,6 @@ pub enum Ctx<'a> {
     /// Run uncharged against this L1 scratchpad (outputs only).
     MemNative(&'a mut Scratchpad),
     /// Charge cycles without touching memory.
-    Analytic,
-}
-
-/// A reborrowed view of a [`Ctx`] that kernels dispatch on.
-#[derive(Debug)]
-pub enum ExecPath<'m> {
-    /// Per-instruction reference emulation.
-    Reference(&'m mut Scratchpad),
-    /// Bulk fast-path emulation (slices + block charging).
-    Bulk(&'m mut Scratchpad),
-    /// Uncharged native execution (slices, no accounting).
-    Native(&'m mut Scratchpad),
-    /// No memory: charge only.
     Analytic,
 }
 
@@ -121,14 +114,14 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// The execution path this context selects, with the scratchpad
-    /// reborrowed for the kernel body.
-    pub fn path(&mut self) -> ExecPath<'_> {
+    /// This context reborrowed for one kernel body: the same variant
+    /// over the same scratchpad, for a shorter lifetime.
+    pub fn path(&mut self) -> Ctx<'_> {
         match self {
-            Ctx::Mem(m) => ExecPath::Reference(m),
-            Ctx::MemBulk(m) => ExecPath::Bulk(m),
-            Ctx::MemNative(m) => ExecPath::Native(m),
-            Ctx::Analytic => ExecPath::Analytic,
+            Ctx::Mem(m) => Ctx::Mem(m),
+            Ctx::MemBulk(m) => Ctx::MemBulk(m),
+            Ctx::MemNative(m) => Ctx::MemNative(m),
+            Ctx::Analytic => Ctx::Analytic,
         }
     }
 }
@@ -205,20 +198,20 @@ mod tests {
         let mut ctx = Ctx::Mem(&mut l1);
         assert!(ctx.is_mem());
         assert!(ctx.mem().is_some());
-        assert!(matches!(ctx.path(), ExecPath::Reference(_)));
+        assert!(matches!(ctx.path(), Ctx::Mem(_)));
         let mut ctx = Ctx::MemBulk(&mut l1);
         assert!(ctx.is_mem());
         assert!(ctx.mem().is_some());
-        assert!(matches!(ctx.path(), ExecPath::Bulk(_)));
+        assert!(matches!(ctx.path(), Ctx::MemBulk(_)));
         let mut ctx = Ctx::MemNative(&mut l1);
         assert!(ctx.is_mem());
         assert!(ctx.is_native());
         assert!(ctx.mem().is_some());
-        assert!(matches!(ctx.path(), ExecPath::Native(_)));
+        assert!(matches!(ctx.path(), Ctx::MemNative(_)));
         let mut ctx = Ctx::Analytic;
         assert!(!ctx.is_mem());
         assert!(ctx.mem().is_none());
-        assert!(matches!(ctx.path(), ExecPath::Analytic));
+        assert!(matches!(ctx.path(), Ctx::Analytic));
     }
 
     #[test]

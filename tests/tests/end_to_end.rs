@@ -5,11 +5,12 @@
 
 use nm_compiler::exec::run_emulated;
 use nm_compiler::plan::{compile, Options};
-use nm_compiler::Target;
+use nm_compiler::{ExecTier, Target};
 use nm_core::quant::Requant;
 use nm_core::sparsity::Nm;
 use nm_core::{ConvGeom, FcGeom, Tensor};
 use nm_integration::make_exact_nm;
+use nm_isa::CostModel;
 use nm_models::vit::vit_tiny_for_tests;
 use nm_nn::graph::{Graph, GraphBuilder, OpKind};
 use nm_nn::layer::{ConvLayer, LinearLayer};
@@ -71,22 +72,47 @@ fn residual_cnn_bit_exact_across_all_targets() {
     }
 }
 
+/// The compute cycles `compile()` plans for the graph's kernel layers.
+fn planned_compute_cycles(g: &Graph, opts: &Options) -> u64 {
+    compile(g, opts)
+        .unwrap()
+        .layers
+        .iter()
+        .filter(|l| l.choice.is_some())
+        .map(|l| l.compute_cycles)
+        .sum()
+}
+
 #[test]
 fn emulated_compute_matches_analytic_plan() {
     let mut rng = XorShift::new(6);
     let input = Tensor::from_vec(&[8, 8, 16], rng.fill_weights(8 * 8 * 16, 50)).unwrap();
     let g = residual_cnn(Some(Nm::ONE_OF_EIGHT), 2);
+    // Load stalls and a costlier taken branch: the plan must charge them
+    // exactly as execution does, not only on the stall-free Vega model.
+    let stalled = CostModel {
+        load_stall: 2,
+        branch_taken_penalty: 3,
+        ..CostModel::VEGA
+    };
     for target in Target::ALL {
         let opts = Options::new(target);
         let run = run_emulated(&g, &input, &opts).unwrap();
-        let planned: u64 = compile(&g, &opts)
-            .unwrap()
-            .layers
-            .iter()
-            .filter(|l| l.choice.is_some())
-            .map(|l| l.compute_cycles)
-            .sum();
+        let planned = planned_compute_cycles(&g, &opts);
         assert_eq!(run.matmul_compute_cycles, planned, "{target:?}");
+
+        let opts = Options {
+            costs: stalled,
+            ..Options::new(target)
+        };
+        let planned = planned_compute_cycles(&g, &opts);
+        for tier in [ExecTier::Reference, ExecTier::Bulk] {
+            let run = run_emulated(&g, &input, &Options { tier, ..opts }).unwrap();
+            assert_eq!(
+                run.matmul_compute_cycles, planned,
+                "{target:?} {tier:?} stalled model"
+            );
+        }
     }
 }
 
