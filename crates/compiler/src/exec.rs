@@ -62,8 +62,9 @@ pub enum BaselineFormat {
 /// whole layer is staged at once (no tiling) and must fit the L1 budget.
 ///
 /// # Errors
-/// Propagates staging and kernel errors (including
-/// [`Error::OutOfMemory`] for layers exceeding `opts.l1_budget`).
+/// [`Error::Unsupported`] for options with zero cores; propagates
+/// staging and kernel errors (including [`Error::OutOfMemory`] for
+/// layers exceeding `opts.l1_budget`).
 pub fn run_fc_baseline(
     layer: &LinearLayer,
     input: &Tensor<i8>,
@@ -75,6 +76,7 @@ pub fn run_fc_baseline(
         [c] if *c == geom.c => input.data(),
         s => return Err(Error::ShapeMismatch(format!("baseline FC over {s:?}"))),
     };
+    opts.check()?;
     let cluster = opts.cluster();
     let fc = FcJob {
         geom: *geom,
@@ -113,7 +115,8 @@ pub fn run_fc_baseline(
 /// wrapper over [`PreparedGraph`].
 ///
 /// # Errors
-/// Propagates tiling, staging and kernel errors.
+/// [`Error::Unsupported`] for options with zero cores; propagates
+/// tiling, staging and kernel errors.
 pub fn run_emulated(graph: &Graph, input: &Tensor<i8>, opts: &Options) -> Result<EmulatedRun> {
     PreparedGraph::prepare(graph, opts)?.run(input)
 }

@@ -6,7 +6,7 @@ use crate::tiling::{
     tile_conv, tile_fc, weight_memory_bits, weight_tile_parts, ConvTiling, FcTiling,
 };
 use nm_core::quant::Requant;
-use nm_core::{ConvGeom, FcGeom, Result};
+use nm_core::{ConvGeom, Error, FcGeom, Result};
 use nm_isa::CostModel;
 use nm_kernels::conv::dense::{conv_dense_1x2, conv_dense_4x2};
 use nm_kernels::conv::sparse_isa::conv_sparse_isa;
@@ -70,8 +70,28 @@ impl Options {
     }
 
     /// The cluster implied by the options.
+    ///
+    /// # Panics
+    /// Panics if `cores` is zero; [`compile`] and
+    /// [`crate::prepack::PreparedGraph::prepare`] reject such options
+    /// with [`Error::Unsupported`] before building a cluster.
     pub fn cluster(&self) -> Cluster {
         Cluster::new(self.cores, self.costs)
+    }
+
+    /// Rejects options no cluster can run, where options enter
+    /// ([`compile`], [`crate::prepack::PreparedGraph::prepare`] and the
+    /// entry points built on them).
+    ///
+    /// # Errors
+    /// [`Error::Unsupported`] if `cores` is zero.
+    pub(crate) fn check(&self) -> Result<()> {
+        if self.cores == 0 {
+            return Err(Error::Unsupported(
+                "options ask for a cluster of 0 cores; at least one is needed".into(),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -410,9 +430,11 @@ pub fn plan_fc(
 /// model latency/memory report.
 ///
 /// # Errors
-/// Propagates tiling failures (a layer that cannot fit L1 even at the
-/// smallest tile) and kernel validation errors.
+/// [`Error::Unsupported`] for options with zero cores; propagates tiling
+/// failures (a layer that cannot fit L1 even at the smallest tile) and
+/// kernel validation errors.
 pub fn compile(graph: &Graph, opts: &Options) -> Result<ModelReport> {
+    opts.check()?;
     let cluster = opts.cluster();
     let mut layers = Vec::new();
     for (id, node) in graph.nodes().iter().enumerate() {

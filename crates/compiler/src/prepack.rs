@@ -48,22 +48,20 @@ use crate::plan::{conv_tile_specs, fc_tile_specs, ConvTileSpec, FcTileSpec, Opti
 use crate::tiling::{tile_conv, tile_fc};
 use nm_core::format::NmMatrix;
 use nm_core::{Error, Result, Tensor};
-use nm_isa::Memory;
 use nm_kernels::conv::dense::{conv_dense_1x2_batch, conv_dense_4x2_batch};
 use nm_kernels::conv::sparse_isa::conv_sparse_isa_prepared_batch;
 use nm_kernels::conv::sparse_sw::{conv_sparse_sw_prepared_batch, SparseConvJob};
 use nm_kernels::conv::{ConvBatch, ConvJob, DecimProgram};
-use nm_kernels::fc::dense::fc_dense;
-use nm_kernels::fc::sparse_isa::fc_sparse_isa;
-use nm_kernels::fc::sparse_sw::{fc_sparse_sw, SparseFcJob};
+use nm_kernels::fc::dense::fc_dense_batch;
+use nm_kernels::fc::sparse_isa::fc_sparse_isa_batch;
+use nm_kernels::fc::sparse_sw::{fc_sparse_sw_batch, SparseFcJob};
 use nm_kernels::fc::FcJob;
 use nm_kernels::layout::{
-    copy_bytes_to_i8, copy_i8_to_bytes, stage_conv_dense, stage_conv_sparse, stage_fc_dense,
-    stage_fc_sparse, FcBufs,
+    copy_bytes_to_i8, stage_conv_dense, stage_conv_sparse, stage_fc_dense, stage_fc_sparse,
 };
-use nm_nn::graph::{Graph, Node, OpKind};
+use nm_nn::exec as nnexec;
+use nm_nn::graph::{Graph, OpKind};
 use nm_nn::layer::{ConvLayer, LinearLayer};
-use nm_nn::{exec as nnexec, ops};
 use nm_platform::{Scratchpad, ScratchpadPool};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -228,8 +226,9 @@ impl<'g> PreparedGraph<'g> {
     /// decimation programs.
     ///
     /// # Errors
-    /// Propagates tiling failures (a layer that cannot fit L1 even at
-    /// the smallest tile) and weight-packing errors.
+    /// [`Error::Unsupported`] for options with zero cores; propagates
+    /// tiling failures (a layer that cannot fit L1 even at the smallest
+    /// tile) and weight-packing errors.
     pub fn prepare(graph: &'g Graph, opts: &Options) -> Result<Self> {
         Ok(PreparedGraph {
             layers: prepare_layers(graph, opts)?,
@@ -423,7 +422,7 @@ impl<'g> PreparedGraph<'g> {
                     // Reference ops run per request on the host and
                     // charge no cycles.
                     for v in &mut values {
-                        let out = reference_op(node, |i| {
+                        let out = nnexec::eval(node, |i| {
                             v[node.inputs[i]].as_ref().expect("topological order")
                         })?;
                         v[id] = Some(out);
@@ -588,9 +587,12 @@ impl<'g> PreparedGraph<'g> {
     /// per-request outputs and per-request emulated compute cycles. The
     /// B×T rows run as one token stream, so each tile's weights stage
     /// once per call and every token of every request reuses them. Each
-    /// token is its own kernel invocation whose cycles depend only on
-    /// geometry and weights, so a request is charged exactly what a
-    /// batch of one would charge it.
+    /// (tile, token chunk) item is one kernel-layer batch call
+    /// ([`fc_dense_batch`] and its sparse twins): the chunk's first token
+    /// runs the charged kernel and the rest take the token sweep, each
+    /// token charged its own kernel invocation's cycles, which depend
+    /// only on geometry and weights — so a request is charged exactly
+    /// what a batch of one would charge it.
     fn run_fc(
         &self,
         layer: &LinearLayer,
@@ -622,7 +624,7 @@ impl<'g> PreparedGraph<'g> {
         };
         // `max(1)` keeps the zero-token degenerate case (an empty `[0,
         // C]` input) on the normal path: one item per tile with an
-        // empty token range, like the per-token loop it replaced.
+        // empty token range, which stages and runs nothing.
         let chunk = tokens.div_ceil(n_chunks).max(1);
         // Re-derive the chunk count from the chosen size so no trailing
         // chunk is empty (e.g. 5 tokens over 4 chunks of 2 -> 3 chunks).
@@ -631,64 +633,43 @@ impl<'g> PreparedGraph<'g> {
 
         let run_item = |mem: &mut Scratchpad, item: usize| -> Result<(Vec<u64>, Vec<u8>)> {
             let (ti, ci) = (item / n_chunks, item % n_chunks);
-            let spec = &p.specs[ti];
-            let tg = spec.geom;
+            let tg = p.specs[ti].geom;
             let (t0, t1) = (ci * chunk, ((ci + 1) * chunk).min(tokens));
-            let mut cycles = Vec::with_capacity(t1.saturating_sub(t0));
-            let mut outs = vec![0u8; t1.saturating_sub(t0) * tg.k];
+            let xs: Vec<&[i8]> = (t0..t1)
+                .map(|t| &inputs[t / rows].data()[(t % rows) * c..][..c])
+                .collect();
+            let Some(&x0) = xs.first() else {
+                return Ok((Vec::new(), Vec::new()));
+            };
             mem.reset();
-            let mut staged: Option<FcBufs> = None;
-            for (j, t) in (t0..t1).enumerate() {
-                let row = t % rows;
-                let x = &inputs[t / rows].data()[row * c..(row + 1) * c];
-                let bufs = match staged {
-                    Some(bufs) => {
-                        // Weights (and offsets) stay resident; only the
-                        // input vector changes between tokens.
-                        copy_i8_to_bytes(mem.slice_mut(bufs.input, c).expect("staged input"), x);
-                        bufs
-                    }
-                    None => {
-                        let bufs = match &p.tiles[ti] {
-                            TileWeights::Dense(range) => {
-                                stage_fc_dense(mem, &tg, x, &layer.weights[range.clone()])?
-                            }
-                            TileWeights::Sparse { weights, .. } => {
-                                stage_fc_sparse(mem, &tg, x, weights)?
-                            }
-                        };
-                        staged = Some(bufs);
-                        bufs
-                    }
-                };
-                let job = FcJob {
-                    geom: tg,
-                    requant: layer.requant,
-                    bufs,
-                };
-                let mut ctx = tile_ctx(mem, &self.opts);
-                let stats = match p.choice {
-                    KernelChoice::FcSparseSw(_) => {
-                        let job = SparseFcJob {
-                            fc: job,
-                            nm: nm.expect("sparse choice has a pattern"),
-                        };
-                        fc_sparse_sw(&mut ctx, &job, &cluster)?
-                    }
-                    KernelChoice::FcSparseIsa(_) => {
-                        let job = SparseFcJob {
-                            fc: job,
-                            nm: nm.expect("sparse choice has a pattern"),
-                        };
-                        fc_sparse_isa(&mut ctx, &job, &cluster)?
-                    }
-                    _ => fc_dense(&mut ctx, &job, &cluster)?,
-                };
-                cycles.push(stats.cycles());
-                let o = mem.slice(bufs.output, tg.k).expect("staged output");
-                outs[j * tg.k..(j + 1) * tg.k].copy_from_slice(o);
-            }
-            Ok((cycles, outs))
+            // Weights (and offsets) stage once with token 0's input and
+            // stay resident for every token of the item.
+            let bufs = match &p.tiles[ti] {
+                TileWeights::Dense(range) => {
+                    stage_fc_dense(mem, &tg, x0, &layer.weights[range.clone()])?
+                }
+                TileWeights::Sparse { weights, .. } => stage_fc_sparse(mem, &tg, x0, weights)?,
+            };
+            let job = FcJob {
+                geom: tg,
+                requant: layer.requant,
+                bufs,
+            };
+            let mut ctx = tile_ctx(mem, &self.opts);
+            let sparse = || SparseFcJob {
+                fc: job,
+                nm: nm.expect("sparse choice has a pattern"),
+            };
+            let run = match p.choice {
+                KernelChoice::FcSparseSw(_) => {
+                    fc_sparse_sw_batch(&mut ctx, &sparse(), &cluster, &xs)?
+                }
+                KernelChoice::FcSparseIsa(_) => {
+                    fc_sparse_isa_batch(&mut ctx, &sparse(), &cluster, &xs)?
+                }
+                _ => fc_dense_batch(&mut ctx, &job, &cluster, &xs)?,
+            };
+            Ok((run.stats.iter().map(|s| s.cycles()).collect(), run.outputs))
         };
         let results = self.run_items(n_tiles * n_chunks, run_item)?;
 
@@ -817,40 +798,11 @@ impl<'g> PreparedGraph<'g> {
     }
 }
 
-/// Executes one non-matmul node for one request with the reference
-/// implementations — the per-request arm of the graph walk. `get(i)`
-/// resolves the node's `i`-th input value. Conv2d/Linear/Input are the
-/// caller's job.
-fn reference_op<'v>(node: &Node, get: impl Fn(usize) -> &'v Tensor<i8>) -> Result<Tensor<i8>> {
-    Ok(match &node.op {
-        OpKind::Attention(a) => nnexec::attention(get(0), a),
-        OpKind::Relu => ops::relu(get(0)),
-        OpKind::Gelu => ops::gelu(get(0)),
-        OpKind::LayerNorm => ops::layer_norm(get(0)),
-        OpKind::MaxPool { k, s } => ops::max_pool(get(0), *k, *s),
-        OpKind::AvgPool { k, s } => ops::avg_pool(get(0), *k, *s),
-        OpKind::GlobalAvgPool => ops::global_avg_pool(get(0)),
-        OpKind::Add => ops::add(get(0), get(1)),
-        OpKind::Flatten => {
-            let t = get(0).clone();
-            let len = t.len();
-            t.reshape(&[len])?
-        }
-        OpKind::Tokens => {
-            let t = get(0).clone();
-            let shape = node.out_shape.clone();
-            t.reshape(&shape)?
-        }
-        OpKind::Input | OpKind::Conv2d(_) | OpKind::Linear(_) => {
-            unreachable!("matmul and input nodes are executed by the caller")
-        }
-    })
-}
-
 /// Compiles every Conv/Linear node of `graph` into its tile program —
 /// the shared body of [`PreparedGraph::prepare`] and
 /// [`PreparedGraph::prepare_shared`].
 fn prepare_layers(graph: &Graph, opts: &Options) -> Result<Vec<Option<PreparedMatmul>>> {
+    opts.check()?;
     let mut layers = Vec::with_capacity(graph.nodes().len());
     for node in graph.nodes() {
         let prepared = match &node.op {

@@ -914,6 +914,20 @@ pub(crate) const SWEEP_WIDTH: usize = 8;
 /// remainders below this through the fallback loop instead.
 pub(crate) const SWEEP_MIN: usize = 5;
 
+/// How many of `n` requests (or tokens) after the first a batch sweep
+/// takes: every full [`SWEEP_WIDTH`]-wide chunk, plus a short last chunk
+/// when it holds at least [`SWEEP_MIN`] live lanes. The rest run through
+/// the caller's per-request fallback.
+pub(crate) fn sweep_len(n: usize) -> usize {
+    if n < SWEEP_MIN {
+        0
+    } else if n % SWEEP_WIDTH < SWEEP_MIN {
+        n - n % SWEEP_WIDTH
+    } else {
+        n
+    }
+}
+
 /// Per-channel gather indices for the sweep: the sparse families have
 /// `nz` entries per output channel, the dense families share one
 /// identity walk across all channels.
@@ -1087,12 +1101,178 @@ fn patch_row<const CHECKED: bool>(patches: &[u8], i: usize) -> &[u8; SWEEP_WIDTH
         );
         // SAFETY: instantiated with `CHECKED = false` only after
         // `table_below` proved every table entry `< patch_len` and the
-        // buffer holds `patch_len * SWEEP_WIDTH` bytes.
+        // buffer holds `patch_len * SWEEP_WIDTH` bytes (conv sweep), or
+        // after `FcOffsets::below_m` proved every decoded index `< C`
+        // (or the index is the identity below `C`) and the token block
+        // holds `C * SWEEP_WIDTH` bytes (`fc_sweep`).
         unsafe {
             &*patches
                 .as_ptr()
                 .add(i * SWEEP_WIDTH)
                 .cast::<[u8; SWEEP_WIDTH]>()
+        }
+    }
+}
+
+/// Where [`fc_sweep`] finds each output channel's inputs: all `C` of
+/// them for the dense kernel, the non-zeros' decoded offsets for the N:M
+/// kernels.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FcGather {
+    /// Dense `K x C` weight rows.
+    Dense,
+    /// N:M values with one offset segment of `seg` bytes per channel
+    /// ([`nm_core::format::OffsetLayout::Plain`], the software kernel).
+    Plain {
+        /// The pattern.
+        nm: nm_core::sparsity::Nm,
+        /// Segment stride in bytes.
+        seg: usize,
+    },
+    /// N:M values with one offset segment of `seg` bytes per channel
+    /// pair, the two channels' entries alternating
+    /// ([`nm_core::format::OffsetLayout::Interleaved`], the `xDecimate`
+    /// kernel).
+    Interleaved {
+        /// The pattern.
+        nm: nm_core::sparsity::Nm,
+        /// Segment stride in bytes.
+        seg: usize,
+    },
+}
+
+/// A staged FC offset stream and how its entries map to channels.
+struct FcOffsets<'a> {
+    offs: &'a [u8],
+    seg: usize,
+    bits: usize,
+    m: usize,
+    /// Channels per segment: 1 (plain) or 2 (interleaved pairs).
+    per_seg: usize,
+}
+
+impl FcOffsets<'_> {
+    /// Decodes channel `ch`'s offsets into input indices `b * m + o`
+    /// (`idx.len()` = non-zeros per channel).
+    fn decode(&self, ch: usize, idx: &mut [u32]) {
+        let seg = &self.offs[(ch / self.per_seg) * self.seg..];
+        let (base, step) = (ch % self.per_seg, self.per_seg);
+        for (b, i) in idx.iter_mut().enumerate() {
+            *i = (b * self.m + unpack_offset(seg, self.bits, base + step * b)) as u32;
+        }
+    }
+
+    /// Whether every offset of the `k` channels' segments decodes below
+    /// `m` — the [`offsets_below`] fence of the unchecked sweep: with it,
+    /// every decoded index `b * m + o` is below `nz * m <= C`.
+    fn below_m(&self, k: usize, nz: usize) -> bool {
+        let entries = nz * self.per_seg;
+        (0..k.div_ceil(self.per_seg))
+            .all(|s| offsets_below(&self.offs[s * self.seg..], self.bits, entries, self.m))
+    }
+}
+
+/// Token-inner uncharged sweep for the FC kernels: computes the outputs
+/// of `tokens` (the tokens after the first of a staged tile) in one walk
+/// over the staged weights — the FC twin of [`conv_sweep_sparse`] /
+/// [`conv_sweep_dense`]. The tokens are transposed into
+/// [`SWEEP_WIDTH`]-wide blocks (row `i` of a block holds input `i` of
+/// the chunk's tokens; a short last chunk repeats its last token and
+/// never stores the dead lanes), so every weight byte and gather index
+/// is loaded **once** per chunk and feeds 8 tokens' multiply-adds
+/// through [`dot8`]. Each channel's offsets are decoded from the staged
+/// stream into an `nz`-entry buffer once per call; no decoded table
+/// outlives it.
+///
+/// Wrapping `i32` accumulation is associative and commutative and the
+/// product multiset per (token, channel) is the kernel's, so every output
+/// is bit-identical to running the token alone. Token `t`'s `K` outputs
+/// land at `out[t * K..]`. Nothing is charged: the caller reuses the
+/// first token's statistics (see `fc::drive_fc_batch`).
+///
+/// The gathers index unchecked only when the offset stream passes the
+/// [`offsets_below`] fence; a stream that fails it runs the checked
+/// loop, which panics on an index past the input instead of reading it.
+pub(crate) fn fc_sweep(
+    mem: &nm_platform::Scratchpad,
+    job: &crate::fc::FcJob,
+    gather: FcGather,
+    tokens: &[&[i8]],
+    out: &mut [u8],
+) {
+    let (c, k) = (job.geom.c, job.geom.k);
+    debug_assert_eq!(out.len(), tokens.len() * k);
+    let mut blocks = vec![0u8; tokens.len().div_ceil(SWEEP_WIDTH) * c * SWEEP_WIDTH];
+    for (block, live) in blocks
+        .chunks_exact_mut(c * SWEEP_WIDTH)
+        .zip(tokens.chunks(SWEEP_WIDTH))
+    {
+        for r in 0..SWEEP_WIDTH {
+            let x = live[r.min(live.len() - 1)];
+            for (i, &v) in x[..c].iter().enumerate() {
+                block[i * SWEEP_WIDTH + r] = v as u8;
+            }
+        }
+    }
+    let (nm, seg, per_seg) = match gather {
+        FcGather::Dense => {
+            let values = mem
+                .slice(job.bufs.weights, k * c)
+                .expect("scratchpad is zero-copy");
+            // The identity walk is below `C` by construction.
+            fc_sweep_channels::<false>(job, values, c, None, &blocks, tokens.len(), out);
+            return;
+        }
+        FcGather::Plain { nm, seg } => (nm, seg, 1),
+        FcGather::Interleaved { nm, seg } => (nm, seg, 2),
+    };
+    let nz = c / nm.m();
+    let values = mem
+        .slice(job.bufs.weights, k * nz)
+        .expect("scratchpad is zero-copy");
+    let offsets = FcOffsets {
+        offs: mem
+            .slice(job.bufs.offsets, k.div_ceil(per_seg) * seg)
+            .expect("scratchpad is zero-copy"),
+        seg,
+        bits: nm.offset_bits(),
+        m: nm.m(),
+        per_seg,
+    };
+    let n = tokens.len();
+    if offsets.below_m(k, nz) {
+        fc_sweep_channels::<false>(job, values, nz, Some(&offsets), &blocks, n, out);
+    } else {
+        fc_sweep_channels::<true>(job, values, nz, Some(&offsets), &blocks, n, out);
+    }
+}
+
+/// [`fc_sweep`]'s channel loop: per output channel, decode its indices
+/// into the `nz`-entry buffer (the identity when `offsets` is `None`,
+/// the dense case with `nz == C`), then one [`dot8`] per token block.
+/// Instantiate `CHECKED = false` only when every decoded index is below
+/// `C` (same contract as [`patch_row`]).
+fn fc_sweep_channels<const CHECKED: bool>(
+    job: &crate::fc::FcJob,
+    values: &[u8],
+    nz: usize,
+    offsets: Option<&FcOffsets<'_>>,
+    blocks: &[u8],
+    n_tokens: usize,
+    out: &mut [u8],
+) {
+    let (c, k) = (job.geom.c, job.geom.k);
+    let mut idx: Vec<u32> = (0..nz as u32).collect();
+    for (ch, v) in values.chunks_exact(nz).enumerate() {
+        if let Some(offsets) = offsets {
+            offsets.decode(ch, &mut idx);
+        }
+        for (chunk, block) in blocks.chunks_exact(c * SWEEP_WIDTH).enumerate() {
+            let acc = dot8::<CHECKED>(v, &idx, block);
+            let t0 = chunk * SWEEP_WIDTH;
+            for (r, &a) in acc.iter().enumerate().take(n_tokens - t0) {
+                out[(t0 + r) * k + ch] = job.requant.apply(a) as u8;
+            }
         }
     }
 }
@@ -1380,5 +1560,110 @@ mod tests {
         assert_eq!(offsets_len(9, 4), 5);
         assert_eq!(offsets_len(3, 2), 1);
         assert_eq!(offsets_len(5, 2), 2);
+    }
+
+    #[test]
+    fn sweep_len_takes_full_chunks_and_wide_remainders() {
+        for (n, swept) in [
+            (0, 0),
+            (4, 0),
+            (5, 5),
+            (8, 8),
+            (11, 8),
+            (12, 8),
+            (13, 13),
+            (16, 16),
+            (20, 16),
+        ] {
+            assert_eq!(sweep_len(n), swept, "n={n}");
+        }
+    }
+
+    /// A staged 1:8 plain-layout FC tile (C = 32, K = 2, so 4 non-zeros
+    /// per channel) whose channel-1 offset of block `block` is replaced
+    /// by `bad` — a value the fence must reject (>= M = 8). Returns the
+    /// scratchpad, the job, the gather, 8 tokens and each channel's
+    /// decoded offsets.
+    #[allow(clippy::type_complexity)]
+    fn corrupted_fc_tile(
+        block: usize,
+        bad: u8,
+    ) -> (
+        nm_platform::Scratchpad,
+        crate::fc::FcJob,
+        FcGather,
+        Vec<Vec<i8>>,
+        [[usize; 4]; 2],
+    ) {
+        use nm_core::sparsity::Nm;
+        let nm = Nm::ONE_OF_EIGHT;
+        let (c, k, seg) = (32usize, 2usize, 4usize);
+        let mut offs = [[3usize, 0, 7, 5], [1, 6, 2, 4]];
+        offs[1][block] = usize::from(bad);
+        let mut mem = nm_platform::Scratchpad::new("l1", 4096);
+        let bufs = crate::layout::FcBufs {
+            input: mem.alloc(c, 4).unwrap(),
+            weights: mem.alloc(k * 4, 4).unwrap(),
+            offsets: mem.alloc(k * seg, 4).unwrap(),
+            output: mem.alloc(k, 4).unwrap(),
+        };
+        let values: Vec<u8> = random_data(k * 4, 71).iter().map(|&v| v as u8).collect();
+        mem.write_bytes(bufs.weights, &values);
+        for (ch, o) in offs.iter().enumerate() {
+            let entries: Vec<u8> = o.iter().map(|&e| e as u8).collect();
+            mem.write_bytes(bufs.offsets + (ch * seg) as u32, &pack(&entries, 4));
+        }
+        let job = crate::fc::FcJob {
+            geom: nm_core::FcGeom::new(c, k).unwrap(),
+            requant: Requant::new(0, 5).unwrap(),
+            bufs,
+        };
+        let tokens = (0..8).map(|t| random_data(c, 80 + t)).collect();
+        (mem, job, FcGather::Plain { nm, seg }, tokens, offs)
+    }
+
+    // Offsets that fail the `offsets_below` fence take the checked sweep
+    // loop: a corrupted offset that still lands inside the input
+    // computes exactly the gather it encodes.
+    #[test]
+    fn fc_sweep_corrupted_offsets_inside_the_input_take_the_checked_loop() {
+        let (mem, job, gather, tokens, offs) = corrupted_fc_tile(0, 9);
+        let FcGather::Plain { nm, seg } = gather else {
+            unreachable!()
+        };
+        let fence = FcOffsets {
+            offs: mem.slice(job.bufs.offsets, 2 * seg).unwrap(),
+            seg,
+            bits: nm.offset_bits(),
+            m: nm.m(),
+            per_seg: 1,
+        };
+        assert!(!fence.below_m(2, 4), "the fence must reject offset 9 >= M");
+        let xs: Vec<&[i8]> = tokens.iter().map(Vec::as_slice).collect();
+        let mut out = vec![0u8; xs.len() * 2];
+        fc_sweep(&mem, &job, gather, &xs, &mut out);
+        let values = mem.slice(job.bufs.weights, 8).unwrap();
+        for (t, x) in xs.iter().enumerate() {
+            for (ch, o) in offs.iter().enumerate() {
+                let acc = (0..4).fold(0i32, |s, b| {
+                    madd(s, values[ch * 4 + b], x[b * 8 + o[b]] as u8)
+                });
+                assert_eq!(out[t * 2 + ch], job.requant.apply(acc) as u8, "t{t} ch{ch}");
+            }
+        }
+    }
+
+    // A corrupted offset that points past the input must panic as a
+    // checked slice index. The unchecked loop would instead trip its
+    // debug assertion ("pre-validated row range") in debug builds and
+    // read out of bounds in release builds, so this message shows the
+    // fence sent the stream down the checked loop in both profiles.
+    #[test]
+    #[should_panic(expected = "out of range for slice")]
+    fn fc_sweep_corrupted_offsets_past_the_input_panic_in_the_checked_loop() {
+        let (mem, job, gather, tokens, _) = corrupted_fc_tile(3, 12);
+        let xs: Vec<&[i8]> = tokens.iter().map(Vec::as_slice).collect();
+        let mut out = vec![0u8; xs.len() * 2];
+        fc_sweep(&mem, &job, gather, &xs, &mut out);
     }
 }

@@ -1,7 +1,7 @@
 //! Dense convolution baselines: the 1×2 kernel and the PULP-NN 4×2
 //! kernel (paper Sec. 4.1.1, Fig. 2 / Fig. 4 left).
 
-use super::{drive, drive_conv_batch, BatchInner, ConvBatch, ConvBatchRun, ConvJob, EPILOGUE_ALU};
+use super::{drive, drive_conv_batch, BatchInner, BatchRun, ConvBatch, ConvJob, EPILOGUE_ALU};
 use crate::bulk::dense_dot;
 use crate::stats::{Ctx, KernelStats};
 use nm_core::Result;
@@ -102,7 +102,7 @@ pub fn conv_dense_1x2_batch(
     job: &ConvJob,
     cluster: &Cluster,
     batch: &ConvBatch<'_>,
-) -> Result<ConvBatchRun> {
+) -> Result<BatchRun> {
     drive_conv_batch(
         "conv-dense-1x2",
         ctx,
@@ -143,7 +143,7 @@ pub fn conv_dense_4x2_batch(
     job: &ConvJob,
     cluster: &Cluster,
     batch: &ConvBatch<'_>,
-) -> Result<ConvBatchRun> {
+) -> Result<BatchRun> {
     drive_conv_batch(
         "conv-dense-4x2",
         ctx,

@@ -26,7 +26,7 @@ pub mod sparse_sw;
 use crate::bulk::decim_table;
 use crate::im2col::{im2col_patches, Im2colCharges, PatchState};
 use crate::layout::{copy_i8_to_bytes, ConvBufs};
-use crate::stats::{Ctx, KernelStats};
+use crate::stats::{BatchRun, Ctx, KernelStats};
 use nm_core::format::{NmMatrix, OffsetLayout};
 use nm_core::quant::Requant;
 use nm_core::sparsity::Nm;
@@ -34,6 +34,7 @@ use nm_core::{ConvGeom, Error, Result};
 use nm_isa::{Core, InstrBlock, Memory};
 use nm_platform::{chunk_range, Cluster, ClusterStats};
 use sparse_sw::SparseConvJob;
+use std::sync::Arc;
 
 /// One convolution invocation: geometry, requantization and L1 buffers.
 ///
@@ -301,25 +302,6 @@ pub struct ConvBatch<'a> {
     pub inputs: &'a [&'a [i8]],
 }
 
-/// The result of a batch-major sweep over one staged conv tile: the
-/// conv analogue of the FC path's per-token cycle vectors.
-#[derive(Debug)]
-pub struct ConvBatchRun {
-    /// One [`KernelStats`] per request, in request order. Kernel
-    /// statistics depend only on geometry and weights — never on
-    /// activation values — so each entry is identical to the stats of a
-    /// freshly staged single run of that request (the batched kernel
-    /// parity tests pin this). The sweep exploits that directly: on the
-    /// bulk and analytic paths requests after the first skip cycle
-    /// accounting entirely and reuse request 0's statistics.
-    pub stats: Vec<KernelStats>,
-    /// Concatenated per-request tile outputs
-    /// (`inputs.len() * geom.output_elems()` bytes, HWC per request),
-    /// captured after each request's sweep step. Empty in analytic mode,
-    /// where no memory is attached.
-    pub outputs: Vec<u8>,
-}
-
 /// The kernel family's inner-compute shape, handed to
 /// [`drive_conv_batch`] so the bulk path can run requests after the
 /// first through the request-inner sweep
@@ -383,7 +365,7 @@ pub(crate) fn drive_conv_batch<F>(
     batch: &ConvBatch<'_>,
     inner: Option<BatchInner<'_>>,
     mut channel_loop: F,
-) -> Result<ConvBatchRun>
+) -> Result<BatchRun>
 where
     F: FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32, bool),
 {
@@ -403,7 +385,7 @@ where
     // Request 0 always runs the fully charged drive on the freshly
     // staged state — it produces the statistics every bulk/analytic
     // request reuses.
-    stats.push(drive_conv(
+    stats.push(Arc::new(drive_conv(
         name.to_string(),
         ctx,
         job,
@@ -411,7 +393,7 @@ where
         true,
         true,
         &mut channel_loop,
-    ));
+    )));
     if let Some(mem) = ctx.mem() {
         outputs.extend_from_slice(
             mem.slice(job.bufs.output, out_elems)
@@ -419,7 +401,7 @@ where
         );
     }
     if b == 1 {
-        return Ok(ConvBatchRun { stats, outputs });
+        return Ok(BatchRun { stats, outputs });
     }
     // Requests after the first: on the bulk path, as many
     // SWEEP_WIDTH-wide request-inner sweep chunks as the batch fills
@@ -429,18 +411,7 @@ where
     let mut tail = &batch.inputs[1..];
     if let Ctx::MemBulk(mem) | Ctx::MemNative(mem) = &mut *ctx {
         if let Some(inner) = &inner {
-            let n = tail.len();
-            let t = if n < crate::bulk::SWEEP_MIN {
-                n
-            } else {
-                let rem = n % crate::bulk::SWEEP_WIDTH;
-                if rem < crate::bulk::SWEEP_MIN {
-                    rem
-                } else {
-                    0
-                }
-            };
-            let (swept, fallback) = tail.split_at(n - t);
+            let (swept, fallback) = tail.split_at(crate::bulk::sweep_len(tail.len()));
             if !swept.is_empty() {
                 let base = outputs.len();
                 outputs.resize(base + swept.len() * out_elems, 0);
@@ -462,9 +433,7 @@ where
                         crate::bulk::conv_sweep_dense(mem, job, swept, &mut outputs[base..])
                     }
                 }
-                for _ in swept {
-                    stats.push(stats[0].clone());
-                }
+                stats.resize(1 + swept.len(), Arc::clone(&stats[0]));
             }
             tail = fallback;
         }
@@ -479,7 +448,7 @@ where
         match ctx {
             // The reference path stays fully charged per request — its
             // accounting is welded to per-instruction execution.
-            Ctx::Mem(_) => stats.push(drive_conv(
+            Ctx::Mem(_) => stats.push(Arc::new(drive_conv(
                 name.to_string(),
                 ctx,
                 job,
@@ -487,7 +456,7 @@ where
                 true,
                 true,
                 &mut channel_loop,
-            )),
+            ))),
             Ctx::MemBulk(_) | Ctx::MemNative(_) => {
                 drive_conv(
                     name.to_string(),
@@ -498,10 +467,10 @@ where
                     false,
                     &mut channel_loop,
                 );
-                stats.push(stats[0].clone());
+                stats.push(Arc::clone(&stats[0]));
             }
             // Analytic: no memory, no data movement — nothing to run.
-            Ctx::Analytic => stats.push(stats[0].clone()),
+            Ctx::Analytic => stats.push(Arc::clone(&stats[0])),
         }
         if let Some(mem) = ctx.mem() {
             outputs.extend_from_slice(
@@ -510,7 +479,7 @@ where
             );
         }
     }
-    Ok(ConvBatchRun { stats, outputs })
+    Ok(BatchRun { stats, outputs })
 }
 
 /// The shared partial-im2col step as a standalone workload: charges (and
@@ -627,8 +596,7 @@ mod tests {
         let cluster = Cluster::new(4, CostModel::default());
         type Stage<'w> = Box<dyn Fn(&mut Scratchpad, &[i8]) -> ConvBufs + 'w>;
         type RunOne<'w> = Box<dyn Fn(&mut Ctx<'_>, &ConvBufs) -> KernelStats + 'w>;
-        type RunBatch<'w> =
-            Box<dyn Fn(&mut Ctx<'_>, &ConvBufs, &ConvBatch<'_>) -> ConvBatchRun + 'w>;
+        type RunBatch<'w> = Box<dyn Fn(&mut Ctx<'_>, &ConvBufs, &ConvBatch<'_>) -> BatchRun + 'w>;
         let dense_job = move |bufs: &ConvBufs| ConvJob {
             geom,
             requant: Requant::for_dot_len(geom.patch_len()),
@@ -707,7 +675,7 @@ mod tests {
                     let mut mem = Scratchpad::new("l1", 256 * 1024);
                     let bufs = stage(&mut mem, input);
                     let mut ctx = mk(path, &mut mem);
-                    seq_stats.push(run_one(&mut ctx, &bufs));
+                    seq_stats.push(Arc::new(run_one(&mut ctx, &bufs)));
                     if path != "analytic" {
                         seq_outs.extend_from_slice(
                             mem.slice(bufs.output, geom.output_elems()).unwrap(),

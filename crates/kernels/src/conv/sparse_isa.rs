@@ -14,9 +14,7 @@
 //! the two im2col buffers of the 1×2 unrolling.
 
 use super::sparse_sw::SparseConvJob;
-use super::{
-    drive, drive_conv_batch, BatchInner, ConvBatch, ConvBatchRun, DecimProgram, EPILOGUE_ALU,
-};
+use super::{drive, drive_conv_batch, BatchInner, BatchRun, ConvBatch, DecimProgram, EPILOGUE_ALU};
 use crate::bulk::{
     conv_pair_outputs, decim_table, loop_scaffold, nm_gather_dot, offsets_len, table_below,
 };
@@ -111,7 +109,7 @@ pub fn conv_sparse_isa_prepared_batch(
     cluster: &Cluster,
     program: Option<&DecimProgram>,
     batch: &ConvBatch<'_>,
-) -> Result<ConvBatchRun> {
+) -> Result<BatchRun> {
     job.validate()?;
     let seg_dup = nm_segment_bytes(job.nm, job.nz_per_channel(), OffsetLayout::Duplicated) as u32;
     if let Some(p) = program {

@@ -15,8 +15,7 @@
 //!   2-bit offsets arrive with a single byte load). Peak 0.35.
 
 use super::{
-    drive, drive_conv_batch, BatchInner, ConvBatch, ConvBatchRun, ConvJob, DecimProgram,
-    EPILOGUE_ALU,
+    drive, drive_conv_batch, BatchInner, BatchRun, ConvBatch, ConvJob, DecimProgram, EPILOGUE_ALU,
 };
 use crate::bulk::{
     conv_pair_outputs, decim_table, loop_scaffold, nm_gather_dot, offsets_len, table_below,
@@ -131,7 +130,7 @@ pub fn conv_sparse_sw_prepared_batch(
     cluster: &Cluster,
     program: Option<&DecimProgram>,
     batch: &ConvBatch<'_>,
-) -> Result<ConvBatchRun> {
+) -> Result<BatchRun> {
     job.validate()?;
     let seg = nm_segment_bytes(job.nm, job.nz_per_channel(), OffsetLayout::Plain) as u32;
     if let Some(p) = program {

@@ -3,9 +3,9 @@
 //! loads + 1 activation word load + 2 SIMD dot products = 5 instructions
 //! for 8 MACs (peak 1.6 MACs/instruction/core).
 
-use super::{run_fc, FcJob, EPILOGUE_ALU};
-use crate::bulk::{dense_dot, loop_scaffold, write_out};
-use crate::stats::{Ctx, KernelStats};
+use super::{drive_fc_batch, run_fc, FcJob, EPILOGUE_ALU};
+use crate::bulk::{dense_dot, loop_scaffold, write_out, FcGather};
+use crate::stats::{BatchRun, Ctx, KernelStats};
 use nm_core::Result;
 use nm_isa::{ChargePolicy, Charged, Core, CostModel, InstrBlock, Memory, Uncharged};
 use nm_platform::{chunk_range, Cluster, Scratchpad};
@@ -45,6 +45,25 @@ pub fn fc_dense(ctx: &mut Ctx<'_>, job: &FcJob, cluster: &Cluster) -> Result<Ker
             }
         },
     ))
+}
+
+/// Runs the dense FC kernel over `tokens` on one staged tile: token 0
+/// (the input staged at `job.bufs.input`) through [`fc_dense`], the
+/// rest through the token sweep (see the [`crate::fc`] module docs). Each
+/// token's output and statistics equal a freshly staged single run's.
+///
+/// # Errors
+/// [`nm_core::Error::ShapeMismatch`] if a token's length is not the
+/// tile's `C`.
+pub fn fc_dense_batch(
+    ctx: &mut Ctx<'_>,
+    job: &FcJob,
+    cluster: &Cluster,
+    tokens: &[&[i8]],
+) -> Result<BatchRun> {
+    drive_fc_batch(ctx, job, tokens, FcGather::Dense, |ctx| {
+        fc_dense(ctx, job, cluster)
+    })
 }
 
 /// One core's worth of dense FC channels: the single shared kernel body

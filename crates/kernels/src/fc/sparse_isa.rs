@@ -16,11 +16,11 @@
 //! always above the dense baseline.
 
 use super::sparse_sw::SparseFcJob;
-use super::{run_fc, EPILOGUE_ALU};
-use crate::bulk::{gather_dot2_pair, loop_scaffold, write_out};
+use super::{drive_fc_batch, run_fc, EPILOGUE_ALU};
+use crate::bulk::{gather_dot2_pair, loop_scaffold, write_out, FcGather};
 use crate::conv::sparse_isa::decimate_mode;
 use crate::layout::nm_segment_bytes;
-use crate::stats::{Ctx, KernelStats};
+use crate::stats::{BatchRun, Ctx, KernelStats};
 use nm_core::format::OffsetLayout;
 use nm_core::{Error, Result};
 use nm_isa::{ChargePolicy, Charged, Core, CostModel, DecimateMode, InstrBlock, Memory, Uncharged};
@@ -69,6 +69,28 @@ pub fn fc_sparse_isa(
             }
         }
     }))
+}
+
+/// Runs the `xDecimate` FC kernel over `tokens` on one staged tile:
+/// token 0 (the input staged at `job.fc.bufs.input`) through
+/// [`fc_sparse_isa`], the rest through the token sweep (see
+/// the [`crate::fc`] module docs). Each token's output and statistics equal
+/// a freshly staged single run's.
+///
+/// # Errors
+/// As [`fc_sparse_isa`]; additionally [`Error::ShapeMismatch`] if a
+/// token's length is not the tile's `C`.
+pub fn fc_sparse_isa_batch(
+    ctx: &mut Ctx<'_>,
+    job: &SparseFcJob,
+    cluster: &Cluster,
+    tokens: &[&[i8]],
+) -> Result<BatchRun> {
+    let seg = nm_segment_bytes(job.nm, job.nz_per_channel(), OffsetLayout::Interleaved);
+    let gather = FcGather::Interleaved { nm: job.nm, seg };
+    drive_fc_batch(ctx, &job.fc, tokens, gather, |ctx| {
+        fc_sparse_isa(ctx, job, cluster)
+    })
 }
 
 /// One core's worth of `xDecimate` FC channel pairs: the single shared

@@ -9,11 +9,11 @@
 //! i.e. 1.0 / 2.0 / 4.0 dense-equivalent at 1:4 / 1:8 / 1:16; the paper
 //! notes the 1:4 variant cannot beat the dense baseline on compute alone.
 
-use super::{run_fc, FcJob, EPILOGUE_ALU};
-use crate::bulk::{loop_scaffold, nm_gather_dot, offsets_len, write_out};
+use super::{drive_fc_batch, run_fc, FcJob, EPILOGUE_ALU};
+use crate::bulk::{loop_scaffold, nm_gather_dot, offsets_len, write_out, FcGather};
 use crate::conv::sparse_sw::read_offset;
 use crate::layout::nm_segment_bytes;
-use crate::stats::{Ctx, KernelStats};
+use crate::stats::{BatchRun, Ctx, KernelStats};
 use nm_core::format::OffsetLayout;
 use nm_core::sparsity::Nm;
 use nm_core::{Error, Result};
@@ -89,6 +89,28 @@ pub fn fc_sparse_sw(
             }
         }
     }))
+}
+
+/// Runs the software sparse FC kernel over `tokens` on one staged tile:
+/// token 0 (the input staged at `job.fc.bufs.input`) through
+/// [`fc_sparse_sw`], the rest through the token sweep (see
+/// the [`crate::fc`] module docs). Each token's output and statistics equal
+/// a freshly staged single run's.
+///
+/// # Errors
+/// As [`fc_sparse_sw`]; additionally [`Error::ShapeMismatch`] if a
+/// token's length is not the tile's `C`.
+pub fn fc_sparse_sw_batch(
+    ctx: &mut Ctx<'_>,
+    job: &SparseFcJob,
+    cluster: &Cluster,
+    tokens: &[&[i8]],
+) -> Result<BatchRun> {
+    let seg = nm_segment_bytes(job.nm, job.nz_per_channel(), OffsetLayout::Plain);
+    let gather = FcGather::Plain { nm: job.nm, seg };
+    drive_fc_batch(ctx, &job.fc, tokens, gather, |ctx| {
+        fc_sparse_sw(ctx, job, cluster)
+    })
 }
 
 /// One core's worth of software-decimation FC channels: the single

@@ -51,4 +51,4 @@ pub mod reference;
 pub mod stats;
 pub mod testdata;
 
-pub use stats::{Ctx, ExecTier, KernelStats};
+pub use stats::{BatchRun, Ctx, ExecTier, KernelStats};

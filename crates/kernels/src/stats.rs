@@ -1,6 +1,7 @@
 //! Kernel execution context and result statistics.
 
 use nm_platform::{ClusterStats, Scratchpad};
+use std::sync::Arc;
 
 /// The execution tier a caller selects for emulated runs.
 ///
@@ -124,6 +125,26 @@ impl<'a> Ctx<'a> {
             Ctx::Analytic => Ctx::Analytic,
         }
     }
+}
+
+/// The result of a batch sweep over one staged tile: one request per
+/// entry for a conv tile (`conv::drive_conv_batch`), one token per entry
+/// for an FC tile (`fc::drive_fc_batch`).
+#[derive(Debug)]
+pub struct BatchRun {
+    /// One [`KernelStats`] per request or token, in order. Kernel
+    /// statistics depend only on geometry and weights — never on
+    /// activation values — so each entry is identical to the stats of a
+    /// freshly staged single run of that request or token (the batched
+    /// kernel parity tests pin this). The sweeps exploit that directly:
+    /// off the reference path, the entries after the first share the
+    /// first's statistics (one allocation, reference-counted) instead of
+    /// charging.
+    pub stats: Vec<Arc<KernelStats>>,
+    /// Concatenated per-entry tile outputs (`geom.output_elems()` bytes
+    /// per conv request, HWC; `K` bytes per FC token). Empty in analytic
+    /// mode, where no memory is attached.
+    pub outputs: Vec<u8>,
 }
 
 /// The result of one kernel invocation on the cluster.

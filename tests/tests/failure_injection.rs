@@ -1,7 +1,8 @@
 //! Failure-injection tests: every layer of the stack must reject bad
 //! inputs with the documented error, not panic or silently mis-compute.
 
-use nm_compiler::{compile, Options, Target};
+use nm_compiler::exec::{run_emulated, run_fc_baseline, BaselineFormat};
+use nm_compiler::{compile, Options, PreparedGraph, Target};
 use nm_core::format::{ChannelNmMatrix, NmMatrix, OffsetLayout};
 use nm_core::quant::Requant;
 use nm_core::sparsity::Nm;
@@ -241,4 +242,61 @@ fn scratchpad_bus_errors_panic_like_hardware() {
     let l1 = Scratchpad::new("l1", 64);
     let result = std::panic::catch_unwind(|| nm_isa::Memory::load_u8(&l1, 64));
     assert!(result.is_err());
+}
+
+// Options with zero cores used to reach `Cluster::new`'s assert; every
+// entry point that takes options must return `Error::Unsupported`
+// instead.
+fn zero_core_options() -> (nm_nn::graph::Graph, nm_core::Tensor<i8>, Options) {
+    let g = nm_models::vit_tiny_for_tests(3).unwrap();
+    let n = g.input_shape().iter().product();
+    let x = nm_core::Tensor::from_vec(g.input_shape(), random_i8(n, 5)).unwrap();
+    let mut opts = Options::new(Target::SparseIsa);
+    opts.cores = 0;
+    (g, x, opts)
+}
+
+#[test]
+fn zero_cores_compile_returns_unsupported() {
+    let (g, _, opts) = zero_core_options();
+    assert!(matches!(compile(&g, &opts), Err(Error::Unsupported(_))));
+}
+
+#[test]
+fn zero_cores_run_emulated_returns_unsupported() {
+    let (g, x, opts) = zero_core_options();
+    assert!(matches!(
+        run_emulated(&g, &x, &opts),
+        Err(Error::Unsupported(_))
+    ));
+}
+
+#[test]
+fn zero_cores_prepare_returns_unsupported() {
+    let (g, _, opts) = zero_core_options();
+    assert!(matches!(
+        PreparedGraph::prepare(&g, &opts),
+        Err(Error::Unsupported(_))
+    ));
+    assert!(matches!(
+        PreparedGraph::prepare_shared(std::sync::Arc::new(g), &opts),
+        Err(Error::Unsupported(_))
+    ));
+}
+
+#[test]
+fn zero_cores_fc_baseline_returns_unsupported() {
+    let (_, _, opts) = zero_core_options();
+    let geom = FcGeom::new(16, 4).unwrap();
+    let layer = nm_nn::layer::LinearLayer::new(
+        geom,
+        random_i8(geom.weight_elems(), 7),
+        Requant::for_dot_len(16),
+    )
+    .unwrap();
+    let x = nm_core::Tensor::from_vec(&[16], random_i8(16, 9)).unwrap();
+    assert!(matches!(
+        run_fc_baseline(&layer, &x, BaselineFormat::Csr, &opts),
+        Err(Error::Unsupported(_))
+    ));
 }
