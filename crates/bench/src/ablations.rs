@@ -279,7 +279,10 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "compiles ResNet18 several times; run with --ignored or --release"]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "compiles ResNet18 several times; runs in release, or in debug with --ignored"
+    )]
     fn sparse_aware_tiling_helps_a2() {
         for (_, aware, naive) in tiling_awareness(1).unwrap() {
             assert!(aware <= naive);
@@ -287,7 +290,10 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "compiles ResNet18 several times; run with --ignored or --release"]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "compiles ResNet18 several times; runs in release, or in debug with --ignored"
+    )]
     fn interleaving_halves_transactions_a3() {
         for (_, inter_c, split_c, inter_t, split_t) in layout_interleaving(1).unwrap() {
             // Sparse layers double their weight transactions when split;

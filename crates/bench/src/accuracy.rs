@@ -49,7 +49,10 @@ mod tests {
     use super::*;
 
     #[test]
-    #[ignore = "trains four models; run with --ignored or --release"]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "trains four models; runs in release, or in debug with --ignored"
+    )]
     fn ordering_matches_paper() {
         let rows = study(7);
         let get = |s: &str| rows.iter().find(|r| r.sparsity == s).unwrap().accuracy_pct;

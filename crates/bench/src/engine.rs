@@ -46,11 +46,10 @@ use nm_models::vit::vit_tiny_sparse_for_tests;
 use nm_nn::graph::Graph;
 use nm_nn::rng::XorShift;
 use nm_platform::{Cluster, Scratchpad};
-use nm_serve::{FaultPlan, ServeError, Service, ServiceConfig};
+use nm_serve::{Service, ServiceConfig};
 use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Which execution path a measurement exercised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,22 +60,12 @@ pub enum Path {
     Bulk,
     /// Charge-only analytic mode (`Ctx::Analytic`).
     Analytic,
-    /// Native execution tier (`ExecTier::Native`): same kernel bodies
-    /// as bulk with charging compiled out — outputs only, no simulated
-    /// cycles. Measured on the gated `*-native` network rows;
-    /// `sim_cycles` is 0 there and `sim_macs_per_sec` is a pure
-    /// wall-clock quantity.
-    Native,
 }
 
 impl Path {
-    /// All path names that can appear in a report.
-    pub const ALL: [Path; 4] = [Path::Reference, Path::Bulk, Path::Analytic, Path::Native];
-
-    /// The cycle-simulating paths every kernel workload is measured on
-    /// (the native tier is measured on the dedicated `*-native` network
-    /// workloads instead).
-    pub const SIMULATED: [Path; 3] = [Path::Reference, Path::Bulk, Path::Analytic];
+    /// Every path, in report order; each kernel workload is measured on
+    /// all of them.
+    pub const ALL: [Path; 3] = [Path::Reference, Path::Bulk, Path::Analytic];
 
     /// Stable name used in the JSON report.
     pub fn name(self) -> &'static str {
@@ -84,7 +73,6 @@ impl Path {
             Path::Reference => "reference",
             Path::Bulk => "bulk",
             Path::Analytic => "analytic",
-            Path::Native => "native",
         }
     }
 
@@ -100,7 +88,6 @@ impl Path {
         match self {
             Path::Reference => Some(nm_compiler::ExecTier::Reference),
             Path::Bulk => Some(nm_compiler::ExecTier::Bulk),
-            Path::Native => Some(nm_compiler::ExecTier::Native),
             Path::Analytic => None,
         }
     }
@@ -214,8 +201,7 @@ impl EngineReport {
             ));
         }
         out.push_str("  ],\n  \"speedup_bulk_vs_reference\": {\n");
-        // Kernels without a reference/bulk pair (the `*-native` rows)
-        // have no bulk-vs-reference speedup and are skipped here.
+        // Kernels missing either row have no speedup and are skipped.
         let pairs: Vec<(String, f64)> = self
             .kernels()
             .into_iter()
@@ -231,28 +217,6 @@ impl EngineReport {
                 s,
                 if i + 1 == pairs.len() { "" } else { "," }
             ));
-        }
-        // The native rows' only meaningful cross-tier number: per-rep
-        // bulk wall-clock over per-rep native wall-clock of the same
-        // network (no cycles are simulated on the native tier).
-        let native: Vec<(String, f64)> = self
-            .kernels()
-            .into_iter()
-            .filter_map(|k| {
-                let s = self.speedup_native_vs_bulk(&k)?;
-                Some((k, s))
-            })
-            .collect();
-        if !native.is_empty() {
-            out.push_str("  },\n  \"speedup_native_vs_bulk\": {\n");
-            for (i, (k, s)) in native.iter().enumerate() {
-                out.push_str(&format!(
-                    "    \"{}\": {:.2}{}\n",
-                    k,
-                    s,
-                    if i + 1 == native.len() { "" } else { "," }
-                ));
-            }
         }
         // The seed-baseline comparison only makes sense when every seed
         // kernel was measured; a filtered run just omits the section.
@@ -305,22 +269,6 @@ impl EngineReport {
         ));
         out.push_str("  }\n}\n");
         out
-    }
-
-    /// Wall-clock-per-rep speedup of a `*-native` network row over its
-    /// base workload's bulk row — the charging overhead the native tier
-    /// removes. `None` unless `native_kernel` ends in `-native` and
-    /// both rows are present (rep counts may differ; the comparison is
-    /// per invocation).
-    pub fn speedup_native_vs_bulk(&self, native_kernel: &str) -> Option<f64> {
-        let base = native_kernel.strip_suffix("-native")?;
-        let per_rep = |k: &str, p: Path| {
-            self.rows
-                .iter()
-                .find(|r| r.kernel == k && r.path == p)
-                .map(|r| r.wall_s / f64::from(r.reps))
-        };
-        Some(per_rep(base, Path::Bulk)? / per_rep(native_kernel, Path::Native)?)
     }
 
     /// Bulk wall-clock speedup of `kernel` over the recorded seed
@@ -381,7 +329,6 @@ fn ctx_for<'a>(path: Path, l1: &'a mut Scratchpad) -> Ctx<'a> {
         Path::Reference => Ctx::Mem(l1),
         Path::Bulk => Ctx::MemBulk(l1),
         Path::Analytic => Ctx::Analytic,
-        Path::Native => Ctx::MemNative(l1),
     }
 }
 
@@ -389,7 +336,7 @@ fn time_paths<F>(rows: &mut Vec<EngineRow>, l1: &Scratchpad, reps: u32, run: F)
 where
     F: Fn(&mut Ctx<'_>) -> KernelStats,
 {
-    for path in Path::SIMULATED {
+    for path in Path::ALL {
         let mut scratch = l1.clone();
         // One warm-up invocation, also the source of name/stats.
         let stats = run(&mut ctx_for(path, &mut scratch));
@@ -416,7 +363,7 @@ where
 /// names `--filter` matches against. `run_suite_filtered` asserts the
 /// registry against this list, so it cannot drift from the measured
 /// kernel names.
-pub const WORKLOAD_NAMES: [&str; 21] = [
+pub const WORKLOAD_NAMES: [&str; 19] = [
     "fc-dense-1x2",
     "fc-sparse-sw-1:8",
     "fc-sparse-isa-1:8",
@@ -429,9 +376,7 @@ pub const WORKLOAD_NAMES: [&str; 21] = [
     "im2col-3x3s1p1",
     "im2col-5x5s2p2",
     "net-resnet18-cifar",
-    "net-resnet18-cifar-native",
     "net-vit-tiny",
-    "net-vit-tiny-native",
     "net-serve-resnet18-b1",
     "net-serve-resnet18-b4",
     "net-serve-resnet18-b16",
@@ -470,9 +415,7 @@ pub const NET_SERVE_REPS_DIVISOR: u32 = 25;
 /// analytic path is a planner mode, not an executor mode — network rows
 /// have no analytic measurement). The prepare step runs once outside
 /// the timed loop: these rows measure the compile-once / run-many split
-/// serving pays, with packing fully amortized. On [`Path::Native`] the
-/// row's `sim_cycles` is 0 (cycles are not simulated on that tier) and
-/// the measurement is wall-clock only.
+/// serving pays, with packing fully amortized.
 fn time_network(
     rows: &mut Vec<EngineRow>,
     name: &str,
@@ -510,105 +453,6 @@ fn time_network(
     }
 }
 
-/// Snapshot-under-chaos guard: rows measured with chaos fault injection
-/// armed are not perf-comparable (sheds and isolation re-runs change
-/// the work done), so a JSON/snapshot-producing run must hard-error
-/// instead of quietly emitting a contaminated report. Pass the current
-/// values of `NM_SERVE_CHAOS_SEED` / `NM_SERVE_CHAOS_FAULTS`; the
-/// returned error names the offending variable. Pure so the guard is
-/// unit-testable without mutating the process environment — the
-/// `engine` binary feeds it `std::env::var` (see also
-/// [`snapshot_chaos_guard_from_env`]).
-///
-/// # Errors
-/// The refusal message, naming the armed environment variable, when
-/// either value is set.
-pub fn snapshot_chaos_guard(seed: Option<&str>, faults: Option<&str>) -> Result<(), String> {
-    let knobs = [
-        ("NM_SERVE_CHAOS_SEED", seed),
-        ("NM_SERVE_CHAOS_FAULTS", faults),
-    ];
-    for (var, value) in knobs {
-        if let Some(v) = value {
-            return Err(format!(
-                "refusing to emit a JSON report: chaos fault injection is armed \
-                 ({var}={v}); rows measured under chaos are not perf-comparable \
-                 and must never reach BENCH_engine.json or the perf gate — \
-                 unset {var} and rerun"
-            ));
-        }
-    }
-    // Note the serve metrics export rides behind this same refusal: the
-    // `[metrics]` text `time_serve` emits goes to stderr only and never
-    // into `EngineRow`, so a guarded `--json` run cannot leak it into
-    // the snapshot either.
-    Ok(())
-}
-
-/// Snapshot-under-overload guard: the companion to
-/// [`snapshot_chaos_guard`] for the Zipf/Poisson load generator
-/// (`nm-bench`'s `loadgen` module). A load-generated run drives the
-/// service past capacity on purpose — rows timed while it is armed
-/// measure shedding and eviction churn, not kernels — so a
-/// JSON-producing run must refuse. Pass the current values of the
-/// `NM_LOADGEN_*` knobs; pure for the same unit-testability reason as
-/// the chaos guard.
-///
-/// # Errors
-/// The refusal message, naming the armed environment variable, when
-/// any value is set.
-pub fn snapshot_overload_guard(
-    seed: Option<&str>,
-    requests: Option<&str>,
-    rate: Option<&str>,
-) -> Result<(), String> {
-    let knobs = [
-        ("NM_LOADGEN_SEED", seed),
-        ("NM_LOADGEN_REQUESTS", requests),
-        ("NM_LOADGEN_RATE", rate),
-    ];
-    for (var, value) in knobs {
-        if let Some(v) = value {
-            return Err(format!(
-                "refusing to emit a JSON report: the overload load generator is \
-                 armed ({var}={v}); rows measured past capacity measure shedding, \
-                 not kernels, and must never reach BENCH_engine.json or the perf \
-                 gate — unset {var} and rerun"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// [`snapshot_chaos_guard`] and [`snapshot_overload_guard`] over the
-/// live process environment.
-///
-/// # Errors
-/// As [`snapshot_chaos_guard`] / [`snapshot_overload_guard`].
-pub fn snapshot_chaos_guard_from_env() -> Result<(), String> {
-    snapshot_chaos_guard(
-        std::env::var("NM_SERVE_CHAOS_SEED").ok().as_deref(),
-        std::env::var("NM_SERVE_CHAOS_FAULTS").ok().as_deref(),
-    )?;
-    snapshot_overload_guard(
-        std::env::var("NM_LOADGEN_SEED").ok().as_deref(),
-        std::env::var("NM_LOADGEN_REQUESTS").ok().as_deref(),
-        std::env::var("NM_LOADGEN_RATE").ok().as_deref(),
-    )
-}
-
-/// The serving rows' chaos knobs: `Some((seed, faults))` when
-/// `NM_SERVE_CHAOS_SEED` is set (spec count from
-/// `NM_SERVE_CHAOS_FAULTS`, default 4) — see [`time_serve`].
-fn serve_chaos_env() -> Option<(u64, usize)> {
-    let seed = std::env::var("NM_SERVE_CHAOS_SEED").ok()?.parse().ok()?;
-    let faults = std::env::var("NM_SERVE_CHAOS_FAULTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    Some((seed, faults))
-}
-
 /// Times the batched inference service end to end (`nm-serve`): per
 /// rep, one *wave* of [`SERVE_REQUESTS`] requests with distinct inputs
 /// is submitted to a single-worker service and fully drained. What is
@@ -627,16 +471,10 @@ fn serve_chaos_env() -> Option<(u64, usize)> {
 /// is `SERVE_REQUESTS * sim_macs_per_sec / dense_macs` — `dense_macs`
 /// is per wave, so dividing by it alone gives waves/sec.
 ///
-/// **Chaos mode.** Setting `NM_SERVE_CHAOS_SEED=<u64>` arms a seeded
-/// [`FaultPlan`] (`NM_SERVE_CHAOS_FAULTS` specs, default 4) in every
-/// serving row's service, plus an already-expired deadline on every 8th
-/// request — a fault-tolerance soak over the real benchmark workloads
-/// rather than a measurement. The run asserts the shed/failure
-/// accounting reconciles and prints a per-row `[chaos]` summary to
-/// stderr. **Rows produced under chaos are not perf-comparable** (sheds
-/// and re-runs change the work done); never refresh the snapshot or
-/// feed the perf gate from a chaos run. See `crates/bench/README.md`
-/// for the knobs and how seeds are chosen.
+/// Every row also gates the service's metrics export: scraped after the
+/// timed waves, it must parse and reconcile with the service's own
+/// ledgers exactly. Fault soaks live in `tests/tests/serve_chaos.rs`
+/// and [`crate::loadgen`], not here.
 fn time_serve(
     rows: &mut Vec<EngineRow>,
     name: &str,
@@ -652,11 +490,9 @@ fn time_serve(
         .map(|_| Tensor::from_vec(&shape, rng.fill_weights(elems, 50)).unwrap())
         .collect();
     let dense_macs = (graph.dense_macs() * SERVE_REQUESTS) as u64;
-    let chaos = serve_chaos_env();
     for path in [Path::Reference, Path::Bulk] {
         let mut opts = Options::new(target);
         opts.host_threads = 1;
-        let plan = chaos.map(|(seed, n)| Arc::new(FaultPlan::seeded(seed, n)));
         let service = Service::start(ServiceConfig {
             // Sized for one wave: at most SERVE_REQUESTS are ever
             // outstanding, so nothing is shed out of the measurement.
@@ -666,34 +502,13 @@ fn time_serve(
             // The measured emulation path is the service's tier (the
             // service overrides `opts.tier` at registration).
             tier: path.tier().expect("serve paths are executor tiers"),
-            // The soak must survive even a plan whose every spec kills
-            // a worker: budget comfortably above the fault count.
-            restart_budget: chaos.map_or(8, |(_, n)| n as u32 + 4),
-            fault_plan: plan.clone(),
             ..ServiceConfig::default()
         });
-        let model = {
-            // Under chaos, registration may absorb injected prepare /
-            // cache-insert faults (errors or panics) — retry until the
-            // armed registration specs are spent.
-            let attempts = chaos.map_or(1, |(_, n)| n + 2);
-            let mut model = None;
-            for _ in 0..attempts {
-                match catch_unwind(AssertUnwindSafe(|| service.register(name, graph, &opts))) {
-                    Ok(Ok(id)) => {
-                        model = Some(id);
-                        break;
-                    }
-                    Ok(Err(e)) => assert!(chaos.is_some(), "model prepares: {e:?}"),
-                    Err(_) => assert!(chaos.is_some(), "model preparation panicked"),
-                }
-            }
-            model.expect("model registers within the chaos retry budget")
-        };
-        let failed = Cell::new(0u64);
-        let expired = Cell::new(0u64);
+        let model = service
+            .register(name, graph, &opts)
+            .expect("model prepares");
         // The BatchPlan the wave actually executed under, for the
-        // stderr summaries: "sequential" batches share no work, so a
+        // stderr summary: "sequential" batches share no work, so a
         // `-b16` row that reports it would be measuring nothing.
         let mode = Cell::new("unexecuted");
         let wave = || -> u64 {
@@ -705,41 +520,19 @@ fn time_serve(
             service.pause();
             let tickets: Vec<_> = inputs
                 .iter()
-                .enumerate()
-                .filter_map(|(i, x)| {
-                    let deadline = (chaos.is_some() && i % 8 == 7).then(Instant::now);
-                    match service.submit_with_deadline(
-                        model,
-                        x.clone(),
-                        deadline,
-                        nm_serve::Priority::Batch,
-                    ) {
-                        Ok(t) => Some(t),
-                        Err(e) => {
-                            assert!(chaos.is_some(), "queue fits the wave: {e:?}");
-                            None
-                        }
-                    }
+                .map(|x| {
+                    service
+                        .submit(model, x.clone())
+                        .expect("queue fits the wave")
                 })
                 .collect();
             service.resume();
             tickets
                 .into_iter()
-                .map(|t| match t.wait_timeout(Duration::from_secs(60)) {
-                    Ok(r) => {
-                        mode.set(r.mode.label());
-                        r.sim_cycles
-                            .expect("serve rows run on cycle-accurate tiers")
-                    }
-                    Err(ServeError::DeadlineExceeded) => {
-                        expired.set(expired.get() + 1);
-                        0
-                    }
-                    Err(e) => {
-                        assert!(chaos.is_some(), "request completes: {e:?}");
-                        failed.set(failed.get() + 1);
-                        0
-                    }
+                .map(|t| {
+                    let r = t.wait().expect("request completes");
+                    mode.set(r.mode.label());
+                    r.sim_cycles.expect("serve results carry cycles")
                 })
                 .sum()
         };
@@ -752,65 +545,29 @@ fn time_serve(
         let wall_s = t.elapsed().as_secs_f64();
         // Scrape before shutdown consumes the service; the wave loop
         // fully drained (every ticket resolved), so this is a quiesced
-        // export and must reconcile with the ledgers exactly. Gate it
-        // on every serve row — chaos or not — and keep the text on
-        // stderr only: metrics never enter EngineRow or the JSON
-        // snapshot (the `--json` env guards cover this path too).
-        let metrics_text = service.metrics_text();
-        let pre_shutdown_stats = service.stats();
-        let pre_shutdown_cache = service.cache_stats();
-        let metrics = nm_serve::metrics::parse_text(&metrics_text)
+        // export and must reconcile with the ledgers exactly. The text
+        // stays on stderr: metrics never enter EngineRow or the JSON
+        // snapshot.
+        let metrics = nm_serve::metrics::parse_text(&service.metrics_text())
             .unwrap_or_else(|e| panic!("serve metrics export must parse for {name} {path:?}: {e}"));
         metrics
-            .check_quiesced(&pre_shutdown_stats, &pre_shutdown_cache)
+            .check_quiesced(&service.stats(), &service.cache_stats())
             .unwrap_or_else(|e| {
                 panic!("serve metrics export must reconcile for {name} {path:?}: {e}")
             });
-        let stats = service.shutdown();
-        if let Some((seed, n)) = chaos {
-            // Under chaos the full export is the debugging artifact.
-            eprintln!("[metrics] {name} {path:?}:\n{metrics_text}");
-            let fired = plan.as_ref().map_or(0, |p| p.fired());
-            eprintln!(
-                "[chaos] {name} {path:?}: mode={} seed={seed} armed={n} fired={fired} \
-                 submitted={} completed={} failed={} shed_expired={} shed_canceled={} \
-                 worker_panics={} restarts={} waiter_expired={} waiter_failed={}",
-                mode.get(),
-                stats.submitted,
-                stats.completed,
-                stats.failed,
-                stats.shed_expired,
-                stats.shed_canceled,
-                stats.worker_panics,
-                stats.restarts,
-                expired.get(),
-                failed.get(),
-            );
-            assert_eq!(
-                stats.completed
-                    + stats.failed
-                    + stats.shed_expired
-                    + stats.shed_canceled
-                    + stats.shed_preempted,
-                stats.submitted,
-                "chaos accounting reconciles for {name} {path:?}"
-            );
-        } else {
-            eprintln!(
-                "[serve] {name} {path:?}: mode={} batch_limit={max_batch}",
-                mode.get()
-            );
-            // One-line digest of the (already-gated) export; the full
-            // text is only worth stderr space under chaos.
-            eprintln!(
-                "[metrics] {name} {path:?}: export reconciled \
-                 (submitted={} completed={} models={} queue_high_water={})",
-                metrics.service.submitted,
-                metrics.service.completed,
-                metrics.models.len(),
-                metrics.queue_depth_high_water,
-            );
-        }
+        service.shutdown();
+        eprintln!(
+            "[serve] {name} {path:?}: mode={} batch_limit={max_batch}",
+            mode.get()
+        );
+        eprintln!(
+            "[metrics] {name} {path:?}: export reconciled \
+             (submitted={} completed={} models={} queue_high_water={})",
+            metrics.service.submitted,
+            metrics.service.completed,
+            metrics.models.len(),
+            metrics.queue_depth_high_water,
+        );
         rows.push(EngineRow {
             kernel: name.to_string(),
             path,
@@ -895,9 +652,8 @@ pub fn run_suite_filtered(reps: u32, filter: Option<&str>) -> EngineReport {
     };
 
     // The network and serving families' graphs, built (and pruned) once
-    // and shared by each family's rows (the `*-native` rows reuse their
-    // base workload's graph) — lazily, so filtered runs that skip a
-    // family don't pay its build. Declared before the registry so the
+    // and shared by each family's rows — lazily, so filtered runs that
+    // skip a family don't pay its build. Declared before the registry so the
     // row closures can borrow them.
     let net_resnet: std::cell::OnceCell<Graph> = std::cell::OnceCell::new();
     let net_vit: std::cell::OnceCell<Graph> = std::cell::OnceCell::new();
@@ -1084,11 +840,7 @@ pub fn run_suite_filtered(reps: u32, filter: Option<&str>) -> EngineReport {
         // End-to-end networks through the compile-once executor: the
         // paper's CIFAR ResNet18 pruned to 1:8 on the `xDecimate`
         // target, and the multi-token tiny ViT with 1:8 feed-forward
-        // layers (attention stays dense) — prepare once, run many. Each
-        // network also has a gated `*-native` row: the same prepared
-        // graph on `ExecTier::Native` (identical outputs, no simulated
-        // cycles), whose wall-clock speedup over the bulk row is the
-        // charging overhead the native tier removes.
+        // layers (attention stays dense) — prepare once, run many.
         (
             "net-resnet18-cifar",
             Box::new(|rows, reps| {
@@ -1104,20 +856,6 @@ pub fn run_suite_filtered(reps: u32, filter: Option<&str>) -> EngineReport {
             }),
         ),
         (
-            "net-resnet18-cifar-native",
-            Box::new(|rows, reps| {
-                let g = net_resnet.get_or_init(|| resnet18_cifar_sparse(100, nm, 1).unwrap());
-                time_network(
-                    rows,
-                    "net-resnet18-cifar-native",
-                    g,
-                    Target::SparseIsa,
-                    reps.div_ceil(NET_REPS_DIVISOR),
-                    &[Path::Native],
-                );
-            }),
-        ),
-        (
             "net-vit-tiny",
             Box::new(|rows, reps| {
                 let g = net_vit.get_or_init(|| vit_tiny_sparse_for_tests(nm, 4).unwrap());
@@ -1128,20 +866,6 @@ pub fn run_suite_filtered(reps: u32, filter: Option<&str>) -> EngineReport {
                     Target::SparseIsa,
                     reps.saturating_mul(NET_LIGHT_REPS_FACTOR),
                     &[Path::Reference, Path::Bulk],
-                );
-            }),
-        ),
-        (
-            "net-vit-tiny-native",
-            Box::new(|rows, reps| {
-                let g = net_vit.get_or_init(|| vit_tiny_sparse_for_tests(nm, 4).unwrap());
-                time_network(
-                    rows,
-                    "net-vit-tiny-native",
-                    g,
-                    Target::SparseIsa,
-                    reps.saturating_mul(NET_LIGHT_REPS_FACTOR),
-                    &[Path::Native],
                 );
             }),
         ),
@@ -1220,15 +944,15 @@ pub fn run_suite_filtered(reps: u32, filter: Option<&str>) -> EngineReport {
 mod tests {
     use super::*;
 
-    /// The registry covers twenty-one workloads with stable names. The
+    /// The registry covers nineteen workloads with stable names. The
     /// full suite is exercised in release (snapshot + CI perf gate);
     /// here the debug-mode test executes cheap subsets — the FC kernels
     /// for three-path coverage and the tiny-ViT network for the net-row
     /// shape — instead of paying for a per-instruction ResNet18
     /// emulation on every `cargo test`.
     #[test]
-    fn suite_covers_twenty_one_workloads() {
-        assert_eq!(WORKLOAD_NAMES.len(), 21);
+    fn suite_covers_every_workload() {
+        assert_eq!(WORKLOAD_NAMES.len(), 19);
         for k in [
             "fc-csr",
             "fc-dcsr",
@@ -1236,9 +960,7 @@ mod tests {
             "im2col-3x3s1p1",
             "im2col-5x5s2p2",
             "net-resnet18-cifar",
-            "net-resnet18-cifar-native",
             "net-vit-tiny",
-            "net-vit-tiny-native",
             "net-serve-resnet18-b1",
             "net-serve-resnet18-b4",
             "net-serve-resnet18-b16",
@@ -1268,64 +990,14 @@ mod tests {
 
         // Network rows: reference + bulk (no analytic executor mode)
         // with identical cycle totals across the two paths — pinning
-        // the whole compiled executor's cross-path parity — plus the
-        // gated `*-native` row, a wall-clock-only measurement with no
-        // simulated cycles.
+        // the whole compiled executor's cross-path parity.
         let net = run_suite_filtered(1, Some("net-vit-tiny"));
-        assert_eq!(net.rows.len(), 3, "reference, bulk and native rows");
+        assert_eq!(net.rows.len(), 2, "reference and bulk rows");
         assert_eq!(net.rows[0].path, Path::Reference);
         assert_eq!(net.rows[1].path, Path::Bulk);
         assert_eq!(net.rows[0].sim_cycles, net.rows[1].sim_cycles);
         assert!(net.speedup_vs_reference("net-vit-tiny").unwrap() > 0.0);
-        assert_eq!(net.rows[2].kernel, "net-vit-tiny-native");
-        assert_eq!(net.rows[2].path, Path::Native);
-        assert_eq!(net.rows[2].sim_cycles, 0, "no cycles on native");
-        assert!(net
-            .speedup_native_vs_bulk("net-vit-tiny-native")
-            .unwrap()
-            .is_finite());
-        let json = net.to_json();
-        assert!(json.contains("\"speedup_native_vs_bulk\""));
-        assert!(
-            !json.contains("NaN"),
-            "native-only kernels must not emit NaN speedups"
-        );
-    }
-
-    /// The snapshot-under-chaos guard: a JSON-producing run refuses to
-    /// start when either chaos env var is armed, naming the variable in
-    /// the error; unarmed runs pass.
-    /// The refusal also fences the serve metrics path: `time_serve`
-    /// prints its `[metrics]` export to stderr only (never into
-    /// `EngineRow`), so with the guard holding, a `--json` run can
-    /// neither run under chaos nor leak metrics text into the snapshot.
-    #[test]
-    fn snapshot_chaos_guard_names_the_armed_variable() {
-        assert_eq!(snapshot_chaos_guard(None, None), Ok(()));
-        let err = snapshot_chaos_guard(Some("42"), None).unwrap_err();
-        assert!(err.contains("NM_SERVE_CHAOS_SEED=42"), "{err}");
-        assert!(err.contains("BENCH_engine.json"), "{err}");
-        let err = snapshot_chaos_guard(None, Some("8")).unwrap_err();
-        assert!(err.contains("NM_SERVE_CHAOS_FAULTS=8"), "{err}");
-        // Both set: the first armed knob is named (one actionable
-        // variable at a time beats a concatenated list).
-        let err = snapshot_chaos_guard(Some("1"), Some("2")).unwrap_err();
-        assert!(err.contains("NM_SERVE_CHAOS_SEED"), "{err}");
-    }
-
-    // The snapshot-under-overload guard: a JSON-producing run refuses
-    // to start when any load-generator knob is armed, naming the
-    // variable; unarmed runs pass.
-    #[test]
-    fn snapshot_overload_guard_names_the_armed_variable() {
-        assert_eq!(snapshot_overload_guard(None, None, None), Ok(()));
-        let err = snapshot_overload_guard(Some("42"), None, None).unwrap_err();
-        assert!(err.contains("NM_LOADGEN_SEED=42"), "{err}");
-        assert!(err.contains("BENCH_engine.json"), "{err}");
-        let err = snapshot_overload_guard(None, Some("600"), None).unwrap_err();
-        assert!(err.contains("NM_LOADGEN_REQUESTS=600"), "{err}");
-        let err = snapshot_overload_guard(None, None, Some("2.0")).unwrap_err();
-        assert!(err.contains("NM_LOADGEN_RATE=2.0"), "{err}");
+        assert!(!net.to_json().contains("NaN"));
     }
 
     /// Serving rows: reference + bulk per batch size, and — the

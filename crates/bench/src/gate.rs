@@ -28,8 +28,7 @@ use crate::engine::{EngineReport, Path};
 pub struct GateRow {
     /// Kernel name (e.g. `"fc-csr"`).
     pub kernel: String,
-    /// Execution path name (`"reference"`, `"bulk"`, `"analytic"` or
-    /// `"native"`).
+    /// Execution path name (`"reference"`, `"bulk"` or `"analytic"`).
     pub path: String,
     /// Simulated dense-equivalent MACs per wall-clock second.
     pub sim_macs_per_sec: f64,
@@ -130,15 +129,8 @@ fn throughput(rows: &[GateRow], kernel: &str, path: Path) -> Option<f64> {
 
 /// Compares the bulk-path throughput of every kernel in `baseline`
 /// against `current`; a kernel fails when its (optionally calibrated)
-/// throughput ratio drops below `1 - threshold`.
-///
-/// The `*-native` rows (path `"native"`) are gated too, **by wall-clock
-/// only**: no cycles are simulated on the native tier, so the check is
-/// the row's wall-clock throughput, calibrated — when `calibrate` is on
-/// — by the host-speed factor of the *base* workload's reference rows
-/// (the kernel name with `-native` stripped). Restrict a `--filter` to
-/// a prefix that keeps the base workload's rows, or calibration has
-/// nothing to calibrate against.
+/// throughput ratio drops below `1 - threshold`. The calibration row is
+/// the kernel's own reference row.
 ///
 /// # Errors
 /// A kernel present in the baseline but missing from the current report
@@ -153,63 +145,36 @@ pub fn compare(
     threshold: f64,
     calibrate: bool,
 ) -> Result<Vec<GateCheck>, String> {
-    let mut checks = gate_path(baseline, current, threshold, calibrate, Path::Bulk)?;
-    if checks.is_empty() {
-        return Err("baseline has no bulk-path rows".to_string());
-    }
-    checks.extend(gate_path(
-        baseline,
-        current,
-        threshold,
-        calibrate,
-        Path::Native,
-    )?);
-    Ok(checks)
-}
-
-/// Gates one measured path (bulk or native): enumerates the baseline's
-/// kernels on that path, rejects ungated current rows, and checks each
-/// kernel's calibrated throughput ratio. The calibration row is the
-/// kernel's own reference row for bulk, and the base workload's
-/// (`-native` stripped) for native.
-fn gate_path(
-    baseline: &[GateRow],
-    current: &[GateRow],
-    threshold: f64,
-    calibrate: bool,
-    path: Path,
-) -> Result<Vec<GateCheck>, String> {
+    let bulk = Path::Bulk.name();
     let mut kernels: Vec<&str> = Vec::new();
     for r in baseline {
-        if r.path == path.name() && !kernels.contains(&r.kernel.as_str()) {
+        if r.path == bulk && !kernels.contains(&r.kernel.as_str()) {
             kernels.push(&r.kernel);
         }
     }
     let unbaselined: Vec<&str> = current
         .iter()
-        .filter(|r| r.path == path.name() && !kernels.contains(&r.kernel.as_str()))
+        .filter(|r| r.path == bulk && !kernels.contains(&r.kernel.as_str()))
         .map(|r| r.kernel.as_str())
         .collect();
     if !unbaselined.is_empty() {
         return Err(format!(
-            "current report has {} rows with no baseline (ungated \
+            "current report has bulk rows with no baseline (ungated \
              workloads): {} — refresh the checked-in BENCH_engine.json \
              to include them",
-            path.name(),
             unbaselined.join(", ")
         ));
     }
     let mut checks = Vec::new();
     for kernel in kernels {
-        let base = throughput(baseline, kernel, path).expect("selected on this path's rows");
-        let cur = throughput(current, kernel, path)
-            .ok_or_else(|| format!("current report has no {} row for {kernel}", path.name()))?;
+        let base = throughput(baseline, kernel, Path::Bulk).expect("selected on bulk rows");
+        let cur = throughput(current, kernel, Path::Bulk)
+            .ok_or_else(|| format!("current report has no bulk row for {kernel}"))?;
         let calibration = if calibrate {
-            let cal_kernel = kernel.strip_suffix("-native").unwrap_or(kernel);
-            let base_ref = throughput(baseline, cal_kernel, Path::Reference)
-                .ok_or_else(|| format!("baseline has no reference row for {cal_kernel}"))?;
-            let cur_ref = throughput(current, cal_kernel, Path::Reference)
-                .ok_or_else(|| format!("current report has no reference row for {cal_kernel}"))?;
+            let base_ref = throughput(baseline, kernel, Path::Reference)
+                .ok_or_else(|| format!("baseline has no reference row for {kernel}"))?;
+            let cur_ref = throughput(current, kernel, Path::Reference)
+                .ok_or_else(|| format!("current report has no reference row for {kernel}"))?;
             cur_ref / base_ref
         } else {
             1.0
@@ -223,6 +188,9 @@ fn gate_path(
             ratio,
             pass: ratio >= 1.0 - threshold,
         });
+    }
+    if checks.is_empty() {
+        return Err("baseline has no bulk-path rows".to_string());
     }
     Ok(checks)
 }
@@ -423,37 +391,6 @@ mod tests {
         }
     }
 
-    /// The checked-in snapshot carries the native-tier network rows,
-    /// and compiling the charging out never costs wall-clock time: for
-    /// each base network workload the `-native` row's throughput
-    /// (∝ 1/wall at equal `dense_macs`) is at least the bulk row's.
-    /// Deterministic — reads the committed `BENCH_engine.json`, so the
-    /// property is pinned at snapshot-refresh time. The measured gain
-    /// is modest (~1.04× on ResNet-18 at the refresh: the shared SSE2
-    /// gathers dominate both tiers, so the accounting native removes
-    /// is a small share), hence a floor of "not slower" rather than a
-    /// ratio.
-    #[test]
-    fn snapshot_native_rows_never_slower_than_bulk() {
-        let json = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_engine.json"
-        ))
-        .expect("checked-in snapshot");
-        let rows = parse_rows(&json).unwrap();
-        for base in ["net-resnet18-cifar", "net-vit-tiny"] {
-            let bulk = throughput(&rows, base, Path::Bulk)
-                .unwrap_or_else(|| panic!("snapshot has no bulk row for {base}"));
-            let native = throughput(&rows, &format!("{base}-native"), Path::Native)
-                .unwrap_or_else(|| panic!("snapshot has no native row for {base}-native"));
-            assert!(
-                native >= bulk,
-                "{base}: native throughput {native} below bulk {bulk} — \
-                 the uncharged tier must never be slower than the charged one"
-            );
-        }
-    }
-
     #[test]
     fn flags_regressions_beyond_threshold() {
         let baseline: Vec<GateRow> = pair("a", 100.0, 1000.0).into_iter().collect();
@@ -477,42 +414,6 @@ mod tests {
         assert!((calibrated[0].ratio - 1.0).abs() < 1e-9);
         let absolute = compare(&baseline, &slower_host, 0.25, false).unwrap();
         assert!(!absolute[0].pass);
-    }
-
-    /// The `*-native` rows are gated by wall-clock only: a regressed
-    /// native row fails even when the bulk rows hold, host speed is
-    /// calibrated out via the *base* workload's reference rows, and a
-    /// native row the snapshot has never seen is an ungated-workload
-    /// error.
-    #[test]
-    fn native_rows_are_gated_by_wall_clock() {
-        let with_native = |reference: f64, bulk: f64, native: f64| -> Vec<GateRow> {
-            pair("net-x", reference, bulk)
-                .into_iter()
-                .chain([row("net-x-native", "native", native)])
-                .collect()
-        };
-        let baseline = with_native(100.0, 1000.0, 2000.0);
-        // Same host, native half as fast: the native check fails while
-        // bulk passes.
-        let regressed = with_native(100.0, 1000.0, 1000.0);
-        let checks = compare(&baseline, &regressed, 0.25, true).unwrap();
-        assert_eq!(checks.len(), 2);
-        assert!(checks.iter().find(|c| c.kernel == "net-x").unwrap().pass);
-        let native = checks.iter().find(|c| c.kernel == "net-x-native").unwrap();
-        assert!(!native.pass);
-        // A 4x slower host with the same shape passes calibrated: the
-        // native calibration comes from net-x's reference rows.
-        let slower = with_native(25.0, 250.0, 500.0);
-        let checks = compare(&baseline, &slower, 0.25, true).unwrap();
-        assert!(checks.iter().all(|c| c.pass), "{checks:?}");
-        assert!((checks[1].calibration - 0.25).abs() < 1e-9);
-        // A current native row absent from the baseline must error,
-        // naming the ungated workload.
-        let base_no_native: Vec<GateRow> = pair("net-x", 100.0, 1000.0).into_iter().collect();
-        let err = compare(&base_no_native, &regressed, 0.25, true).unwrap_err();
-        assert!(err.contains("net-x-native"), "{err}");
-        assert!(err.contains("BENCH_engine.json"), "{err}");
     }
 
     #[test]

@@ -31,10 +31,8 @@
 //! shapes).
 //!
 //! Runs are armed via the `NM_LOADGEN_*` environment knobs
-//! ([`OverloadConfig::from_env`]). The `engine --json` snapshot path
-//! refuses to run while any of them is set
-//! ([`crate::engine::snapshot_overload_guard`]) — overload rows must
-//! never contaminate `BENCH_engine.json`.
+//! ([`OverloadConfig::from_env`]). The `engine` bench never reads them:
+//! overload soaks run here, never inside a `BENCH_engine.json` row.
 
 use nm_compiler::plan::Options;
 use nm_compiler::{ExecTier, PreparedGraph, Target};

@@ -126,7 +126,10 @@ mod tests {
     // and the `table2` binary in release mode; here we check the row
     // machinery on the (fast) ResNet18 only.
     #[test]
-    #[ignore = "multi-second in debug builds; run with --ignored or --release"]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "multi-second in debug builds; runs in release, or in debug with --ignored"
+    )]
     fn resnet_rows_reproduce_paper_shape() {
         let rows = resnet_rows(1).unwrap();
         assert_eq!(rows.len(), 2 + 6);

@@ -40,11 +40,9 @@ pub struct Options {
     /// Cycle-cost model.
     pub costs: CostModel,
     /// Execution tier for emulated tiles ([`ExecTier::Bulk`] is the
-    /// default). `Reference` charges per instruction, `Bulk` charges
-    /// batched blocks (bit- and cycle-exact with `Reference`, several
-    /// times faster), and `Native` runs the same kernel bodies with the
-    /// charging compiled out entirely — outputs stay bit-identical to
-    /// `Bulk`, but cycle/instret statistics are reported as zero.
+    /// default). `Reference` charges per instruction; `Bulk` charges
+    /// batched blocks, bit- and cycle-exact with `Reference` and several
+    /// times faster. Both tiers report cycles.
     pub tier: ExecTier,
     /// Host worker threads for the compiled executor's parallel tile
     /// execution ([`crate::prepack::PreparedGraph`]): `0` (the default)

@@ -889,8 +889,7 @@ fn pack_tile(
             let nm = choice.nm().expect("sparse choice has a pattern");
             let weights = NmMatrix::from_dense(w_rows, k, row_len, nm, layout)?;
             // The decimation program only exists for the conv kernels'
-            // bulk and native paths; reference-path runs decode per
-            // instruction.
+            // bulk path; reference-path runs decode per instruction.
             let program = (conv && opts.tier != nm_kernels::ExecTier::Reference)
                 .then(|| DecimProgram::from_matrix(&weights))
                 .transpose()?;

@@ -30,7 +30,8 @@
 //!   views ([`mem::Memory::slice`] and friends) and charge whole
 //!   straight-line blocks with [`Core::charge_block`] over an
 //!   [`InstrBlock`] count table. It runs under `Ctx::MemBulk` and exists
-//!   to make host-side sweeps cheap.
+//!   to make host-side sweeps cheap. It is the only fast path: every
+//!   bulk run charges its blocks, so its statistics are always defined.
 //!
 //! The contract between them: for the same kernel and operands the two
 //! paths must agree **exactly** — bit-identical memory contents and
@@ -65,7 +66,6 @@ pub mod core;
 pub mod cost;
 pub mod energy;
 pub mod mem;
-pub mod policy;
 pub mod programs;
 
 pub use crate::core::{Core, CoreStats};
@@ -75,4 +75,3 @@ pub use cost::CostModel;
 pub use energy::EnergyModel;
 pub use mem::{FlatMem, Memory};
 pub use nm_rtl::DecimateMode;
-pub use policy::{ChargePolicy, Charged, Uncharged};

@@ -12,7 +12,7 @@ use crate::bulk::{blockwise_rows_out, loop_scaffold, u16_indices_below, write_ou
 use crate::stats::{Ctx, KernelStats};
 use nm_core::format::BlockwiseMatrix;
 use nm_core::{Error, Result};
-use nm_isa::{ChargePolicy, Charged, Core, CostModel, InstrBlock, Memory, Uncharged};
+use nm_isa::{CostModel, InstrBlock, Memory};
 use nm_platform::{chunk_range, Cluster, Scratchpad};
 use std::ops::Range;
 
@@ -127,91 +127,79 @@ pub fn fc_blockwise(
     for k in 0..geom.k {
         row_start[k + 1] = row_start[k] + job.blocks_per_row[k];
     }
-    // One core's worth of blockwise rows: the single shared kernel body
-    // for the bulk and native tiers. 4-wide block dots from zero-copy
-    // slices of the flat value/index streams, one aggregated accounting
-    // block per core (never built on `Uncharged`).
-    fn core_body<P: ChargePolicy>(
+    // One core's worth of blockwise rows on the bulk path: 4-wide block
+    // dots from zero-copy slices of the flat value/index streams (the
+    // caller charges one aggregated block per core).
+    fn core_body(
         mem: &mut Scratchpad,
-        core: &mut Core,
         job: &BlockwiseFcJob,
         row_start: &[usize],
         range: Range<usize>,
     ) {
         let geom = job.fc.geom;
         let total = row_start[geom.k];
-        {
-            // As in the CSR kernel, the activation window runs to
-            // the end of the scratchpad (capped at the largest
-            // 4-byte window a 16-bit block index can address):
-            // out-of-range indices read what the reference path's
-            // raw loads would, and a window covering the whole
-            // index range needs no validation scan.
-            let full = 4 * usize::from(u16::MAX) + 4;
-            let win = (mem.size() - job.bufs.input as usize).min(full);
-            let input = mem
-                .slice(job.bufs.input, win)
-                .expect("scratchpad is zero-copy");
-            let values = mem
-                .slice(job.bufs.values, 4 * total)
-                .expect("scratchpad is zero-copy");
-            let idx = mem
-                .slice(job.bufs.block_idx, 2 * total)
-                .expect("scratchpad is zero-copy");
-            let (s0, e0) = (row_start[range.start], row_start[range.end]);
-            let safe = win == full || u16_indices_below(&idx[2 * s0..2 * e0], win / 4);
-            let starts = &row_start[range.start..=range.end];
-            let outs = if safe {
-                blockwise_rows_out::<false>(values, idx, input, starts, job.fc.requant)
-            } else {
-                blockwise_rows_out::<true>(values, idx, input, starts, job.fc.requant)
-            };
-            write_out(mem, job.bufs.output + range.start as u32, &outs);
-        }
-        let costs = *core.costs();
-        P::charge_block(core, || core_block(&costs, row_start, range));
+        // As in the CSR kernel, the activation window runs to
+        // the end of the scratchpad (capped at the largest
+        // 4-byte window a 16-bit block index can address):
+        // out-of-range indices read what the reference path's
+        // raw loads would, and a window covering the whole
+        // index range needs no validation scan.
+        let full = 4 * usize::from(u16::MAX) + 4;
+        let win = (mem.size() - job.bufs.input as usize).min(full);
+        let input = mem
+            .slice(job.bufs.input, win)
+            .expect("scratchpad is zero-copy");
+        let values = mem
+            .slice(job.bufs.values, 4 * total)
+            .expect("scratchpad is zero-copy");
+        let idx = mem
+            .slice(job.bufs.block_idx, 2 * total)
+            .expect("scratchpad is zero-copy");
+        let (s0, e0) = (row_start[range.start], row_start[range.end]);
+        let safe = win == full || u16_indices_below(&idx[2 * s0..2 * e0], win / 4);
+        let starts = &row_start[range.start..=range.end];
+        let outs = if safe {
+            blockwise_rows_out::<false>(values, idx, input, starts, job.fc.requant)
+        } else {
+            blockwise_rows_out::<true>(values, idx, input, starts, job.fc.requant)
+        };
+        write_out(mem, job.bufs.output + range.start as u32, &outs);
     }
 
-    let native = ctx.is_native();
     Ok(run_fc(
         "fc-blockwise-1x4".into(),
         &geom,
         cluster,
-        native,
         |core_id, core| {
             let range = chunk_range(geom.k, cluster.n_cores(), core_id);
-            let mem = match ctx.path() {
-                Ctx::MemBulk(mem) => {
-                    return core_body::<Charged>(mem, core, job, &row_start, range)
+            match ctx.path() {
+                Ctx::MemBulk(mem) => core_body(mem, job, &row_start, range.clone()),
+                Ctx::Analytic => {}
+                Ctx::Mem(mem) => {
+                    for k in range {
+                        core.outer_loop_iter();
+                        core.alu_n(3);
+                        core.hwloop_setup();
+                        let blocks = job.blocks_per_row[k];
+                        let mut acc = 0i32;
+                        for b in 0..blocks {
+                            let flat = row_start[k] + b;
+                            let lo = core.lb(mem, job.bufs.block_idx + (2 * flat) as u32) as u8;
+                            let hi = mem.load_u8(job.bufs.block_idx + (2 * flat + 1) as u32);
+                            let idx = u32::from(lo) | (u32::from(hi) << 8); // one lhu: charged as the lb above
+                            core.alu_n(1);
+                            let a = core.lw(mem, job.bufs.input + idx * 4);
+                            let w = core.lw(mem, job.bufs.values + (flat * 4) as u32);
+                            acc = core.sdotp(w, a, acc);
+                        }
+                        core.alu_n(EPILOGUE_ALU);
+                        let out = job.fc.requant.apply(acc);
+                        core.sb(mem, job.bufs.output + k as u32, out);
+                    }
+                    return;
                 }
-                Ctx::MemNative(mem) => {
-                    return core_body::<Uncharged>(mem, core, job, &row_start, range)
-                }
-                Ctx::Analytic => {
-                    return core.charge_block(&core_block(core.costs(), &row_start, range))
-                }
-                Ctx::Mem(mem) => mem,
-            };
-            for k in range {
-                core.outer_loop_iter();
-                core.alu_n(3);
-                core.hwloop_setup();
-                let blocks = job.blocks_per_row[k];
-                let mut acc = 0i32;
-                for b in 0..blocks {
-                    let flat = row_start[k] + b;
-                    let lo = core.lb(mem, job.bufs.block_idx + (2 * flat) as u32) as u8;
-                    let hi = mem.load_u8(job.bufs.block_idx + (2 * flat + 1) as u32);
-                    let idx = u32::from(lo) | (u32::from(hi) << 8); // one lhu: charged as the lb above
-                    core.alu_n(1);
-                    let a = core.lw(mem, job.bufs.input + idx * 4);
-                    let w = core.lw(mem, job.bufs.values + (flat * 4) as u32);
-                    acc = core.sdotp(w, a, acc);
-                }
-                core.alu_n(EPILOGUE_ALU);
-                let out = job.fc.requant.apply(acc);
-                core.sb(mem, job.bufs.output + k as u32, out);
             }
+            core.charge_block(&core_block(core.costs(), &row_start, range));
         },
     ))
 }

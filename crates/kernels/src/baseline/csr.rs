@@ -11,7 +11,7 @@ use crate::bulk::{csr_rows_out, loop_scaffold, u16_indices_below, write_out};
 use crate::stats::{Ctx, KernelStats};
 use nm_core::format::CsrMatrix;
 use nm_core::{Error, Result};
-use nm_isa::{ChargePolicy, Charged, Core, CostModel, InstrBlock, Memory, Uncharged};
+use nm_isa::{CostModel, InstrBlock, Memory};
 use nm_platform::{chunk_range, Cluster, Scratchpad};
 use std::ops::Range;
 
@@ -115,88 +115,72 @@ pub fn fc_csr(ctx: &mut Ctx<'_>, job: &CsrFcJob, cluster: &Cluster) -> Result<Ke
     for k in 0..geom.k {
         row_start[k + 1] = row_start[k] + job.row_nnz[k];
     }
-    // One core's worth of CSR rows: the single shared kernel body for
-    // the bulk and native tiers. Outputs from zero-copy slices of the
-    // flat value/index streams, one aggregated accounting block per core
-    // (block charging is order-independent, so the variable per-row
-    // non-zero counts sum exactly); never built on `Uncharged`.
-    fn core_body<P: ChargePolicy>(
-        mem: &mut Scratchpad,
-        core: &mut Core,
-        job: &CsrFcJob,
-        row_start: &[usize],
-        range: Range<usize>,
-    ) {
+    // One core's worth of CSR rows on the bulk path: outputs from
+    // zero-copy slices of the flat value/index streams. The caller
+    // charges one aggregated block per core (block charging is
+    // order-independent, so the variable per-row non-zero counts sum
+    // exactly).
+    fn core_body(mem: &mut Scratchpad, job: &CsrFcJob, row_start: &[usize], range: Range<usize>) {
         let geom = job.fc.geom;
         let total = row_start[geom.k];
-        {
-            // The activation window extends past the logical input
-            // vector to the end of the scratchpad (capped at the
-            // 16-bit index range): an out-of-range column then reads
-            // the same in-scratchpad byte the reference path's raw
-            // load would, and when the window covers every possible
-            // u16 index the gathers run unchecked with no
-            // per-invocation validation scan at all.
-            let win = (mem.size() - job.bufs.input as usize).min(1 << 16);
-            let input = mem
-                .slice(job.bufs.input, win)
-                .expect("scratchpad is zero-copy");
-            let values = mem
-                .slice(job.bufs.values, total)
-                .expect("scratchpad is zero-copy");
-            let cols = mem
-                .slice(job.bufs.col_idx, 2 * total)
-                .expect("scratchpad is zero-copy");
-            let (s0, e0) = (row_start[range.start], row_start[range.end]);
-            let safe = win == (1 << 16) || u16_indices_below(&cols[2 * s0..2 * e0], win);
-            let starts = &row_start[range.start..=range.end];
-            let outs = if safe {
-                csr_rows_out::<false>(values, cols, input, starts, job.fc.requant)
-            } else {
-                csr_rows_out::<true>(values, cols, input, starts, job.fc.requant)
-            };
-            write_out(mem, job.bufs.output + range.start as u32, &outs);
-        }
-        let costs = *core.costs();
-        P::charge_block(core, || core_block(&costs, row_start, range));
+        // The activation window extends past the logical input
+        // vector to the end of the scratchpad (capped at the
+        // 16-bit index range): an out-of-range column then reads
+        // the same in-scratchpad byte the reference path's raw
+        // load would, and when the window covers every possible
+        // u16 index the gathers run unchecked with no
+        // per-invocation validation scan at all.
+        let win = (mem.size() - job.bufs.input as usize).min(1 << 16);
+        let input = mem
+            .slice(job.bufs.input, win)
+            .expect("scratchpad is zero-copy");
+        let values = mem
+            .slice(job.bufs.values, total)
+            .expect("scratchpad is zero-copy");
+        let cols = mem
+            .slice(job.bufs.col_idx, 2 * total)
+            .expect("scratchpad is zero-copy");
+        let (s0, e0) = (row_start[range.start], row_start[range.end]);
+        let safe = win == (1 << 16) || u16_indices_below(&cols[2 * s0..2 * e0], win);
+        let starts = &row_start[range.start..=range.end];
+        let outs = if safe {
+            csr_rows_out::<false>(values, cols, input, starts, job.fc.requant)
+        } else {
+            csr_rows_out::<true>(values, cols, input, starts, job.fc.requant)
+        };
+        write_out(mem, job.bufs.output + range.start as u32, &outs);
     }
 
-    let native = ctx.is_native();
-    Ok(run_fc(
-        "fc-csr".into(),
-        &geom,
-        cluster,
-        native,
-        |core_id, core| {
-            let range = chunk_range(geom.k, cluster.n_cores(), core_id);
-            match ctx.path() {
-                Ctx::MemBulk(mem) => core_body::<Charged>(mem, core, job, &row_start, range),
-                Ctx::MemNative(mem) => core_body::<Uncharged>(mem, core, job, &row_start, range),
-                Ctx::Analytic => core.charge_block(&core_block(core.costs(), &row_start, range)),
-                Ctx::Mem(mem) => {
-                    for k in range {
-                        core.outer_loop_iter();
-                        core.alu_n(3);
-                        core.hwloop_setup();
-                        let nnz = job.row_nnz[k];
-                        let mut acc = 0i32;
-                        for i in 0..nnz {
-                            let flat = row_start[k] + i;
-                            let lo = core.lb(mem, job.bufs.col_idx + (2 * flat) as u32) as u8;
-                            let hi = mem.load_u8(job.bufs.col_idx + (2 * flat + 1) as u32);
-                            let col = u32::from(lo) | (u32::from(hi) << 8);
-                            let a = core.lb(mem, job.bufs.input + col);
-                            let w = core.lb(mem, job.bufs.values + flat as u32);
-                            acc = core.mac(i32::from(w), i32::from(a), acc);
-                        }
-                        core.alu_n(EPILOGUE_ALU);
-                        let out = job.fc.requant.apply(acc);
-                        core.sb(mem, job.bufs.output + k as u32, out);
+    Ok(run_fc("fc-csr".into(), &geom, cluster, |core_id, core| {
+        let range = chunk_range(geom.k, cluster.n_cores(), core_id);
+        match ctx.path() {
+            Ctx::MemBulk(mem) => core_body(mem, job, &row_start, range.clone()),
+            Ctx::Analytic => {}
+            Ctx::Mem(mem) => {
+                for k in range {
+                    core.outer_loop_iter();
+                    core.alu_n(3);
+                    core.hwloop_setup();
+                    let nnz = job.row_nnz[k];
+                    let mut acc = 0i32;
+                    for i in 0..nnz {
+                        let flat = row_start[k] + i;
+                        let lo = core.lb(mem, job.bufs.col_idx + (2 * flat) as u32) as u8;
+                        let hi = mem.load_u8(job.bufs.col_idx + (2 * flat + 1) as u32);
+                        let col = u32::from(lo) | (u32::from(hi) << 8);
+                        let a = core.lb(mem, job.bufs.input + col);
+                        let w = core.lb(mem, job.bufs.values + flat as u32);
+                        acc = core.mac(i32::from(w), i32::from(a), acc);
                     }
+                    core.alu_n(EPILOGUE_ALU);
+                    let out = job.fc.requant.apply(acc);
+                    core.sb(mem, job.bufs.output + k as u32, out);
                 }
+                return;
             }
-        },
-    ))
+        }
+        core.charge_block(&core_block(core.costs(), &row_start, range));
+    }))
 }
 
 /// The accounting block of one core's range of CSR rows (`row_start`

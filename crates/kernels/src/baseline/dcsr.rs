@@ -14,7 +14,7 @@ use crate::bulk::{dcsr_gather_dot, loop_scaffold, write_out};
 use crate::stats::{Ctx, KernelStats};
 use nm_core::format::DcsrMatrix;
 use nm_core::{Error, Result};
-use nm_isa::{ChargePolicy, Charged, Core, CostModel, InstrBlock, InstrClass, Memory, Uncharged};
+use nm_isa::{CostModel, InstrBlock, InstrClass, Memory};
 use nm_platform::{chunk_range, Cluster, Scratchpad};
 use std::ops::Range;
 
@@ -145,100 +145,86 @@ pub fn fc_dcsr(ctx: &mut Ctx<'_>, job: &DcsrFcJob, cluster: &Cluster) -> Result<
             geom.k
         )));
     }
-    // One core's worth of dCSR rows: the single shared kernel body for
-    // the bulk and native tiers. Each row's nibble stream decodes
-    // host-side from a zero-copy slice of its delta segment; the per-row
-    // metadata already carries the exact load/ALU/branch mix, so the
-    // whole range charges as one aggregated block (never built on
-    // `Uncharged`).
-    fn core_body<P: ChargePolicy>(
-        mem: &mut Scratchpad,
-        core: &mut Core,
-        job: &DcsrFcJob,
-        range: Range<usize>,
-    ) {
-        {
-            // As in the CSR/blockwise arms, the activation window
-            // extends to the end of the scratchpad: a decoded column
-            // past the logical input vector then reads the same
-            // in-scratchpad byte the reference path's raw load would
-            // (and past the scratchpad, both paths bus-error).
-            let win = mem.size() - job.bufs.input as usize;
-            let input = mem
-                .slice(job.bufs.input, win)
-                .expect("scratchpad is zero-copy");
-            let outs: Vec<i8> = range
-                .clone()
-                .map(|k| {
-                    let (nnz, esc) = (job.row_nnz[k] as u64, job.row_escapes[k] as u64);
-                    let nibbles = nnz + 2 * esc;
-                    let values = mem
-                        .slice(job.bufs.values + job.value_starts[k] as u32, nnz as usize)
-                        .expect("scratchpad is zero-copy");
-                    let deltas = mem
-                        .slice(
-                            job.bufs.deltas + job.delta_starts[k] as u32,
-                            nibbles.div_ceil(2) as usize,
-                        )
-                        .expect("scratchpad is zero-copy");
-                    job.fc
-                        .requant
-                        .apply(dcsr_gather_dot(values, deltas, esc as usize, input))
-                })
-                .collect();
-            write_out(mem, job.bufs.output + range.start as u32, &outs);
-        }
-        let costs = *core.costs();
-        P::charge_block(core, || core_block(&costs, job, range));
+    // One core's worth of dCSR rows on the bulk path: each row's nibble
+    // stream decodes host-side from a zero-copy slice of its delta
+    // segment. The per-row metadata already carries the exact
+    // load/ALU/branch mix, so the caller charges the whole range as one
+    // aggregated block.
+    fn core_body(mem: &mut Scratchpad, job: &DcsrFcJob, range: Range<usize>) {
+        // As in the CSR/blockwise arms, the activation window
+        // extends to the end of the scratchpad: a decoded column
+        // past the logical input vector then reads the same
+        // in-scratchpad byte the reference path's raw load would
+        // (and past the scratchpad, both paths bus-error).
+        let win = mem.size() - job.bufs.input as usize;
+        let input = mem
+            .slice(job.bufs.input, win)
+            .expect("scratchpad is zero-copy");
+        let outs: Vec<i8> = range
+            .clone()
+            .map(|k| {
+                let (nnz, esc) = (job.row_nnz[k] as u64, job.row_escapes[k] as u64);
+                let nibbles = nnz + 2 * esc;
+                let values = mem
+                    .slice(job.bufs.values + job.value_starts[k] as u32, nnz as usize)
+                    .expect("scratchpad is zero-copy");
+                let deltas = mem
+                    .slice(
+                        job.bufs.deltas + job.delta_starts[k] as u32,
+                        nibbles.div_ceil(2) as usize,
+                    )
+                    .expect("scratchpad is zero-copy");
+                job.fc
+                    .requant
+                    .apply(dcsr_gather_dot(values, deltas, esc as usize, input))
+            })
+            .collect();
+        write_out(mem, job.bufs.output + range.start as u32, &outs);
     }
 
-    let native = ctx.is_native();
-    Ok(run_fc(
-        "fc-dcsr".into(),
-        &geom,
-        cluster,
-        native,
-        |core_id, core| {
-            let range = chunk_range(geom.k, cluster.n_cores(), core_id);
-            let mem = match ctx.path() {
-                Ctx::MemBulk(mem) => return core_body::<Charged>(mem, core, job, range),
-                Ctx::MemNative(mem) => return core_body::<Uncharged>(mem, core, job, range),
-                Ctx::Analytic => return core.charge_block(&core_block(core.costs(), job, range)),
-                Ctx::Mem(mem) => mem,
-            };
-            for k in range {
-                core.outer_loop_iter();
-                core.alu_n(3);
-                core.hwloop_setup();
-                let nnz = job.row_nnz[k];
-                let mut stream = NibbleStream::new(job.bufs.deltas + job.delta_starts[k] as u32);
-                let mut col: i64 = -1;
-                let mut acc = 0i32;
-                for i in 0..nnz {
-                    core.alu_n(2); // nibble extract (shift + mask)
-                    let field = stream.next(core, mem);
-                    let d = if field == 0 {
-                        core.branch(true); // escape path
-                        core.alu_n(5); // two more extracts + combine
-                        let lo = stream.next(core, mem);
-                        let hi = stream.next(core, mem);
-                        16 + i64::from(lo) + (i64::from(hi) << 4)
-                    } else {
-                        core.branch(false);
-                        i64::from(field)
-                    };
-                    core.alu(); // col += d
-                    col += d;
-                    let a = core.lb(mem, job.bufs.input + col as u32);
-                    let w = core.lb(mem, job.bufs.values + (job.value_starts[k] + i) as u32);
-                    acc = core.mac(i32::from(w), i32::from(a), acc);
+    Ok(run_fc("fc-dcsr".into(), &geom, cluster, |core_id, core| {
+        let range = chunk_range(geom.k, cluster.n_cores(), core_id);
+        match ctx.path() {
+            Ctx::MemBulk(mem) => core_body(mem, job, range.clone()),
+            Ctx::Analytic => {}
+            Ctx::Mem(mem) => {
+                for k in range {
+                    core.outer_loop_iter();
+                    core.alu_n(3);
+                    core.hwloop_setup();
+                    let nnz = job.row_nnz[k];
+                    let mut stream =
+                        NibbleStream::new(job.bufs.deltas + job.delta_starts[k] as u32);
+                    let mut col: i64 = -1;
+                    let mut acc = 0i32;
+                    for i in 0..nnz {
+                        core.alu_n(2); // nibble extract (shift + mask)
+                        let field = stream.next(core, mem);
+                        let d = if field == 0 {
+                            core.branch(true); // escape path
+                            core.alu_n(5); // two more extracts + combine
+                            let lo = stream.next(core, mem);
+                            let hi = stream.next(core, mem);
+                            16 + i64::from(lo) + (i64::from(hi) << 4)
+                        } else {
+                            core.branch(false);
+                            i64::from(field)
+                        };
+                        core.alu(); // col += d
+                        col += d;
+                        let a = core.lb(mem, job.bufs.input + col as u32);
+                        let w = core.lb(mem, job.bufs.values + (job.value_starts[k] + i) as u32);
+                        acc = core.mac(i32::from(w), i32::from(a), acc);
+                    }
+                    core.alu_n(EPILOGUE_ALU);
+                    let out = job.fc.requant.apply(acc);
+                    core.sb(mem, job.bufs.output + k as u32, out);
                 }
-                core.alu_n(EPILOGUE_ALU);
-                let out = job.fc.requant.apply(acc);
-                core.sb(mem, job.bufs.output + k as u32, out);
+                return;
             }
-        },
-    ))
+        }
+        core.charge_block(&core_block(core.costs(), job, range));
+    }))
 }
 
 /// The accounting block of one core's range of dCSR rows: the loop

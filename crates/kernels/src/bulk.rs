@@ -1622,6 +1622,178 @@ mod tests {
         (mem, job, FcGather::Plain { nm, seg }, tokens, offs)
     }
 
+    /// A staged 1:8 sparse conv tile (3x3 over 8 channels, so a 72-byte
+    /// patch of 9 blocks per channel) whose channel-1 offset of block
+    /// `block` is rewritten in L1 to `bad`. At 1:8 an offset of 8..15 is
+    /// invalid but fits the 4-bit field, so the decoded index
+    /// (`block * 8 + bad`) lands in a later block of the patch or past
+    /// its end. The duplicated (`xDecimate`) stream gets both copies
+    /// rewritten, as a consistent corruption of the staged weights.
+    /// Returns the scratchpad, the job and nine inputs, input 0 being
+    /// the staged one.
+    fn corrupted_conv_tile(
+        layout: nm_core::format::OffsetLayout,
+        block: usize,
+        bad: u8,
+    ) -> (
+        nm_platform::Scratchpad,
+        crate::conv::sparse_sw::SparseConvJob,
+        Vec<Vec<i8>>,
+    ) {
+        use nm_core::format::{NmMatrix, OffsetLayout};
+        use nm_core::sparsity::Nm;
+        let nm = Nm::ONE_OF_EIGHT;
+        let geom = nm_core::ConvGeom::square(8, 4, 5, 3, 1, 1).unwrap();
+        let inputs: Vec<Vec<i8>> = (0..9)
+            .map(|r| random_data(geom.input_elems(), 90 + r))
+            .collect();
+        let dense = random_data(geom.weight_elems(), 97);
+        let w = NmMatrix::prune_from_dense(&dense, geom.k, geom.patch_len(), nm, layout).unwrap();
+        let mut mem = nm_platform::Scratchpad::new("l1", 64 * 1024);
+        let bufs = crate::layout::stage_conv_sparse(&mut mem, &geom, &inputs[0], &w, 2).unwrap();
+        let nz = geom.patch_len() / nm.m();
+        let seg = crate::layout::nm_segment_bytes(nm, nz, layout);
+        let step = if layout == OffsetLayout::Duplicated {
+            2
+        } else {
+            1
+        };
+        let seg_addr = bufs.offsets + seg as u32;
+        let mut bytes = mem.slice(seg_addr, seg).unwrap().to_vec();
+        for e in step * block..step * (block + 1) {
+            let shift = 4 * (e % 2);
+            bytes[e / 2] = (bytes[e / 2] & !(0xF << shift)) | (bad << shift);
+        }
+        mem.write_bytes(seg_addr, &bytes);
+        let job = crate::conv::sparse_sw::SparseConvJob {
+            conv: crate::conv::ConvJob {
+                geom,
+                requant: Requant::for_dot_len(nz),
+                bufs,
+            },
+            nm,
+        };
+        (mem, job, inputs)
+    }
+
+    /// The in-kernel table build's fence verdict for a corrupted tile.
+    fn conv_tile_in_range(
+        mem: &nm_platform::Scratchpad,
+        job: &crate::conv::sparse_sw::SparseConvJob,
+        step: usize,
+    ) -> (Vec<u32>, bool) {
+        let geom = job.conv.geom;
+        let nz = job.nz_per_channel();
+        let layout = if step == 2 {
+            nm_core::format::OffsetLayout::Duplicated
+        } else {
+            nm_core::format::OffsetLayout::Plain
+        };
+        let seg = crate::layout::nm_segment_bytes(job.nm, nz, layout);
+        let offs = mem.slice(job.conv.bufs.offsets, geom.k * seg).unwrap();
+        let table = decim_table(offs, geom.k, seg, nz, 4, 8, 0, step);
+        let in_range = table_below(&table, geom.patch_len());
+        (table, in_range)
+    }
+
+    // The conv fence bounds decoded *indices* by the patch length, not
+    // offsets by M: a corrupted offset whose index still lands inside the
+    // patch passes `table_below`, because the unchecked gather then stays
+    // in bounds. It must also stay exact: the bulk tier computes the
+    // gather the offset encodes, bit- and cycle-identical to the
+    // reference tier on the same staging — single runs (whole
+    // scratchpad) and batch sweeps that fill the request-inner chunks —
+    // and the checked sweep loop agrees with the unchecked one.
+    #[test]
+    fn conv_corrupted_offsets_inside_the_patch_match_the_reference() {
+        use crate::conv::sparse_isa::{conv_sparse_isa_prepared, conv_sparse_isa_prepared_batch};
+        use crate::conv::sparse_sw::{conv_sparse_sw_prepared, conv_sparse_sw_prepared_batch};
+        use crate::conv::ConvBatch;
+        use crate::stats::Ctx;
+        use nm_core::format::OffsetLayout;
+        let cluster = nm_platform::Cluster::new(2, CostModel::default());
+        for (layout, step) in [(OffsetLayout::Plain, 1), (OffsetLayout::Duplicated, 2)] {
+            let (mem, job, inputs) = corrupted_conv_tile(layout, 0, 9);
+            let (table, in_range) = conv_tile_in_range(&mem, &job, step);
+            assert_eq!(
+                table[job.nz_per_channel()],
+                9,
+                "{layout:?}: corrupted entry"
+            );
+            assert!(in_range, "{layout:?}: index 9 is inside the 72-byte patch");
+            let single = |ctx: &mut Ctx<'_>| match layout {
+                OffsetLayout::Plain => conv_sparse_sw_prepared(ctx, &job, &cluster, None),
+                _ => conv_sparse_isa_prepared(ctx, &job, &cluster, None),
+            };
+            let (mut reference, mut bulk) = (mem.clone(), mem.clone());
+            let want = single(&mut Ctx::Mem(&mut reference)).unwrap();
+            let got = single(&mut Ctx::MemBulk(&mut bulk)).unwrap();
+            assert_eq!(got, want, "{layout:?} stats");
+            assert_eq!(bulk.bytes(), reference.bytes(), "{layout:?} memory");
+
+            let refs: Vec<&[i8]> = inputs.iter().map(Vec::as_slice).collect();
+            for b in [SWEEP_MIN + 1, SWEEP_WIDTH + 1] {
+                let batch = ConvBatch { inputs: &refs[..b] };
+                let run = |ctx: &mut Ctx<'_>| match layout {
+                    OffsetLayout::Plain => {
+                        conv_sparse_sw_prepared_batch(ctx, &job, &cluster, None, &batch)
+                    }
+                    _ => conv_sparse_isa_prepared_batch(ctx, &job, &cluster, None, &batch),
+                };
+                let want = run(&mut Ctx::Mem(&mut mem.clone())).unwrap();
+                let got = run(&mut Ctx::MemBulk(&mut mem.clone())).unwrap();
+                assert_eq!(got.outputs, want.outputs, "{layout:?} b{b} outputs");
+                assert_eq!(got.stats, want.stats, "{layout:?} b{b} stats");
+            }
+
+            let out_elems = job.conv.geom.output_elems();
+            let sweep = |checked: bool| {
+                let mut out = vec![0u8; (refs.len() - 1) * out_elems];
+                let nz = job.nz_per_channel();
+                conv_sweep_sparse(&mem, &job.conv, nz, &table, !checked, &refs[1..], &mut out);
+                out
+            };
+            assert_eq!(
+                sweep(true),
+                sweep(false),
+                "{layout:?} checked vs unchecked sweep"
+            );
+        }
+    }
+
+    // A corrupted offset that points past the patch must panic as a
+    // checked index. The unchecked gather would instead trip its debug
+    // assertion ("pre-validated gather index out of range") in debug
+    // builds and read out of bounds in release builds, so this message
+    // shows the fence sent the table down the checked gather in both
+    // profiles.
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn conv_corrupted_offsets_past_the_patch_panic_in_the_checked_gather() {
+        let (mut mem, job, _) = corrupted_conv_tile(nm_core::format::OffsetLayout::Plain, 8, 15);
+        let cluster = nm_platform::Cluster::new(2, CostModel::default());
+        let _ = crate::conv::sparse_sw::conv_sparse_sw(
+            &mut crate::stats::Ctx::MemBulk(&mut mem),
+            &job,
+            &cluster,
+        );
+    }
+
+    // The batch sweep behind that gather: past-the-patch indices panic
+    // in its checked row loads ("pre-validated row range" would be the
+    // unchecked loop's debug assertion).
+    #[test]
+    #[should_panic(expected = "out of range for slice")]
+    fn conv_sweep_corrupted_offsets_past_the_patch_panic_in_the_checked_loop() {
+        let (mem, job, inputs) = corrupted_conv_tile(nm_core::format::OffsetLayout::Plain, 8, 15);
+        let (table, in_range) = conv_tile_in_range(&mem, &job, 1);
+        assert!(!in_range, "the fence must reject index 79 >= 72");
+        let refs: Vec<&[i8]> = inputs[1..].iter().map(Vec::as_slice).collect();
+        let mut out = vec![0u8; refs.len() * job.conv.geom.output_elems()];
+        let nz = job.nz_per_channel();
+        conv_sweep_sparse(&mem, &job.conv, nz, &table, in_range, &refs, &mut out);
+    }
+
     // Offsets that fail the `offsets_below` fence take the checked sweep
     // loop: a corrupted offset that still lands inside the input
     // computes exactly the gather it encodes.

@@ -5,7 +5,7 @@ use super::{drive, drive_conv_batch, BatchInner, BatchRun, ConvBatch, ConvJob, E
 use crate::bulk::dense_dot;
 use crate::stats::{Ctx, KernelStats};
 use nm_core::Result;
-use nm_isa::{ChargePolicy, Charged, Core, InstrBlock, Memory, Uncharged};
+use nm_isa::{Core, InstrBlock, Memory};
 use nm_platform::{Cluster, Scratchpad};
 
 /// The 1×2 kernel's channel loop over one position pair, shared by the
@@ -176,16 +176,15 @@ pub(crate) fn channel_1xn(
     charge: bool,
 ) {
     match ctx.path() {
-        Ctx::MemBulk(mem) => channel_1xn_body::<Charged>(
-            mem, core, job, pos, n_patches, buf, k, wrow, chunks, tail, charge,
-        ),
-        Ctx::MemNative(mem) => channel_1xn_body::<Uncharged>(
-            mem, core, job, pos, n_patches, buf, k, wrow, chunks, tail, false,
-        ),
-        Ctx::Analytic => core.charge_block(&channel_1xn_block(chunks, tail, n_patches as u64)),
+        Ctx::MemBulk(mem) => channel_1xn_body(mem, job, pos, n_patches, buf, k, wrow),
+        Ctx::Analytic => {}
         Ctx::Mem(mem) => {
-            channel_1xn_reference(mem, core, job, pos, n_patches, buf, k, wrow, chunks, tail)
+            channel_1xn_reference(mem, core, job, pos, n_patches, buf, k, wrow, chunks, tail);
+            return;
         }
+    }
+    if charge {
+        core.charge_block(&channel_1xn_block(chunks, tail, n_patches as u64));
     }
 }
 
@@ -202,25 +201,19 @@ fn channel_1xn_block(chunks: usize, tail: usize, np: u64) -> InstrBlock {
         .then(epilogue)
 }
 
-/// The shared 1×N bulk/native kernel body: compute from zero-copy slices,
-/// accounting via the charge policy (compiled out on [`Uncharged`]).
-#[allow(clippy::too_many_arguments)]
-fn channel_1xn_body<P: ChargePolicy>(
+/// The 1×N bulk kernel body: outputs from zero-copy slices (the caller
+/// charges [`channel_1xn_block`]).
+fn channel_1xn_body(
     mem: &mut Scratchpad,
-    core: &mut Core,
     job: &ConvJob,
     pos: usize,
     n_patches: usize,
     buf: u32,
     k: usize,
     wrow: u32,
-    chunks: usize,
-    tail: usize,
-    charge: bool,
 ) {
     let geom = &job.geom;
     let plen = geom.patch_len();
-    let np = n_patches as u64;
     let mut outs = [0i8; 2];
     {
         let w = mem.slice(wrow, plen).expect("scratchpad is zero-copy");
@@ -234,7 +227,6 @@ fn channel_1xn_body<P: ChargePolicy>(
     for (p, &out) in outs.iter().enumerate().take(n_patches) {
         mem.store_i8(job.bufs.output + ((pos + p) * geom.k + k) as u32, out);
     }
-    P::charge_block_if(core, charge, || channel_1xn_block(chunks, tail, np));
 }
 
 /// The per-instruction reference arm of [`channel_1xn`].
@@ -292,16 +284,15 @@ fn quad_channels(
     charge: bool,
 ) {
     match ctx.path() {
-        Ctx::MemBulk(mem) => quad_channels_body::<Charged>(
-            mem, core, job, pos, n_patches, buf, k0, chunks, tail, charge,
-        ),
-        Ctx::MemNative(mem) => quad_channels_body::<Uncharged>(
-            mem, core, job, pos, n_patches, buf, k0, chunks, tail, false,
-        ),
-        Ctx::Analytic => core.charge_block(&quad_block(chunks, tail, n_patches as u64)),
+        Ctx::MemBulk(mem) => quad_channels_body(mem, job, pos, n_patches, buf, k0),
+        Ctx::Analytic => {}
         Ctx::Mem(mem) => {
-            quad_channels_reference(mem, core, job, pos, n_patches, buf, k0, chunks, tail)
+            quad_channels_reference(mem, core, job, pos, n_patches, buf, k0, chunks, tail);
+            return;
         }
+    }
+    if charge {
+        core.charge_block(&quad_block(chunks, tail, n_patches as u64));
     }
 }
 
@@ -318,24 +309,17 @@ fn quad_block(chunks: usize, tail: usize, np: u64) -> InstrBlock {
         .then(epilogue)
 }
 
-/// The shared 4×N bulk/native kernel body (charge policy as in
-/// [`channel_1xn_body`]).
-#[allow(clippy::too_many_arguments)]
-fn quad_channels_body<P: ChargePolicy>(
+/// The 4×N bulk kernel body (the caller charges [`quad_block`]).
+fn quad_channels_body(
     mem: &mut Scratchpad,
-    core: &mut Core,
     job: &ConvJob,
     pos: usize,
     n_patches: usize,
     buf: u32,
     k0: usize,
-    chunks: usize,
-    tail: usize,
-    charge: bool,
 ) {
     let geom = &job.geom;
     let plen = geom.patch_len();
-    let np = n_patches as u64;
     // One patch-buffer view per patch (not per channel), and the
     // four contiguous output channels stored as one slice write
     // per patch instead of four byte stores.
@@ -356,7 +340,6 @@ fn quad_channels_body<P: ChargePolicy>(
     for (p, out) in outs.iter().enumerate().take(n_patches) {
         crate::bulk::write_out(mem, job.bufs.output + ((pos + p) * geom.k + k0) as u32, out);
     }
-    P::charge_block_if(core, charge, || quad_block(chunks, tail, np));
 }
 
 /// The per-instruction reference arm of [`quad_channels`].

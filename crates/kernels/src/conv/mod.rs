@@ -195,25 +195,22 @@ where
 /// instruction. Every other path keeps a [`PatchState`] per core whose
 /// charging is closed-form (memoized per padding class, shared across
 /// cores via one [`Im2colCharges`]); the analytic path stops there. On
-/// the bulk and native paths data movement is incremental on top of
-/// that. With `patches_read` the buffers are materialized before
+/// the bulk path data movement is incremental on top of that. With `patches_read` the buffers are materialized before
 /// every `channel_loop` call (sliding from the previous pair's
 /// contents); without it — the im2col-only engine workloads — only each
 /// core's *final* patch buffers are written, preserving full-memory
 /// parity with the reference at none of the intermediate traffic.
 ///
 /// `charge` selects whether cycle accounting runs at all. With it false
-/// — legal **only on the bulk and native paths**, where charging is a
-/// closed-form side channel — the drive performs the data movement and
-/// output computation but skips every [`Core`] charge and [`InstrBlock`]
+/// — legal **only on the bulk path**, where charging is a closed-form
+/// side channel — the drive performs the data movement and output
+/// computation but skips every [`Core`] charge and [`InstrBlock`]
 /// construction, and the returned statistics are meaningless. Batch-major
 /// sweeps use this for requests after the first: kernel charging depends
 /// only on geometry and weights, so request 0's statistics are reused
-/// verbatim (see [`drive_conv_batch`]). On the native path
-/// ([`Ctx::MemNative`]) `charge` is forced off — statistics are undefined
-/// on that tier and the returned stats are all-zero. On the reference
-/// path charging is welded to the per-instruction execution and `charge`
-/// must be true.
+/// verbatim (see [`drive_conv_batch`]). On the reference path charging
+/// is welded to the per-instruction execution and `charge` must be
+/// true.
 pub(crate) fn drive_conv<F>(
     name: String,
     ctx: &mut Ctx<'_>,
@@ -226,11 +223,9 @@ pub(crate) fn drive_conv<F>(
 where
     F: FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32, bool),
 {
-    let native = ctx.is_native();
-    let charge = charge && !native;
     debug_assert!(
-        charge || matches!(ctx, Ctx::MemBulk(_) | Ctx::MemNative(_)),
-        "uncharged drives are a bulk/native-path-only shortcut"
+        charge || matches!(ctx, Ctx::MemBulk(_)),
+        "uncharged drives are a bulk-path-only shortcut"
     );
     let geom = &job.geom;
     let n_pos = geom.oy() * geom.ox();
@@ -251,7 +246,7 @@ where
         while pos < range.end {
             let n_patches = (range.end - pos).min(2);
             match ctx.path() {
-                Ctx::MemBulk(mem) | Ctx::MemNative(mem) => {
+                Ctx::MemBulk(mem) => {
                     if charge {
                         patches.fill(&mut core, &mut charges, geom, &scaffold, pos, n_patches);
                     } else {
@@ -273,19 +268,14 @@ where
             channel_loop(&mut core, ctx, pos, n_patches, buf, charge);
             pos += n_patches;
         }
-        if let Ctx::MemBulk(mem) | Ctx::MemNative(mem) = ctx.path() {
+        if let Ctx::MemBulk(mem) = ctx.path() {
             patches.finish(mem, geom);
         }
         per_core.push(core.stats());
     }
-    let barrier = if native {
-        0
-    } else {
-        cluster.costs().barrier_cycles
-    };
     KernelStats {
         name,
-        cluster: ClusterStats::from_cores(per_core, barrier),
+        cluster: ClusterStats::from_cores(per_core, cluster.costs().barrier_cycles),
         dense_macs: geom.macs() as u64,
     }
 }
@@ -409,7 +399,7 @@ where
     // SWEEP_MIN live requests cost less through the per-request
     // fallback loop below).
     let mut tail = &batch.inputs[1..];
-    if let Ctx::MemBulk(mem) | Ctx::MemNative(mem) = &mut *ctx {
+    if let Ctx::MemBulk(mem) = &mut *ctx {
         if let Some(inner) = &inner {
             let (swept, fallback) = tail.split_at(crate::bulk::sweep_len(tail.len()));
             if !swept.is_empty() {
@@ -457,7 +447,7 @@ where
                 true,
                 &mut channel_loop,
             ))),
-            Ctx::MemBulk(_) | Ctx::MemNative(_) => {
+            Ctx::MemBulk(_) => {
                 drive_conv(
                     name.to_string(),
                     ctx,
@@ -659,12 +649,11 @@ mod tests {
             ),
         ];
         for (label, stage, run_one, run_batch) in &families {
-            for path in ["reference", "bulk", "native", "analytic"] {
+            for path in ["reference", "bulk", "analytic"] {
                 fn mk<'m>(path: &str, mem: &'m mut Scratchpad) -> Ctx<'m> {
                     match path {
                         "reference" => Ctx::Mem(mem),
                         "bulk" => Ctx::MemBulk(mem),
-                        "native" => Ctx::MemNative(mem),
                         _ => Ctx::Analytic,
                     }
                 }

@@ -143,21 +143,16 @@ pub fn conv_channel_mixed(
         ctx,
         &job.conv,
         cluster,
-        // The mixed kernel has no batch-major entry point, so `charge`
-        // is true by contract everywhere except the native tier (where
-        // `drive_conv` clears it and the scaffold charges are skipped).
-        |core, ctx, pos, n_patches, buf, charge| {
+        // The mixed kernel has no batch-major entry point, so `drive`
+        // always charges.
+        |core, ctx, pos, n_patches, buf, _| {
             for k in 0..geom.k {
-                if charge {
-                    core.outer_loop_iter();
-                }
+                core.outer_loop_iter();
                 let (wrow, seg) = job.row_addr(k);
                 match job.patterns[k] {
                     None => {
-                        if charge {
-                            core.alu_n(2);
-                            core.hwloop_setup();
-                        }
+                        core.alu_n(2);
+                        core.hwloop_setup();
                         channel_1xn(
                             core,
                             ctx,
@@ -169,14 +164,12 @@ pub fn conv_channel_mixed(
                             wrow,
                             dense_chunks,
                             dense_tail,
-                            charge,
+                            true,
                         );
                     }
                     Some(nm) => {
-                        if charge {
-                            core.alu_n(3);
-                            core.hwloop_setup();
-                        }
+                        core.alu_n(3);
+                        core.hwloop_setup();
                         let sparse = super::sparse_sw::SparseConvJob { conv: job.conv, nm };
                         match engine {
                             ChannelEngine::Software => {

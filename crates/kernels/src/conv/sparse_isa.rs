@@ -23,8 +23,8 @@ use crate::stats::{Ctx, KernelStats};
 use nm_core::format::OffsetLayout;
 use nm_core::sparsity::Nm;
 use nm_core::Result;
-use nm_isa::{ChargePolicy, Charged, Core, CostModel, DecimateMode, InstrBlock, Memory, Uncharged};
-use nm_platform::{Cluster, Scratchpad};
+use nm_isa::{Core, CostModel, DecimateMode, InstrBlock, Memory};
+use nm_platform::Cluster;
 use std::borrow::Cow;
 
 /// The `xDecimate` flavour for a pattern.
@@ -137,7 +137,7 @@ pub fn conv_sparse_isa_prepared_batch(
 /// (entry `2b` carries block `b`): borrowed from a prepared program when
 /// one is passed, else decoded from the staged offsets — reused by every
 /// output position pair (and, batch-major, by every request). `None` off
-/// the bulk/native paths.
+/// the bulk path.
 fn duplicated_table<'p>(
     ctx: &mut Ctx<'_>,
     job: &SparseConvJob,
@@ -147,7 +147,7 @@ fn duplicated_table<'p>(
     let geom = job.conv.geom;
     let nz = job.nz_per_channel();
     match ctx.path() {
-        Ctx::MemBulk(mem) | Ctx::MemNative(mem) => match program {
+        Ctx::MemBulk(mem) => match program {
             Some(p) => (Some(Cow::Borrowed(p.table())), p.in_range()),
             None => {
                 let offs = mem
@@ -182,39 +182,16 @@ fn isa_channel_loop<'a>(
     let geom = job.conv.geom;
     let nz = job.nz_per_channel();
     let mode = decimate_mode(job.nm);
-    let mut outs = Vec::new(); // reused per pair by the bulk/native arm
+    let mut outs = Vec::new(); // reused per pair by the bulk arm
     move |core, ctx, pos, n_patches, buf, charge| {
-        // The shared bulk/native pair body (charge policy compiled out on
-        // the native instantiation).
-        #[allow(clippy::too_many_arguments)]
-        fn pair_body<P: ChargePolicy>(
-            mem: &mut Scratchpad,
-            core: &mut Core,
-            job: &SparseConvJob,
-            table: Option<&[u32]>,
-            in_range: bool,
-            pos: usize,
-            n_patches: usize,
-            buf: u32,
-            outs: &mut Vec<i8>,
-            charge: bool,
-        ) {
-            let nz = job.nz_per_channel();
-            let table = table.expect("table built for the bulk/native path");
-            conv_pair_outputs(
-                mem, &job.conv, nz, table, in_range, pos, n_patches, buf, outs,
-            );
-            let costs = *core.costs();
-            P::charge_block_if(core, charge, || pair_block(&costs, job, n_patches as u64));
-        }
         match ctx.path() {
-            Ctx::MemBulk(mem) => pair_body::<Charged>(
-                mem, core, job, table, in_range, pos, n_patches, buf, &mut outs, charge,
-            ),
-            Ctx::MemNative(mem) => pair_body::<Uncharged>(
-                mem, core, job, table, in_range, pos, n_patches, buf, &mut outs, false,
-            ),
-            Ctx::Analytic => core.charge_block(&pair_block(core.costs(), job, n_patches as u64)),
+            Ctx::MemBulk(mem) => {
+                let table = table.expect("table built for the bulk path");
+                conv_pair_outputs(
+                    mem, &job.conv, nz, table, in_range, pos, n_patches, buf, &mut outs,
+                );
+            }
+            Ctx::Analytic => {}
             Ctx::Mem(_) => {
                 for k in 0..geom.k {
                     core.outer_loop_iter();
@@ -224,7 +201,11 @@ fn isa_channel_loop<'a>(
                     let krow = job.conv.bufs.offsets + k as u32 * seg_dup;
                     channel_sparse_isa(core, ctx, job, mode, pos, n_patches, buf, k, wrow, krow);
                 }
+                return;
             }
+        }
+        if charge {
+            core.charge_block(&pair_block(core.costs(), job, n_patches as u64));
         }
     }
 }
@@ -290,59 +271,34 @@ pub(crate) fn channel_sparse_isa(
     let entries_per_word = job.nm.offsets_per_word(); // 8 (4-bit) or 16 (2-bit)
     let np = n_patches as u64;
 
-    // The shared bulk/native channel body (charge policy as in the pair
-    // body above).
-    #[allow(clippy::too_many_arguments)]
-    fn channel_body<P: ChargePolicy>(
-        mem: &mut Scratchpad,
-        core: &mut Core,
-        job: &SparseConvJob,
-        pos: usize,
-        n_patches: usize,
-        buf: u32,
-        k: usize,
-        wrow: u32,
-        seg: u32,
-    ) {
-        let geom = &job.conv.geom;
-        let plen = geom.patch_len();
-        let nz = job.nz_per_channel();
-        let m = job.nm.m();
-        let bits = job.nm.offset_bits();
-        let mut outs = [0i8; 2];
-        {
-            let values = mem.slice(wrow, nz).expect("scratchpad is zero-copy");
-            // Duplicated stream: entries 2b and 2b + 1 both carry
-            // block b's offset — the csr walk of the reference's
-            // paired xDecimate executions reads 2b for buffer 0 and
-            // 2b + 1 for buffer 1, so entry 2b serves every patch.
-            let offs = mem
-                .slice(seg, offsets_len(2 * nz, bits))
-                .expect("scratchpad is zero-copy");
-            for (p, out) in outs.iter_mut().enumerate().take(n_patches) {
-                let a = mem
-                    .slice(buf + (p * plen) as u32, plen)
-                    .expect("scratchpad is zero-copy");
-                *out = job
-                    .conv
-                    .requant
-                    .apply(nm_gather_dot(values, a, offs, bits, m, 0, 2));
-            }
-        }
-        for (p, &out) in outs.iter().enumerate().take(n_patches) {
-            mem.store_i8(job.conv.bufs.output + ((pos + p) * geom.k + k) as u32, out);
-        }
-        P::charge_block(core, || channel_block(nz / 4, nz % 4, n_patches as u64));
-    }
-
     match ctx.path() {
         Ctx::MemBulk(mem) => {
-            channel_body::<Charged>(mem, core, job, pos, n_patches, buf, k, wrow, seg)
+            let (m, bits) = (job.nm.m(), job.nm.offset_bits());
+            let mut outs = [0i8; 2];
+            {
+                let values = mem.slice(wrow, nz).expect("scratchpad is zero-copy");
+                // Duplicated stream: entries 2b and 2b + 1 both carry
+                // block b's offset — the csr walk of the reference's
+                // paired xDecimate executions reads 2b for buffer 0 and
+                // 2b + 1 for buffer 1, so entry 2b serves every patch.
+                let offs = mem
+                    .slice(seg, offsets_len(2 * nz, bits))
+                    .expect("scratchpad is zero-copy");
+                for (p, out) in outs.iter_mut().enumerate().take(n_patches) {
+                    let a = mem
+                        .slice(buf + (p * plen) as u32, plen)
+                        .expect("scratchpad is zero-copy");
+                    *out = job
+                        .conv
+                        .requant
+                        .apply(nm_gather_dot(values, a, offs, bits, m, 0, 2));
+                }
+            }
+            for (p, &out) in outs.iter().enumerate().take(n_patches) {
+                mem.store_i8(job.conv.bufs.output + ((pos + p) * geom.k + k) as u32, out);
+            }
         }
-        Ctx::MemNative(mem) => {
-            channel_body::<Uncharged>(mem, core, job, pos, n_patches, buf, k, wrow, seg)
-        }
-        Ctx::Analytic => core.charge_block(&channel_block(chunks, tail, np)),
+        Ctx::Analytic => {}
         Ctx::Mem(mem) => {
             core.xdecimate_clear();
             let vrow = wrow;
@@ -391,8 +347,10 @@ pub(crate) fn channel_sparse_isa(
                     out,
                 );
             }
+            return;
         }
     }
+    core.charge_block(&channel_block(chunks, tail, np));
 }
 
 #[cfg(test)]

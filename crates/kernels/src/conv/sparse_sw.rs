@@ -25,7 +25,7 @@ use crate::stats::{Ctx, KernelStats};
 use nm_core::format::OffsetLayout;
 use nm_core::sparsity::Nm;
 use nm_core::{Error, Result};
-use nm_isa::{ChargePolicy, Charged, Core, CostModel, InstrBlock, InstrClass, Memory, Uncharged};
+use nm_isa::{Core, CostModel, InstrBlock, InstrClass, Memory};
 use nm_platform::{Cluster, Scratchpad};
 use std::borrow::Cow;
 
@@ -154,10 +154,10 @@ pub fn conv_sparse_sw_prepared_batch(
     )
 }
 
-/// The bulk/native path's decimation table: borrowed from a prepared
-/// program when one is passed, else decoded from the staged offsets —
-/// each table entry is reused by every output position pair (and,
-/// batch-major, by every request). `None` off those paths.
+/// The bulk path's decimation table: borrowed from a prepared program
+/// when one is passed, else decoded from the staged offsets — each table
+/// entry is reused by every output position pair (and, batch-major, by
+/// every request). `None` off the bulk path.
 fn plain_table<'p>(
     ctx: &mut Ctx<'_>,
     job: &SparseConvJob,
@@ -167,7 +167,7 @@ fn plain_table<'p>(
     let geom = job.conv.geom;
     let nz = job.nz_per_channel();
     match ctx.path() {
-        Ctx::MemBulk(mem) | Ctx::MemNative(mem) => match program {
+        Ctx::MemBulk(mem) => match program {
             Some(p) => (Some(Cow::Borrowed(p.table())), p.in_range()),
             None => {
                 let offs = mem
@@ -201,40 +201,16 @@ fn sw_channel_loop<'a>(
 ) -> impl FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32, bool) + 'a {
     let geom = job.conv.geom;
     let nz = job.nz_per_channel();
-    let mut outs = Vec::new(); // reused per pair by the bulk/native arm
+    let mut outs = Vec::new(); // reused per pair by the bulk arm
     move |core, ctx, pos, n_patches, buf, charge| {
-        // The shared bulk/native pair body: compute through the decoded
-        // table, accounting via the charge policy (compiled out on the
-        // native instantiation).
-        #[allow(clippy::too_many_arguments)]
-        fn pair_body<P: ChargePolicy>(
-            mem: &mut Scratchpad,
-            core: &mut Core,
-            job: &SparseConvJob,
-            table: Option<&[u32]>,
-            in_range: bool,
-            pos: usize,
-            n_patches: usize,
-            buf: u32,
-            outs: &mut Vec<i8>,
-            charge: bool,
-        ) {
-            let nz = job.nz_per_channel();
-            let table = table.expect("table built for the bulk/native path");
-            conv_pair_outputs(
-                mem, &job.conv, nz, table, in_range, pos, n_patches, buf, outs,
-            );
-            let costs = *core.costs();
-            P::charge_block_if(core, charge, || pair_block(&costs, job, n_patches as u64));
-        }
         match ctx.path() {
-            Ctx::MemBulk(mem) => pair_body::<Charged>(
-                mem, core, job, table, in_range, pos, n_patches, buf, &mut outs, charge,
-            ),
-            Ctx::MemNative(mem) => pair_body::<Uncharged>(
-                mem, core, job, table, in_range, pos, n_patches, buf, &mut outs, false,
-            ),
-            Ctx::Analytic => core.charge_block(&pair_block(core.costs(), job, n_patches as u64)),
+            Ctx::MemBulk(mem) => {
+                let table = table.expect("table built for the bulk path");
+                conv_pair_outputs(
+                    mem, &job.conv, nz, table, in_range, pos, n_patches, buf, &mut outs,
+                );
+            }
+            Ctx::Analytic => {}
             Ctx::Mem(_) => {
                 for k in 0..geom.k {
                     core.outer_loop_iter();
@@ -244,7 +220,11 @@ fn sw_channel_loop<'a>(
                     let krow = job.conv.bufs.offsets + k as u32 * seg;
                     channel_sparse_sw(core, ctx, job, pos, n_patches, buf, k, wrow, krow);
                 }
+                return;
             }
+        }
+        if charge {
+            core.charge_block(&pair_block(core.costs(), job, n_patches as u64));
         }
     }
 }
@@ -303,58 +283,29 @@ pub(crate) fn channel_sparse_sw(
     let nz = job.nz_per_channel();
     let (chunks, tail) = (nz / 4, nz % 4);
     let np = n_patches as u64;
-
-    // The shared bulk/native channel body (charge policy as in the pair
-    // body above).
-    #[allow(clippy::too_many_arguments)]
-    fn channel_body<P: ChargePolicy>(
-        mem: &mut Scratchpad,
-        core: &mut Core,
-        job: &SparseConvJob,
-        pos: usize,
-        n_patches: usize,
-        buf: u32,
-        k: usize,
-        wrow: u32,
-        seg: u32,
-    ) {
-        let geom = &job.conv.geom;
-        let plen = geom.patch_len();
-        let m = job.nm.m();
-        let bits = job.nm.offset_bits();
-        let nz = job.nz_per_channel();
-        let mut outs = [0i8; 2];
-        {
-            let values = mem.slice(wrow, nz).expect("scratchpad is zero-copy");
-            let offs = mem
-                .slice(seg, offsets_len(nz, bits))
-                .expect("scratchpad is zero-copy");
-            for (p, out) in outs.iter_mut().enumerate().take(n_patches) {
-                let a = mem
-                    .slice(buf + (p * plen) as u32, plen)
-                    .expect("scratchpad is zero-copy");
-                *out = job
-                    .conv
-                    .requant
-                    .apply(nm_gather_dot(values, a, offs, bits, m, 0, 1));
-            }
-        }
-        for (p, &out) in outs.iter().enumerate().take(n_patches) {
-            mem.store_i8(job.conv.bufs.output + ((pos + p) * geom.k + k) as u32, out);
-        }
-        P::charge_block(core, || {
-            channel_block(bits, nz / 4, nz % 4, n_patches as u64)
-        });
-    }
-
     match ctx.path() {
         Ctx::MemBulk(mem) => {
-            channel_body::<Charged>(mem, core, job, pos, n_patches, buf, k, wrow, seg)
+            let mut outs = [0i8; 2];
+            {
+                let values = mem.slice(wrow, nz).expect("scratchpad is zero-copy");
+                let offs = mem
+                    .slice(seg, offsets_len(nz, bits))
+                    .expect("scratchpad is zero-copy");
+                for (p, out) in outs.iter_mut().enumerate().take(n_patches) {
+                    let a = mem
+                        .slice(buf + (p * plen) as u32, plen)
+                        .expect("scratchpad is zero-copy");
+                    *out = job
+                        .conv
+                        .requant
+                        .apply(nm_gather_dot(values, a, offs, bits, m, 0, 1));
+                }
+            }
+            for (p, &out) in outs.iter().enumerate().take(n_patches) {
+                mem.store_i8(job.conv.bufs.output + ((pos + p) * geom.k + k) as u32, out);
+            }
         }
-        Ctx::MemNative(mem) => {
-            channel_body::<Uncharged>(mem, core, job, pos, n_patches, buf, k, wrow, seg)
-        }
-        Ctx::Analytic => core.charge_block(&channel_block(bits, chunks, tail, np)),
+        Ctx::Analytic => {}
         Ctx::Mem(mem) => {
             let vrow = wrow;
             let mut acc = [0i32; 2];
@@ -412,8 +363,10 @@ pub(crate) fn channel_sparse_sw(
                     out,
                 );
             }
+            return;
         }
     }
+    core.charge_block(&channel_block(bits, chunks, tail, np));
 }
 
 /// Unpacks the `idx`-th offset from a packed segment in L1 (tail path;

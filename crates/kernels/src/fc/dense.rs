@@ -7,7 +7,7 @@ use super::{drive_fc_batch, run_fc, FcJob, EPILOGUE_ALU};
 use crate::bulk::{dense_dot, loop_scaffold, write_out, FcGather};
 use crate::stats::{BatchRun, Ctx, KernelStats};
 use nm_core::Result;
-use nm_isa::{ChargePolicy, Charged, Core, CostModel, InstrBlock, Memory, Uncharged};
+use nm_isa::{Core, CostModel, InstrBlock, Memory};
 use nm_platform::{chunk_range, Cluster, Scratchpad};
 use std::ops::Range;
 
@@ -18,18 +18,15 @@ use std::ops::Range;
 /// the sparse kernels.
 pub fn fc_dense(ctx: &mut Ctx<'_>, job: &FcJob, cluster: &Cluster) -> Result<KernelStats> {
     let geom = job.geom;
-    let native = ctx.is_native();
     Ok(run_fc(
         "fc-dense-1x2".into(),
         &geom,
         cluster,
-        native,
         |core_id, core| {
             let range = chunk_range(geom.k, cluster.n_cores(), core_id);
             match ctx.path() {
-                Ctx::MemBulk(mem) => core_body::<Charged>(mem, core, job, range),
-                Ctx::MemNative(mem) => core_body::<Uncharged>(mem, core, job, range),
-                Ctx::Analytic => core.charge_block(&core_block(core.costs(), geom.c, range.len())),
+                Ctx::MemBulk(mem) => core_body(mem, job, range.clone()),
+                Ctx::Analytic => {}
                 Ctx::Mem(_) => {
                     let mut k = range.start;
                     while k < range.end {
@@ -41,8 +38,10 @@ pub fn fc_dense(ctx: &mut Ctx<'_>, job: &FcJob, cluster: &Cluster) -> Result<Ker
                         channels(core, ctx, job, k, wrow, nk);
                         k += nk;
                     }
+                    return;
                 }
             }
+            core.charge_block(&core_block(core.costs(), geom.c, range.len()));
         },
     ))
 }
@@ -66,37 +65,25 @@ pub fn fc_dense_batch(
     })
 }
 
-/// One core's worth of dense FC channels: the single shared kernel body
-/// for the bulk and native tiers. Compute is identical; `P` decides
-/// whether the batched accounting block is charged at all (on
-/// [`Uncharged`] the whole block construction folds away).
-fn core_body<P: ChargePolicy>(
-    mem: &mut Scratchpad,
-    core: &mut Core,
-    job: &FcJob,
-    range: Range<usize>,
-) {
+/// One core's worth of dense FC channels on the bulk path: outputs
+/// from zero-copy slices (the caller charges [`core_block`]).
+fn core_body(mem: &mut Scratchpad, job: &FcJob, range: Range<usize>) {
     let geom = job.geom;
     let c = geom.c;
     let out0 = job.bufs.output + range.start as u32;
-    let n_channels = range.len();
-    {
-        let input = mem
-            .slice(job.bufs.input, c)
-            .expect("scratchpad is zero-copy");
-        let weights = mem
-            .slice(job.bufs.weights, geom.k * c)
-            .expect("scratchpad is zero-copy");
-        let outs: Vec<i8> = range
-            .map(|k| {
-                job.requant
-                    .apply(dense_dot(&weights[k * c..(k + 1) * c], input))
-            })
-            .collect();
-        write_out(mem, out0, &outs);
-    }
-    let costs = *core.costs();
-    P::charge_block(core, || core_block(&costs, c, n_channels));
+    let input = mem
+        .slice(job.bufs.input, c)
+        .expect("scratchpad is zero-copy");
+    let weights = mem
+        .slice(job.bufs.weights, geom.k * c)
+        .expect("scratchpad is zero-copy");
+    let outs: Vec<i8> = range
+        .map(|k| {
+            job.requant
+                .apply(dense_dot(&weights[k * c..(k + 1) * c], input))
+        })
+        .collect();
+    write_out(mem, out0, &outs);
 }
 
 /// The accounting block of one core's range of `n_channels` dense FC
@@ -140,38 +127,27 @@ pub(crate) fn channels(
 ) {
     let c = job.geom.c;
     let (chunks, tail) = (c / 4, c % 4);
-    // Outputs from zero-copy slices; one accounting call for the whole
-    // channel group (compiled out entirely on the native tier).
-    fn group_body<P: ChargePolicy>(
-        mem: &mut Scratchpad,
-        core: &mut Core,
-        job: &FcJob,
-        k: usize,
-        wrow: u32,
-        nk: usize,
-    ) {
-        let c = job.geom.c;
-        let mut outs = [0i8; 2];
-        {
-            let input = mem
-                .slice(job.bufs.input, c)
-                .expect("scratchpad is zero-copy");
-            for (q, out) in outs.iter_mut().enumerate().take(nk) {
-                let w = mem
-                    .slice(wrow + (q * c) as u32, c)
+    match ctx.path() {
+        // Outputs from zero-copy slices; one accounting call for the
+        // whole channel group after the match.
+        Ctx::MemBulk(mem) => {
+            let mut outs = [0i8; 2];
+            {
+                let input = mem
+                    .slice(job.bufs.input, c)
                     .expect("scratchpad is zero-copy");
-                *out = job.requant.apply(dense_dot(w, input));
+                for (q, out) in outs.iter_mut().enumerate().take(nk) {
+                    let w = mem
+                        .slice(wrow + (q * c) as u32, c)
+                        .expect("scratchpad is zero-copy");
+                    *out = job.requant.apply(dense_dot(w, input));
+                }
+            }
+            for (q, &out) in outs.iter().enumerate().take(nk) {
+                mem.store_i8(job.bufs.output + (k + q) as u32, out);
             }
         }
-        for (q, &out) in outs.iter().enumerate().take(nk) {
-            mem.store_i8(job.bufs.output + (k + q) as u32, out);
-        }
-        P::charge_block(core, || channels_block(c / 4, c % 4, nk as u64));
-    }
-    match ctx.path() {
-        Ctx::MemBulk(mem) => group_body::<Charged>(mem, core, job, k, wrow, nk),
-        Ctx::MemNative(mem) => group_body::<Uncharged>(mem, core, job, k, wrow, nk),
-        Ctx::Analytic => core.charge_block(&channels_block(chunks, tail, nk as u64)),
+        Ctx::Analytic => {}
         Ctx::Mem(mem) => {
             let mut acc = [0i32; 2];
             for j in 0..chunks {
@@ -197,8 +173,10 @@ pub(crate) fn channels(
                 let out = job.requant.apply(a);
                 core.sb(mem, job.bufs.output + (k + q) as u32, out);
             }
+            return;
         }
     }
+    core.charge_block(&channels_block(chunks, tail, nk as u64));
 }
 
 #[cfg(test)]

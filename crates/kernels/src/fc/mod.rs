@@ -21,7 +21,7 @@
 //! [`sparse_sw::fc_sparse_sw_batch`], [`sparse_isa::fc_sparse_isa_batch`]),
 //! the FC twin of the conv batch-major sweep: the tile's weights stay
 //! staged for every token, token 0 runs the fully charged kernel, and
-//! on the bulk and native paths the remaining tokens are computed
+//! on the bulk path the remaining tokens are computed
 //! token-inner, 8 per register block, without charging — FC statistics
 //! depend only on geometry and weights, so they reuse token 0's (see
 //! `drive_fc_batch`).
@@ -56,36 +56,21 @@ pub struct FcJob {
 pub(crate) const EPILOGUE_ALU: u64 = 3;
 
 /// Shared per-core driver: runs `body(core_id, core)` on every cluster
-/// core and assembles the stats. On the native tier (`native == true`)
-/// the per-core overhead and barrier are skipped so the returned stats
-/// stay all-zero — native runs outputs only, cycles are undefined.
-pub(crate) fn run_fc<F>(
-    name: String,
-    geom: &FcGeom,
-    cluster: &Cluster,
-    native: bool,
-    mut body: F,
-) -> KernelStats
+/// core and assembles the stats.
+pub(crate) fn run_fc<F>(name: String, geom: &FcGeom, cluster: &Cluster, mut body: F) -> KernelStats
 where
     F: FnMut(usize, &mut Core),
 {
     let mut per_core = Vec::with_capacity(cluster.n_cores());
     for core_id in 0..cluster.n_cores() {
         let mut core = Core::new(cluster.costs());
-        if !native {
-            core.kernel_overhead();
-        }
+        core.kernel_overhead();
         body(core_id, &mut core);
         per_core.push(core.stats());
     }
-    let barrier = if native {
-        0
-    } else {
-        cluster.costs().barrier_cycles
-    };
     KernelStats {
         name,
-        cluster: ClusterStats::from_cores(per_core, barrier),
+        cluster: ClusterStats::from_cores(per_core, cluster.costs().barrier_cycles),
         dense_macs: geom.macs() as u64,
     }
 }
@@ -97,7 +82,7 @@ where
 /// on whatever input is staged.
 ///
 /// Token 0 runs the fully charged `kernel`, exactly as a single run
-/// would. On the bulk and native paths the tokens after it never touch
+/// would. On the bulk path the tokens after it never touch
 /// the modeled scratchpad: their outputs are computed host-side by
 /// [`fc_sweep`], token-inner over the staged weights and offsets, with
 /// the same wrapping `i32` product multiset the kernel executes, so every
@@ -137,7 +122,7 @@ pub(crate) fn drive_fc_batch(
     };
     stats.push(Arc::new(kernel(ctx)?));
     read_out(ctx, &mut outputs);
-    if let Ctx::MemBulk(mem) | Ctx::MemNative(mem) = &mut *ctx {
+    if let Ctx::MemBulk(mem) = &mut *ctx {
         let (swept, fallback) = rest.split_at(sweep_len(rest.len()));
         if !swept.is_empty() {
             let base = outputs.len();

@@ -102,14 +102,10 @@ pub fn fc_channel_mixed(
 ) -> Result<KernelStats> {
     job.validate()?;
     let geom = job.fc.geom;
-    // Native tier: the per-channel helpers dispatch to their uncharged
-    // bodies, so only the outer-loop scaffold charges need gating here.
-    let native = ctx.is_native();
     Ok(run_fc(
         "fc-channel-mixed-sw".into(),
         &geom,
         cluster,
-        native,
         |core_id, core| {
             let range = chunk_range(geom.k, cluster.n_cores(), core_id);
             let mut k = range.start;
@@ -123,21 +119,17 @@ pub fn fc_channel_mixed(
                         } else {
                             1
                         };
-                        if !native {
-                            core.outer_loop_iter();
-                            core.alu_n(2);
-                            core.hwloop_setup();
-                        }
+                        core.outer_loop_iter();
+                        core.alu_n(2);
+                        core.hwloop_setup();
                         let (wrow, _) = job.row_addr(k);
                         dense_channels(core, ctx, &job.fc, k, wrow, nk);
                         k += nk;
                     }
                     Some(nm) => {
-                        if !native {
-                            core.outer_loop_iter();
-                            core.alu_n(3);
-                            core.hwloop_setup();
-                        }
+                        core.outer_loop_iter();
+                        core.alu_n(3);
+                        core.hwloop_setup();
                         let (wrow, seg) = job.row_addr(k);
                         let sparse = SparseFcJob { fc: job.fc, nm };
                         sparse_channel(core, ctx, &sparse, k, wrow, seg);

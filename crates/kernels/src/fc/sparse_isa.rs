@@ -23,7 +23,7 @@ use crate::layout::nm_segment_bytes;
 use crate::stats::{BatchRun, Ctx, KernelStats};
 use nm_core::format::OffsetLayout;
 use nm_core::{Error, Result};
-use nm_isa::{ChargePolicy, Charged, Core, CostModel, DecimateMode, InstrBlock, Memory, Uncharged};
+use nm_isa::{Core, CostModel, DecimateMode, InstrBlock, Memory};
 use nm_platform::{chunk_range, Cluster, Scratchpad};
 use std::ops::Range;
 
@@ -52,13 +52,11 @@ pub fn fc_sparse_isa(
     let mode = decimate_mode(job.nm);
     let name = format!("fc-sparse-isa-{}", job.nm);
     let n_pairs = geom.k / 2;
-    let native = ctx.is_native();
-    Ok(run_fc(name, &geom, cluster, native, |core_id, core| {
+    Ok(run_fc(name, &geom, cluster, |core_id, core| {
         let range = chunk_range(n_pairs, cluster.n_cores(), core_id);
         match ctx.path() {
-            Ctx::MemBulk(mem) => core_body::<Charged>(mem, core, job, seg, range),
-            Ctx::MemNative(mem) => core_body::<Uncharged>(mem, core, job, seg, range),
-            Ctx::Analytic => core.charge_block(&core_block(core.costs(), nz, range.len())),
+            Ctx::MemBulk(mem) => core_body(mem, job, seg, range.clone()),
+            Ctx::Analytic => {}
             Ctx::Mem(mem) => {
                 for pair in range {
                     core.outer_loop_iter();
@@ -66,8 +64,10 @@ pub fn fc_sparse_isa(
                     core.hwloop_setup();
                     channel_pair(core, mem, job, mode, pair, seg);
                 }
+                return;
             }
         }
+        core.charge_block(&core_block(core.costs(), nz, range.len()));
     }))
 }
 
@@ -93,52 +93,40 @@ pub fn fc_sparse_isa_batch(
     })
 }
 
-/// One core's worth of `xDecimate` FC channel pairs: the single shared
-/// kernel body for the bulk and native tiers. Uniform channel pairs, one
-/// repeated accounting block per core (never built on [`Uncharged`]),
-/// operand slices taken once.
-fn core_body<P: ChargePolicy>(
-    mem: &mut Scratchpad,
-    core: &mut Core,
-    job: &SparseFcJob,
-    seg: u32,
-    range: Range<usize>,
-) {
+/// One core's worth of `xDecimate` FC channel pairs on the bulk path,
+/// operand slices taken once. Uniform channel pairs: the caller charges
+/// one repeated accounting block per core ([`core_block`]).
+fn core_body(mem: &mut Scratchpad, job: &SparseFcJob, seg: u32, range: Range<usize>) {
     let geom = job.fc.geom;
     let n_pairs = geom.k / 2;
     let m = job.nm.m();
     let bits = job.nm.offset_bits();
     let nz = job.nz_per_channel();
-    let pairs = range.len();
     let out0 = job.fc.bufs.output + (2 * range.start) as u32;
-    {
-        let input = mem
-            .slice(job.fc.bufs.input, geom.c)
-            .expect("scratchpad is zero-copy");
-        let values = mem
-            .slice(job.fc.bufs.weights, geom.k * nz)
-            .expect("scratchpad is zero-copy");
-        let offs = mem
-            .slice(job.fc.bufs.offsets, n_pairs * seg as usize)
-            .expect("scratchpad is zero-copy");
-        let outs: Vec<i8> = range
-            .flat_map(|pair| {
-                let k = 2 * pair;
-                let (a0, a1) = gather_dot2_pair(
-                    &values[k * nz..(k + 1) * nz],
-                    &values[(k + 1) * nz..(k + 2) * nz],
-                    input,
-                    &offs[pair * seg as usize..],
-                    bits,
-                    m,
-                );
-                [job.fc.requant.apply(a0), job.fc.requant.apply(a1)]
-            })
-            .collect();
-        write_out(mem, out0, &outs);
-    }
-    let costs = *core.costs();
-    P::charge_block(core, || core_block(&costs, nz, pairs));
+    let input = mem
+        .slice(job.fc.bufs.input, geom.c)
+        .expect("scratchpad is zero-copy");
+    let values = mem
+        .slice(job.fc.bufs.weights, geom.k * nz)
+        .expect("scratchpad is zero-copy");
+    let offs = mem
+        .slice(job.fc.bufs.offsets, n_pairs * seg as usize)
+        .expect("scratchpad is zero-copy");
+    let outs: Vec<i8> = range
+        .flat_map(|pair| {
+            let k = 2 * pair;
+            let (a0, a1) = gather_dot2_pair(
+                &values[k * nz..(k + 1) * nz],
+                &values[(k + 1) * nz..(k + 2) * nz],
+                input,
+                &offs[pair * seg as usize..],
+                bits,
+                m,
+            );
+            [job.fc.requant.apply(a0), job.fc.requant.apply(a1)]
+        })
+        .collect();
+    write_out(mem, out0, &outs);
 }
 
 /// The accounting block of one core's range of `n_pairs` `xDecimate` FC

@@ -17,7 +17,7 @@ use crate::stats::{BatchRun, Ctx, KernelStats};
 use nm_core::format::OffsetLayout;
 use nm_core::sparsity::Nm;
 use nm_core::{Error, Result};
-use nm_isa::{ChargePolicy, Charged, Core, CostModel, InstrBlock, InstrClass, Memory, Uncharged};
+use nm_isa::{Core, CostModel, InstrBlock, InstrClass, Memory};
 use nm_platform::{chunk_range, Cluster, Scratchpad};
 use std::ops::Range;
 
@@ -70,13 +70,11 @@ pub fn fc_sparse_sw(
     let nz = job.nz_per_channel();
     let seg = nm_segment_bytes(job.nm, nz, OffsetLayout::Plain) as u32;
     let name = format!("fc-sparse-sw-{}", job.nm);
-    let native = ctx.is_native();
-    Ok(run_fc(name, &geom, cluster, native, |core_id, core| {
+    Ok(run_fc(name, &geom, cluster, |core_id, core| {
         let range = chunk_range(geom.k, cluster.n_cores(), core_id);
         match ctx.path() {
-            Ctx::MemBulk(mem) => core_body::<Charged>(mem, core, job, seg, range),
-            Ctx::MemNative(mem) => core_body::<Uncharged>(mem, core, job, seg, range),
-            Ctx::Analytic => core.charge_block(&core_block(core.costs(), nz, range.len())),
+            Ctx::MemBulk(mem) => core_body(mem, job, seg, range.clone()),
+            Ctx::Analytic => {}
             Ctx::Mem(_) => {
                 for k in range {
                     core.outer_loop_iter();
@@ -86,8 +84,10 @@ pub fn fc_sparse_sw(
                     let krow = job.fc.bufs.offsets + k as u32 * seg;
                     channel(core, ctx, job, k, wrow, krow);
                 }
+                return;
             }
         }
+        core.charge_block(&core_block(core.costs(), nz, range.len()));
     }))
 }
 
@@ -113,52 +113,40 @@ pub fn fc_sparse_sw_batch(
     })
 }
 
-/// One core's worth of software-decimation FC channels: the single
-/// shared kernel body for the bulk and native tiers. Every channel has
-/// the same shape, so the whole range charges as one repeated block and
-/// the operand slices are taken once per core; on [`Uncharged`] the
-/// accounting block is never even built.
-fn core_body<P: ChargePolicy>(
-    mem: &mut Scratchpad,
-    core: &mut Core,
-    job: &SparseFcJob,
-    seg: u32,
-    range: Range<usize>,
-) {
+/// One core's worth of software-decimation FC channels on the bulk
+/// path, the operand slices taken once per core. Every channel has the
+/// same shape, so the caller charges the whole range as one repeated
+/// block ([`core_block`]).
+fn core_body(mem: &mut Scratchpad, job: &SparseFcJob, seg: u32, range: Range<usize>) {
     let geom = job.fc.geom;
     let nz = job.nz_per_channel();
     let m = job.nm.m();
     let bits = job.nm.offset_bits();
-    let channels = range.len();
     let out0 = job.fc.bufs.output + range.start as u32;
-    {
-        let input = mem
-            .slice(job.fc.bufs.input, geom.c)
-            .expect("scratchpad is zero-copy");
-        let values = mem
-            .slice(job.fc.bufs.weights, geom.k * nz)
-            .expect("scratchpad is zero-copy");
-        let offs = mem
-            .slice(job.fc.bufs.offsets, geom.k * seg as usize)
-            .expect("scratchpad is zero-copy");
-        let outs: Vec<i8> = range
-            .map(|k| {
-                let acc = nm_gather_dot(
-                    &values[k * nz..(k + 1) * nz],
-                    input,
-                    &offs[k * seg as usize..],
-                    bits,
-                    m,
-                    0,
-                    1,
-                );
-                job.fc.requant.apply(acc)
-            })
-            .collect();
-        write_out(mem, out0, &outs);
-    }
-    let costs = *core.costs();
-    P::charge_block(core, || core_block(&costs, nz, channels));
+    let input = mem
+        .slice(job.fc.bufs.input, geom.c)
+        .expect("scratchpad is zero-copy");
+    let values = mem
+        .slice(job.fc.bufs.weights, geom.k * nz)
+        .expect("scratchpad is zero-copy");
+    let offs = mem
+        .slice(job.fc.bufs.offsets, geom.k * seg as usize)
+        .expect("scratchpad is zero-copy");
+    let outs: Vec<i8> = range
+        .map(|k| {
+            let acc = nm_gather_dot(
+                &values[k * nz..(k + 1) * nz],
+                input,
+                &offs[k * seg as usize..],
+                bits,
+                m,
+                0,
+                1,
+            );
+            job.fc.requant.apply(acc)
+        })
+        .collect();
+    write_out(mem, out0, &outs);
 }
 
 /// The accounting block of one core's range of `n_channels`
@@ -199,40 +187,23 @@ pub(crate) fn channel(
     let bits = job.nm.offset_bits();
     let nz = job.nz_per_channel();
     let (chunks, tail) = (nz / 4, nz % 4);
-
-    // Shared bulk/native channel body; `P` decides whether the channel's
-    // accounting block exists at all.
-    fn channel_body<P: ChargePolicy>(
-        mem: &mut Scratchpad,
-        core: &mut Core,
-        job: &SparseFcJob,
-        k: usize,
-        wrow: u32,
-        seg: u32,
-    ) {
-        let m = job.nm.m();
-        let bits = job.nm.offset_bits();
-        let nz = job.nz_per_channel();
-        let out = {
-            let input = mem
-                .slice(job.fc.bufs.input, nz * m)
-                .expect("scratchpad is zero-copy");
-            let values = mem.slice(wrow, nz).expect("scratchpad is zero-copy");
-            let offs = mem
-                .slice(seg, offsets_len(nz, bits))
-                .expect("scratchpad is zero-copy");
-            job.fc
-                .requant
-                .apply(nm_gather_dot(values, input, offs, bits, m, 0, 1))
-        };
-        mem.store_i8(job.fc.bufs.output + k as u32, out);
-        P::charge_block(core, || channel_block(nz / 4, nz % 4));
-    }
-
     match ctx.path() {
-        Ctx::MemBulk(mem) => channel_body::<Charged>(mem, core, job, k, wrow, seg),
-        Ctx::MemNative(mem) => channel_body::<Uncharged>(mem, core, job, k, wrow, seg),
-        Ctx::Analytic => core.charge_block(&channel_block(chunks, tail)),
+        Ctx::MemBulk(mem) => {
+            let out = {
+                let input = mem
+                    .slice(job.fc.bufs.input, nz * m)
+                    .expect("scratchpad is zero-copy");
+                let values = mem.slice(wrow, nz).expect("scratchpad is zero-copy");
+                let offs = mem
+                    .slice(seg, offsets_len(nz, bits))
+                    .expect("scratchpad is zero-copy");
+                job.fc
+                    .requant
+                    .apply(nm_gather_dot(values, input, offs, bits, m, 0, 1))
+            };
+            mem.store_i8(job.fc.bufs.output + k as u32, out);
+        }
+        Ctx::Analytic => {}
         Ctx::Mem(mem) => {
             let vrow = wrow;
             let mut acc = 0i32;
@@ -274,8 +245,10 @@ pub(crate) fn channel(
             core.alu_n(EPILOGUE_ALU);
             let out = job.fc.requant.apply(acc);
             core.sb(mem, job.fc.bufs.output + k as u32, out);
+            return;
         }
     }
+    core.charge_block(&channel_block(chunks, tail));
 }
 
 #[cfg(test)]

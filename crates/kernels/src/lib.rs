@@ -6,21 +6,27 @@
 //! (`xDecimate`) variants.
 //!
 //! Every kernel is written against the charged-operation API of
-//! [`nm_isa::Core`], so one implementation serves two purposes:
+//! [`nm_isa::Core`] and runs in one of three contexts ([`Ctx`]): the two
+//! emulation tiers of [`ExecTier`], and planning.
 //!
-//! * **Emulation** ([`Ctx::Mem`]): the kernel reads and writes real int8
-//!   data in the simulated L1 scratchpad, producing bit-exact outputs
+//! * **Reference** ([`Ctx::Mem`], [`ExecTier::Reference`]): the kernel
+//!   reads and writes real int8 data in the simulated L1 scratchpad one
+//!   charged instruction at a time, producing bit-exact outputs
 //!   (verified against [`mod@reference`]) while counting cycles.
+//! * **Bulk** ([`Ctx::MemBulk`], [`ExecTier::Bulk`]): the same outputs
+//!   from zero-copy scratchpad slices, with cycles charged as whole
+//!   [`nm_isa::InstrBlock`]s — bit- and cycle-identical to the
+//!   reference, several times faster.
 //! * **Analytic** ([`Ctx::Analytic`]): no memory traffic and no
 //!   outputs. Each kernel charges the same [`nm_isa::InstrBlock`]
-//!   builder its bulk fast path charges — per core's channel range for
-//!   the FC kernels, per position pair for the sparse conv kernels, per
-//!   channel or quad for dense conv and the per-channel mixed kernels —
-//!   and conv im2col charges the bulk path's memoized closed form, so a
-//!   whole network is costed in O(output positions) and the statistics
-//!   equal the emulated ones for any cost model. Parity tests pin
-//!   analytic == reference on whole [`KernelStats`], under the default
-//!   and a stalled cost model.
+//!   builder its bulk fast path charges, from the one charge site the
+//!   two arms share — per core's channel range for the FC kernels, per
+//!   position pair for the sparse conv kernels, per channel or quad for
+//!   dense conv and the per-channel mixed kernels — and conv im2col
+//!   charges the bulk path's memoized closed form, so a whole network is
+//!   costed in O(output positions) and the statistics equal the emulated
+//!   ones for any cost model. Parity tests pin analytic == reference on
+//!   whole [`KernelStats`], under the default and a stalled cost model.
 //!
 //! Inner-loop instruction budgets match the paper's Sec. 4 analysis and
 //! are locked by guard tests:

@@ -7,16 +7,11 @@ use std::sync::Arc;
 ///
 /// * [`ExecTier::Reference`] — golden per-instruction model: every
 ///   charged operation performs its architectural effect one
-///   instruction at a time. Slowest, fully cycle-accurate.
+///   instruction at a time. Slowest, the oracle.
 /// * [`ExecTier::Bulk`] — fast path: outputs from zero-copy scratchpad
 ///   slices, accounting via whole [`nm_isa::InstrBlock`] charges.
 ///   **Bit- and cycle-identical** to `Reference` (enforced by
 ///   `tests/bulk_parity.rs`).
-/// * [`ExecTier::Native`] — deployment-speed path: the *same* kernel
-///   bodies as `Bulk`, monomorphized with [`nm_isa::Uncharged`] so all
-///   accounting compiles out. Outputs stay bit-identical to `Bulk`
-///   (enforced by `tests/native_parity.rs`); cycles/instret are
-///   **undefined** (reported as zero) on this tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecTier {
     /// Per-instruction reference emulation.
@@ -24,38 +19,10 @@ pub enum ExecTier {
     /// Bulk fast-path emulation (slices + block charging).
     #[default]
     Bulk,
-    /// Uncharged native execution (outputs only, no statistics).
-    Native,
-}
-
-impl ExecTier {
-    /// Whether this tier produces defined cycle/instret statistics.
-    pub fn is_cycle_accurate(self) -> bool {
-        !matches!(self, ExecTier::Native)
-    }
-
-    /// Parses the tier names used by benches and configs.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "reference" => Some(ExecTier::Reference),
-            "bulk" => Some(ExecTier::Bulk),
-            "native" => Some(ExecTier::Native),
-            _ => None,
-        }
-    }
-
-    /// The bench/config name of this tier.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecTier::Reference => "reference",
-            ExecTier::Bulk => "bulk",
-            ExecTier::Native => "native",
-        }
-    }
 }
 
 /// Execution context: emulation against a real L1 scratchpad (bit-exact
-/// outputs) on one of the three [`ExecTier`]s, or analytic mode (cycle
+/// outputs) on one of the two [`ExecTier`]s, or analytic mode (cycle
 /// charging only, no memory traffic).
 ///
 /// [`Ctx::Mem`] is the golden reference: every charged operation performs
@@ -64,25 +31,20 @@ impl ExecTier {
 /// the parity tests in `tests/bulk_parity.rs`) but computes outputs from
 /// zero-copy scratchpad slices and charges whole instruction blocks via
 /// [`nm_isa::Core::charge_block`], which makes host emulation several
-/// times faster. [`Ctx::MemNative`] runs the same bulk kernel bodies
-/// with charging compiled out ([`nm_isa::Uncharged`]): identical outputs,
-/// zero statistics, fastest wall-clock. [`Ctx::Analytic`] moves no data
-/// and computes no outputs: each kernel charges the same
-/// [`nm_isa::InstrBlock`] builder its bulk body charges, and the conv
-/// driver charges im2col through the same memoized closed form, so
+/// times faster. [`Ctx::Analytic`] moves no data and computes no
+/// outputs: each kernel charges the same [`nm_isa::InstrBlock`] builder
+/// its bulk body charges — one charge site shared by both arms — and the
+/// conv driver charges im2col through the same memoized closed form, so
 /// analytic statistics equal the bulk tier's — and therefore the
 /// reference's — for any [`nm_isa::CostModel`]. Use `Mem` when
-/// validating the model, `MemBulk` for sweeps and gated benches,
-/// `MemNative` for serving traffic that only wants outputs, and
-/// `Analytic` for planning.
+/// validating the model, `MemBulk` for sweeps, serving and gated
+/// benches, and `Analytic` for planning.
 #[derive(Debug)]
 pub enum Ctx<'a> {
     /// Emulate per-instruction against this L1 scratchpad (reference).
     Mem(&'a mut Scratchpad),
     /// Emulate against this L1 scratchpad on the bulk fast path.
     MemBulk(&'a mut Scratchpad),
-    /// Run uncharged against this L1 scratchpad (outputs only).
-    MemNative(&'a mut Scratchpad),
     /// Charge cycles without touching memory.
     Analytic,
 }
@@ -93,24 +55,18 @@ impl<'a> Ctx<'a> {
         match tier {
             ExecTier::Reference => Ctx::Mem(mem),
             ExecTier::Bulk => Ctx::MemBulk(mem),
-            ExecTier::Native => Ctx::MemNative(mem),
         }
     }
 
-    /// Whether this context carries a memory (any emulation tier).
+    /// Whether this context carries a memory (either emulation tier).
     pub fn is_mem(&self) -> bool {
-        matches!(self, Ctx::Mem(_) | Ctx::MemBulk(_) | Ctx::MemNative(_))
+        matches!(self, Ctx::Mem(_) | Ctx::MemBulk(_))
     }
 
-    /// Whether this context runs the uncharged native tier.
-    pub fn is_native(&self) -> bool {
-        matches!(self, Ctx::MemNative(_))
-    }
-
-    /// The scratchpad, if emulating (any tier).
+    /// The scratchpad, if emulating (either tier).
     pub fn mem(&mut self) -> Option<&mut Scratchpad> {
         match self {
-            Ctx::Mem(m) | Ctx::MemBulk(m) | Ctx::MemNative(m) => Some(m),
+            Ctx::Mem(m) | Ctx::MemBulk(m) => Some(m),
             Ctx::Analytic => None,
         }
     }
@@ -121,7 +77,6 @@ impl<'a> Ctx<'a> {
         match self {
             Ctx::Mem(m) => Ctx::Mem(m),
             Ctx::MemBulk(m) => Ctx::MemBulk(m),
-            Ctx::MemNative(m) => Ctx::MemNative(m),
             Ctx::Analytic => Ctx::Analytic,
         }
     }
@@ -224,11 +179,6 @@ mod tests {
         assert!(ctx.is_mem());
         assert!(ctx.mem().is_some());
         assert!(matches!(ctx.path(), Ctx::MemBulk(_)));
-        let mut ctx = Ctx::MemNative(&mut l1);
-        assert!(ctx.is_mem());
-        assert!(ctx.is_native());
-        assert!(ctx.mem().is_some());
-        assert!(matches!(ctx.path(), Ctx::MemNative(_)));
         let mut ctx = Ctx::Analytic;
         assert!(!ctx.is_mem());
         assert!(ctx.mem().is_none());
@@ -246,16 +196,9 @@ mod tests {
             Ctx::tiered(ExecTier::Bulk, &mut l1),
             Ctx::MemBulk(_)
         ));
-        assert!(matches!(
-            Ctx::tiered(ExecTier::Native, &mut l1),
-            Ctx::MemNative(_)
-        ));
-        for tier in [ExecTier::Reference, ExecTier::Bulk, ExecTier::Native] {
-            assert_eq!(ExecTier::from_name(tier.name()), Some(tier));
-        }
-        assert_eq!(ExecTier::from_name("analytic"), None);
         assert_eq!(ExecTier::default(), ExecTier::Bulk);
-        assert!(ExecTier::Bulk.is_cycle_accurate());
-        assert!(!ExecTier::Native.is_cycle_accurate());
+        // Benchmark headers print the tier through `Debug`.
+        assert_eq!(format!("{:?}", ExecTier::Reference), "Reference");
+        assert_eq!(format!("{:?}", ExecTier::Bulk), "Bulk");
     }
 }

@@ -28,8 +28,6 @@
 //!     .collect();
 //! for t in tickets {
 //!     let r = t.wait().unwrap();
-//!     // `sim_cycles` is `Some` on the cycle-accurate tiers, `None`
-//!     // when the service runs on `ExecTier::Native`.
 //!     println!("request {}: {:?} sim cycles", r.id, r.sim_cycles);
 //! }
 //! service.shutdown();
@@ -40,26 +38,20 @@
 //!
 //! Concurrency and batching are **amortizations, never semantic
 //! changes**. A service runs on exactly one execution tier
-//! ([`ServiceConfig::tier`], an [`ExecTier`]), and the contract is
-//! tiered to match:
+//! ([`ServiceConfig::tier`], an [`ExecTier`]: `Bulk` by default, or the
+//! per-instruction `Reference`), and the contract is the same on both:
 //!
-//! * **Outputs are gated on every tier.** For any interleaving of
-//!   submissions, any worker count, any batch limit and any tier,
-//!   every request's output tensor ([`InferenceResult::output`]) is
-//!   bit-identical to running the same input through a sequential
-//!   [`PreparedGraph::run`] loop on the same prepared model — and the
-//!   native tier's outputs are bit-identical to the bulk tier's, since
-//!   both tiers execute the *same* kernel bodies (charging is a
-//!   zero-sized policy parameter compiled out on native, never a
-//!   forked copy of the loop).
-//! * **Cycles are gated on the cycle-accurate tiers only.** On
-//!   [`ExecTier::Reference`] and [`ExecTier::Bulk`], every request's
-//!   simulated cycle total ([`InferenceResult::sim_cycles`], `Some`)
-//!   is bit-identical to the sequential run's and to the analytic
-//!   plan. On [`ExecTier::Native`] cycles are not simulated at all:
-//!   `sim_cycles` is `None`, and the only timing quantities are
-//!   wall-clock ([`InferenceResult::latency`]) — faster, but carrying
-//!   no simulated meaning.
+//! * **Outputs.** For any interleaving of submissions, any worker
+//!   count, any batch limit and either tier, every request's output
+//!   tensor ([`InferenceResult::output`]) is bit-identical to running
+//!   the same input through a sequential [`PreparedGraph::run`] loop on
+//!   the same prepared model — and the two tiers' outputs are
+//!   bit-identical to each other.
+//! * **Cycles.** Every request's simulated cycle total
+//!   ([`InferenceResult::sim_cycles`], always `Some`) is bit-identical
+//!   to the sequential run's, to the other tier's and to the analytic
+//!   plan. Wall-clock ([`InferenceResult::latency`]) is the only
+//!   host-dependent timing quantity.
 //!
 //! The per-request determinism holds because:
 //!
@@ -91,10 +83,9 @@
 //! (`tests/tests/serve_parity.rs`): random graphs × random
 //! interleavings × worker counts {1, 2, 3, 8} × batch limits
 //! {1, 4, 16} × execution tiers, compared request-by-request against
-//! the sequential loop (outputs on every tier, cycles on the
-//! cycle-accurate ones) — plus a conv sweep serving the pruned
-//! ResNet-18 model under [`BatchPlan::ConvBatchMajor`] across the same
-//! grid.
+//! the sequential loop (outputs and cycles) — plus a conv sweep serving
+//! the pruned ResNet-18 model under [`BatchPlan::ConvBatchMajor`] across
+//! the same grid.
 //!
 //! ## Overload and shutdown
 //!
@@ -317,32 +308,6 @@ mod tests {
         assert_eq!(stats.shed, 0);
         assert_eq!(stats.batches, 2);
         assert_eq!(stats.max_coalesced, 4, "coalescing is exact when shaped");
-    }
-
-    /// A service on [`ExecTier::Native`] serves outputs bit-identical
-    /// to the bulk sequential baseline and reports no simulated cycles.
-    #[test]
-    fn native_tier_service_matches_bulk_outputs_without_cycles() {
-        let graph = Arc::new(mlp_serve_sparse(&[64, 48, 32], Nm::ONE_OF_EIGHT, 5).unwrap());
-        let opts = Options::new(Target::SparseIsa);
-        let prepared = PreparedGraph::prepare(&graph, &opts).unwrap(); // bulk tier
-        let xs = inputs(6, 64, 31);
-        let expected: Vec<_> = xs.iter().map(|x| prepared.run(x).unwrap()).collect();
-        let service = Service::start(ServiceConfig {
-            tier: ExecTier::Native,
-            ..ServiceConfig::default()
-        });
-        let model = service.register("mlp", &graph, &opts).unwrap();
-        let tickets: Vec<_> = xs
-            .iter()
-            .map(|x| service.submit(model, x.clone()).unwrap())
-            .collect();
-        for (t, want) in tickets.into_iter().zip(&expected) {
-            let r = t.wait().unwrap();
-            assert_eq!(r.output, want.output, "native outputs == bulk outputs");
-            assert_eq!(r.sim_cycles, None, "cycles are undefined on native");
-        }
-        service.shutdown();
     }
 
     #[test]

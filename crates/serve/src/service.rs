@@ -32,14 +32,13 @@ pub struct ServiceConfig {
     pub max_batch: usize,
     /// Worker threads executing batches.
     pub workers: usize,
-    /// The [`ExecTier`] every model in this service executes on. It is
-    /// authoritative: [`Service::register`] overrides `Options::tier`
+    /// The [`ExecTier`] every model in this service executes on:
+    /// [`ExecTier::Bulk`] (the default) or [`ExecTier::Reference`]. It
+    /// is authoritative: [`Service::register`] overrides `Options::tier`
     /// with this value, so the cache key, the prepared artifact and
-    /// every result of one service agree on a single tier. On
-    /// [`ExecTier::Reference`]/[`ExecTier::Bulk`] results carry
-    /// simulated cycles ([`InferenceResult::sim_cycles`] is `Some`); on
-    /// [`ExecTier::Native`] cycles are not simulated and `sim_cycles`
-    /// is `None`.
+    /// every result of one service agree on a single tier. Both tiers
+    /// report the same simulated cycles
+    /// ([`InferenceResult::sim_cycles`]).
     pub tier: ExecTier,
     /// Worker respawns allowed over the service lifetime. Per-batch
     /// panics are contained without touching this budget; it is spent
@@ -284,11 +283,8 @@ pub struct InferenceResult {
     /// [`PreparedGraph::run`] of the same input.
     pub output: Tensor<i8>,
     /// Deterministic per-request simulated compute cycles — identical
-    /// to a sequential run's, whatever batch the request rode in.
-    /// `Some` on the cycle-accurate tiers ([`ExecTier::Reference`],
-    /// [`ExecTier::Bulk`]); `None` on [`ExecTier::Native`], where
-    /// cycles are not simulated (wall-clock [`InferenceResult::latency`]
-    /// is the only timing quantity there).
+    /// to a sequential run's, whatever batch the request rode in. Always
+    /// `Some`; `Option` because perfbench reads it.
     pub sim_cycles: Option<u64>,
     /// Requests that rode in the batch that served this one
     /// (informational; `1` when the request was re-run individually
@@ -1121,9 +1117,6 @@ fn run_batch_isolated(inner: &ServiceInner, batch: Vec<Pending>, injected: Optio
     let n = batch.len();
     let Some(first) = batch.first() else { return };
     let prepared = Arc::clone(&first.prepared);
-    // Cycles are only defined on the cycle-accurate tiers; the native
-    // tier reports `None` rather than a meaningless zero.
-    let cycle_accurate = inner.config.tier.is_cycle_accurate();
     inner.stats.batches.fetch_add(1, Ordering::SeqCst);
     inner
         .stats
@@ -1155,7 +1148,7 @@ fn run_batch_isolated(inner: &ServiceInner, batch: Vec<Pending>, injected: Optio
                     id: pending.id,
                     model: pending.model,
                     output: run.output,
-                    sim_cycles: cycle_accurate.then_some(run.matmul_compute_cycles),
+                    sim_cycles: Some(run.matmul_compute_cycles),
                     batch_size: n,
                     mode: prepared.batch_plan().executed(n),
                     latency,
@@ -1205,7 +1198,7 @@ fn run_batch_isolated(inner: &ServiceInner, batch: Vec<Pending>, injected: Optio
                             id: pending.id,
                             model: pending.model,
                             output: run.output,
-                            sim_cycles: cycle_accurate.then_some(run.matmul_compute_cycles),
+                            sim_cycles: Some(run.matmul_compute_cycles),
                             batch_size: 1,
                             mode: prepared.batch_plan().executed(1),
                             latency,

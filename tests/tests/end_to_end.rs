@@ -5,16 +5,17 @@
 
 use nm_compiler::exec::run_emulated;
 use nm_compiler::plan::{compile, Options};
-use nm_compiler::{ExecTier, Target};
+use nm_compiler::{ExecTier, PreparedGraph, Target};
 use nm_core::quant::Requant;
 use nm_core::sparsity::Nm;
 use nm_core::{ConvGeom, FcGeom, Tensor};
 use nm_integration::make_exact_nm;
 use nm_isa::CostModel;
+use nm_models::resnet18_cifar;
 use nm_models::vit::vit_tiny_for_tests;
 use nm_nn::graph::{Graph, GraphBuilder, OpKind};
 use nm_nn::layer::{ConvLayer, LinearLayer};
-use nm_nn::prune::{prune_graph, weight_sparsity};
+use nm_nn::prune::{prune_graph, resnet_policy, weight_sparsity};
 use nm_nn::rng::XorShift;
 
 /// A residual CNN exercising conv, pointwise shortcut, pooling and FC.
@@ -113,6 +114,40 @@ fn emulated_compute_matches_analytic_plan() {
                 "{target:?} {tier:?} stalled model"
             );
         }
+    }
+}
+
+// The paper's deployment network end to end: CIFAR ResNet-18 with every
+// 3x3 conv pruned 1:8, prepared once per tier on the xDecimate target.
+// Both tiers must reproduce the host executor bit for bit and charge
+// exactly the matmul cycles the planner predicts.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "full ResNet-18 inference; runs in release, or in debug with --ignored"
+)]
+fn resnet18_execution_matches_plan() {
+    let nm = Nm::ONE_OF_EIGHT;
+    let mut g = resnet18_cifar(100, 1).unwrap();
+    prune_graph(&mut g, nm, resnet_policy(nm)).unwrap();
+    let mut rng = XorShift::new(8);
+    let input = Tensor::from_vec(&[32, 32, 3], rng.fill_weights(32 * 32 * 3, 50)).unwrap();
+    let reference = nm_nn::execute(&g, &input).unwrap();
+    for tier in [ExecTier::Reference, ExecTier::Bulk] {
+        let opts = Options {
+            tier,
+            ..Options::new(Target::SparseIsa)
+        };
+        let run = PreparedGraph::prepare(&g, &opts)
+            .unwrap()
+            .run(&input)
+            .unwrap();
+        assert_eq!(run.output, reference, "{tier:?}");
+        assert_eq!(
+            run.matmul_compute_cycles,
+            planned_compute_cycles(&g, &opts),
+            "{tier:?}"
+        );
     }
 }
 

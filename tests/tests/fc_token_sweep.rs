@@ -165,19 +165,17 @@ fn kernel_token_sweep_matches_per_token_reference() {
                     (mem.slice(bufs.output, k).unwrap().to_vec(), stats)
                 })
                 .collect();
-            for tier in [ExecTier::Reference, ExecTier::Bulk, ExecTier::Native] {
+            for tier in [ExecTier::Reference, ExecTier::Bulk] {
                 for n in TOKEN_COUNTS {
                     let xs: Vec<&[i8]> = all[..n].iter().map(Vec::as_slice).collect();
                     let mut mem = Scratchpad::new("l1", 64 * 1024);
                     let bufs = tile.stage(&mut mem, xs[0]);
                     let run = tile.run_batch(&mut Ctx::tiered(tier, &mut mem), bufs, &cluster, &xs);
-                    let label = format!("{kind:?} {c}x{k} {} T={n}", tier.name());
+                    let label = format!("{kind:?} {c}x{k} {tier:?} T={n}");
                     assert_eq!(run.stats.len(), n, "{label}");
                     for (t, (out, stats)) in oracle[..n].iter().enumerate() {
                         assert_eq!(&run.outputs[t * k..(t + 1) * k], out, "{label} token {t}");
-                        if tier.is_cycle_accurate() {
-                            assert_eq!(*run.stats[t], *stats, "{label} token {t} stats");
-                        }
+                        assert_eq!(*run.stats[t], *stats, "{label} token {t} stats");
                     }
                 }
             }

@@ -81,8 +81,7 @@ fn planned_cycles(g: &Graph, opts: &Options) -> u64 {
 
 /// Prepare once, run twice: both runs bit-identical to each other, to a
 /// fresh `run_emulated`, and cycle-identical to the analytic plan — on
-/// both cycle-accurate tiers (the native tier's output parity lives in
-/// `native_parity.rs`).
+/// both tiers.
 #[test]
 fn prepared_runs_are_reusable_and_match_run_emulated() {
     let (g, input) = conv_fc_graph(Nm::ONE_OF_EIGHT);
@@ -224,7 +223,7 @@ fn zero_token_linear_returns_empty_output() {
     let out = b.linear(b.input(), l).unwrap();
     let g = b.finish(out).unwrap();
     let input = Tensor::from_vec(&[0, c], vec![]).unwrap();
-    for tier in [ExecTier::Bulk, ExecTier::Reference, ExecTier::Native] {
+    for tier in [ExecTier::Bulk, ExecTier::Reference] {
         let mut opts = Options::new(Target::SparseIsa);
         opts.tier = tier;
         let run = PreparedGraph::prepare(&g, &opts)

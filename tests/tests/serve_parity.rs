@@ -282,44 +282,6 @@ fn coalesced_k_tiled_mlp_matches_sequential() {
     }
 }
 
-/// The native tier through the service: outputs stay bit-identical to
-/// the bulk-tier sequential baseline for both batch plans, but no cycle
-/// assertions are possible — `sim_cycles` is `None` on every response
-/// because the native tier compiles simulation charging out.
-#[test]
-fn native_tier_service_matches_bulk_outputs() {
-    let nm = Nm::ONE_OF_EIGHT;
-    for graph in [mlp_graph(nm), conv_fc_graph(nm)] {
-        let opts = Options::new(Target::SparseIsa);
-        assert_eq!(opts.tier, ExecTier::Bulk, "bulk tier is the default");
-        let prepared = PreparedGraph::prepare(&graph, &opts).unwrap();
-        let xs = random_inputs(graph.input_shape(), 8, 91);
-        let expected: Vec<_> = xs.iter().map(|x| prepared.run(x).unwrap()).collect();
-
-        let service = Service::start(ServiceConfig {
-            queue_capacity: 16,
-            max_batch: 4,
-            workers: 2,
-            tier: ExecTier::Native,
-            ..ServiceConfig::default()
-        });
-        let model = service.register("native-model", &graph, &opts).unwrap();
-        let tickets: Vec<_> = xs
-            .iter()
-            .map(|x| service.submit(model, x.clone()).unwrap())
-            .collect();
-        for (i, (ticket, want)) in tickets.into_iter().zip(&expected).enumerate() {
-            let got = ticket.wait().unwrap();
-            assert_eq!(got.output, want.output, "native output diverged: req {i}");
-            assert_eq!(
-                got.sim_cycles, None,
-                "native tier must not report simulated cycles: req {i}"
-            );
-        }
-        service.shutdown();
-    }
-}
-
 /// `run_batch` itself (no service): the batched entry point must equal
 /// per-request `run` calls under both work-sharing plans at batch sizes
 /// 0, 1 and 5, and reject shape mismatches atomically — naming the
