@@ -195,11 +195,12 @@ where
 /// instruction. Every other path keeps a [`PatchState`] per core whose
 /// charging is closed-form (memoized per padding class, shared across
 /// cores via one [`Im2colCharges`]); the analytic path stops there. On
-/// the bulk path data movement is incremental on top of that. With `patches_read` the buffers are materialized before
-/// every `channel_loop` call (sliding from the previous pair's
-/// contents); without it — the im2col-only engine workloads — only each
-/// core's *final* patch buffers are written, preserving full-memory
-/// parity with the reference at none of the intermediate traffic.
+/// the bulk path data movement is incremental on top of that. With
+/// `patches_read` the buffers are materialized before every
+/// `channel_loop` call (sliding from the previous pair's contents);
+/// without it — the im2col-only engine workloads — only each core's
+/// *final* patch buffers are written, preserving full-memory parity
+/// with the reference at none of the intermediate traffic.
 ///
 /// `charge` selects whether cycle accounting runs at all. With it false
 /// — legal **only on the bulk path**, where charging is a closed-form
