@@ -18,8 +18,13 @@
 //!   `--filter net-` to check just the end-to-end network rows without
 //!   paying for the full suite.
 //!
-//! Exit status: 0 when every kernel passes, 1 on any regression, 2 on
-//! usage or report-format errors.
+//! The table shows each kernel's calibration factor (`ref x`: current
+//! over snapshot reference throughput). A failing row whose reference
+//! got faster by more than the threshold reads `REF MOVED` instead of
+//! `REGRESSED`: its reference row moved, so the bulk row may not have.
+//!
+//! Exit status: 0 when every kernel passes, 1 on any regression
+//! (flagged or not), 2 on usage or report-format errors.
 
 use nm_bench::engine::{run_suite_filtered, EngineReport};
 use nm_bench::gate::{compare, parse_rows, report_rows, GateRow};
@@ -125,25 +130,39 @@ fn main() {
         ("kernel", 20),
         ("base MMAC/s", 13),
         ("now MMAC/s", 12),
+        ("ref x", 7),
         ("ratio", 8),
-        ("verdict", 8),
+        ("verdict", 10),
     ];
     table::header(&cols);
     let mut failed = false;
     for c in &checks {
         failed |= !c.pass;
+        let verdict = match (c.pass, c.reference_moved) {
+            (true, _) => "ok",
+            (false, false) => "REGRESSED",
+            (false, true) => "REF MOVED",
+        };
         table::row(
             &cols,
             &[
                 c.kernel.clone(),
                 table::f2(c.baseline * c.calibration / 1e6),
                 table::f2(c.current / 1e6),
+                table::f2(c.calibration),
                 table::f2(c.ratio),
-                (if c.pass { "ok" } else { "REGRESSED" }).to_string(),
+                verdict.to_string(),
             ],
         );
     }
     println!();
+    if checks.iter().any(|c| c.reference_moved) {
+        eprintln!(
+            "perf_gate: REF MOVED rows failed because their reference row got more than \
+             {:.0}% faster (`ref x`); compare their reference and bulk rows separately",
+            threshold * 100.0
+        );
+    }
     if failed {
         eprintln!(
             "perf_gate: bulk-path throughput regressed by more than {:.0}%",

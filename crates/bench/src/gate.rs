@@ -43,13 +43,20 @@ pub struct GateCheck {
     pub baseline: f64,
     /// Current bulk-path throughput (MACs/s).
     pub current: f64,
-    /// Host-speed factor applied to the baseline (1.0 in absolute mode).
+    /// Host-speed factor applied to the baseline: the kernel's current
+    /// reference throughput over its snapshot reference throughput (1.0
+    /// in absolute mode).
     pub calibration: f64,
     /// `current / (baseline * calibration)` — below `1 - threshold`
     /// fails.
     pub ratio: f64,
     /// Whether this kernel met the threshold.
     pub pass: bool,
+    /// The kernel failed *and* its reference row got faster by more
+    /// than the threshold (`calibration > 1 + threshold`), raising the
+    /// calibrated bar: the reference row, not necessarily the bulk
+    /// row, moved. Compare the two rows before calling it a regression.
+    pub reference_moved: bool,
 }
 
 fn field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
@@ -180,13 +187,15 @@ pub fn compare(
             1.0
         };
         let ratio = cur / (base * calibration);
+        let pass = ratio >= 1.0 - threshold;
         checks.push(GateCheck {
             kernel: kernel.to_string(),
             baseline: base,
             current: cur,
             calibration,
             ratio,
-            pass: ratio >= 1.0 - threshold,
+            pass,
+            reference_moved: !pass && calibration > 1.0 + threshold,
         });
     }
     if checks.is_empty() {
@@ -414,6 +423,30 @@ mod tests {
         assert!((calibrated[0].ratio - 1.0).abs() < 1e-9);
         let absolute = compare(&baseline, &slower_host, 0.25, false).unwrap();
         assert!(!absolute[0].pass);
+    }
+
+    // A reference row 1.34x faster with the bulk row unchanged fails the
+    // calibrated gate, and the failure is flagged as a reference move.
+    #[test]
+    fn faster_reference_row_fails_flagged_as_a_reference_move() {
+        let baseline: Vec<GateRow> = pair("a", 100.0, 1000.0).into_iter().collect();
+        let current: Vec<GateRow> = pair("a", 134.0, 1000.0).into_iter().collect();
+        let check = &compare(&baseline, &current, 0.25, true).unwrap()[0];
+        assert!((check.calibration - 1.34).abs() < 1e-9);
+        assert!(!check.pass);
+        assert!(check.reference_moved);
+    }
+
+    // A bulk row 30 % slower with the reference row unchanged is a real
+    // bulk regression: it fails and is not flagged.
+    #[test]
+    fn slower_bulk_row_fails_unflagged() {
+        let baseline: Vec<GateRow> = pair("a", 100.0, 1000.0).into_iter().collect();
+        let current: Vec<GateRow> = pair("a", 100.0, 700.0).into_iter().collect();
+        let check = &compare(&baseline, &current, 0.25, true).unwrap()[0];
+        assert!((check.calibration - 1.0).abs() < 1e-9);
+        assert!(!check.pass);
+        assert!(!check.reference_moved);
     }
 
     #[test]

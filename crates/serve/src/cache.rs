@@ -369,28 +369,6 @@ impl ModelCache {
             .collect()
     }
 
-    /// Lookups served from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that paid a *successful* preparation.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Lookups whose preparation failed (nothing was cached). Tracked
-    /// separately from [`misses`](Self::misses) so hit-rate math stays
-    /// meaningful when a model repeatedly fails to prepare.
-    pub fn failed_prepares(&self) -> u64 {
-        self.failed_prepares.load(Ordering::Relaxed)
-    }
-
-    /// Entries evicted under budget pressure since construction.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
     /// A consistent snapshot of every counter plus the resident-byte
     /// gauge and its high-water mark.
     pub fn stats(&self) -> CacheStats {
@@ -447,7 +425,7 @@ mod tests {
         let a = cache.get_or_prepare("m", &graph, &opts).unwrap();
         let b = cache.get_or_prepare("m", &graph, &opts).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second lookup shares the artifact");
-        assert_eq!((cache.misses(), cache.hits()), (1, 1));
+        assert_eq!((cache.stats().misses, cache.stats().hits), (1, 1));
         assert_eq!(cache.len(), 1);
     }
 
@@ -487,7 +465,7 @@ mod tests {
         let c = cache.get_or_prepare("m2", &graph, &opts).unwrap();
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(cache.len(), 3);
-        assert_eq!(cache.misses(), 3);
+        assert_eq!(cache.stats().misses, 3);
     }
 
     // Injected prepare/cache_insert errors fail only their own
@@ -523,8 +501,8 @@ mod tests {
         assert_eq!(plan.fired(), 2);
         // The injected prepare error counted as a failed prepare, not a
         // miss; the cache_insert error prepared successfully (a miss).
-        assert_eq!(cache.failed_prepares(), 1);
-        assert_eq!(cache.misses(), 3);
+        assert_eq!(cache.stats().failed_prepares, 1);
+        assert_eq!(cache.stats().misses, 3);
     }
 
     // Regression test: a *failed* preparation must not count as a cache
@@ -539,7 +517,11 @@ mod tests {
         cache.get_or_prepare("m", &graph, &bad).unwrap_err();
         cache.get_or_prepare("m", &graph, &bad).unwrap_err();
         assert_eq!(
-            (cache.hits(), cache.misses(), cache.failed_prepares()),
+            (
+                cache.stats().hits,
+                cache.stats().misses,
+                cache.stats().failed_prepares
+            ),
             (0, 0, 2),
             "failed prepares must not inflate the miss counter"
         );
@@ -550,7 +532,11 @@ mod tests {
         cache.get_or_prepare("m", &graph, &opts).unwrap();
         cache.get_or_prepare("m", &graph, &opts).unwrap();
         assert_eq!(
-            (cache.hits(), cache.misses(), cache.failed_prepares()),
+            (
+                cache.stats().hits,
+                cache.stats().misses,
+                cache.stats().failed_prepares
+            ),
             (1, 1, 2)
         );
     }
@@ -601,7 +587,11 @@ mod tests {
         let names: Vec<String> = cache.cached_keys().into_iter().map(|k| k.name).collect();
         assert_eq!(names, ["c", "b"], "\"a\" was the LRU entry by then");
         assert_eq!(cache.stats().evictions, 2);
-        assert_eq!(cache.misses(), 4, "re-preparing an evicted model is a miss");
+        assert_eq!(
+            cache.stats().misses,
+            4,
+            "re-preparing an evicted model is a miss"
+        );
     }
 
     // Entries with live outside holders are pinned: eviction skips them
@@ -653,7 +643,7 @@ mod tests {
         );
         assert!(cache.is_empty());
         // The refusal still paid (and counted) the preparation.
-        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().resident_bytes, 0);
     }
 

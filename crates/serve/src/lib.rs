@@ -192,6 +192,13 @@
 //! [`Service::stats`]/[`Service::cache_stats`] exactly, with the
 //! five-term shed reconciliation holding on the exported numbers.
 //!
+//! There is one ledger of request outcomes: the per-model counters.
+//! Each accepted request's submit and terminal class are counted once,
+//! in its model's series, and every service-wide request total is a sum
+//! over one read of those series. Only the counters with no per-model
+//! home — the per-class full sheds, worker panics, restarts, batches
+//! and the largest coalesced batch — are kept service-wide.
+//!
 //! The exported families:
 //!
 //! * `nm_serve_requests_{submitted,completed,failed}_total`,
@@ -207,22 +214,24 @@
 //!   mutex ([`BoundedQueue::depth_stats`]), never a racy re-count;
 //! * `nm_serve_model_requests_{submitted,completed,failed}_total{model=…}`
 //!   and `nm_serve_model_shed_{expired,canceled,preempted}_total{model=…}`
-//!   — per-model breakdowns, keyed by registered name (aliased
+//!   — the per-model ledger, keyed by registered name (aliased
 //!   registrations merge into one series);
 //! * `nm_serve_request_latency_seconds` — per-model histograms of
 //!   wall-clock submit-to-fulfill latency over the static log-spaced
 //!   bounds in [`metrics::LATENCY_BUCKETS`] (100 µs → 10 s on a
-//!   1–2.5–5 ladder, plus `+Inf`).
+//!   1–2.5–5 ladder, plus `+Inf`); each histogram's count is its
+//!   model's completed counter.
 //!
 //! Determinism caveat: counter values mirror the exactly-reconciling
 //! ledgers and the bucket *bounds* are compile-time constants, so for a
 //! given request set every line except the histogram *counts* and
 //! `_sum` is deterministic; the histogram observations are wall-clock
-//! and therefore host-dependent. A scrape may race live traffic — the
-//! crate's increment/read ordering guarantees such a scrape is
-//! internally consistent ([`MetricsSnapshot::check_internal`]), and a
-//! post-drain scrape reconciles exactly
-//! ([`MetricsSnapshot::check_quiesced`]).
+//! and therefore host-dependent. A scrape may race live traffic: the
+//! global totals are summed from the same read as the per-model series,
+//! and each model's counters are read terminal classes before
+//! `submitted`, so such a scrape is internally consistent
+//! ([`MetricsSnapshot::check_internal`]), and a post-drain scrape
+//! reconciles exactly ([`MetricsSnapshot::check_quiesced`]).
 
 pub mod cache;
 pub mod fault;

@@ -22,9 +22,9 @@
 //! * Per-model wall-clock latency histograms
 //!   (`nm_serve_request_latency_seconds`) over the static log-spaced
 //!   bounds in [`LATENCY_BUCKETS`], fed from each completed request's
-//!   submit-to-fulfill latency at fulfill time. Only *completed*
-//!   requests are observed, so at quiescence the histogram count equals
-//!   the model's completed counter.
+//!   submit-to-fulfill latency at fulfill time. Every completion is
+//!   observed, so the histogram count *is* the model's completed
+//!   counter.
 //!
 //! ## Determinism
 //!
@@ -36,18 +36,26 @@
 //!
 //! ## Torn-scrape consistency
 //!
-//! A scrape may run while requests are in flight. The increment order
-//! (global counter before per-model counter before histogram) and the
-//! snapshot read order (histograms first, then per-model counters, then
-//! queue/cache gauges, then [`ServiceStats`] with `submitted` last)
-//! guarantee that any mid-run snapshot satisfies
-//! [`MetricsSnapshot::check_internal`]: terminal classes never exceed
-//! `submitted`, per-model counters never exceed their global
-//! counterparts, and histogram counts never exceed `completed`. After a
-//! drain the export is *exact*: [`MetricsSnapshot::check_quiesced`]
-//! asserts equality with the ledgers and the five-term reconciliation
-//! `submitted == completed + failed + shed_expired + shed_canceled +
-//! shed_preempted`.
+//! There is one ledger of request outcomes: each outcome is counted
+//! once, in its model's [`ModelMetrics`]. Every service-wide request
+//! total in [`ServiceStats`] is a sum over one read of those per-model
+//! counters, and the full-shed aggregate `shed` is the sum of its
+//! per-class counters. So in any snapshot, even one taken while
+//! requests are in flight, the per-model sums equal the global
+//! counters, the per-class full sheds sum to `shed`, and each model's
+//! histogram count equals its `completed` — by construction.
+//!
+//! The one ordering left is inside a single model's counters. A request
+//! counts `submitted` before it is queued and its terminal class after
+//! it resolves; a completion counts `completed` before its bucket. A
+//! scrape reads the buckets first, then the terminal classes, then
+//! `submitted` last. So finite buckets never exceed the count and
+//! terminal classes never exceed `submitted`, per model and in sum.
+//! [`MetricsSnapshot::check_internal`] asserts all of this on any
+//! scrape. After a drain the export is *exact*:
+//! [`MetricsSnapshot::check_quiesced`] also asserts equality with the
+//! ledgers and the five-term reconciliation `submitted == completed +
+//! failed + shed_expired + shed_canceled + shed_preempted`.
 //!
 //! [`Service::metrics_text`]: crate::service::Service::metrics_text
 //! [`ServiceStats`]: crate::service::ServiceStats
@@ -87,6 +95,8 @@ pub const LATENCY_BUCKETS: [(u64, &str); 16] = [
 
 /// Live per-model counters and the latency histogram, keyed by the
 /// registered model *name* (aliased registrations share one handle).
+/// This is the service's only count of request outcomes: the
+/// service-wide totals are summed from these counters at read time.
 /// Opaque outside the crate; the service increments it at the
 /// submit/fulfill/shed sites and `MetricsRegistry::snapshot_models`
 /// reads it in the torn-safe order (see the module docs).
@@ -100,32 +110,30 @@ pub struct ModelMetrics {
     shed_canceled: AtomicU64,
     shed_preempted: AtomicU64,
     bucket_counts: [AtomicU64; LATENCY_BUCKETS.len()],
-    latency_count: AtomicU64,
     latency_sum_nanos: AtomicU64,
 }
 
 impl ModelMetrics {
-    /// Counts an accepted request. Call *after* the global `submitted`
-    /// increment; undo with [`unrecord_submitted`](Self::unrecord_submitted)
-    /// (per-model first) if the push is then rejected.
+    /// Counts an accepted request. Call *before* the queue push, so a
+    /// terminal class can never be counted ahead of it; undo with
+    /// [`unrecord_submitted`](Self::unrecord_submitted) if the push is
+    /// then rejected.
     pub(crate) fn record_submitted(&self) {
         self.submitted.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Reverts [`record_submitted`](Self::record_submitted) when the
-    /// queue rejects the push. Call *before* the global decrement so
-    /// `per-model <= global` holds at every instant.
+    /// queue rejects the push.
     pub(crate) fn unrecord_submitted(&self) {
         self.submitted.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Counts a completion and observes its latency. Call *after* the
-    /// global `completed` increment. Write order inside (completed,
-    /// then count, then bucket, then sum) pairs with the snapshot read
-    /// order to keep mid-run scrapes consistent.
+    /// Counts a completion and observes its latency. `completed` is
+    /// written before the bucket, and the snapshot reads the buckets
+    /// before `completed`, so a mid-run scrape never shows more finite
+    /// bucket observations than completions.
     pub(crate) fn record_completed(&self, latency: Duration) {
         self.completed.fetch_add(1, Ordering::SeqCst);
-        self.latency_count.fetch_add(1, Ordering::SeqCst);
         let nanos = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
         if let Some(i) = LATENCY_BUCKETS
             .iter()
@@ -136,36 +144,35 @@ impl ModelMetrics {
         self.latency_sum_nanos.fetch_add(nanos, Ordering::SeqCst);
     }
 
-    /// Counts an execution failure (after the global increment).
+    /// Counts an execution failure.
     pub(crate) fn record_failed(&self) {
         self.failed.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Counts a deadline shed at dispatch (after the global increment).
+    /// Counts a deadline shed at dispatch.
     pub(crate) fn record_expired(&self) {
         self.shed_expired.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Counts a cancellation (after the global increment) — fired from
-    /// the [`Pending`](crate::service) drop guard wherever it runs.
+    /// Counts a cancellation — fired from the
+    /// [`Pending`](crate::service) drop guard wherever it runs.
     pub(crate) fn record_canceled(&self) {
         self.shed_canceled.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Counts a displacement victim (after the global increment).
+    /// Counts a displacement victim.
     pub(crate) fn record_preempted(&self) {
         self.shed_preempted.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Reads the counters in the torn-safe order: histogram buckets,
-    /// then the histogram count and sum, then the terminal-class
-    /// counters, then `submitted` last.
-    fn snapshot(&self) -> ModelMetricsSnapshot {
+    /// Reads the counters in the torn-safe order: histogram buckets and
+    /// sum, then the terminal-class counters, then `submitted` last.
+    /// The histogram count is `completed`.
+    pub(crate) fn snapshot(&self) -> ModelMetricsSnapshot {
         let mut buckets = [0u64; LATENCY_BUCKETS.len()];
         for (slot, counter) in buckets.iter_mut().zip(&self.bucket_counts) {
             *slot = counter.load(Ordering::SeqCst);
         }
-        let latency_count = self.latency_count.load(Ordering::SeqCst);
         let latency_sum_nanos = self.latency_sum_nanos.load(Ordering::SeqCst);
         let completed = self.completed.load(Ordering::SeqCst);
         let failed = self.failed.load(Ordering::SeqCst);
@@ -176,7 +183,7 @@ impl ModelMetrics {
         ModelMetricsSnapshot {
             model: self.name.clone(),
             buckets,
-            latency_count,
+            latency_count: completed,
             latency_sum_nanos,
             submitted,
             completed,
@@ -217,9 +224,8 @@ impl MetricsRegistry {
         m
     }
 
-    /// Per-model snapshots in registration order (the torn-safe read
-    /// order starts here — call this before reading queue, cache or
-    /// service counters).
+    /// Per-model snapshots in registration order. Every service-wide
+    /// request total is summed from one such read.
     pub(crate) fn snapshot_models(&self) -> Vec<ModelMetricsSnapshot> {
         self.models
             .read()
@@ -242,6 +248,9 @@ pub struct ModelMetricsSnapshot {
     /// implicit `+Inf` bucket, i.e. in `latency_count`.
     pub buckets: [u64; LATENCY_BUCKETS.len()],
     /// Total latency observations (`_count`, also the `+Inf` bucket).
+    /// A live snapshot sets it to `completed`; a parsed one carries
+    /// the exported value, which [`MetricsSnapshot::check_internal`]
+    /// compares with `completed`.
     pub latency_count: u64,
     /// Sum of observed latencies in nanoseconds (`_sum` renders as
     /// seconds with 9 fixed decimals, so the round trip is exact).
@@ -284,7 +293,7 @@ pub struct MetricsSnapshot {
     pub queue_depth_high_water: u64,
     /// The cache ledger, verbatim.
     pub cache: CacheStats,
-    /// The service ledger, verbatim (`submitted` read last).
+    /// The service ledger: the request totals summed from `models`.
     pub service: ServiceStats,
 }
 
@@ -575,15 +584,15 @@ impl MetricsSnapshot {
     }
 
     /// The invariants every scrape must satisfy, *including* a mid-run
-    /// scrape taken while requests are in flight (the write/read
-    /// ordering in the module docs is what makes them hold):
+    /// scrape taken while requests are in flight (the module docs say
+    /// why they hold):
     ///
     /// * terminal classes never exceed `submitted` (globally and per
-    ///   model), and the per-class full-shed breakdown never exceeds
-    ///   the `shed` aggregate;
-    /// * per-model counters never exceed their global counterparts;
-    /// * a model's histogram count never exceeds its `completed`, and
-    ///   its finite buckets never exceed the count;
+    ///   model);
+    /// * the per-class full sheds sum to `shed`;
+    /// * the per-model counters sum to their global counterparts;
+    /// * a model's histogram count equals its `completed`, and its
+    ///   finite buckets never exceed the count;
     /// * gauges respect their high-water marks.
     ///
     /// # Errors
@@ -599,9 +608,9 @@ impl MetricsSnapshot {
             ));
         }
         let by_class: u64 = s.shed_full_by_class.iter().sum();
-        if by_class > s.shed {
+        if by_class != s.shed {
             return Err(format!(
-                "per-class full sheds exceed the aggregate: {by_class} > {}",
+                "per-class full sheds do not sum to the aggregate: {by_class} != {}",
                 s.shed
             ));
         }
@@ -627,9 +636,9 @@ impl MetricsSnapshot {
         ];
         for (what, get, global) in sums {
             let sum: u64 = self.models.iter().map(get).sum();
-            if sum > global {
+            if sum != global {
                 return Err(format!(
-                    "per-model {what} sum exceeds the global counter: {sum} > {global}"
+                    "per-model {what} sum does not equal the global counter: {sum} != {global}"
                 ));
             }
         }
@@ -642,9 +651,9 @@ impl MetricsSnapshot {
                     m.submitted
                 ));
             }
-            if m.latency_count > m.completed {
+            if m.latency_count != m.completed {
                 return Err(format!(
-                    "model {:?}: histogram count exceeds completed: {} > {}",
+                    "model {:?}: histogram count {} != completed {}",
                     m.model, m.latency_count, m.completed
                 ));
             }
@@ -662,12 +671,10 @@ impl MetricsSnapshot {
     /// The *exact* gating check for a quiesced scrape (taken after a
     /// drain, with no traffic racing it): everything
     /// [`check_internal`](Self::check_internal) demands, plus field
-    /// equality with the service's own ledgers, the five-term
+    /// equality with the service's own ledgers and the five-term
     /// reconciliation `submitted == completed + failed + shed_expired +
-    /// shed_canceled + shed_preempted` (globally and per model),
-    /// per-model sums equal to the global counters, per-class full
-    /// sheds summing to the aggregate, and histogram counts equal to
-    /// `completed` per model.
+    /// shed_canceled + shed_preempted` per model (the global form
+    /// follows, since the per-model counters sum to the global ones).
     ///
     /// # Errors
     /// The violated contract, named.
@@ -685,38 +692,6 @@ impl MetricsSnapshot {
                 self.cache
             ));
         }
-        let s = &self.service;
-        let terminals =
-            s.completed + s.failed + s.shed_expired + s.shed_canceled + s.shed_preempted;
-        if terminals != s.submitted {
-            return Err(format!(
-                "five-term reconciliation fails on the export: {terminals} != {}",
-                s.submitted
-            ));
-        }
-        let by_class: u64 = s.shed_full_by_class.iter().sum();
-        if by_class != s.shed {
-            return Err(format!(
-                "per-class full sheds do not sum to the aggregate: {by_class} != {}",
-                s.shed
-            ));
-        }
-        let sums: [(&str, ModelField, u64); 6] = [
-            ("submitted", |m| m.submitted, s.submitted),
-            ("completed", |m| m.completed, s.completed),
-            ("failed", |m| m.failed, s.failed),
-            ("shed_expired", |m| m.shed_expired, s.shed_expired),
-            ("shed_canceled", |m| m.shed_canceled, s.shed_canceled),
-            ("shed_preempted", |m| m.shed_preempted, s.shed_preempted),
-        ];
-        for (what, get, global) in sums {
-            let sum: u64 = self.models.iter().map(get).sum();
-            if sum != global {
-                return Err(format!(
-                    "per-model {what} sum does not reconcile: {sum} != {global}"
-                ));
-            }
-        }
         for m in &self.models {
             if m.terminal_sum() != m.submitted {
                 return Err(format!(
@@ -724,12 +699,6 @@ impl MetricsSnapshot {
                     m.model,
                     m.terminal_sum(),
                     m.submitted
-                ));
-            }
-            if m.latency_count != m.completed {
-                return Err(format!(
-                    "model {:?}: histogram count {} != completed {}",
-                    m.model, m.latency_count, m.completed
                 ));
             }
         }

@@ -145,17 +145,10 @@ impl<T> BoundedQueue<T> {
     /// decides the shed policy) and [`PushError::Closed`] after
     /// [`close`](Self::close); the item is returned in both cases.
     pub fn push(&self, item: T) -> Result<usize, PushError<T>> {
-        let mut state = self.lock();
-        if state.closed {
-            return Err(PushError::Closed(item));
-        }
-        if state.items.len() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        state.items.push_back(item);
-        state.high_water = state.high_water.max(state.items.len());
-        self.not_empty.notify_one();
-        Ok(state.items.len())
+        // One class for every item: nothing is strictly lower, so a
+        // full queue never displaces and the push is plain admission.
+        self.push_or_displace(item, |_| 0, |_| ())
+            .map(|(depth, _)| depth)
     }
 
     /// [`push`](Self::push) with class-aware displacement: when the

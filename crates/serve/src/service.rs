@@ -5,7 +5,7 @@
 
 use crate::cache::{CacheError, CacheStats, ModelCache};
 use crate::fault::{FaultAction, FaultPlan, FaultPoint};
-use crate::metrics::{MetricsRegistry, MetricsSnapshot, ModelMetrics};
+use crate::metrics::{MetricsRegistry, MetricsSnapshot, ModelMetrics, ModelMetricsSnapshot};
 use crate::queue::{BoundedQueue, Popped, PushError};
 use crate::supervisor::Supervisor;
 use nm_compiler::{BatchPlan, ExecTier, Options, PreparedGraph};
@@ -443,12 +443,9 @@ pub(crate) struct Pending {
     /// Scheduling class: dispatch order and shed policy (see
     /// [`Priority`]).
     priority: Priority,
-    /// Shared counters, so the drop guard can record the cancellation
-    /// wherever it fires (worker unwind, queue cancel, service drop).
-    stats: Arc<AtomicStats>,
-    /// The request's per-model metric slot (same lifetime rationale as
-    /// `stats`: the drop guard and the fulfill paths count into it
-    /// wherever they run).
+    /// The request's per-model ledger, shared so the drop guard and the
+    /// fulfill paths count the outcome wherever they run (worker
+    /// unwind, queue cancel, service drop).
     metrics: Arc<ModelMetrics>,
 }
 
@@ -477,7 +474,6 @@ impl Pending {
 impl Drop for Pending {
     fn drop(&mut self) {
         if let Some(slot) = self.slot.take() {
-            self.stats.shed_canceled.fetch_add(1, Ordering::SeqCst);
             self.metrics.record_canceled();
             *slot.result.lock().unwrap_or_else(PoisonError::into_inner) =
                 Some(Err(ServeError::Canceled));
@@ -486,9 +482,14 @@ impl Drop for Pending {
     }
 }
 
-/// Monotonic service counters; read them as a consistent snapshot via
-/// [`Service::stats`] after [`Service::drain`] (mid-flight reads are
-/// individually accurate but may straddle a batch).
+/// Service-wide counters. The request-outcome fields (`submitted`,
+/// `completed`, `failed`, `shed_expired`, `shed_canceled`,
+/// `shed_preempted`) are sums of the per-model counters exported by
+/// [`Service::metrics_text`], taken from one read of them, and `shed`
+/// is the sum of `shed_full_by_class`. Each outcome is counted once, so
+/// there is no second copy to drift: even a snapshot taken while
+/// requests are in flight never shows the terminal classes above
+/// `submitted`.
 ///
 /// Accounting invariant (after a drain): every *accepted* request lands
 /// in exactly one of `completed`, `failed`, `shed_expired`,
@@ -534,16 +535,11 @@ pub struct ServiceStats {
     pub max_coalesced: u64,
 }
 
+/// The service counters with no per-model home. Request outcomes live
+/// only in the per-model ledger ([`ModelMetrics`]).
 #[derive(Debug, Default)]
 pub(crate) struct AtomicStats {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    shed: AtomicU64,
     shed_full_by_class: [AtomicU64; 3],
-    shed_expired: AtomicU64,
-    shed_canceled: AtomicU64,
-    shed_preempted: AtomicU64,
     worker_panics: AtomicU64,
     pub(crate) restarts: AtomicU64,
     batches: AtomicU64,
@@ -551,42 +547,27 @@ pub(crate) struct AtomicStats {
 }
 
 impl AtomicStats {
-    fn snapshot(&self) -> ServiceStats {
-        // Read order matters for a mid-flight snapshot: terminal classes
-        // before `submitted` (which writers pre-increment), and the
-        // per-class breakdown before the `shed` aggregate — so the
-        // snapshot can undercount late arrivals but never shows a
-        // terminal sum exceeding `submitted` or a breakdown exceeding
-        // its aggregate.
-        let completed = self.completed.load(Ordering::SeqCst);
-        let failed = self.failed.load(Ordering::SeqCst);
-        let shed_full_by_class = [
-            self.shed_full_by_class[0].load(Ordering::SeqCst),
-            self.shed_full_by_class[1].load(Ordering::SeqCst),
-            self.shed_full_by_class[2].load(Ordering::SeqCst),
-        ];
-        let shed = self.shed.load(Ordering::SeqCst);
-        let shed_expired = self.shed_expired.load(Ordering::SeqCst);
-        let shed_canceled = self.shed_canceled.load(Ordering::SeqCst);
-        let shed_preempted = self.shed_preempted.load(Ordering::SeqCst);
-        let worker_panics = self.worker_panics.load(Ordering::SeqCst);
-        let restarts = self.restarts.load(Ordering::SeqCst);
-        let batches = self.batches.load(Ordering::SeqCst);
-        let max_coalesced = self.max_coalesced.load(Ordering::SeqCst);
-        let submitted = self.submitted.load(Ordering::SeqCst);
+    /// The service ledger: the request totals summed over one read of
+    /// the per-model counters, plus this struct's own counters.
+    fn snapshot(&self, models: &[ModelMetricsSnapshot]) -> ServiceStats {
+        let sum = |get: fn(&ModelMetricsSnapshot) -> u64| models.iter().map(get).sum();
+        let shed_full_by_class = self
+            .shed_full_by_class
+            .each_ref()
+            .map(|c| c.load(Ordering::SeqCst));
         ServiceStats {
-            submitted,
-            completed,
-            failed,
-            shed,
+            submitted: sum(|m| m.submitted),
+            completed: sum(|m| m.completed),
+            failed: sum(|m| m.failed),
+            shed: shed_full_by_class.iter().sum(),
             shed_full_by_class,
-            shed_expired,
-            shed_canceled,
-            shed_preempted,
-            worker_panics,
-            restarts,
-            batches,
-            max_coalesced,
+            shed_expired: sum(|m| m.shed_expired),
+            shed_canceled: sum(|m| m.shed_canceled),
+            shed_preempted: sum(|m| m.shed_preempted),
+            worker_panics: self.worker_panics.load(Ordering::SeqCst),
+            restarts: self.restarts.load(Ordering::SeqCst),
+            batches: self.batches.load(Ordering::SeqCst),
+            max_coalesced: self.max_coalesced.load(Ordering::SeqCst),
         }
     }
 }
@@ -616,7 +597,7 @@ pub(crate) struct ServiceInner {
     models: RwLock<Vec<ModelSlot>>,
     cache: ModelCache,
     next_id: AtomicU64,
-    pub(crate) stats: Arc<AtomicStats>,
+    pub(crate) stats: AtomicStats,
     pub(crate) metrics: MetricsRegistry,
     pub(crate) supervisor: Supervisor,
 }
@@ -677,7 +658,7 @@ impl Service {
             models: RwLock::new(Vec::new()),
             cache: ModelCache::configured(config.cache_budget, config.fault_plan.clone()),
             next_id: AtomicU64::new(0),
-            stats: Arc::new(AtomicStats::default()),
+            stats: AtomicStats::default(),
             metrics: MetricsRegistry::default(),
             supervisor: Supervisor::new(),
             config,
@@ -831,16 +812,12 @@ impl Service {
             submitted: Instant::now(),
             deadline,
             priority,
-            stats: Arc::clone(&self.inner.stats),
             metrics: Arc::clone(&metrics),
         };
-        // `submitted` is pre-incremented (global before per-model)
-        // *before* the push: once the request is in the queue a worker
-        // may complete it immediately, and a scrape racing that must
-        // never see a terminal counter exceed `submitted`. A rejected
-        // push undoes the increments in the opposite order (per-model
-        // before global), keeping per-model <= global at every instant.
-        self.inner.stats.submitted.fetch_add(1, Ordering::SeqCst);
+        // `submitted` is counted *before* the push: once the request is
+        // in the queue a worker may complete it immediately, and a
+        // scrape racing that must never see a terminal counter exceed
+        // `submitted`. A rejected push undoes the count.
         metrics.record_submitted();
         let push =
             self.inner
@@ -852,10 +829,6 @@ impl Service {
                     // The victim was accepted earlier (counted
                     // submitted); it resolves Preempted here, keeping
                     // the accounting invariant exact.
-                    self.inner
-                        .stats
-                        .shed_preempted
-                        .fetch_add(1, Ordering::SeqCst);
                     victim.metrics.record_preempted();
                     victim.fulfill(Err(ServeError::Preempted));
                 }
@@ -868,8 +841,6 @@ impl Service {
                 let mut rejected = rejected;
                 rejected.slot = None;
                 metrics.unrecord_submitted();
-                self.inner.stats.submitted.fetch_sub(1, Ordering::SeqCst);
-                self.inner.stats.shed.fetch_add(1, Ordering::SeqCst);
                 self.inner.stats.shed_full_by_class[priority.rank()].fetch_add(1, Ordering::SeqCst);
                 Err(SubmitError::Shed {
                     capacity: self.inner.config.queue_capacity,
@@ -879,7 +850,6 @@ impl Service {
                 let mut rejected = rejected;
                 rejected.slot = None;
                 metrics.unrecord_submitted();
-                self.inner.stats.submitted.fetch_sub(1, Ordering::SeqCst);
                 if self.inner.supervisor.is_poisoned() {
                     Err(SubmitError::Poisoned)
                 } else {
@@ -928,32 +898,33 @@ impl Service {
     /// leave the queue empty with nothing in flight.
     pub fn shutdown(mut self) -> ServiceStats {
         self.close_and_join();
-        let stats = self.inner.stats.snapshot();
+        let stats = self.stats();
         debug_assert!(self.inner.queue.is_empty());
         debug_assert_eq!(self.inner.queue.in_flight(), 0);
         stats
     }
 
-    /// Current counters (see [`ServiceStats`] for read-consistency
-    /// caveats while requests are in flight).
+    /// Current counters, with the request totals summed over the
+    /// per-model ledger (see [`ServiceStats`]).
     pub fn stats(&self) -> ServiceStats {
-        self.inner.stats.snapshot()
+        self.inner
+            .stats
+            .snapshot(&self.inner.metrics.snapshot_models())
     }
 
     /// One consistent scrape of everything the service exports: the
     /// per-model counters and latency histograms, the queue-depth
     /// gauges (sampled under the queue mutex), the cache ledger and the
-    /// service ledger. The read order (per-model first, `submitted`
-    /// last) pairs with the increment order so even a scrape racing
-    /// live traffic satisfies
-    /// [`MetricsSnapshot::check_internal`]; after a
+    /// service ledger. The service ledger's request totals are summed
+    /// from the same per-model read, so even a scrape racing live
+    /// traffic satisfies [`MetricsSnapshot::check_internal`]; after a
     /// [`drain`](Self::drain) the snapshot reconciles exactly
     /// ([`MetricsSnapshot::check_quiesced`]).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let models = self.inner.metrics.snapshot_models();
         let (depth, high_water) = self.inner.queue.depth_stats();
         let cache = self.inner.cache.stats();
-        let service = self.inner.stats.snapshot();
+        let service = self.inner.stats.snapshot(&models);
         MetricsSnapshot {
             models,
             queue_depth: depth as u64,
@@ -1088,7 +1059,6 @@ pub(crate) fn worker_loop(inner: &ServiceInner) {
             n: batch.len() + expired.len(),
         };
         for pending in expired {
-            inner.stats.shed_expired.fetch_add(1, Ordering::SeqCst);
             pending.metrics.record_expired();
             pending.fulfill(Err(ServeError::DeadlineExceeded));
         }
@@ -1138,11 +1108,8 @@ fn run_batch_isolated(inner: &ServiceInner, batch: Vec<Pending>, injected: Optio
         Ok(Ok(runs)) => {
             for (pending, run) in batch.into_iter().zip(runs) {
                 // One reading per request: the same latency feeds the
-                // result and the per-model histogram (global counter
-                // first, then the per-model slot — the torn-scrape
-                // write order).
+                // result and the per-model histogram.
                 let latency = pending.submitted.elapsed();
-                inner.stats.completed.fetch_add(1, Ordering::SeqCst);
                 pending.metrics.record_completed(latency);
                 let result = InferenceResult {
                     id: pending.id,
@@ -1161,7 +1128,6 @@ fn run_batch_isolated(inner: &ServiceInner, batch: Vec<Pending>, injected: Optio
             // as the only failures here; every rider of the batch
             // learns about it.
             for pending in batch {
-                inner.stats.failed.fetch_add(1, Ordering::SeqCst);
                 pending.metrics.record_failed();
                 pending.fulfill(Err(ServeError::Run(e.clone())));
             }
@@ -1192,7 +1158,6 @@ fn run_batch_isolated(inner: &ServiceInner, batch: Vec<Pending>, injected: Optio
                         // failed batch pass and earlier re-runs of the
                         // same batch (see `InferenceResult::latency`).
                         let latency = pending.submitted.elapsed();
-                        inner.stats.completed.fetch_add(1, Ordering::SeqCst);
                         pending.metrics.record_completed(latency);
                         let result = InferenceResult {
                             id: pending.id,
@@ -1206,13 +1171,11 @@ fn run_batch_isolated(inner: &ServiceInner, batch: Vec<Pending>, injected: Optio
                         pending.fulfill(Ok(result));
                     }
                     Ok(Err(e)) => {
-                        inner.stats.failed.fetch_add(1, Ordering::SeqCst);
                         pending.metrics.record_failed();
                         pending.fulfill(Err(ServeError::Run(e)));
                     }
                     Err(payload) => {
                         inner.stats.worker_panics.fetch_add(1, Ordering::SeqCst);
-                        inner.stats.failed.fetch_add(1, Ordering::SeqCst);
                         pending.metrics.record_failed();
                         pending.fulfill(Err(ServeError::WorkerPanic(panic_message(&*payload))));
                     }
@@ -1246,7 +1209,7 @@ mod tests {
         Arc::new(PreparedGraph::prepare_shared(graph, &opts).unwrap())
     }
 
-    fn queued_pending(queue: &BoundedQueue<Pending>, stats: &Arc<AtomicStats>, id: u64) -> Ticket {
+    fn queued_pending(queue: &BoundedQueue<Pending>, stats: &Arc<ModelMetrics>, id: u64) -> Ticket {
         let prepared = tiny_prepared();
         let slot = Arc::new(TicketSlot::default());
         let ticket = Ticket {
@@ -1265,8 +1228,7 @@ mod tests {
                     submitted: Instant::now(),
                     deadline: None,
                     priority: Priority::Batch,
-                    stats: Arc::clone(stats),
-                    metrics: MetricsRegistry::default().handle("test"),
+                    metrics: Arc::clone(stats),
                 })
                 .is_ok(),
             "queue admits the request"
@@ -1282,7 +1244,7 @@ mod tests {
     #[test]
     fn cancel_queued_unblocks_waiters_with_canceled() {
         let queue: BoundedQueue<Pending> = BoundedQueue::new(4);
-        let stats = Arc::new(AtomicStats::default());
+        let stats = MetricsRegistry::default().handle("test");
         let ticket = queued_pending(&queue, &stats, 7);
         std::thread::scope(|scope| {
             let waiter = scope.spawn(move || ticket.wait());
@@ -1302,7 +1264,7 @@ mod tests {
     #[test]
     fn wait_timeout_bounds_the_wait_without_leaking() {
         let queue: BoundedQueue<Pending> = BoundedQueue::new(4);
-        let stats = Arc::new(AtomicStats::default());
+        let stats = MetricsRegistry::default().handle("test");
         let ticket = queued_pending(&queue, &stats, 1);
         let t = Instant::now();
         assert!(matches!(
@@ -1325,7 +1287,7 @@ mod tests {
     #[test]
     fn wait_timeout_duration_max_means_wait_forever() {
         let queue: BoundedQueue<Pending> = BoundedQueue::new(4);
-        let stats = Arc::new(AtomicStats::default());
+        let stats = MetricsRegistry::default().handle("test");
         let ticket = queued_pending(&queue, &stats, 42);
         std::thread::scope(|scope| {
             let waiter = scope.spawn(move || ticket.wait_timeout(Duration::MAX));

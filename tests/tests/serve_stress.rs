@@ -2,9 +2,10 @@
 //! multi-threaded submitters hammer two models through a deliberately
 //! undersized queue. The assertions are the service's bookkeeping
 //! invariants — no request lost, none duplicated, every shed reported,
-//! drain/shutdown leaves the queue empty — plus the determinism
-//! contract under contention. Runs in CI's release test profile (and in
-//! debug, with the same request counts — the models are tiny).
+//! drain/shutdown leaves the queue empty, mid-run metrics scrapes are
+//! never torn — plus the determinism contract under contention. Runs
+//! in CI's release test profile (and in debug, with the same request
+//! counts — the models are tiny).
 
 use nm_compiler::{Options, PreparedGraph, Target};
 use nm_core::sparsity::Nm;
@@ -13,8 +14,10 @@ use nm_integration::sparse_conv_fc_graph;
 use nm_models::mlp_serve_sparse;
 use nm_nn::graph::Graph;
 use nm_nn::rng::XorShift;
+use nm_serve::metrics::parse_text;
 use nm_serve::{Service, ServiceConfig, SubmitError};
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const SUBMITTERS: usize = 4;
@@ -70,8 +73,42 @@ fn concurrent_submitters_lose_nothing_and_drain_clean() {
 
     // Each submitter fires its whole request stream without waiting
     // (so the undersized queue actually overflows), records every shed,
-    // then waits for its own accepted tickets.
-    let results: Vec<(Vec<Completed>, u64)> = std::thread::scope(|scope| {
+    // then waits for its own accepted tickets. Meanwhile a scraper
+    // reads the metrics export and the stats under live contention:
+    // every scrape must parse and pass `check_internal` (whose
+    // per-model sums, per-class sheds and histogram counts are
+    // equalities), and `stats()` must never show the terminal classes
+    // above `submitted` nor a `shed` off its per-class sum.
+    let submitters_done = AtomicBool::new(false);
+    let (results, scrapes) = std::thread::scope(|scope| {
+        let scraper = scope.spawn(|| {
+            let mut scrapes = 0u64;
+            // Checks before testing the stop flag, so at least one
+            // scrape lands whatever the timing.
+            loop {
+                let parsed = parse_text(&service.metrics_text())
+                    .unwrap_or_else(|e| panic!("mid-run export must parse: {e}"));
+                parsed
+                    .check_internal()
+                    .unwrap_or_else(|e| panic!("mid-run scrape is torn: {e}"));
+                let s = service.stats();
+                let terminals =
+                    s.completed + s.failed + s.shed_expired + s.shed_canceled + s.shed_preempted;
+                assert!(
+                    terminals <= s.submitted,
+                    "terminal classes {terminals} above submitted in {s:?}"
+                );
+                assert_eq!(
+                    s.shed,
+                    s.shed_full_by_class.iter().sum::<u64>(),
+                    "shed off its per-class sum in {s:?}"
+                );
+                scrapes += 1;
+                if submitters_done.load(Ordering::SeqCst) {
+                    return scrapes;
+                }
+            }
+        });
         let handles: Vec<_> = (0..SUBMITTERS)
             .map(|t| {
                 let (service, graphs, ids) = (&service, &graphs, &ids);
@@ -104,8 +141,12 @@ fn concurrent_submitters_lose_nothing_and_drain_clean() {
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let results: Vec<(Vec<Completed>, u64)> =
+            handles.into_iter().map(|h| h.join().unwrap()).collect();
+        submitters_done.store(true, Ordering::SeqCst);
+        (results, scraper.join().unwrap())
     });
+    assert!(scrapes >= 1, "the scraper never scraped");
 
     // Every request is accounted for: accepted + shed == attempted.
     let accepted: u64 = results.iter().map(|(done, _)| done.len() as u64).sum();
