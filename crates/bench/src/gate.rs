@@ -367,10 +367,10 @@ mod tests {
         // weights stage once per batch — ~1.15× measured). The conv
         // family runs batch-major (`BatchPlan::ConvBatchMajor`): each
         // tile's packed weights and decimation table are
-        // staged/validated once per batch, requests after the first
-        // skip cycle accounting entirely (reusing request 0's
-        // input-value-independent statistics), and — the larger share —
-        // those requests run request-inner through the transposed-patch
+        // staged/validated once per batch, every request shares the
+        // tile's one analytic pass (its statistics are
+        // input-value-independent), and — the larger share — the
+        // requests run request-inner through the transposed-patch
         // sweep, loading each weight byte and gather index once for
         // eight requests' multiply-adds (~1.8× measured at b16). The floors sit well below the measured
         // gains so the swings observed between best-of refreshes cannot

@@ -40,16 +40,18 @@ pub struct Options {
     /// Cycle-cost model.
     pub costs: CostModel,
     /// Execution tier for emulated tiles ([`ExecTier::Bulk`] is the
-    /// default). `Reference` charges per instruction; `Bulk` charges
-    /// batched blocks, bit- and cycle-exact with `Reference` and several
-    /// times faster. Both tiers report cycles.
+    /// default). `Reference` charges per instruction; `Bulk` computes
+    /// from scratchpad slices and reports its kernels' analytic cycles,
+    /// bit- and cycle-exact with `Reference` and several times faster.
+    /// Both tiers report cycles.
     pub tier: ExecTier,
     /// Host worker threads for the compiled executor's parallel tile
     /// execution ([`crate::prepack::PreparedGraph`]): `0` (the default)
-    /// sizes to the host's available parallelism, `1` forces sequential
-    /// execution. Tiles are independent — each owns its scratchpad and
-    /// its cycle total is summed in schedule order — so every thread
-    /// count produces identical outputs and statistics.
+    /// sizes to the host's available parallelism, read once when the
+    /// graph is prepared, and `1` forces sequential execution. Tiles are
+    /// independent — each owns its scratchpad and its cycle total is
+    /// summed in schedule order — so every thread count produces
+    /// identical outputs and statistics.
     pub host_threads: usize,
 }
 

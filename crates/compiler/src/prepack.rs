@@ -212,6 +212,10 @@ pub struct PreparedGraph<'g> {
     /// one out for the duration of their item batch and the pool resets
     /// it on checkin, so every checkout observes the fresh state.
     pool: ScratchpadPool,
+    /// Worker threads per layer call: [`Options::host_threads`] with `0`
+    /// resolved to the host parallelism once, at prepare time (the
+    /// lookup reads cgroup files and costs tens of microseconds).
+    threads: usize,
 }
 
 /// The emulation context selected by [`Options::tier`].
@@ -235,6 +239,7 @@ impl<'g> PreparedGraph<'g> {
             graph: GraphRef::Borrowed(graph),
             opts: *opts,
             pool: ScratchpadPool::new("L1", opts.l1_budget),
+            threads: host_threads(opts),
         })
     }
 
@@ -253,6 +258,7 @@ impl<'g> PreparedGraph<'g> {
             graph: GraphRef::Shared(graph),
             opts: *opts,
             pool: ScratchpadPool::new("L1", opts.l1_budget),
+            threads: host_threads(opts),
         })
     }
 
@@ -587,12 +593,11 @@ impl<'g> PreparedGraph<'g> {
     /// per-request outputs and per-request emulated compute cycles. The
     /// B×T rows run as one token stream, so each tile's weights stage
     /// once per call and every token of every request reuses them. Each
-    /// (tile, token chunk) item is one kernel-layer batch call
-    /// ([`fc_dense_batch`] and its sparse twins): the chunk's first token
-    /// runs the charged kernel and the rest take the token sweep, each
-    /// token charged its own kernel invocation's cycles, which depend
-    /// only on geometry and weights — so a request is charged exactly
-    /// what a batch of one would charge it.
+    /// K-tile is one work item and one kernel-layer batch call
+    /// ([`fc_dense_batch`] and its sparse twins), which charges every
+    /// token the tile's kernel cycles; those depend only on geometry and
+    /// weights, so a request is charged exactly what a batch of one
+    /// would charge it.
     fn run_fc(
         &self,
         layer: &LinearLayer,
@@ -608,42 +613,20 @@ impl<'g> PreparedGraph<'g> {
             s => return Err(Error::ShapeMismatch(format!("linear over {s:?}"))),
         };
         // Token `t` of the stream is row `t % rows` of request `t / rows`.
-        let tokens = inputs.len() * rows;
-        // Work items are (K-tile, token chunk): weights are staged once
-        // per item and every token of the chunk reuses them, so a
-        // multi-token layer never restages (let alone repacks) weights
-        // per token. Chunking exists purely to feed idle workers when
-        // there are fewer tiles than threads; boundaries are
-        // deterministic, and per-token outputs/cycles don't depend on
-        // which chunk ran them.
-        let n_tiles = p.specs.len();
-        let n_chunks = if tokens <= 1 {
-            1
-        } else {
-            self.threads().div_ceil(n_tiles).clamp(1, tokens)
-        };
-        // `max(1)` keeps the zero-token degenerate case (an empty `[0,
-        // C]` input) on the normal path: one item per tile with an
-        // empty token range, which stages and runs nothing.
-        let chunk = tokens.div_ceil(n_chunks).max(1);
-        // Re-derive the chunk count from the chosen size so no trailing
-        // chunk is empty (e.g. 5 tokens over 4 chunks of 2 -> 3 chunks).
-        let n_chunks = tokens.div_ceil(chunk).max(1);
+        let xs: Vec<&[i8]> = (0..inputs.len() * rows)
+            .map(|t| &inputs[t / rows].data()[(t % rows) * c..][..c])
+            .collect();
         let nm = p.choice.nm();
 
-        let run_item = |mem: &mut Scratchpad, item: usize| -> Result<(Vec<u64>, Vec<u8>)> {
-            let (ti, ci) = (item / n_chunks, item % n_chunks);
+        let run_tile = |mem: &mut Scratchpad, ti: usize| -> Result<(Vec<u64>, Vec<u8>)> {
             let tg = p.specs[ti].geom;
-            let (t0, t1) = (ci * chunk, ((ci + 1) * chunk).min(tokens));
-            let xs: Vec<&[i8]> = (t0..t1)
-                .map(|t| &inputs[t / rows].data()[(t % rows) * c..][..c])
-                .collect();
             let Some(&x0) = xs.first() else {
+                // An empty `[0, C]` input: nothing to stage or run.
                 return Ok((Vec::new(), Vec::new()));
             };
             mem.reset();
-            // Weights (and offsets) stage once with token 0's input and
-            // stay resident for every token of the item.
+            // Weights (and offsets) stage once with the first token's
+            // input and stay resident for every token of the stream.
             let bufs = match &p.tiles[ti] {
                 TileWeights::Dense(range) => {
                     stage_fc_dense(mem, &tg, x0, &layer.weights[range.clone()])?
@@ -671,23 +654,17 @@ impl<'g> PreparedGraph<'g> {
             };
             Ok((run.stats.iter().map(|s| s.cycles()).collect(), run.outputs))
         };
-        let results = self.run_items(n_tiles * n_chunks, run_item)?;
+        let results = self.run_items(p.specs.len(), run_tile)?;
 
         let b = inputs.len();
         let mut outs = vec![vec![0i8; rows * geom.k]; b];
         let mut cycles = vec![0u64; b];
-        for (item, (cyc, bytes)) in results.into_iter().enumerate() {
-            let (ti, ci) = (item / n_chunks, item % n_chunks);
-            let spec = &p.specs[ti];
-            let tg = spec.geom;
-            let (t0, t1) = (ci * chunk, ((ci + 1) * chunk).min(tokens));
-            for (j, t) in (t0..t1).enumerate() {
-                cycles[t / rows] += cyc[j];
+        for (spec, (cyc, bytes)) in p.specs.iter().zip(results) {
+            let tk = spec.geom.k;
+            for (t, (cy, out)) in cyc.iter().zip(bytes.chunks_exact(tk)).enumerate() {
+                cycles[t / rows] += cy;
                 let dst = (t % rows) * geom.k + spec.k0;
-                copy_bytes_to_i8(
-                    &mut outs[t / rows][dst..dst + tg.k],
-                    &bytes[j * tg.k..(j + 1) * tg.k],
-                );
+                copy_bytes_to_i8(&mut outs[t / rows][dst..dst + tk], out);
             }
         }
         let mut out_shape = shape.to_vec();
@@ -697,14 +674,6 @@ impl<'g> PreparedGraph<'g> {
             .map(|o| Tensor::from_vec(&out_shape, o))
             .collect::<Result<Vec<_>>>()?;
         Ok((tensors, cycles))
-    }
-
-    /// Worker threads to use (resolving `0` to the host parallelism).
-    fn threads(&self) -> usize {
-        match self.opts.host_threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        }
     }
 
     /// Runs `f` for every item index in `0..n`, in parallel when the
@@ -717,7 +686,7 @@ impl<'g> PreparedGraph<'g> {
         R: Send,
         F: Fn(&mut Scratchpad, usize) -> Result<R> + Sync,
     {
-        let threads = self.threads().min(n);
+        let threads = self.threads.min(n);
         if threads <= 1 {
             let mut mem = self.checkout();
             let mut out = Vec::with_capacity(n);
@@ -795,6 +764,15 @@ impl<'g> PreparedGraph<'g> {
 
     fn checkin(&self, mem: Scratchpad) {
         self.pool.checkin(mem);
+    }
+}
+
+/// Worker threads for `opts`: [`Options::host_threads`], with `0`
+/// resolved to the host parallelism.
+fn host_threads(opts: &Options) -> usize {
+    match opts.host_threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
     }
 }
 

@@ -5,10 +5,10 @@
 //! what makes it slow on the host. An [`InstrBlock`] is the closed-form
 //! cost of a straight-line block (a 4-NZ inner chunk, a tail element, an
 //! epilogue): per-class instruction counts plus the derived stall and
-//! branch-penalty counts. Kernels on the bulk fast path build the block
-//! table for a whole channel with [`InstrBlock::repeat`]/[`InstrBlock::then`]
-//! and charge it with a single [`crate::Core::charge_block`] call;
-//! analytic mode charges the same tables without touching memory.
+//! branch-penalty counts. Kernels in analytic mode (which also yields
+//! the bulk fast path's statistics) build the block table for a whole
+//! channel with [`InstrBlock::repeat`]/[`InstrBlock::then`] and charge it
+//! with a single [`crate::Core::charge_block`] call.
 //!
 //! Exactness contract: charging a block must change `cycles`, `instret`,
 //! `macs` and every per-class counter by exactly what the equivalent

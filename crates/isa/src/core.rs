@@ -103,7 +103,7 @@ impl Core {
     /// base cycles, load stalls and taken-branch penalties, exactly as the
     /// equivalent sequence of per-instruction calls would (see
     /// [`InstrBlock`] for the contract). This is the accounting engine of
-    /// the kernels' bulk fast path and of their analytic mode.
+    /// the kernels' analytic mode, which also counts for the bulk path.
     #[inline]
     pub fn charge_block(&mut self, block: &InstrBlock) {
         let mut instrs = 0;

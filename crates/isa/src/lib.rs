@@ -27,11 +27,11 @@
 //!   the same granularity as on the modeled core. It runs when a kernel
 //!   executes under `Ctx::Mem` in `nm-kernels`.
 //! * **Bulk fast path** — kernels compute outputs from zero-copy memory
-//!   views ([`mem::Memory::slice`] and friends) and charge whole
-//!   straight-line blocks with [`Core::charge_block`] over an
-//!   [`InstrBlock`] count table. It runs under `Ctx::MemBulk` and exists
-//!   to make host-side sweeps cheap. It is the only fast path: every
-//!   bulk run charges its blocks, so its statistics are always defined.
+//!   views ([`mem::Memory::slice`] and friends) under `Ctx::MemBulk`, to
+//!   make host-side sweeps cheap, and charge nothing. Their statistics
+//!   come from the kernel's analytic pass (`Ctx::Analytic`), which
+//!   charges whole straight-line blocks with [`Core::charge_block`] over
+//!   an [`InstrBlock`] count table without touching memory.
 //!
 //! The contract between them: for the same kernel and operands the two
 //! paths must agree **exactly** — bit-identical memory contents and
@@ -41,9 +41,6 @@
 //! The parity suite in the workspace `tests` crate (`bulk_parity.rs`)
 //! enforces this for every kernel, pattern and tail geometry; treat a
 //! divergence as a bug in the fast path, never as a tolerable drift.
-//! Analytic mode (`Ctx::Analytic`) charges the bulk path's own
-//! [`InstrBlock`]s without touching memory, so it matches both on every
-//! statistic for any [`CostModel`] as well.
 //!
 //! # Example
 //!

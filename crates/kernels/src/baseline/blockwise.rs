@@ -129,7 +129,7 @@ pub fn fc_blockwise(
     }
     // One core's worth of blockwise rows on the bulk path: 4-wide block
     // dots from zero-copy slices of the flat value/index streams (the
-    // caller charges one aggregated block per core).
+    // analytic pass charges one aggregated block per core).
     fn core_body(
         mem: &mut Scratchpad,
         job: &BlockwiseFcJob,
@@ -169,12 +169,13 @@ pub fn fc_blockwise(
     Ok(run_fc(
         "fc-blockwise-1x4".into(),
         &geom,
+        ctx,
         cluster,
-        |core_id, core| {
+        |core_id, core, ctx| {
             let range = chunk_range(geom.k, cluster.n_cores(), core_id);
             match ctx.path() {
-                Ctx::MemBulk(mem) => core_body(mem, job, &row_start, range.clone()),
-                Ctx::Analytic => {}
+                Ctx::MemBulk(mem) => core_body(mem, job, &row_start, range),
+                Ctx::Analytic => core.charge_block(&core_block(core.costs(), &row_start, range)),
                 Ctx::Mem(mem) => {
                     for k in range {
                         core.outer_loop_iter();
@@ -196,10 +197,8 @@ pub fn fc_blockwise(
                         let out = job.fc.requant.apply(acc);
                         core.sb(mem, job.bufs.output + k as u32, out);
                     }
-                    return;
                 }
             }
-            core.charge_block(&core_block(core.costs(), &row_start, range));
         },
     ))
 }

@@ -116,8 +116,8 @@ pub fn fc_csr(ctx: &mut Ctx<'_>, job: &CsrFcJob, cluster: &Cluster) -> Result<Ke
         row_start[k + 1] = row_start[k] + job.row_nnz[k];
     }
     // One core's worth of CSR rows on the bulk path: outputs from
-    // zero-copy slices of the flat value/index streams. The caller
-    // charges one aggregated block per core (block charging is
+    // zero-copy slices of the flat value/index streams. The analytic
+    // pass charges one aggregated block per core (block charging is
     // order-independent, so the variable per-row non-zero counts sum
     // exactly).
     fn core_body(mem: &mut Scratchpad, job: &CsrFcJob, row_start: &[usize], range: Range<usize>) {
@@ -151,11 +151,12 @@ pub fn fc_csr(ctx: &mut Ctx<'_>, job: &CsrFcJob, cluster: &Cluster) -> Result<Ke
         write_out(mem, job.bufs.output + range.start as u32, &outs);
     }
 
-    Ok(run_fc("fc-csr".into(), &geom, cluster, |core_id, core| {
+    let name = "fc-csr".to_string();
+    Ok(run_fc(name, &geom, ctx, cluster, |core_id, core, ctx| {
         let range = chunk_range(geom.k, cluster.n_cores(), core_id);
         match ctx.path() {
-            Ctx::MemBulk(mem) => core_body(mem, job, &row_start, range.clone()),
-            Ctx::Analytic => {}
+            Ctx::MemBulk(mem) => core_body(mem, job, &row_start, range),
+            Ctx::Analytic => core.charge_block(&core_block(core.costs(), &row_start, range)),
             Ctx::Mem(mem) => {
                 for k in range {
                     core.outer_loop_iter();
@@ -176,10 +177,8 @@ pub fn fc_csr(ctx: &mut Ctx<'_>, job: &CsrFcJob, cluster: &Cluster) -> Result<Ke
                     let out = job.fc.requant.apply(acc);
                     core.sb(mem, job.bufs.output + k as u32, out);
                 }
-                return;
             }
         }
-        core.charge_block(&core_block(core.costs(), &row_start, range));
     }))
 }
 

@@ -148,8 +148,8 @@ pub fn fc_dcsr(ctx: &mut Ctx<'_>, job: &DcsrFcJob, cluster: &Cluster) -> Result<
     // One core's worth of dCSR rows on the bulk path: each row's nibble
     // stream decodes host-side from a zero-copy slice of its delta
     // segment. The per-row metadata already carries the exact
-    // load/ALU/branch mix, so the caller charges the whole range as one
-    // aggregated block.
+    // load/ALU/branch mix, so the analytic pass charges the whole range
+    // as one aggregated block.
     fn core_body(mem: &mut Scratchpad, job: &DcsrFcJob, range: Range<usize>) {
         // As in the CSR/blockwise arms, the activation window
         // extends to the end of the scratchpad: a decoded column
@@ -182,11 +182,12 @@ pub fn fc_dcsr(ctx: &mut Ctx<'_>, job: &DcsrFcJob, cluster: &Cluster) -> Result<
         write_out(mem, job.bufs.output + range.start as u32, &outs);
     }
 
-    Ok(run_fc("fc-dcsr".into(), &geom, cluster, |core_id, core| {
+    let name = "fc-dcsr".to_string();
+    Ok(run_fc(name, &geom, ctx, cluster, |core_id, core, ctx| {
         let range = chunk_range(geom.k, cluster.n_cores(), core_id);
         match ctx.path() {
-            Ctx::MemBulk(mem) => core_body(mem, job, range.clone()),
-            Ctx::Analytic => {}
+            Ctx::MemBulk(mem) => core_body(mem, job, range),
+            Ctx::Analytic => core.charge_block(&core_block(core.costs(), job, range)),
             Ctx::Mem(mem) => {
                 for k in range {
                     core.outer_loop_iter();
@@ -220,10 +221,8 @@ pub fn fc_dcsr(ctx: &mut Ctx<'_>, job: &DcsrFcJob, cluster: &Cluster) -> Result<
                     let out = job.fc.requant.apply(acc);
                     core.sb(mem, job.bufs.output + k as u32, out);
                 }
-                return;
             }
         }
-        core.charge_block(&core_block(core.costs(), job, range));
     }))
 }
 

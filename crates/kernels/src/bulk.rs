@@ -779,7 +779,7 @@ pub(crate) fn write_out(mem: &mut nm_platform::Scratchpad, addr: u32, data: &[i8
 
 /// Computes one output position pair for every channel of a sparse
 /// convolution from the pre-decoded [`decim_table`] and writes the
-/// outputs into the output tensor (host-side; charging is the caller's).
+/// outputs into the output tensor (host-side; the analytic walk charges).
 /// `outs` is a reusable scratch buffer owned by the kernel invocation so
 /// the per-pair loop stays allocation-free. Pass `in_range = true` only
 /// when [`table_below`]`(table, patch_len)` held — the gathers then skip
@@ -850,9 +850,9 @@ fn conv_pair_outputs_impl<const CHECKED: bool>(
     write_out(mem, job.bufs.output + (pos * kt) as u32, outs);
 }
 
-/// Request-inner uncharged batch sweep for the sparse conv families:
-/// computes the outputs of `inputs` (the batch requests after the first)
-/// for every output position in one walk. Per position the transposed
+/// Request-inner batch sweep for the sparse conv families: computes the
+/// outputs of `inputs` (a batch's requests) for every output position in
+/// one walk. Per position the transposed
 /// patch block ([`crate::im2col::patch_transposed`]) makes each
 /// decimation-table entry's activations contiguous across requests, so
 /// every weight byte and table index is loaded **once** and feeds
@@ -864,8 +864,8 @@ fn conv_pair_outputs_impl<const CHECKED: bool>(
 /// product multiset per (request, channel, position) matches
 /// [`indexed_dot`] exactly, so outputs are bit-identical to running each
 /// request alone. Request `r`'s output tile lands at
-/// `out[r * output_elems()..]`. Charging is none by construction — the
-/// caller reuses request 0's statistics (see `conv::drive_conv_batch`).
+/// `out[r * output_elems()..]`. Nothing is charged: every request's
+/// statistics are the tile's analytic walk (see `conv::drive_conv_batch`).
 ///
 /// `in_range` as in [`conv_pair_outputs`]: pass `true` only when
 /// [`table_below`]`(table, patch_len)` held.
@@ -910,14 +910,15 @@ pub(crate) const SWEEP_WIDTH: usize = 8;
 
 /// Fewest live requests per chunk worth padding to [`SWEEP_WIDTH`]: with
 /// fewer live lanes the dead-lane compute exceeds what per-request
-/// fallback drives would cost, so `conv::drive_conv_batch` routes
-/// remainders below this through the fallback loop instead.
+/// compute walks would cost, so `conv::drive_conv_batch` and
+/// `fc::drive_fc_batch` route remainders below this through their
+/// per-entry fallback instead.
 pub(crate) const SWEEP_MIN: usize = 5;
 
-/// How many of `n` requests (or tokens) after the first a batch sweep
-/// takes: every full [`SWEEP_WIDTH`]-wide chunk, plus a short last chunk
-/// when it holds at least [`SWEEP_MIN`] live lanes. The rest run through
-/// the caller's per-request fallback.
+/// How many of a batch's `n` requests (or tokens) the sweep takes: every
+/// full [`SWEEP_WIDTH`]-wide chunk, plus a short last chunk when it holds
+/// at least [`SWEEP_MIN`] live lanes. The rest run through the caller's
+/// per-entry fallback.
 pub(crate) fn sweep_len(n: usize) -> usize {
     if n < SWEEP_MIN {
         0
@@ -974,7 +975,7 @@ fn sweep_requests<const CHECKED: bool>(
     }
 }
 
-/// One [`SWEEP_WIDTH`]-wide request chunk of the uncharged batch sweep:
+/// One [`SWEEP_WIDTH`]-wide request chunk of the batch sweep:
 /// up to 8 live requests (short chunks pad by repeating the last input;
 /// padded lanes compute but never store). Each weight byte and gather
 /// index is loaded once per position and feeds all 8 lanes.
@@ -1172,9 +1173,9 @@ impl FcOffsets<'_> {
     }
 }
 
-/// Token-inner uncharged sweep for the FC kernels: computes the outputs
-/// of `tokens` (the tokens after the first of a staged tile) in one walk
-/// over the staged weights — the FC twin of [`conv_sweep_sparse`] /
+/// Token-inner sweep for the FC kernels: computes the outputs of
+/// `tokens` (a staged tile's token stream) in one walk over the staged
+/// weights — the FC twin of [`conv_sweep_sparse`] /
 /// [`conv_sweep_dense`]. The tokens are transposed into
 /// [`SWEEP_WIDTH`]-wide blocks (row `i` of a block holds input `i` of
 /// the chunk's tokens; a short last chunk repeats its last token and
@@ -1187,8 +1188,8 @@ impl FcOffsets<'_> {
 /// Wrapping `i32` accumulation is associative and commutative and the
 /// product multiset per (token, channel) is the kernel's, so every output
 /// is bit-identical to running the token alone. Token `t`'s `K` outputs
-/// land at `out[t * K..]`. Nothing is charged: the caller reuses the
-/// first token's statistics (see `fc::drive_fc_batch`).
+/// land at `out[t * K..]`. Nothing is charged: every token's statistics
+/// are the tile's analytic pass (see `fc::drive_fc_batch`).
 ///
 /// The gathers index unchecked only when the offset stream passes the
 /// [`offsets_below`] fence; a stream that fails it runs the checked

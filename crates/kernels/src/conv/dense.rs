@@ -2,70 +2,47 @@
 //! kernel (paper Sec. 4.1.1, Fig. 2 / Fig. 4 left).
 
 use super::{drive, drive_conv_batch, BatchInner, BatchRun, ConvBatch, ConvJob, EPILOGUE_ALU};
-use crate::bulk::dense_dot;
+use crate::bulk::{dense_dot, loop_scaffold};
 use crate::stats::{Ctx, KernelStats};
 use nm_core::Result;
-use nm_isa::{Core, InstrBlock, Memory};
+use nm_isa::{Core, CostModel, InstrBlock, Memory};
 use nm_platform::{Cluster, Scratchpad};
 
-/// The 1×2 kernel's channel loop over one position pair, shared by the
-/// single-run and batch-major entry points.
-fn loop_1x2(job: &ConvJob) -> impl FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32, bool) + '_ {
+/// The dense kernels' channel loop over one position pair, shared by the
+/// single-run and batch-major entry points: `quads` groups of four
+/// output channels (the PULP-NN 4×2 inner loop), then the remaining
+/// channels one at a time (the 1×2 loop).
+fn dense_loop(
+    job: &ConvJob,
+    quads: usize,
+) -> impl FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32) + '_ {
     let geom = job.geom;
     let plen = geom.patch_len();
-    let (chunks, tail) = (plen / 4, plen % 4);
-    move |core, ctx, pos, n_patches, buf, charge| {
-        for k in 0..geom.k {
-            if charge {
-                core.outer_loop_iter();
-                core.alu_n(2);
-                core.hwloop_setup();
+    let singles = 4 * quads..geom.k;
+    move |core, ctx, pos, n_patches, buf| match ctx.path() {
+        Ctx::MemBulk(mem) => {
+            for q in 0..quads {
+                quad_channels_body(mem, job, pos, n_patches, buf, 4 * q);
             }
-            let wrow = job.bufs.weights + (k * plen) as u32;
-            channel_1xn(
-                core, ctx, job, pos, n_patches, buf, k, wrow, chunks, tail, charge,
-            );
+            for k in singles.clone() {
+                let wrow = job.bufs.weights + (k * plen) as u32;
+                channel_1xn_body(mem, job, pos, n_patches, buf, k, wrow);
+            }
         }
-    }
-}
-
-/// The 4×2 kernel's channel loop (quads + 1×2 leftovers), shared by the
-/// single-run and batch-major entry points.
-fn loop_4x2(job: &ConvJob) -> impl FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32, bool) + '_ {
-    let geom = job.geom;
-    let plen = geom.patch_len();
-    let (chunks, tail) = (plen / 4, plen % 4);
-    let quads = geom.k / 4;
-    move |core, ctx, pos, n_patches, buf, charge| {
-        for q in 0..quads {
-            if charge {
-                core.outer_loop_iter();
-                core.alu_n(5);
-                core.hwloop_setup();
-            }
-            quad_channels(
-                core,
-                ctx,
-                job,
-                pos,
-                n_patches,
-                buf,
-                q * 4,
-                chunks,
-                tail,
-                charge,
-            );
+        Ctx::Analytic => {
+            let np = n_patches as u64;
+            let quad = quad_block(core.costs(), plen, np).repeat(quads as u64);
+            let single = channel_1xn_block(core.costs(), plen, np);
+            core.charge_block(&quad.then(single.repeat(singles.len() as u64)));
         }
-        for k in quads * 4..geom.k {
-            if charge {
-                core.outer_loop_iter();
-                core.alu_n(2);
-                core.hwloop_setup();
+        Ctx::Mem(mem) => {
+            for q in 0..quads {
+                quad_channels_reference(mem, core, job, pos, n_patches, buf, 4 * q);
             }
-            let wrow = job.bufs.weights + (k * plen) as u32;
-            channel_1xn(
-                core, ctx, job, pos, n_patches, buf, k, wrow, chunks, tail, charge,
-            );
+            for k in singles.clone() {
+                let wrow = job.bufs.weights + (k * plen) as u32;
+                channel_1xn_reference(mem, core, job, pos, n_patches, buf, k, wrow);
+            }
         }
     }
 }
@@ -84,7 +61,7 @@ pub fn conv_dense_1x2(ctx: &mut Ctx<'_>, job: &ConvJob, cluster: &Cluster) -> Re
         ctx,
         job,
         cluster,
-        loop_1x2(job),
+        dense_loop(job, 0),
     ))
 }
 
@@ -110,7 +87,7 @@ pub fn conv_dense_1x2_batch(
         cluster,
         batch,
         Some(BatchInner::Dense),
-        loop_1x2(job),
+        dense_loop(job, 0),
     )
 }
 
@@ -128,7 +105,7 @@ pub fn conv_dense_4x2(ctx: &mut Ctx<'_>, job: &ConvJob, cluster: &Cluster) -> Re
         ctx,
         job,
         cluster,
-        loop_4x2(job),
+        dense_loop(job, job.geom.k / 4),
     ))
 }
 
@@ -151,16 +128,15 @@ pub fn conv_dense_4x2_batch(
         cluster,
         batch,
         Some(BatchInner::Dense),
-        loop_4x2(job),
+        dense_loop(job, job.geom.k / 4),
     )
 }
 
 /// One output channel over `n_patches` im2col buffers (the 1×2 / 1×1
-/// inner loop), in both execution modes. `wrow` addresses the channel's
-/// dense weight row in L1 (unused in analytic mode) — passed explicitly
-/// so the per-channel mixed kernel can address heterogeneous rows.
-/// `charge` can only be false on the bulk path (batch-major requests
-/// after the first, whose statistics are reused from request 0).
+/// inner loop) behind its loop scaffold, in every context. `wrow`
+/// addresses the channel's dense weight row in L1 (unused in analytic
+/// mode) — passed explicitly so the per-channel mixed kernel can address
+/// heterogeneous rows.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn channel_1xn(
     core: &mut Core,
@@ -171,38 +147,32 @@ pub(crate) fn channel_1xn(
     buf: u32,
     k: usize,
     wrow: u32,
-    chunks: usize,
-    tail: usize,
-    charge: bool,
 ) {
     match ctx.path() {
         Ctx::MemBulk(mem) => channel_1xn_body(mem, job, pos, n_patches, buf, k, wrow),
-        Ctx::Analytic => {}
-        Ctx::Mem(mem) => {
-            channel_1xn_reference(mem, core, job, pos, n_patches, buf, k, wrow, chunks, tail);
-            return;
+        Ctx::Analytic => {
+            let block = channel_1xn_block(core.costs(), job.geom.patch_len(), n_patches as u64);
+            core.charge_block(&block);
         }
-    }
-    if charge {
-        core.charge_block(&channel_1xn_block(chunks, tail, n_patches as u64));
+        Ctx::Mem(mem) => channel_1xn_reference(mem, core, job, pos, n_patches, buf, k, wrow),
     }
 }
 
-/// The accounting block of one dense output channel over `np` patches
-/// (the exact batched equivalent of [`channel_1xn_reference`]'s charge
-/// sequence).
-fn channel_1xn_block(chunks: usize, tail: usize, np: u64) -> InstrBlock {
+/// The accounting block of one dense output channel over a `plen`-byte
+/// patch and `np` patches, loop scaffold included (the exact batched
+/// equivalent of [`channel_1xn_reference`]'s charge sequence).
+fn channel_1xn_block(costs: &CostModel, plen: usize, np: u64) -> InstrBlock {
     let per_chunk = InstrBlock::new().loads(1 + np).sdotp(np);
     let per_tail = InstrBlock::new().loads(1 + np).mac(np);
     let epilogue = InstrBlock::new().alu(EPILOGUE_ALU).stores(1).repeat(np);
-    per_chunk
-        .repeat(chunks as u64)
-        .then(per_tail.repeat(tail as u64))
+    loop_scaffold(costs, 2)
+        .then(per_chunk.repeat((plen / 4) as u64))
+        .then(per_tail.repeat((plen % 4) as u64))
         .then(epilogue)
 }
 
-/// The 1×N bulk kernel body: outputs from zero-copy slices (the caller
-/// charges [`channel_1xn_block`]).
+/// The 1×N bulk kernel body: outputs from zero-copy slices (the analytic
+/// walk charges [`channel_1xn_block`]).
 fn channel_1xn_body(
     mem: &mut Scratchpad,
     job: &ConvJob,
@@ -229,7 +199,8 @@ fn channel_1xn_body(
     }
 }
 
-/// The per-instruction reference arm of [`channel_1xn`].
+/// The per-instruction reference of one dense output channel, loop
+/// scaffold included.
 #[allow(clippy::too_many_arguments)]
 fn channel_1xn_reference(
     mem: &mut Scratchpad,
@@ -240,11 +211,13 @@ fn channel_1xn_reference(
     buf: u32,
     k: usize,
     wrow: u32,
-    chunks: usize,
-    tail: usize,
 ) {
     let geom = &job.geom;
     let plen = geom.patch_len();
+    let (chunks, tail) = (plen / 4, plen % 4);
+    core.outer_loop_iter();
+    core.alu_n(2);
+    core.hwloop_setup();
     let mut acc = [0i32; 2];
     for j in 0..chunks {
         let w = core.lw(mem, wrow + (4 * j) as u32);
@@ -268,48 +241,20 @@ fn channel_1xn_reference(
     }
 }
 
-/// Four output channels over `n_patches` buffers (the PULP-NN 4×2 inner
-/// loop). `charge` as in [`channel_1xn`].
-#[allow(clippy::too_many_arguments)]
-fn quad_channels(
-    core: &mut Core,
-    ctx: &mut Ctx<'_>,
-    job: &ConvJob,
-    pos: usize,
-    n_patches: usize,
-    buf: u32,
-    k0: usize,
-    chunks: usize,
-    tail: usize,
-    charge: bool,
-) {
-    match ctx.path() {
-        Ctx::MemBulk(mem) => quad_channels_body(mem, job, pos, n_patches, buf, k0),
-        Ctx::Analytic => {}
-        Ctx::Mem(mem) => {
-            quad_channels_reference(mem, core, job, pos, n_patches, buf, k0, chunks, tail);
-            return;
-        }
-    }
-    if charge {
-        core.charge_block(&quad_block(chunks, tail, n_patches as u64));
-    }
-}
-
-/// The accounting block of four dense output channels over `np` patches
-/// (the exact batched equivalent of [`quad_channels_reference`]'s charge
-/// sequence).
-fn quad_block(chunks: usize, tail: usize, np: u64) -> InstrBlock {
+/// The accounting block of four dense output channels over a
+/// `plen`-byte patch and `np` patches, loop scaffold included (the exact
+/// batched equivalent of [`quad_channels_reference`]'s charge sequence).
+fn quad_block(costs: &CostModel, plen: usize, np: u64) -> InstrBlock {
     let per_chunk = InstrBlock::new().loads(4 + np).sdotp(4 * np);
     let per_tail = InstrBlock::new().loads(4 + np).mac(4 * np);
     let epilogue = InstrBlock::new().alu(EPILOGUE_ALU).stores(1).repeat(4 * np);
-    per_chunk
-        .repeat(chunks as u64)
-        .then(per_tail.repeat(tail as u64))
+    loop_scaffold(costs, 5)
+        .then(per_chunk.repeat((plen / 4) as u64))
+        .then(per_tail.repeat((plen % 4) as u64))
         .then(epilogue)
 }
 
-/// The 4×N bulk kernel body (the caller charges [`quad_block`]).
+/// The 4×N bulk kernel body (the analytic walk charges [`quad_block`]).
 fn quad_channels_body(
     mem: &mut Scratchpad,
     job: &ConvJob,
@@ -342,8 +287,8 @@ fn quad_channels_body(
     }
 }
 
-/// The per-instruction reference arm of [`quad_channels`].
-#[allow(clippy::too_many_arguments)]
+/// The per-instruction reference of four dense output channels (the
+/// PULP-NN 4×2 inner loop), loop scaffold included.
 fn quad_channels_reference(
     mem: &mut Scratchpad,
     core: &mut Core,
@@ -352,11 +297,13 @@ fn quad_channels_reference(
     n_patches: usize,
     buf: u32,
     k0: usize,
-    chunks: usize,
-    tail: usize,
 ) {
     let geom = &job.geom;
     let plen = geom.patch_len();
+    let (chunks, tail) = (plen / 4, plen % 4);
+    core.outer_loop_iter();
+    core.alu_n(5);
+    core.hwloop_setup();
     let mut acc = [[0i32; 2]; 4];
     for j in 0..chunks {
         let mut w = [0u32; 4];

@@ -32,7 +32,7 @@ use nm_core::quant::Requant;
 use nm_core::sparsity::Nm;
 use nm_core::{ConvGeom, Error, Result};
 use nm_isa::{Core, InstrBlock, Memory};
-use nm_platform::{chunk_range, Cluster, ClusterStats};
+use nm_platform::{chunk_range, Cluster, ClusterStats, Scratchpad};
 use sparse_sw::SparseConvJob;
 use std::sync::Arc;
 
@@ -174,8 +174,8 @@ impl DecimProgram {
 
 /// The shared spatial driver: splits output positions across cores,
 /// performs the im2col for each pair and invokes the kernel-specific
-/// channel loop. Channel loops read the patch buffers, so the bulk path
-/// materializes every position ([`drive_conv`] with `patches_read`).
+/// channel loop, which reads the patch buffers ([`drive_conv`] with
+/// `patches_read`).
 pub(crate) fn drive<F>(
     name: String,
     ctx: &mut Ctx<'_>,
@@ -184,93 +184,56 @@ pub(crate) fn drive<F>(
     channel_loop: F,
 ) -> KernelStats
 where
-    F: FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32, bool),
+    F: FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32),
 {
-    drive_conv(name, ctx, job, cluster, true, true, channel_loop)
+    drive_conv(name, ctx, job, cluster, true, channel_loop)
 }
 
 /// [`drive`] with an explicit patch-consumption policy.
 ///
 /// On the reference path the im2col runs per position, instruction by
-/// instruction. Every other path keeps a [`PatchState`] per core whose
-/// charging is closed-form (memoized per padding class, shared across
-/// cores via one [`Im2colCharges`]); the analytic path stops there. On
-/// the bulk path data movement is incremental on top of that. With
-/// `patches_read` the buffers are materialized before every
-/// `channel_loop` call (sliding from the previous pair's contents);
-/// without it — the im2col-only engine workloads — only each core's
-/// *final* patch buffers are written, preserving full-memory parity
-/// with the reference at none of the intermediate traffic.
-///
-/// `charge` selects whether cycle accounting runs at all. With it false
-/// — legal **only on the bulk path**, where charging is a closed-form
-/// side channel — the drive performs the data movement and output
-/// computation but skips every [`Core`] charge and [`InstrBlock`]
-/// construction, and the returned statistics are meaningless. Batch-major
-/// sweeps use this for requests after the first: kernel charging depends
-/// only on geometry and weights, so request 0's statistics are reused
-/// verbatim (see [`drive_conv_batch`]). On the reference path charging
-/// is welded to the per-instruction execution and `charge` must be
-/// true.
+/// instruction, and the channel loop charges as it computes. The bulk
+/// path runs two walks: [`compute_conv`] moves the data and writes the
+/// outputs, then the analytic walk — the only one the analytic path
+/// runs — charges each position pair's scaffold and closed-form im2col
+/// (memoized per padding class, shared across cores via one
+/// [`Im2colCharges`]) plus the channel loop's blocks, and its statistics
+/// are the result.
 pub(crate) fn drive_conv<F>(
     name: String,
     ctx: &mut Ctx<'_>,
     job: &ConvJob,
     cluster: &Cluster,
     patches_read: bool,
-    charge: bool,
     mut channel_loop: F,
 ) -> KernelStats
 where
-    F: FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32, bool),
+    F: FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32),
 {
-    debug_assert!(
-        charge || matches!(ctx, Ctx::MemBulk(_)),
-        "uncharged drives are a bulk-path-only shortcut"
-    );
+    if let Ctx::MemBulk(mem) = ctx {
+        compute_conv(mem, job, cluster, patches_read, &mut channel_loop);
+    }
+    let mut ctx = ctx.charging();
     let geom = &job.geom;
-    let n_pos = geom.oy() * geom.ox();
     let mut charges = Im2colCharges::new(cluster.costs());
     // The per-iteration scaffold (outer_loop_iter + patch-pointer ALU)
-    // folded into the bulk and analytic paths' single per-pair charge.
+    // folded into the analytic walk's single per-pair charge.
     let scaffold = InstrBlock::new().outer_iter(&cluster.costs()).alu(4);
     let mut per_core = Vec::with_capacity(cluster.n_cores());
     for core_id in 0..cluster.n_cores() {
         let mut core = Core::new(cluster.costs());
-        if charge {
-            core.kernel_overhead();
-        }
-        let range = chunk_range(n_pos, cluster.n_cores(), core_id);
+        core.kernel_overhead();
         let buf = job.bufs.im2col + (core_id * geom.im2col_bytes_per_core()) as u32;
-        let mut patches = PatchState::new(job.bufs.input, buf);
-        let mut pos = range.start;
-        while pos < range.end {
-            let n_patches = (range.end - pos).min(2);
+        for (pos, n_patches) in position_pairs(geom, cluster, core_id) {
             match ctx.path() {
-                Ctx::MemBulk(mem) => {
-                    if charge {
-                        patches.fill(&mut core, &mut charges, geom, &scaffold, pos, n_patches);
-                    } else {
-                        patches.record(geom, pos, n_patches);
-                    }
-                    if patches_read {
-                        patches.materialize(mem, geom);
-                    }
-                }
-                Ctx::Analytic => {
-                    patches.fill(&mut core, &mut charges, geom, &scaffold, pos, n_patches);
-                }
                 Ctx::Mem(mem) => {
                     core.outer_loop_iter();
                     core.alu_n(4); // patch pointers + position bookkeeping
                     im2col_patches(&mut core, mem, geom, job.bufs.input, buf, pos, n_patches);
                 }
+                _ => core.charge_block(&charges.pair(geom, &scaffold, pos, n_patches)),
             }
-            channel_loop(&mut core, ctx, pos, n_patches, buf, charge);
-            pos += n_patches;
-        }
-        if let Ctx::MemBulk(mem) = ctx.path() {
-            patches.finish(mem, geom);
+            channel_loop(&mut core, &mut ctx, pos, n_patches, buf);
         }
         per_core.push(core.stats());
     }
@@ -281,6 +244,51 @@ where
     }
 }
 
+/// The bulk path's compute walk: per core, a [`PatchState`] records each
+/// position pair, materializes it before the channel loop when
+/// `patches_read` (sliding from the previous pair's contents), and
+/// writes the core's final patch buffers at the end, so the scratchpad
+/// ends bit-identical to the reference's; without `patches_read` — the
+/// im2col-only engine workloads — only those final buffers are written.
+/// Nothing is charged: the channel loop's bulk arm gets a scratch core.
+fn compute_conv<F>(
+    mem: &mut Scratchpad,
+    job: &ConvJob,
+    cluster: &Cluster,
+    patches_read: bool,
+    channel_loop: &mut F,
+) where
+    F: FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32),
+{
+    let geom = &job.geom;
+    let mut scratch = Core::new(cluster.costs());
+    for core_id in 0..cluster.n_cores() {
+        let buf = job.bufs.im2col + (core_id * geom.im2col_bytes_per_core()) as u32;
+        let mut patches = PatchState::new(job.bufs.input, buf);
+        for (pos, n_patches) in position_pairs(geom, cluster, core_id) {
+            patches.record(geom, pos, n_patches);
+            if patches_read {
+                patches.materialize(mem, geom);
+            }
+            channel_loop(&mut scratch, &mut Ctx::MemBulk(mem), pos, n_patches, buf);
+        }
+        patches.finish(mem, geom);
+    }
+}
+
+/// Core `core_id`'s share of the output positions in the kernels'
+/// two-patch steps: `(first position, patches)`, the last step of an odd
+/// share holding one patch.
+fn position_pairs(
+    geom: &ConvGeom,
+    cluster: &Cluster,
+    core_id: usize,
+) -> impl Iterator<Item = (usize, usize)> {
+    let range = chunk_range(geom.oy() * geom.ox(), cluster.n_cores(), core_id);
+    let end = range.end;
+    range.step_by(2).map(move |pos| (pos, (end - pos).min(2)))
+}
+
 /// The per-request inputs of a batch-major sweep over one staged conv
 /// tile (`drive_conv_batch`): the tile's weights, offsets and decoded
 /// decimation table stay resident in L1 for the whole batch; between
@@ -288,18 +296,16 @@ where
 #[derive(Debug, Clone, Copy)]
 pub struct ConvBatch<'a> {
     /// One tile input per request (HWC, `geom.input_elems()` bytes
-    /// each). Request 0's slice must be the input the caller already
-    /// staged at `bufs.input` — the sweep never rewrites it.
+    /// each).
     pub inputs: &'a [&'a [i8]],
 }
 
 /// The kernel family's inner-compute shape, handed to
-/// [`drive_conv_batch`] so the bulk path can run requests after the
-/// first through the request-inner sweep
-/// ([`crate::bulk::conv_sweep_sparse`] /
-/// [`crate::bulk::conv_sweep_dense`]) instead of a per-request drive.
-/// `None` (or a batch too small to amortize the transposed patch build)
-/// falls back to per-request uncharged drives.
+/// [`drive_conv_batch`] so the bulk path can run the batch through the
+/// request-inner sweep ([`crate::bulk::conv_sweep_sparse`] /
+/// [`crate::bulk::conv_sweep_dense`]) instead of per-request compute
+/// walks. `None` (or a batch too small to amortize the transposed patch
+/// build) falls back to per-request compute walks.
 pub(crate) enum BatchInner<'a> {
     /// Gather through the pre-decoded decimation table (both sparse
     /// families — their bulk compute is the same [`crate::bulk`] walk).
@@ -315,35 +321,31 @@ pub(crate) enum BatchInner<'a> {
     Dense,
 }
 
-/// Batch-major sweep driver: one fully charged [`drive_conv`] for
-/// request 0 over a tile whose weights are staged **once** for the whole
-/// batch, then the remaining requests at full host speed.
+/// Batch-major sweep driver: runs every request of `batch` over a tile
+/// whose weights are staged **once** for the whole batch.
 ///
-/// Bit-identity argument: request 0 runs on the freshly staged state
-/// exactly as a single run would. Requests after the first never touch
-/// the modeled scratchpad at all on the bulk path — their outputs are
-/// computed host-side from each request's own input bytes through the
-/// same `row_split`-derived im2col decomposition
+/// On the bulk path no request touches the modeled scratchpad when the
+/// family has a [`BatchInner`]: as many [`crate::bulk::SWEEP_WIDTH`]-wide
+/// request-inner chunks as the batch fills compute their outputs
+/// host-side from each request's own input bytes, through the same
+/// `row_split`-derived im2col decomposition
 /// (`crate::im2col::patch_transposed`) and the same wrapping `i32`
 /// product multiset the kernels execute (see
 /// [`crate::bulk::conv_sweep_sparse`]), so every output byte equals a
-/// freshly staged sequential run's. On the reference path every request
-/// runs the full per-instruction drive (the input buffer rewritten
-/// between requests; stale im2col/output regions are dead values —
-/// every kernel rebuilds patches before reading and overwrites every
-/// output element), serving as the oracle the batched kernel parity
-/// tests compare against.
+/// freshly staged sequential run's. Each weight byte and decimation index
+/// is loaded once per chunk and feeds every lane's accumulator, where a
+/// sequential loop re-walks the index/weight streams per request. A
+/// remainder too small to fill a chunk (below `SWEEP_MIN` live requests),
+/// or a family without a [`BatchInner`], runs [`compute_conv`] per
+/// request instead, the input buffer rewritten first (stale im2col and
+/// output regions are dead values: every kernel rebuilds patches before
+/// reading and overwrites every output element).
 ///
-/// The sweep's speed comes from two places. Cycle accounting is
-/// input-value-independent, so request 0 is the only one charged — the
-/// rest reuse its [`KernelStats`] verbatim (on the analytic path, which
-/// moves no data, they run nothing at all). And the bulk-path requests
-/// after the first run *request-inner*: each weight byte and decimation
-/// index is loaded once and feeds every remaining request's accumulator
-/// through a transposed patch block, where a sequential loop re-walks
-/// the index/weight streams per request. Batches too small to amortize
-/// the transpose (or families without a [`BatchInner`]) fall back to
-/// per-request uncharged drives ([`drive_conv`] with `charge == false`).
+/// Cycle accounting is input-value-independent, so every request on the
+/// bulk and analytic paths shares the tile's one analytic walk. The
+/// reference path runs the full per-instruction drive per request,
+/// serving as the oracle the batched kernel parity tests compare
+/// against.
 ///
 /// # Errors
 /// [`Error::ShapeMismatch`] if any request's input length disagrees with
@@ -358,7 +360,7 @@ pub(crate) fn drive_conv_batch<F>(
     mut channel_loop: F,
 ) -> Result<BatchRun>
 where
-    F: FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32, bool),
+    F: FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32),
 {
     let in_elems = job.geom.input_elems();
     let out_elems = job.geom.output_elems();
@@ -371,106 +373,75 @@ where
         }
     }
     let b = batch.inputs.len();
-    let mut stats = Vec::with_capacity(b);
     let mut outputs = Vec::with_capacity(if ctx.is_mem() { b * out_elems } else { 0 });
-    // Request 0 always runs the fully charged drive on the freshly
-    // staged state — it produces the statistics every bulk/analytic
-    // request reuses.
-    stats.push(Arc::new(drive_conv(
-        name.to_string(),
-        ctx,
-        job,
-        cluster,
-        true,
-        true,
-        &mut channel_loop,
-    )));
-    if let Some(mem) = ctx.mem() {
-        outputs.extend_from_slice(
-            mem.slice(job.bufs.output, out_elems)
-                .expect("staged output in range"),
-        );
-    }
-    if b == 1 {
-        return Ok(BatchRun { stats, outputs });
-    }
-    // Requests after the first: on the bulk path, as many
-    // SWEEP_WIDTH-wide request-inner sweep chunks as the batch fills
-    // (a short last chunk pads dead lanes, so remainders below
-    // SWEEP_MIN live requests cost less through the per-request
-    // fallback loop below).
-    let mut tail = &batch.inputs[1..];
-    if let Ctx::MemBulk(mem) = &mut *ctx {
-        if let Some(inner) = &inner {
-            let (swept, fallback) = tail.split_at(crate::bulk::sweep_len(tail.len()));
-            if !swept.is_empty() {
-                let base = outputs.len();
-                outputs.resize(base + swept.len() * out_elems, 0);
-                match inner {
-                    BatchInner::Sparse {
-                        nz,
-                        table,
-                        in_range,
-                    } => crate::bulk::conv_sweep_sparse(
-                        mem,
-                        job,
-                        *nz,
-                        table,
-                        *in_range,
-                        swept,
-                        &mut outputs[base..],
-                    ),
-                    BatchInner::Dense => {
-                        crate::bulk::conv_sweep_dense(mem, job, swept, &mut outputs[base..])
-                    }
-                }
-                stats.resize(1 + swept.len(), Arc::clone(&stats[0]));
-            }
-            tail = fallback;
-        }
-    }
-    for input in tail {
-        if let Some(mem) = ctx.mem() {
-            let dst = mem
-                .slice_mut(job.bufs.input, in_elems)
-                .expect("staged input in range");
-            copy_i8_to_bytes(dst, input);
-        }
-        match ctx {
-            // The reference path stays fully charged per request — its
-            // accounting is welded to per-instruction execution.
-            Ctx::Mem(_) => stats.push(Arc::new(drive_conv(
-                name.to_string(),
-                ctx,
-                job,
-                cluster,
-                true,
-                true,
-                &mut channel_loop,
-            ))),
-            Ctx::MemBulk(_) => {
-                drive_conv(
+    let stage = |mem: &mut Scratchpad, input: &[i8]| {
+        let dst = mem.slice_mut(job.bufs.input, in_elems);
+        copy_i8_to_bytes(dst.expect("staged input in range"), input);
+    };
+    let read_out = |mem: &mut Scratchpad, outputs: &mut Vec<u8>| {
+        let src = mem.slice(job.bufs.output, out_elems);
+        outputs.extend_from_slice(src.expect("staged output in range"));
+    };
+    match ctx {
+        Ctx::Mem(mem) => {
+            let mut stats = Vec::with_capacity(b);
+            for input in batch.inputs {
+                stage(mem, input);
+                let mut ctx = Ctx::Mem(mem);
+                let run = drive_conv(
                     name.to_string(),
-                    ctx,
+                    &mut ctx,
                     job,
                     cluster,
                     true,
-                    false,
                     &mut channel_loop,
                 );
-                stats.push(Arc::clone(&stats[0]));
+                stats.push(Arc::new(run));
+                read_out(mem, &mut outputs);
             }
-            // Analytic: no memory, no data movement — nothing to run.
-            Ctx::Analytic => stats.push(Arc::clone(&stats[0])),
+            return Ok(BatchRun { stats, outputs });
         }
-        if let Some(mem) = ctx.mem() {
-            outputs.extend_from_slice(
-                mem.slice(job.bufs.output, out_elems)
-                    .expect("staged output in range"),
-            );
+        Ctx::MemBulk(mem) => {
+            let swept = inner.as_ref().map_or(0, |_| crate::bulk::sweep_len(b));
+            let (swept, fallback) = batch.inputs.split_at(swept);
+            outputs.resize(swept.len() * out_elems, 0);
+            match inner {
+                _ if swept.is_empty() => {}
+                Some(BatchInner::Sparse {
+                    nz,
+                    table,
+                    in_range,
+                }) => crate::bulk::conv_sweep_sparse(
+                    mem,
+                    job,
+                    nz,
+                    table,
+                    in_range,
+                    swept,
+                    &mut outputs,
+                ),
+                Some(BatchInner::Dense) => {
+                    crate::bulk::conv_sweep_dense(mem, job, swept, &mut outputs)
+                }
+                None => {}
+            }
+            for input in fallback {
+                stage(mem, input);
+                compute_conv(mem, job, cluster, true, &mut channel_loop);
+                read_out(mem, &mut outputs);
+            }
         }
+        Ctx::Analytic => {}
     }
-    Ok(BatchRun { stats, outputs })
+    let stats = drive_conv(
+        name.to_string(),
+        &mut Ctx::Analytic,
+        job,
+        cluster,
+        true,
+        &mut channel_loop,
+    );
+    Ok(BatchRun::shared(b, stats, outputs))
 }
 
 /// The shared partial-im2col step as a standalone workload: charges (and
@@ -490,8 +461,7 @@ pub fn im2col_only(name: &str, ctx: &mut Ctx<'_>, job: &ConvJob, cluster: &Clust
         job,
         cluster,
         false,
-        true,
-        |_, _, _, _, _, _| {},
+        |_, _, _, _, _| {},
     )
 }
 
@@ -565,9 +535,10 @@ mod tests {
     fn batch_major_sweep_is_bit_and_cycle_exact() {
         let nm = Nm::ONE_OF_EIGHT;
         let geom = ConvGeom::square(16, 6, 7, 3, 1, 1).unwrap();
-        // 14 requests cover every sweep regime at once: batch 3 (all
-        // fallback drives), 13 (one full 8-wide sweep chunk + 4-request
-        // fallback tail), 14 (full chunk + padded 5-live chunk).
+        // 14 requests cover every sweep regime at once: batches 1 and 3
+        // (per-request fallback only), 8 (full chunks only), 12 (one
+        // full 8-wide sweep chunk + a 4-request fallback remainder), 13
+        // and 14 (full chunk + a padded 5- or 6-live chunk).
         let inputs: Vec<Vec<i8>> = (0..14u64)
             .map(|r| random_data(geom.input_elems(), 61 + r))
             .collect();
@@ -672,9 +643,9 @@ mod tests {
                         );
                     }
                 }
-                // Batch-major: request 0 staged once, the rest swept
-                // through the held staging.
-                for b in [3usize, 13, 14] {
+                // Batch-major: the weights staged once, every request
+                // swept through the held staging.
+                for b in [1usize, 3, 8, 12, 13, 14] {
                     let mut mem = Scratchpad::new("l1", 256 * 1024);
                     let bufs = stage(&mut mem, &inputs[0]);
                     let mut ctx = mk(path, &mut mem);
@@ -803,8 +774,9 @@ mod tests {
             sink = sink.wrapping_add(run.stats[0].cycles());
         }
         let full = t.elapsed().as_secs_f64();
-        // (b) same sweep, noop channel loop: input rewrite + im2col
-        // materialization + output capture only
+        // (b) per-request compute walks with a noop channel loop (no
+        // sweep): input rewrite + im2col materialization + output
+        // capture, plus the one analytic walk
         let t = Instant::now();
         for _ in 0..reps {
             let mut ctx = Ctx::MemBulk(&mut mem);
@@ -815,13 +787,13 @@ mod tests {
                 &cluster,
                 &ConvBatch { inputs: &refs },
                 None,
-                |_, _, _, _, _, _| {},
+                |_, _, _, _, _| {},
             )
             .unwrap();
             sink = sink.wrapping_add(run.stats[0].cycles());
         }
         let noop = t.elapsed().as_secs_f64();
-        // (c) single charged run (request 0 cost)
+        // (c) single run: compute walk + analytic walk
         let t = Instant::now();
         for _ in 0..reps * 16 {
             let mut ctx = Ctx::MemBulk(&mut mem);
@@ -848,8 +820,8 @@ mod tests {
             }
         }
         let transpose = t.elapsed().as_secs_f64();
-        // (e) the uncharged sweep alone (15 trailing requests)
-        let mut out = vec![0u8; 15 * job.conv.geom.output_elems()];
+        // (e) the sweep alone (all 16 requests)
+        let mut out = vec![0u8; 16 * job.conv.geom.output_elems()];
         let t = Instant::now();
         for _ in 0..reps {
             crate::bulk::conv_sweep_sparse(
@@ -858,31 +830,43 @@ mod tests {
                 job.nz_per_channel(),
                 program.table(),
                 program.in_range(),
-                &refs[1..],
+                &refs,
                 &mut out,
             );
             sink = sink.wrapping_add(u64::from(out[0]));
         }
         let sweep = t.elapsed().as_secs_f64();
+        // (f) the analytic walk alone (the statistics every request
+        // shares)
+        let t = Instant::now();
+        for _ in 0..reps {
+            let s = conv_sparse_isa_prepared(&mut Ctx::Analytic, &job, &cluster, None).unwrap();
+            sink = sink.wrapping_add(s.cycles());
+        }
+        let analytic = t.elapsed().as_secs_f64();
         println!("sink {sink}");
         println!(
             "transpose x2/pos   : {transpose:8.3} s  ({:.3} ms/req)",
             transpose / reps as f64 / 16.0 * 1e3
         );
         println!(
-            "sweep 15 req       : {sweep:8.3} s  ({:.3} ms/req)",
-            sweep / reps as f64 / 15.0 * 1e3
+            "sweep 16 req       : {sweep:8.3} s  ({:.3} ms/req)",
+            sweep / reps as f64 / 16.0 * 1e3
+        );
+        println!(
+            "analytic walk      : {analytic:8.3} s  ({:.3} ms/batch)",
+            analytic / reps as f64 * 1e3
         );
         println!(
             "full batch-16      : {full:8.3} s  ({:.3} ms/req)",
             full / reps as f64 / 16.0 * 1e3
         );
         println!(
-            "noop  batch-16     : {noop:8.3} s  ({:.3} ms/req)",
+            "noop walks b16     : {noop:8.3} s  ({:.3} ms/req)",
             noop / reps as f64 / 16.0 * 1e3
         );
         println!(
-            "charged single x16 : {:8.3} s  ({:.3} ms/req)",
+            "single run x16     : {:8.3} s  ({:.3} ms/req)",
             single * 16.0,
             single / reps as f64 * 1e3
         );

@@ -132,8 +132,6 @@ pub fn conv_channel_mixed(
 ) -> Result<KernelStats> {
     job.validate()?;
     let geom = job.conv.geom;
-    let plen = geom.patch_len();
-    let (dense_chunks, dense_tail) = (plen / 4, plen % 4);
     let name = match engine {
         ChannelEngine::Software => "conv-channel-mixed-sw".to_string(),
         ChannelEngine::Isa => "conv-channel-mixed-isa".to_string(),
@@ -143,47 +141,23 @@ pub fn conv_channel_mixed(
         ctx,
         &job.conv,
         cluster,
-        // The mixed kernel has no batch-major entry point, so `drive`
-        // always charges.
-        |core, ctx, pos, n_patches, buf, _| {
+        |core, ctx, pos, n_patches, buf| {
             for k in 0..geom.k {
-                core.outer_loop_iter();
                 let (wrow, seg) = job.row_addr(k);
-                match job.patterns[k] {
-                    None => {
-                        core.alu_n(2);
-                        core.hwloop_setup();
-                        channel_1xn(
-                            core,
-                            ctx,
-                            &job.conv,
-                            pos,
-                            n_patches,
-                            buf,
-                            k,
-                            wrow,
-                            dense_chunks,
-                            dense_tail,
-                            true,
-                        );
+                let Some(nm) = job.patterns[k] else {
+                    channel_1xn(core, ctx, &job.conv, pos, n_patches, buf, k, wrow);
+                    continue;
+                };
+                let sparse = super::sparse_sw::SparseConvJob { conv: job.conv, nm };
+                match engine {
+                    ChannelEngine::Software => {
+                        channel_sparse_sw(core, ctx, &sparse, pos, n_patches, buf, k, wrow, seg);
                     }
-                    Some(nm) => {
-                        core.alu_n(3);
-                        core.hwloop_setup();
-                        let sparse = super::sparse_sw::SparseConvJob { conv: job.conv, nm };
-                        match engine {
-                            ChannelEngine::Software => {
-                                channel_sparse_sw(
-                                    core, ctx, &sparse, pos, n_patches, buf, k, wrow, seg,
-                                );
-                            }
-                            ChannelEngine::Isa => {
-                                let mode = decimate_mode(nm);
-                                channel_sparse_isa(
-                                    core, ctx, &sparse, mode, pos, n_patches, buf, k, wrow, seg,
-                                );
-                            }
-                        }
+                    ChannelEngine::Isa => {
+                        let mode = decimate_mode(nm);
+                        channel_sparse_isa(
+                            core, ctx, &sparse, mode, pos, n_patches, buf, k, wrow, seg,
+                        );
                     }
                 }
             }

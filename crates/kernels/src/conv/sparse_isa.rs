@@ -178,73 +178,51 @@ fn isa_channel_loop<'a>(
     table: Option<&'a [u32]>,
     in_range: bool,
     seg_dup: u32,
-) -> impl FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32, bool) + 'a {
+) -> impl FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32) + 'a {
     let geom = job.conv.geom;
     let nz = job.nz_per_channel();
     let mode = decimate_mode(job.nm);
     let mut outs = Vec::new(); // reused per pair by the bulk arm
-    move |core, ctx, pos, n_patches, buf, charge| {
-        match ctx.path() {
-            Ctx::MemBulk(mem) => {
-                let table = table.expect("table built for the bulk path");
-                conv_pair_outputs(
-                    mem, &job.conv, nz, table, in_range, pos, n_patches, buf, &mut outs,
-                );
-            }
-            Ctx::Analytic => {}
-            Ctx::Mem(_) => {
-                for k in 0..geom.k {
-                    core.outer_loop_iter();
-                    core.alu_n(3);
-                    core.hwloop_setup();
-                    let wrow = job.conv.bufs.weights + (k * nz) as u32;
-                    let krow = job.conv.bufs.offsets + k as u32 * seg_dup;
-                    channel_sparse_isa(core, ctx, job, mode, pos, n_patches, buf, k, wrow, krow);
-                }
-                return;
-            }
+    move |core, ctx, pos, n_patches, buf| match ctx.path() {
+        Ctx::MemBulk(mem) => {
+            let table = table.expect("table built for the bulk path");
+            conv_pair_outputs(
+                mem, &job.conv, nz, table, in_range, pos, n_patches, buf, &mut outs,
+            );
         }
-        if charge {
-            core.charge_block(&pair_block(core.costs(), job, n_patches as u64));
+        Ctx::Analytic => {
+            // Uniform channels: one repeated block per pair.
+            let block = channel_block(core.costs(), job, n_patches as u64);
+            core.charge_block(&block.repeat(geom.k as u64));
+        }
+        Ctx::Mem(_) => {
+            for k in 0..geom.k {
+                let wrow = job.conv.bufs.weights + (k * nz) as u32;
+                let krow = job.conv.bufs.offsets + k as u32 * seg_dup;
+                channel_sparse_isa(core, ctx, job, mode, pos, n_patches, buf, k, wrow, krow);
+            }
         }
     }
 }
 
-/// The accounting block of the ISA kernel's channel loop over one
-/// position pair of `np` patches: every channel's loop scaffold and
-/// inner loop (uniform channels, one repeated block).
-fn pair_block(costs: &CostModel, job: &SparseConvJob, np: u64) -> InstrBlock {
-    let nz = job.nz_per_channel();
-    loop_scaffold(costs, 3)
-        .then(channel_block(nz / 4, nz % 4, np))
-        .repeat(job.conv.geom.k as u64)
-}
-
 /// The accounting block of one `xDecimate` conv channel over `np`
-/// patches (the exact batched equivalent of the reference arm's charge
-/// sequence).
-fn channel_block(chunks: usize, tail: usize, np: u64) -> InstrBlock {
-    InstrBlock::new()
-        .xfu_clear(1)
-        .then(
-            InstrBlock::new()
-                .loads(2)
-                .xdecimate(8)
-                .sdotp(np)
-                .repeat(chunks as u64),
-        )
+/// patches, loop scaffold included (the exact batched equivalent of the
+/// reference arm's charge sequence).
+fn channel_block(costs: &CostModel, job: &SparseConvJob, np: u64) -> InstrBlock {
+    let nz = job.nz_per_channel();
+    let (chunks, tail) = ((nz / 4) as u64, (nz % 4) as u64);
+    let per_chunk = InstrBlock::new().loads(2).xdecimate(8).sdotp(np);
+    let per_tail = InstrBlock::new().loads(1).xdecimate(2).mac(np);
+    loop_scaffold(costs, 3)
+        .then(InstrBlock::new().xfu_clear(1))
+        .then(per_chunk.repeat(chunks))
         .then(InstrBlock::new().loads(u64::from(tail > 0)))
-        .then(
-            InstrBlock::new()
-                .loads(1)
-                .xdecimate(2)
-                .mac(np)
-                .repeat(tail as u64),
-        )
+        .then(per_tail.repeat(tail))
         .then(InstrBlock::new().alu(EPILOGUE_ALU).stores(1).repeat(np))
 }
 
-/// One output channel × `n_patches` patches with `xDecimate`.
+/// One output channel × `n_patches` patches with `xDecimate`, behind its
+/// loop scaffold.
 ///
 /// The instruction's block/lane pointer advances every *two* executions,
 /// so the kernel always issues `xDecimate` in pairs. With a single
@@ -269,7 +247,6 @@ pub(crate) fn channel_sparse_isa(
     let nz = job.nz_per_channel();
     let (chunks, tail) = (nz / 4, nz % 4);
     let entries_per_word = job.nm.offsets_per_word(); // 8 (4-bit) or 16 (2-bit)
-    let np = n_patches as u64;
 
     match ctx.path() {
         Ctx::MemBulk(mem) => {
@@ -298,8 +275,11 @@ pub(crate) fn channel_sparse_isa(
                 mem.store_i8(job.conv.bufs.output + ((pos + p) * geom.k + k) as u32, out);
             }
         }
-        Ctx::Analytic => {}
+        Ctx::Analytic => core.charge_block(&channel_block(core.costs(), job, n_patches as u64)),
         Ctx::Mem(mem) => {
+            core.outer_loop_iter();
+            core.alu_n(3);
+            core.hwloop_setup();
             core.xdecimate_clear();
             let vrow = wrow;
             let mut acc = [0i32; 2];
@@ -347,10 +327,8 @@ pub(crate) fn channel_sparse_isa(
                     out,
                 );
             }
-            return;
         }
     }
-    core.charge_block(&channel_block(chunks, tail, np));
 }
 
 #[cfg(test)]

@@ -198,72 +198,55 @@ fn sw_channel_loop<'a>(
     table: Option<&'a [u32]>,
     in_range: bool,
     seg: u32,
-) -> impl FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32, bool) + 'a {
+) -> impl FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32) + 'a {
     let geom = job.conv.geom;
     let nz = job.nz_per_channel();
     let mut outs = Vec::new(); // reused per pair by the bulk arm
-    move |core, ctx, pos, n_patches, buf, charge| {
-        match ctx.path() {
-            Ctx::MemBulk(mem) => {
-                let table = table.expect("table built for the bulk path");
-                conv_pair_outputs(
-                    mem, &job.conv, nz, table, in_range, pos, n_patches, buf, &mut outs,
-                );
-            }
-            Ctx::Analytic => {}
-            Ctx::Mem(_) => {
-                for k in 0..geom.k {
-                    core.outer_loop_iter();
-                    core.alu_n(3);
-                    core.hwloop_setup();
-                    let wrow = job.conv.bufs.weights + (k * nz) as u32;
-                    let krow = job.conv.bufs.offsets + k as u32 * seg;
-                    channel_sparse_sw(core, ctx, job, pos, n_patches, buf, k, wrow, krow);
-                }
-                return;
-            }
+    move |core, ctx, pos, n_patches, buf| match ctx.path() {
+        Ctx::MemBulk(mem) => {
+            let table = table.expect("table built for the bulk path");
+            conv_pair_outputs(
+                mem, &job.conv, nz, table, in_range, pos, n_patches, buf, &mut outs,
+            );
         }
-        if charge {
-            core.charge_block(&pair_block(core.costs(), job, n_patches as u64));
+        Ctx::Analytic => {
+            // Uniform channels: one repeated block per pair.
+            let block = channel_block(core.costs(), job, n_patches as u64);
+            core.charge_block(&block.repeat(geom.k as u64));
+        }
+        Ctx::Mem(_) => {
+            for k in 0..geom.k {
+                let wrow = job.conv.bufs.weights + (k * nz) as u32;
+                let krow = job.conv.bufs.offsets + k as u32 * seg;
+                channel_sparse_sw(core, ctx, job, pos, n_patches, buf, k, wrow, krow);
+            }
         }
     }
 }
 
-/// The accounting block of the software kernel's channel loop over one
-/// position pair of `np` patches: every channel's loop scaffold and
-/// inner loop (uniform channels, one repeated block).
-fn pair_block(costs: &CostModel, job: &SparseConvJob, np: u64) -> InstrBlock {
-    let nz = job.nz_per_channel();
-    loop_scaffold(costs, 3)
-        .then(channel_block(job.nm.offset_bits(), nz / 4, nz % 4, np))
-        .repeat(job.conv.geom.k as u64)
-}
-
 /// The accounting block of one software-decimation conv channel over
-/// `np` patches (the exact batched equivalent of the reference arm's
-/// charge sequence).
-fn channel_block(bits: usize, chunks: usize, tail: usize, np: u64) -> InstrBlock {
-    let idx_alu = if bits == 4 { 8 } else { 9 };
-    InstrBlock::new()
+/// `np` patches, loop scaffold included (the exact batched equivalent of
+/// the reference arm's charge sequence).
+fn channel_block(costs: &CostModel, job: &SparseConvJob, np: u64) -> InstrBlock {
+    let nz = job.nz_per_channel();
+    let (chunks, tail) = ((nz / 4) as u64, (nz % 4) as u64);
+    let idx_alu = if job.nm.offset_bits() == 4 { 8 } else { 9 };
+    let per_chunk = InstrBlock::new()
         .loads(2 + 4 * np)
         .alu(idx_alu + 2)
-        .sdotp(np)
-        .repeat(chunks as u64)
+        .sdotp(np);
+    loop_scaffold(costs, 3)
+        .then(per_chunk.repeat(chunks))
         .then(InstrBlock::new().loads_unstalled(u64::from(tail > 0)))
-        .then(
-            InstrBlock::new()
-                .alu(3)
-                .loads(1 + np)
-                .mac(np)
-                .repeat(tail as u64),
-        )
+        .then(InstrBlock::new().alu(3).loads(1 + np).mac(np).repeat(tail))
         .then(InstrBlock::new().alu(EPILOGUE_ALU).stores(1).repeat(np))
 }
 
-/// One output channel of the software sparse kernel. `wrow` / `seg`
-/// address the channel's packed non-zero values and offset segment in L1
-/// (unused in analytic mode) — passed explicitly so the per-channel
-/// mixed kernel can address heterogeneous rows.
+/// One output channel of the software sparse kernel behind its loop
+/// scaffold. `wrow` / `seg` address the channel's packed non-zero values
+/// and offset segment in L1 (unused in analytic mode) — passed
+/// explicitly so the per-channel mixed kernel can address heterogeneous
+/// rows.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn channel_sparse_sw(
     core: &mut Core,
@@ -282,7 +265,6 @@ pub(crate) fn channel_sparse_sw(
     let bits = job.nm.offset_bits();
     let nz = job.nz_per_channel();
     let (chunks, tail) = (nz / 4, nz % 4);
-    let np = n_patches as u64;
     match ctx.path() {
         Ctx::MemBulk(mem) => {
             let mut outs = [0i8; 2];
@@ -305,8 +287,11 @@ pub(crate) fn channel_sparse_sw(
                 mem.store_i8(job.conv.bufs.output + ((pos + p) * geom.k + k) as u32, out);
             }
         }
-        Ctx::Analytic => {}
+        Ctx::Analytic => core.charge_block(&channel_block(core.costs(), job, n_patches as u64)),
         Ctx::Mem(mem) => {
+            core.outer_loop_iter();
+            core.alu_n(3);
+            core.hwloop_setup();
             let vrow = wrow;
             let mut acc = [0i32; 2];
             for j in 0..chunks {
@@ -363,10 +348,8 @@ pub(crate) fn channel_sparse_sw(
                     out,
                 );
             }
-            return;
         }
     }
-    core.charge_block(&channel_block(bits, chunks, tail, np));
 }
 
 /// Unpacks the `idx`-th offset from a packed segment in L1 (tail path;

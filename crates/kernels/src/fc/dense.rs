@@ -17,39 +17,13 @@ use std::ops::Range;
 /// Currently infallible; returns `Result` for signature uniformity with
 /// the sparse kernels.
 pub fn fc_dense(ctx: &mut Ctx<'_>, job: &FcJob, cluster: &Cluster) -> Result<KernelStats> {
-    let geom = job.geom;
-    Ok(run_fc(
-        "fc-dense-1x2".into(),
-        &geom,
-        cluster,
-        |core_id, core| {
-            let range = chunk_range(geom.k, cluster.n_cores(), core_id);
-            match ctx.path() {
-                Ctx::MemBulk(mem) => core_body(mem, job, range.clone()),
-                Ctx::Analytic => {}
-                Ctx::Mem(_) => {
-                    let mut k = range.start;
-                    while k < range.end {
-                        let nk = (range.end - k).min(2);
-                        core.outer_loop_iter();
-                        core.alu_n(2);
-                        core.hwloop_setup();
-                        let wrow = job.bufs.weights + (k * geom.c) as u32;
-                        channels(core, ctx, job, k, wrow, nk);
-                        k += nk;
-                    }
-                    return;
-                }
-            }
-            core.charge_block(&core_block(core.costs(), geom.c, range.len()));
-        },
-    ))
+    let body = dense_body(job, cluster);
+    Ok(run_fc("fc-dense-1x2".into(), &job.geom, ctx, cluster, body))
 }
 
-/// Runs the dense FC kernel over `tokens` on one staged tile: token 0
-/// (the input staged at `job.bufs.input`) through [`fc_dense`], the
-/// rest through the token sweep (see the [`crate::fc`] module docs). Each
-/// token's output and statistics equal a freshly staged single run's.
+/// Runs the dense FC kernel over `tokens` on one staged tile through the
+/// token sweep (see the [`crate::fc`] module docs). Each token's output
+/// and statistics equal a freshly staged single run's.
 ///
 /// # Errors
 /// [`nm_core::Error::ShapeMismatch`] if a token's length is not the
@@ -60,13 +34,45 @@ pub fn fc_dense_batch(
     cluster: &Cluster,
     tokens: &[&[i8]],
 ) -> Result<BatchRun> {
-    drive_fc_batch(ctx, job, tokens, FcGather::Dense, |ctx| {
-        fc_dense(ctx, job, cluster)
-    })
+    let body = dense_body(job, cluster);
+    drive_fc_batch(
+        "fc-dense-1x2",
+        ctx,
+        job,
+        cluster,
+        tokens,
+        FcGather::Dense,
+        body,
+    )
+}
+
+/// The dense kernel's per-core body, shared by the single-run and
+/// token-sweep entry points.
+fn dense_body<'a>(
+    job: &'a FcJob,
+    cluster: &'a Cluster,
+) -> impl FnMut(usize, &mut Core, &mut Ctx<'_>) + 'a {
+    let geom = job.geom;
+    move |core_id, core, ctx| {
+        let range = chunk_range(geom.k, cluster.n_cores(), core_id);
+        match ctx.path() {
+            Ctx::MemBulk(mem) => core_body(mem, job, range),
+            Ctx::Analytic => core.charge_block(&core_block(core.costs(), geom.c, range.len())),
+            Ctx::Mem(_) => {
+                let mut k = range.start;
+                while k < range.end {
+                    let nk = (range.end - k).min(2);
+                    let wrow = job.bufs.weights + (k * geom.c) as u32;
+                    channels(core, ctx, job, k, wrow, nk);
+                    k += nk;
+                }
+            }
+        }
+    }
 }
 
 /// One core's worth of dense FC channels on the bulk path: outputs
-/// from zero-copy slices (the caller charges [`core_block`]).
+/// from zero-copy slices (the analytic pass charges [`core_block`]).
 fn core_body(mem: &mut Scratchpad, job: &FcJob, range: Range<usize>) {
     let geom = job.geom;
     let c = geom.c;
@@ -87,36 +93,33 @@ fn core_body(mem: &mut Scratchpad, job: &FcJob, range: Range<usize>) {
 }
 
 /// The accounting block of one core's range of `n_channels` dense FC
-/// channels over `c` inputs: channel pairs, then an odd leftover channel,
-/// each behind its loop scaffold.
+/// channels over `c` inputs: channel pairs, then an odd leftover channel.
 fn core_block(costs: &CostModel, c: usize, n_channels: usize) -> InstrBlock {
-    let (chunks, tail) = (c / 4, c % 4);
-    let scaffold = loop_scaffold(costs, 2);
-    scaffold
-        .then(channels_block(chunks, tail, 2))
+    channels_block(costs, c, 2)
         .repeat((n_channels / 2) as u64)
-        .then(
-            scaffold
-                .then(channels_block(chunks, tail, 1))
-                .repeat((n_channels % 2) as u64),
-        )
+        .then(channels_block(costs, c, 1).repeat((n_channels % 2) as u64))
 }
 
-/// The accounting block of `nk` dense FC channels (the exact batched
-/// equivalent of the reference arm's charge sequence).
-fn channels_block(chunks: usize, tail: usize, nk: u64) -> InstrBlock {
-    InstrBlock::new()
-        .loads(nk + 1)
-        .sdotp(nk)
-        .repeat(chunks as u64)
+/// The accounting block of `nk` dense FC channels over `c` inputs behind
+/// their loop scaffold (the exact batched equivalent of the reference
+/// arm's charge sequence).
+fn channels_block(costs: &CostModel, c: usize, nk: u64) -> InstrBlock {
+    let (chunks, tail) = (c / 4, c % 4);
+    loop_scaffold(costs, 2)
+        .then(
+            InstrBlock::new()
+                .loads(nk + 1)
+                .sdotp(nk)
+                .repeat(chunks as u64),
+        )
         .then(InstrBlock::new().loads(nk + 1).mac(nk).repeat(tail as u64))
         .then(InstrBlock::new().alu(EPILOGUE_ALU).stores(1).repeat(nk))
 }
 
-/// `nk` (1 or 2) output channels of the dense kernel. `wrow` addresses
-/// channel `k`'s weight row; channel `k+1`'s row must follow contiguously
-/// when `nk == 2` (true for dense staging and for adjacent dense rows of
-/// the per-channel format).
+/// `nk` (1 or 2) output channels of the dense kernel, loop scaffold
+/// included. `wrow` addresses channel `k`'s weight row; channel `k+1`'s
+/// row must follow contiguously when `nk == 2` (true for dense staging
+/// and for adjacent dense rows of the per-channel format).
 pub(crate) fn channels(
     core: &mut Core,
     ctx: &mut Ctx<'_>,
@@ -128,8 +131,6 @@ pub(crate) fn channels(
     let c = job.geom.c;
     let (chunks, tail) = (c / 4, c % 4);
     match ctx.path() {
-        // Outputs from zero-copy slices; one accounting call for the
-        // whole channel group after the match.
         Ctx::MemBulk(mem) => {
             let mut outs = [0i8; 2];
             {
@@ -147,8 +148,11 @@ pub(crate) fn channels(
                 mem.store_i8(job.bufs.output + (k + q) as u32, out);
             }
         }
-        Ctx::Analytic => {}
+        Ctx::Analytic => core.charge_block(&channels_block(core.costs(), c, nk as u64)),
         Ctx::Mem(mem) => {
+            core.outer_loop_iter();
+            core.alu_n(2);
+            core.hwloop_setup();
             let mut acc = [0i32; 2];
             for j in 0..chunks {
                 let mut w = [0u32; 2];
@@ -173,10 +177,8 @@ pub(crate) fn channels(
                 let out = job.requant.apply(a);
                 core.sb(mem, job.bufs.output + (k + q) as u32, out);
             }
-            return;
         }
     }
-    core.charge_block(&channels_block(chunks, tail, nk as u64));
 }
 
 #[cfg(test)]

@@ -20,11 +20,10 @@
 //! through the `_batch` entry points ([`dense::fc_dense_batch`],
 //! [`sparse_sw::fc_sparse_sw_batch`], [`sparse_isa::fc_sparse_isa_batch`]),
 //! the FC twin of the conv batch-major sweep: the tile's weights stay
-//! staged for every token, token 0 runs the fully charged kernel, and
-//! on the bulk path the remaining tokens are computed
-//! token-inner, 8 per register block, without charging — FC statistics
-//! depend only on geometry and weights, so they reuse token 0's (see
-//! `drive_fc_batch`).
+//! staged for every token, and on the bulk path the tokens are computed
+//! token-inner, 8 per register block. FC statistics depend only on
+//! geometry and weights, so every token shares the tile's one analytic
+//! pass (see `drive_fc_batch`).
 
 pub mod dense;
 pub mod per_channel;
@@ -37,7 +36,7 @@ use crate::stats::{BatchRun, Ctx, KernelStats};
 use nm_core::quant::Requant;
 use nm_core::{Error, FcGeom, Result};
 use nm_isa::{Core, Memory};
-use nm_platform::{Cluster, ClusterStats};
+use nm_platform::{Cluster, ClusterStats, Scratchpad};
 use std::sync::Arc;
 
 /// One fully-connected invocation: geometry, requantization, L1 buffers.
@@ -55,17 +54,32 @@ pub struct FcJob {
 /// (bias add, shift, clip) — the byte store is charged separately.
 pub(crate) const EPILOGUE_ALU: u64 = 3;
 
-/// Shared per-core driver: runs `body(core_id, core)` on every cluster
-/// core and assembles the stats.
-pub(crate) fn run_fc<F>(name: String, geom: &FcGeom, cluster: &Cluster, mut body: F) -> KernelStats
+/// Shared per-core driver: runs `body(core_id, core, ctx)` on every
+/// cluster core and assembles the stats.
+///
+/// On the bulk tier this is two passes: [`compute_fc`] writes the
+/// outputs, then the analytic pass runs `body` on [`Ctx::Analytic`],
+/// and its statistics are the result. Every other context charges its
+/// own single pass.
+pub(crate) fn run_fc<F>(
+    name: String,
+    geom: &FcGeom,
+    ctx: &mut Ctx<'_>,
+    cluster: &Cluster,
+    mut body: F,
+) -> KernelStats
 where
-    F: FnMut(usize, &mut Core),
+    F: FnMut(usize, &mut Core, &mut Ctx<'_>),
 {
+    if let Ctx::MemBulk(mem) = ctx {
+        compute_fc(mem, cluster, &mut body);
+    }
+    let mut ctx = ctx.charging();
     let mut per_core = Vec::with_capacity(cluster.n_cores());
     for core_id in 0..cluster.n_cores() {
         let mut core = Core::new(cluster.costs());
         core.kernel_overhead();
-        body(core_id, &mut core);
+        body(core_id, &mut core, &mut ctx);
         per_core.push(core.stats());
     }
     KernelStats {
@@ -75,34 +89,48 @@ where
     }
 }
 
+/// The bulk tier's compute pass: `body` on every core's channel range
+/// over `mem` in the [`Ctx::MemBulk`] context, whose arms write the
+/// outputs and charge nothing (the core they get is a scratch one).
+fn compute_fc<F>(mem: &mut Scratchpad, cluster: &Cluster, body: &mut F)
+where
+    F: FnMut(usize, &mut Core, &mut Ctx<'_>),
+{
+    let mut scratch = Core::new(cluster.costs());
+    for core_id in 0..cluster.n_cores() {
+        body(core_id, &mut scratch, &mut Ctx::MemBulk(mem));
+    }
+}
+
 /// The token sweep behind the FC `_batch` entry points: runs `tokens`
 /// through one staged FC tile whose weights stay resident for all of
-/// them. `tokens[0]` must be the input
-/// already staged at `job.bufs.input`; `kernel` runs the tile's kernel
-/// on whatever input is staged.
+/// them, with the per-core `body` [`run_fc`] would run for one token.
 ///
-/// Token 0 runs the fully charged `kernel`, exactly as a single run
-/// would. On the bulk path the tokens after it never touch
-/// the modeled scratchpad: their outputs are computed host-side by
-/// [`fc_sweep`], token-inner over the staged weights and offsets, with
-/// the same wrapping `i32` product multiset the kernel executes, so every
-/// output byte equals a freshly staged single run's. Their statistics are
-/// token 0's, because FC charging depends only on geometry and weights.
-/// A remainder too small to fill a sweep chunk (below `SWEEP_MIN` live
-/// tokens), and every token on the reference and analytic paths, runs
-/// `kernel` per token instead, the input buffer rewritten between tokens
-/// — the reference path's charging stays per token and per instruction.
+/// On the bulk path the tokens never touch the modeled scratchpad: their
+/// outputs are computed host-side by [`fc_sweep`], token-inner over the
+/// staged weights and offsets, with the same wrapping `i32` product
+/// multiset the kernel executes, so every output byte equals a freshly
+/// staged single run's. A remainder too small to fill a sweep chunk
+/// (below `SWEEP_MIN` live tokens) runs [`compute_fc`] per token
+/// instead, the input buffer rewritten first. Every token's statistics
+/// are the tile's one analytic pass, because FC charging depends only on
+/// geometry and weights. The reference path runs the whole kernel per
+/// token, so its charging stays per token and per instruction.
 ///
 /// # Errors
-/// [`Error::ShapeMismatch`] if a token's length is not the tile's `C`;
-/// otherwise propagates `kernel`'s errors.
-pub(crate) fn drive_fc_batch(
+/// [`Error::ShapeMismatch`] if a token's length is not the tile's `C`.
+pub(crate) fn drive_fc_batch<F>(
+    name: &str,
     ctx: &mut Ctx<'_>,
     job: &FcJob,
+    cluster: &Cluster,
     tokens: &[&[i8]],
     gather: FcGather,
-    mut kernel: impl FnMut(&mut Ctx<'_>) -> Result<KernelStats>,
-) -> Result<BatchRun> {
+    mut body: F,
+) -> Result<BatchRun>
+where
+    F: FnMut(usize, &mut Core, &mut Ctx<'_>),
+{
     let (c, k) = (job.geom.c, job.geom.k);
     if let Some(t) = tokens.iter().position(|x| x.len() != c) {
         return Err(Error::ShapeMismatch(format!(
@@ -110,34 +138,45 @@ pub(crate) fn drive_fc_batch(
             tokens[t].len()
         )));
     }
-    let mut stats = Vec::with_capacity(tokens.len());
     let mut outputs = Vec::with_capacity(if ctx.is_mem() { tokens.len() * k } else { 0 });
-    let Some((_, mut rest)) = tokens.split_first() else {
-        return Ok(BatchRun { stats, outputs });
+    let stage = |mem: &mut Scratchpad, x: &[i8]| {
+        copy_i8_to_bytes(mem.slice_mut(job.bufs.input, c).expect("staged input"), x);
     };
-    let read_out = |ctx: &mut Ctx<'_>, outputs: &mut Vec<u8>| {
-        if let Some(mem) = ctx.mem() {
-            outputs.extend_from_slice(mem.slice(job.bufs.output, k).expect("staged output"));
-        }
+    let read_out = |mem: &mut Scratchpad, outputs: &mut Vec<u8>| {
+        outputs.extend_from_slice(mem.slice(job.bufs.output, k).expect("staged output"));
     };
-    stats.push(Arc::new(kernel(ctx)?));
-    read_out(ctx, &mut outputs);
-    if let Ctx::MemBulk(mem) = &mut *ctx {
-        let (swept, fallback) = rest.split_at(sweep_len(rest.len()));
-        if !swept.is_empty() {
-            let base = outputs.len();
-            outputs.resize(base + swept.len() * k, 0);
-            fc_sweep(mem, job, gather, swept, &mut outputs[base..]);
-            stats.resize(1 + swept.len(), Arc::clone(&stats[0]));
+    match ctx {
+        Ctx::Mem(mem) => {
+            let mut stats = Vec::with_capacity(tokens.len());
+            for x in tokens {
+                stage(mem, x);
+                let mut ctx = Ctx::Mem(mem);
+                let run = run_fc(name.to_string(), &job.geom, &mut ctx, cluster, &mut body);
+                stats.push(Arc::new(run));
+                read_out(mem, &mut outputs);
+            }
+            return Ok(BatchRun { stats, outputs });
         }
-        rest = fallback;
-    }
-    for x in rest {
-        if let Some(mem) = ctx.mem() {
-            copy_i8_to_bytes(mem.slice_mut(job.bufs.input, c).expect("staged input"), x);
+        Ctx::MemBulk(mem) => {
+            let (swept, fallback) = tokens.split_at(sweep_len(tokens.len()));
+            if !swept.is_empty() {
+                outputs.resize(swept.len() * k, 0);
+                fc_sweep(mem, job, gather, swept, &mut outputs);
+            }
+            for x in fallback {
+                stage(mem, x);
+                compute_fc(mem, cluster, &mut body);
+                read_out(mem, &mut outputs);
+            }
         }
-        stats.push(Arc::new(kernel(ctx)?));
-        read_out(ctx, &mut outputs);
+        Ctx::Analytic => {}
     }
-    Ok(BatchRun { stats, outputs })
+    let stats = run_fc(
+        name.to_string(),
+        &job.geom,
+        &mut Ctx::Analytic,
+        cluster,
+        body,
+    );
+    Ok(BatchRun::shared(tokens.len(), stats, outputs))
 }

@@ -102,43 +102,32 @@ pub fn fc_channel_mixed(
 ) -> Result<KernelStats> {
     job.validate()?;
     let geom = job.fc.geom;
-    Ok(run_fc(
-        "fc-channel-mixed-sw".into(),
-        &geom,
-        cluster,
-        |core_id, core| {
-            let range = chunk_range(geom.k, cluster.n_cores(), core_id);
-            let mut k = range.start;
-            while k < range.end {
-                match job.patterns[k] {
-                    None => {
-                        // Pair adjacent dense channels: their rows are
-                        // contiguous, so the 1x2 dense loop applies.
-                        let nk = if k + 1 < range.end && job.patterns[k + 1].is_none() {
-                            2
-                        } else {
-                            1
-                        };
-                        core.outer_loop_iter();
-                        core.alu_n(2);
-                        core.hwloop_setup();
-                        let (wrow, _) = job.row_addr(k);
-                        dense_channels(core, ctx, &job.fc, k, wrow, nk);
-                        k += nk;
-                    }
-                    Some(nm) => {
-                        core.outer_loop_iter();
-                        core.alu_n(3);
-                        core.hwloop_setup();
-                        let (wrow, seg) = job.row_addr(k);
-                        let sparse = SparseFcJob { fc: job.fc, nm };
-                        sparse_channel(core, ctx, &sparse, k, wrow, seg);
-                        k += 1;
-                    }
+    let name = "fc-channel-mixed-sw".to_string();
+    Ok(run_fc(name, &geom, ctx, cluster, |core_id, core, ctx| {
+        let range = chunk_range(geom.k, cluster.n_cores(), core_id);
+        let mut k = range.start;
+        while k < range.end {
+            let (wrow, seg) = job.row_addr(k);
+            match job.patterns[k] {
+                None => {
+                    // Pair adjacent dense channels: their rows are
+                    // contiguous, so the 1x2 dense loop applies.
+                    let nk = if k + 1 < range.end && job.patterns[k + 1].is_none() {
+                        2
+                    } else {
+                        1
+                    };
+                    dense_channels(core, ctx, &job.fc, k, wrow, nk);
+                    k += nk;
+                }
+                Some(nm) => {
+                    let sparse = SparseFcJob { fc: job.fc, nm };
+                    sparse_channel(core, ctx, &sparse, k, wrow, seg);
+                    k += 1;
                 }
             }
-        },
-    ))
+        }
+    }))
 }
 
 #[cfg(test)]

@@ -39,43 +39,20 @@ pub fn fc_sparse_isa(
     job: &SparseFcJob,
     cluster: &Cluster,
 ) -> Result<KernelStats> {
-    job.validate()?;
-    let geom = job.fc.geom;
-    if !geom.k.is_multiple_of(2) {
-        return Err(Error::ShapeMismatch(format!(
-            "ISA-extended FC pairs output channels; K={} is odd",
-            geom.k
-        )));
-    }
-    let nz = job.nz_per_channel();
-    let seg = nm_segment_bytes(job.nm, nz, OffsetLayout::Interleaved) as u32;
-    let mode = decimate_mode(job.nm);
+    validate_pairs(job)?;
     let name = format!("fc-sparse-isa-{}", job.nm);
-    let n_pairs = geom.k / 2;
-    Ok(run_fc(name, &geom, cluster, |core_id, core| {
-        let range = chunk_range(n_pairs, cluster.n_cores(), core_id);
-        match ctx.path() {
-            Ctx::MemBulk(mem) => core_body(mem, job, seg, range.clone()),
-            Ctx::Analytic => {}
-            Ctx::Mem(mem) => {
-                for pair in range {
-                    core.outer_loop_iter();
-                    core.alu_n(4);
-                    core.hwloop_setup();
-                    channel_pair(core, mem, job, mode, pair, seg);
-                }
-                return;
-            }
-        }
-        core.charge_block(&core_block(core.costs(), nz, range.len()));
-    }))
+    Ok(run_fc(
+        name,
+        &job.fc.geom,
+        ctx,
+        cluster,
+        isa_body(job, cluster),
+    ))
 }
 
-/// Runs the `xDecimate` FC kernel over `tokens` on one staged tile:
-/// token 0 (the input staged at `job.fc.bufs.input`) through
-/// [`fc_sparse_isa`], the rest through the token sweep (see
-/// the [`crate::fc`] module docs). Each token's output and statistics equal
-/// a freshly staged single run's.
+/// Runs the `xDecimate` FC kernel over `tokens` on one staged tile
+/// through the token sweep (see the [`crate::fc`] module docs). Each
+/// token's output and statistics equal a freshly staged single run's.
 ///
 /// # Errors
 /// As [`fc_sparse_isa`]; additionally [`Error::ShapeMismatch`] if a
@@ -86,16 +63,64 @@ pub fn fc_sparse_isa_batch(
     cluster: &Cluster,
     tokens: &[&[i8]],
 ) -> Result<BatchRun> {
+    validate_pairs(job)?;
     let seg = nm_segment_bytes(job.nm, job.nz_per_channel(), OffsetLayout::Interleaved);
     let gather = FcGather::Interleaved { nm: job.nm, seg };
-    drive_fc_batch(ctx, &job.fc, tokens, gather, |ctx| {
-        fc_sparse_isa(ctx, job, cluster)
-    })
+    let name = format!("fc-sparse-isa-{}", job.nm);
+    drive_fc_batch(
+        &name,
+        ctx,
+        &job.fc,
+        cluster,
+        tokens,
+        gather,
+        isa_body(job, cluster),
+    )
+}
+
+/// The software kernel's conditions plus an even K: the interleaved
+/// format pairs output channels.
+fn validate_pairs(job: &SparseFcJob) -> Result<()> {
+    job.validate()?;
+    if !job.fc.geom.k.is_multiple_of(2) {
+        return Err(Error::ShapeMismatch(format!(
+            "ISA-extended FC pairs output channels; K={} is odd",
+            job.fc.geom.k
+        )));
+    }
+    Ok(())
+}
+
+/// The `xDecimate` kernel's per-core body over a validated job, shared
+/// by the single-run and token-sweep entry points.
+fn isa_body<'a>(
+    job: &'a SparseFcJob,
+    cluster: &'a Cluster,
+) -> impl FnMut(usize, &mut Core, &mut Ctx<'_>) + 'a {
+    let nz = job.nz_per_channel();
+    let seg = nm_segment_bytes(job.nm, nz, OffsetLayout::Interleaved) as u32;
+    let mode = decimate_mode(job.nm);
+    let n_pairs = job.fc.geom.k / 2;
+    move |core_id, core, ctx| {
+        let range = chunk_range(n_pairs, cluster.n_cores(), core_id);
+        match ctx.path() {
+            Ctx::MemBulk(mem) => core_body(mem, job, seg, range),
+            Ctx::Analytic => core.charge_block(&core_block(core.costs(), nz, range.len())),
+            Ctx::Mem(mem) => {
+                for pair in range {
+                    core.outer_loop_iter();
+                    core.alu_n(4);
+                    core.hwloop_setup();
+                    channel_pair(core, mem, job, mode, pair, seg);
+                }
+            }
+        }
+    }
 }
 
 /// One core's worth of `xDecimate` FC channel pairs on the bulk path,
-/// operand slices taken once. Uniform channel pairs: the caller charges
-/// one repeated accounting block per core ([`core_block`]).
+/// operand slices taken once. Uniform channel pairs: the analytic pass
+/// charges one repeated accounting block per core ([`core_block`]).
 fn core_body(mem: &mut Scratchpad, job: &SparseFcJob, seg: u32, range: Range<usize>) {
     let geom = job.fc.geom;
     let n_pairs = geom.k / 2;

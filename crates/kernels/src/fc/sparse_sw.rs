@@ -66,36 +66,14 @@ pub fn fc_sparse_sw(
     cluster: &Cluster,
 ) -> Result<KernelStats> {
     job.validate()?;
-    let geom = job.fc.geom;
-    let nz = job.nz_per_channel();
-    let seg = nm_segment_bytes(job.nm, nz, OffsetLayout::Plain) as u32;
+    let body = sw_body(job, cluster);
     let name = format!("fc-sparse-sw-{}", job.nm);
-    Ok(run_fc(name, &geom, cluster, |core_id, core| {
-        let range = chunk_range(geom.k, cluster.n_cores(), core_id);
-        match ctx.path() {
-            Ctx::MemBulk(mem) => core_body(mem, job, seg, range.clone()),
-            Ctx::Analytic => {}
-            Ctx::Mem(_) => {
-                for k in range {
-                    core.outer_loop_iter();
-                    core.alu_n(3);
-                    core.hwloop_setup();
-                    let wrow = job.fc.bufs.weights + (k * nz) as u32;
-                    let krow = job.fc.bufs.offsets + k as u32 * seg;
-                    channel(core, ctx, job, k, wrow, krow);
-                }
-                return;
-            }
-        }
-        core.charge_block(&core_block(core.costs(), nz, range.len()));
-    }))
+    Ok(run_fc(name, &job.fc.geom, ctx, cluster, body))
 }
 
-/// Runs the software sparse FC kernel over `tokens` on one staged tile:
-/// token 0 (the input staged at `job.fc.bufs.input`) through
-/// [`fc_sparse_sw`], the rest through the token sweep (see
-/// the [`crate::fc`] module docs). Each token's output and statistics equal
-/// a freshly staged single run's.
+/// Runs the software sparse FC kernel over `tokens` on one staged tile
+/// through the token sweep (see the [`crate::fc`] module docs). Each
+/// token's output and statistics equal a freshly staged single run's.
 ///
 /// # Errors
 /// As [`fc_sparse_sw`]; additionally [`Error::ShapeMismatch`] if a
@@ -106,17 +84,45 @@ pub fn fc_sparse_sw_batch(
     cluster: &Cluster,
     tokens: &[&[i8]],
 ) -> Result<BatchRun> {
+    job.validate()?;
+    let body = sw_body(job, cluster);
     let seg = nm_segment_bytes(job.nm, job.nz_per_channel(), OffsetLayout::Plain);
     let gather = FcGather::Plain { nm: job.nm, seg };
-    drive_fc_batch(ctx, &job.fc, tokens, gather, |ctx| {
-        fc_sparse_sw(ctx, job, cluster)
-    })
+    let name = format!("fc-sparse-sw-{}", job.nm);
+    drive_fc_batch(&name, ctx, &job.fc, cluster, tokens, gather, body)
+}
+
+/// The software kernel's per-core body over a validated job, shared by
+/// the single-run and token-sweep entry points.
+fn sw_body<'a>(
+    job: &'a SparseFcJob,
+    cluster: &'a Cluster,
+) -> impl FnMut(usize, &mut Core, &mut Ctx<'_>) + 'a {
+    let geom = job.fc.geom;
+    let nz = job.nz_per_channel();
+    let seg = nm_segment_bytes(job.nm, nz, OffsetLayout::Plain) as u32;
+    move |core_id, core, ctx| {
+        let range = chunk_range(geom.k, cluster.n_cores(), core_id);
+        match ctx.path() {
+            Ctx::MemBulk(mem) => core_body(mem, job, seg, range),
+            Ctx::Analytic => {
+                core.charge_block(&channel_block(core.costs(), job).repeat(range.len() as u64))
+            }
+            Ctx::Mem(_) => {
+                for k in range {
+                    let wrow = job.fc.bufs.weights + (k * nz) as u32;
+                    let krow = job.fc.bufs.offsets + k as u32 * seg;
+                    channel(core, ctx, job, k, wrow, krow);
+                }
+            }
+        }
+    }
 }
 
 /// One core's worth of software-decimation FC channels on the bulk
 /// path, the operand slices taken once per core. Every channel has the
-/// same shape, so the caller charges the whole range as one repeated
-/// block ([`core_block`]).
+/// same shape, so the analytic pass charges the whole range as one
+/// repeated [`channel_block`].
 fn core_body(mem: &mut Scratchpad, job: &SparseFcJob, seg: u32, range: Range<usize>) {
     let geom = job.fc.geom;
     let nz = job.nz_per_channel();
@@ -149,30 +155,21 @@ fn core_body(mem: &mut Scratchpad, job: &SparseFcJob, seg: u32, range: Range<usi
     write_out(mem, out0, &outs);
 }
 
-/// The accounting block of one core's range of `n_channels`
-/// software-decimation FC channels with `nz` non-zeros each: every
-/// channel has the same shape, so the range is one repeated block.
-fn core_block(costs: &CostModel, nz: usize, n_channels: usize) -> InstrBlock {
+/// The accounting block of one software-decimation FC channel behind its
+/// loop scaffold (the exact batched equivalent of the reference arm's
+/// charge sequence).
+fn channel_block(costs: &CostModel, job: &SparseFcJob) -> InstrBlock {
+    let nz = job.nz_per_channel();
+    let (chunks, tail) = ((nz / 4) as u64, (nz % 4) as u64);
     loop_scaffold(costs, 3)
-        .then(channel_block(nz / 4, nz % 4))
-        .repeat(n_channels as u64)
-}
-
-/// The accounting block of one software-decimation FC channel (the exact
-/// batched equivalent of the reference arm's charge sequence).
-fn channel_block(chunks: usize, tail: usize) -> InstrBlock {
-    InstrBlock::new()
-        .loads(6)
-        .alu(9)
-        .sdotp(1)
-        .repeat(chunks as u64)
+        .then(InstrBlock::new().loads(6).alu(9).sdotp(1).repeat(chunks))
         .then(InstrBlock::new().loads_unstalled(u64::from(tail > 0)))
-        .then(InstrBlock::new().alu(2).loads(2).mac(1).repeat(tail as u64))
+        .then(InstrBlock::new().alu(2).loads(2).mac(1).repeat(tail))
         .then(InstrBlock::new().alu(EPILOGUE_ALU).stores(1))
 }
 
-/// One output channel of the software sparse FC kernel. `wrow` / `seg`
-/// address the channel's packed values and offset segment (unused in
+/// One output channel of the software sparse FC kernel, loop scaffold
+/// included. `wrow` / `seg` address the channel's packed values and offset segment (unused in
 /// analytic mode) — explicit so the per-channel mixed kernel can address
 /// heterogeneous rows.
 pub(crate) fn channel(
@@ -203,8 +200,11 @@ pub(crate) fn channel(
             };
             mem.store_i8(job.fc.bufs.output + k as u32, out);
         }
-        Ctx::Analytic => {}
+        Ctx::Analytic => core.charge_block(&channel_block(core.costs(), job)),
         Ctx::Mem(mem) => {
+            core.outer_loop_iter();
+            core.alu_n(3);
+            core.hwloop_setup();
             let vrow = wrow;
             let mut acc = 0i32;
             for j in 0..chunks {
@@ -245,10 +245,8 @@ pub(crate) fn channel(
             core.alu_n(EPILOGUE_ALU);
             let out = job.fc.requant.apply(acc);
             core.sb(mem, job.fc.bufs.output + k as u32, out);
-            return;
         }
     }
-    core.charge_block(&channel_block(chunks, tail));
 }
 
 #[cfg(test)]

@@ -17,27 +17,27 @@
 //! pointer and length updates — a heavily padded row is not free). The
 //! same split code (the private `row_split` helper) drives the
 //! per-instruction reference and the closed-form [`patch_block`] that
-//! the bulk and analytic paths charge, so they agree by construction.
+//! the analytic walk charges, so they agree by construction.
 //!
 //! # The incremental bulk path ([`PatchState`])
 //!
 //! On the per-instruction reference path ([`crate::Ctx::Mem`]) every
 //! output position pair rebuilds both patch buffers from the input
-//! tensor, exactly as the modeled kernel does. The bulk fast path
-//! ([`crate::Ctx::MemBulk`]) keeps a per-core [`PatchState`] instead.
-//! Analytic mode ([`crate::Ctx::Analytic`]) keeps one too, but only
-//! charges through it ([`PatchState::fill`]); it never materializes:
+//! tensor, exactly as the modeled kernel does, charging as it goes. The
+//! other two contexts split that work:
 //!
-//! * **Charging is closed-form and unchanged.** [`PatchState::fill`]
-//!   charges the exact per-position cost of the full rebuild through a
-//!   memoized [`patch_block`] (positions sharing a padding class share
+//! * **Charging is closed-form.** The analytic walk (which also yields
+//!   the bulk tier's statistics) charges the exact per-position cost of
+//!   the full rebuild through a memoized [`patch_block`]
+//!   ([`Im2colCharges::pair`]; positions sharing a padding class share
 //!   one [`InstrBlock`]), so cycles, instret and per-class counts match
 //!   the reference *by construction* — the cost model still prices the
 //!   full data movement the modeled core performs; only the host-side
 //!   work shrinks.
-//! * **Intermediate patches are virtual.** `fill` records which output
-//!   position each patch slot logically holds without touching the
-//!   scratchpad. Kernels whose channel loops read the buffers call
+//! * **Intermediate patches are virtual.** The bulk compute walk keeps a
+//!   per-core [`PatchState`] that records which output position each
+//!   patch slot logically holds without touching the scratchpad.
+//!   Kernels whose channel loops read the buffers call
 //!   [`PatchState::materialize`] per position; the im2col-only engine
 //!   workloads skip that and let [`PatchState::finish`] write **only each
 //!   core's final patch buffers** — the state the reference path leaves
@@ -133,7 +133,7 @@ fn row_split(geom: &ConvGeom, oy: usize, ox: usize, ky: usize) -> RowSplit {
 /// Builds the *transposed* im2col patch block for output position `pos`
 /// across `NR` batch request inputs: element `i` of request `r`'s patch
 /// lands at `dst[i * NR + r]` (`dst.len() == patch_len() * NR`).
-/// Host-side data movement only — the uncharged batch sweep
+/// Host-side data movement only — the batch sweep
 /// (`conv::drive_conv_batch`) uses this layout so each gathered patch
 /// element is contiguous across requests and the request-inner dot loop
 /// vectorizes at a compile-time width. Row decomposition goes through
@@ -373,6 +373,22 @@ impl Im2colCharges {
         block
     }
 
+    /// `prefix` (the driver's per-iteration scaffold) followed by the
+    /// im2col blocks of positions `pos .. pos + n_patches`, as one block
+    /// — the analytic charge of one position pair.
+    pub fn pair(
+        &mut self,
+        geom: &ConvGeom,
+        prefix: &InstrBlock,
+        pos: usize,
+        n_patches: usize,
+    ) -> InstrBlock {
+        let ox = geom.ox();
+        (pos..pos + n_patches).fold(*prefix, |block, flat| {
+            block.then(self.patch(geom, flat / ox, flat % ox))
+        })
+    }
+
     /// The padding-class key derived by scanning [`row_split`] row by
     /// row — the reference the fast derivation in [`Self::patch`] is
     /// checked against in debug builds.
@@ -397,18 +413,18 @@ impl Im2colCharges {
     }
 }
 
-/// Per-core incremental im2col state for the bulk fast path.
+/// Per-core incremental im2col state for the bulk compute walk.
 ///
 /// Tracks which output position each of the core's two patch buffers
-/// *logically* holds ([`PatchState::fill`] — charging only) separately
-/// from what is *materialized* in the scratchpad
-/// ([`PatchState::materialize`] / [`PatchState::finish`] — data movement
-/// only). See the module docs for the full contract.
+/// *logically* holds ([`PatchState::record`]) separately from what is
+/// *materialized* in the scratchpad ([`PatchState::materialize`] /
+/// [`PatchState::finish`]). It moves data only; see the module docs for
+/// the full contract.
 #[derive(Debug)]
 pub struct PatchState {
     input: u32,
     buf: u32,
-    /// Flat output position each slot logically holds after `fill`.
+    /// Flat output position each slot logically holds after `record`.
     logical: [Option<usize>; 2],
     /// Flat output position each slot's scratchpad bytes actually hold.
     materialized: [Option<usize>; 2],
@@ -426,48 +442,15 @@ impl PatchState {
         }
     }
 
-    /// Charges `prefix` (the driver's per-iteration scaffold) plus the
-    /// exact im2col cost for positions `pos .. pos + n_patches` (via the
-    /// memoized closed form) in a single block, and records the slots'
-    /// new logical contents, without touching memory.
+    /// Records which output positions `pos .. pos + n_patches` the two
+    /// slots now logically hold, without touching memory; the bulk
+    /// compute walk then materializes them ([`PatchState::materialize`]
+    /// / [`PatchState::finish`]). The im2col's cost is charged by the
+    /// analytic walk ([`Im2colCharges::pair`]), never here.
     ///
     /// # Panics
     /// Panics if `n_patches` is not 1 or 2 or positions run past the
     /// output (mirroring [`im2col_patches`]).
-    pub fn fill(
-        &mut self,
-        core: &mut Core,
-        charges: &mut Im2colCharges,
-        geom: &ConvGeom,
-        prefix: &InstrBlock,
-        pos: usize,
-        n_patches: usize,
-    ) {
-        assert!(
-            n_patches == 1 || n_patches == 2,
-            "kernels unroll over at most two patches"
-        );
-        let ox_total = geom.ox();
-        let mut block = *prefix;
-        for p in 0..n_patches {
-            let flat = pos + p;
-            assert!(flat < ox_total * geom.oy(), "output position out of range");
-            block = block.then(charges.patch(geom, flat / ox_total, flat % ox_total));
-            self.logical[p] = Some(flat);
-        }
-        core.charge_block(&block);
-    }
-
-    /// Records the slots' new logical contents without charging anything
-    /// — the uncharged twin of [`PatchState::fill`]. Batch-major sweeps
-    /// use it for requests after the first, whose statistics are reused
-    /// from request 0 (kernel charging depends only on geometry and
-    /// weights, never on activation values), so only the data movement
-    /// of [`PatchState::materialize`] / [`PatchState::finish`] remains.
-    ///
-    /// # Panics
-    /// Panics if `n_patches` is not 1 or 2 or positions run past the
-    /// output (mirroring [`PatchState::fill`]).
     pub fn record(&mut self, geom: &ConvGeom, pos: usize, n_patches: usize) {
         assert!(
             n_patches == 1 || n_patches == 2,
@@ -768,9 +751,10 @@ mod tests {
         }
     }
 
-    /// PatchState (memoized charging + slide/full materialization) must
-    /// agree with the reference on stats and bytes at every position,
-    /// whether it materializes eagerly or only at the end.
+    /// The memoized pair charges and PatchState's slide/full
+    /// materialization must agree with the reference on stats and bytes
+    /// at every position, whether it materializes eagerly or only at the
+    /// end.
     #[test]
     fn patch_state_matches_reference_charges_and_bytes() {
         for g in geom_grid() {
@@ -787,7 +771,8 @@ mod tests {
                 while pos < n_pos {
                     let n = (n_pos - pos).min(2);
                     im2col_patches(&mut reference, &mut l1_ref, &g, input_addr, buf, pos, n);
-                    state.fill(&mut fast, &mut charges, &g, &InstrBlock::new(), pos, n);
+                    fast.charge_block(&charges.pair(&g, &InstrBlock::new(), pos, n));
+                    state.record(&g, pos, n);
                     if eager {
                         state.materialize(&mut l1_bulk, &g);
                         assert_eq!(

@@ -14,19 +14,21 @@
 //!   charged instruction at a time, producing bit-exact outputs
 //!   (verified against [`mod@reference`]) while counting cycles.
 //! * **Bulk** ([`Ctx::MemBulk`], [`ExecTier::Bulk`]): the same outputs
-//!   from zero-copy scratchpad slices, with cycles charged as whole
-//!   [`nm_isa::InstrBlock`]s — bit- and cycle-identical to the
-//!   reference, several times faster.
+//!   from zero-copy scratchpad slices, several times faster. Bulk arms
+//!   only move data and write outputs; they never charge. A kernel
+//!   called on this context returns the statistics of its own analytic
+//!   pass, which the drivers run once after the compute pass, so they
+//!   are bit- and cycle-identical to the reference.
 //! * **Analytic** ([`Ctx::Analytic`]): no memory traffic and no
-//!   outputs. Each kernel charges the same [`nm_isa::InstrBlock`]
-//!   builder its bulk fast path charges, from the one charge site the
-//!   two arms share — per core's channel range for the FC kernels, per
-//!   position pair for the sparse conv kernels, per channel or quad for
-//!   dense conv and the per-channel mixed kernels — and conv im2col
-//!   charges the bulk path's memoized closed form, so a whole network is
-//!   costed in O(output positions) and the statistics equal the emulated
-//!   ones for any cost model. Parity tests pin analytic == reference on
-//!   whole [`KernelStats`], under the default and a stalled cost model.
+//!   outputs. Analytic arms are the only charge sites outside the
+//!   reference: each kernel unit charges one [`nm_isa::InstrBlock`] —
+//!   per core's channel range for the FC kernels, per position pair for
+//!   the conv kernels, per channel for the per-channel mixed kernels —
+//!   and conv im2col charges its memoized closed form, so a whole network
+//!   is costed in O(output positions) and the statistics equal the
+//!   emulated ones for any cost model. Parity tests pin analytic ==
+//!   reference on whole [`KernelStats`], under the default and a stalled
+//!   cost model.
 //!
 //! Inner-loop instruction budgets match the paper's Sec. 4 analysis and
 //! are locked by guard tests:

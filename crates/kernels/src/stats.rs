@@ -9,14 +9,14 @@ use std::sync::Arc;
 ///   charged operation performs its architectural effect one
 ///   instruction at a time. Slowest, the oracle.
 /// * [`ExecTier::Bulk`] — fast path: outputs from zero-copy scratchpad
-///   slices, accounting via whole [`nm_isa::InstrBlock`] charges.
-///   **Bit- and cycle-identical** to `Reference` (enforced by
-///   `tests/bulk_parity.rs`).
+///   slices, statistics from the kernel's analytic pass (whole
+///   [`nm_isa::InstrBlock`] charges). **Bit- and cycle-identical** to
+///   `Reference` (enforced by `tests/bulk_parity.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecTier {
     /// Per-instruction reference emulation.
     Reference,
-    /// Bulk fast-path emulation (slices + block charging).
+    /// Bulk fast-path emulation (slices + analytic statistics).
     #[default]
     Bulk,
 }
@@ -25,20 +25,21 @@ pub enum ExecTier {
 /// outputs) on one of the two [`ExecTier`]s, or analytic mode (cycle
 /// charging only, no memory traffic).
 ///
-/// [`Ctx::Mem`] is the golden reference: every charged operation performs
-/// its architectural effect one instruction at a time. [`Ctx::MemBulk`]
-/// produces **identical outputs and identical statistics** (enforced by
-/// the parity tests in `tests/bulk_parity.rs`) but computes outputs from
-/// zero-copy scratchpad slices and charges whole instruction blocks via
-/// [`nm_isa::Core::charge_block`], which makes host emulation several
-/// times faster. [`Ctx::Analytic`] moves no data and computes no
-/// outputs: each kernel charges the same [`nm_isa::InstrBlock`] builder
-/// its bulk body charges — one charge site shared by both arms — and the
-/// conv driver charges im2col through the same memoized closed form, so
-/// analytic statistics equal the bulk tier's — and therefore the
-/// reference's — for any [`nm_isa::CostModel`]. Use `Mem` when
-/// validating the model, `MemBulk` for sweeps, serving and gated
-/// benches, and `Analytic` for planning.
+/// Each context has one job. [`Ctx::Mem`] is the golden reference:
+/// every charged operation performs its architectural effect one
+/// instruction at a time, so it both moves data and counts. The other
+/// two split that work. [`Ctx::MemBulk`] arms move data and write
+/// outputs from zero-copy scratchpad slices, and never charge.
+/// [`Ctx::Analytic`] arms move nothing and charge each kernel unit's
+/// [`nm_isa::InstrBlock`] (im2col through its memoized closed form), so
+/// they are the only charge sites outside the reference tier. A kernel
+/// called on `MemBulk` returns the statistics of its own analytic pass,
+/// which the two drivers (`fc::run_fc`, `conv::drive`) run after the
+/// compute pass. Outputs equal the reference's bit for bit, and
+/// statistics equal them for any [`nm_isa::CostModel`] (enforced by the
+/// parity tests in `tests/bulk_parity.rs`). Use `Mem` when validating
+/// the model, `MemBulk` for sweeps, serving and gated benches, and
+/// `Analytic` for planning.
 #[derive(Debug)]
 pub enum Ctx<'a> {
     /// Emulate per-instruction against this L1 scratchpad (reference).
@@ -80,6 +81,16 @@ impl<'a> Ctx<'a> {
             Ctx::Analytic => Ctx::Analytic,
         }
     }
+
+    /// The context whose pass charges this one's statistics: the bulk
+    /// tier counts through an analytic pass, every other context
+    /// charges its own walk.
+    pub(crate) fn charging(&mut self) -> Ctx<'_> {
+        match self {
+            Ctx::MemBulk(_) => Ctx::Analytic,
+            ctx => ctx.path(),
+        }
+    }
 }
 
 /// The result of a batch sweep over one staged tile: one request per
@@ -91,15 +102,23 @@ pub struct BatchRun {
     /// statistics depend only on geometry and weights — never on
     /// activation values — so each entry is identical to the stats of a
     /// freshly staged single run of that request or token (the batched
-    /// kernel parity tests pin this). The sweeps exploit that directly:
-    /// off the reference path, the entries after the first share the
-    /// first's statistics (one allocation, reference-counted) instead of
-    /// charging.
+    /// kernel parity tests pin this). Off the reference tier every entry
+    /// shares the batch's one analytic pass (one allocation,
+    /// reference-counted); the reference tier charges each entry's own
+    /// per-instruction run.
     pub stats: Vec<Arc<KernelStats>>,
     /// Concatenated per-entry tile outputs (`geom.output_elems()` bytes
     /// per conv request, HWC; `K` bytes per FC token). Empty in analytic
     /// mode, where no memory is attached.
     pub outputs: Vec<u8>,
+}
+
+impl BatchRun {
+    /// A run of `n` entries that all share `stats` (one allocation).
+    pub(crate) fn shared(n: usize, stats: KernelStats, outputs: Vec<u8>) -> Self {
+        let stats = std::iter::repeat_n(Arc::new(stats), n).collect();
+        BatchRun { stats, outputs }
+    }
 }
 
 /// The result of one kernel invocation on the cluster.

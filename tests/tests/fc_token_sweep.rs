@@ -1,6 +1,7 @@
-//! FC token-sweep parity: a multi-token FC tile runs token 0 through
-//! the charged kernel and the remaining tokens through the uncharged
-//! token-inner sweep. Every token's output and statistics must equal
+//! FC token-sweep parity: a multi-token FC tile runs its tokens through
+//! the token-inner sweep (a short remainder through per-token compute
+//! passes), every token sharing the tile's one analytic pass for its
+//! statistics. Every token's output and statistics must equal
 //! that token staged and run alone on the reference tier — for the
 //! dense, software-N:M and `xDecimate` kernels at every kernel pattern,
 //! at token counts on both sides of every sweep-chunk edge (1, 2, 7, 8,

@@ -4,8 +4,7 @@
 //! invariants — no request lost, none duplicated, every shed reported,
 //! drain/shutdown leaves the queue empty, mid-run metrics scrapes are
 //! never torn — plus the determinism contract under contention. Runs
-//! in CI's release test profile (and in debug, with the same request
-//! counts — the models are tiny).
+//! in CI's release test profile (and in debug — the models are tiny).
 
 use nm_compiler::{Options, PreparedGraph, Target};
 use nm_core::sparsity::Nm;
@@ -17,11 +16,17 @@ use nm_nn::rng::XorShift;
 use nm_serve::metrics::parse_text;
 use nm_serve::{Service, ServiceConfig, SubmitError};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 const SUBMITTERS: usize = 4;
 const REQUESTS_PER_SUBMITTER: usize = 50;
+/// Metrics scrapes that must complete while the submitters are live:
+/// the contended phase lasts until this many have overlapped traffic.
+const LIVE_SCRAPES: u64 = 400;
+/// Submission rounds per submitter at most, so the test always ends
+/// (passing runs on a 2-vCPU host take 30–110).
+const MAX_ROUNDS: usize = 2000;
 
 /// A tiny conv graph so the stress mix covers the non-coalescible
 /// executor path too.
@@ -71,89 +76,102 @@ fn concurrent_submitters_lose_nothing_and_drain_clean() {
     // because the default service tier is cycle-accurate).
     type Completed = (usize, usize, usize, u64, Tensor<i8>, Option<u64>);
 
-    // Each submitter fires its whole request stream without waiting
-    // (so the undersized queue actually overflows), records every shed,
-    // then waits for its own accepted tickets. Meanwhile a scraper
-    // reads the metrics export and the stats under live contention:
-    // every scrape must parse and pass `check_internal` (whose
-    // per-model sums, per-class sheds and histogram counts are
+    // Each submitter works in rounds: it fires a round's request stream
+    // without waiting (so the undersized queue actually overflows),
+    // records every shed, then waits for its own accepted tickets. It
+    // starts another round until the scraper has counted
+    // `LIVE_SCRAPES` scrapes, or it has run `MAX_ROUNDS`. Meanwhile the
+    // scraper reads the metrics export and the stats under live
+    // contention: every scrape must parse and pass `check_internal`
+    // (whose per-model sums, per-class sheds and histogram counts are
     // equalities), and `stats()` must never show the terminal classes
-    // above `submitted` nor a `shed` off its per-class sum.
+    // above `submitted` nor a `shed` off its per-class sum. A scrape
+    // counts as live when it ends before the submitters are done.
     let submitters_done = AtomicBool::new(false);
-    let (results, scrapes) = std::thread::scope(|scope| {
-        let scraper = scope.spawn(|| {
-            let mut scrapes = 0u64;
-            // Checks before testing the stop flag, so at least one
-            // scrape lands whatever the timing.
-            loop {
-                let parsed = parse_text(&service.metrics_text())
-                    .unwrap_or_else(|e| panic!("mid-run export must parse: {e}"));
-                parsed
-                    .check_internal()
-                    .unwrap_or_else(|e| panic!("mid-run scrape is torn: {e}"));
-                let s = service.stats();
-                let terminals =
-                    s.completed + s.failed + s.shed_expired + s.shed_canceled + s.shed_preempted;
-                assert!(
-                    terminals <= s.submitted,
-                    "terminal classes {terminals} above submitted in {s:?}"
-                );
-                assert_eq!(
-                    s.shed,
-                    s.shed_full_by_class.iter().sum::<u64>(),
-                    "shed off its per-class sum in {s:?}"
-                );
-                scrapes += 1;
-                if submitters_done.load(Ordering::SeqCst) {
-                    return scrapes;
-                }
+    let live_scrapes = AtomicU64::new(0);
+    let results = std::thread::scope(|scope| {
+        let scraper = scope.spawn(|| loop {
+            let parsed = parse_text(&service.metrics_text())
+                .unwrap_or_else(|e| panic!("mid-run export must parse: {e}"));
+            parsed
+                .check_internal()
+                .unwrap_or_else(|e| panic!("mid-run scrape is torn: {e}"));
+            let s = service.stats();
+            let terminals =
+                s.completed + s.failed + s.shed_expired + s.shed_canceled + s.shed_preempted;
+            assert!(
+                terminals <= s.submitted,
+                "terminal classes {terminals} above submitted in {s:?}"
+            );
+            assert_eq!(
+                s.shed,
+                s.shed_full_by_class.iter().sum::<u64>(),
+                "shed off its per-class sum in {s:?}"
+            );
+            if submitters_done.load(Ordering::SeqCst) {
+                return;
             }
+            live_scrapes.fetch_add(1, Ordering::SeqCst);
         });
         let handles: Vec<_> = (0..SUBMITTERS)
             .map(|t| {
                 let (service, graphs, ids) = (&service, &graphs, &ids);
+                let live_scrapes = &live_scrapes;
                 scope.spawn(move || {
                     let mut rng = XorShift::new(900 + t as u64);
-                    let mut shed = 0u64;
-                    let mut tickets = Vec::new();
-                    for i in 0..REQUESTS_PER_SUBMITTER {
-                        let m = (rng.next_u64() % 2) as usize;
-                        let input = request_input(graphs[m].input_shape(), t, i, m);
-                        match service.submit(ids[m], input) {
-                            Ok(ticket) => tickets.push((t, i, m, ticket)),
-                            Err(SubmitError::Shed { capacity }) => {
-                                assert_eq!(capacity, 8);
-                                shed += 1;
+                    let (mut shed, mut rounds) = (0u64, 0);
+                    let mut done = Vec::new();
+                    loop {
+                        let mut tickets = Vec::new();
+                        for j in 0..REQUESTS_PER_SUBMITTER {
+                            let i = rounds * REQUESTS_PER_SUBMITTER + j;
+                            let m = (rng.next_u64() % 2) as usize;
+                            let input = request_input(graphs[m].input_shape(), t, i, m);
+                            match service.submit(ids[m], input) {
+                                Ok(ticket) => tickets.push((t, i, m, ticket)),
+                                Err(SubmitError::Shed { capacity }) => {
+                                    assert_eq!(capacity, 8);
+                                    shed += 1;
+                                }
+                                Err(e) => panic!("unexpected submit error: {e:?}"),
                             }
-                            Err(e) => panic!("unexpected submit error: {e:?}"),
                         }
-                    }
-                    let done: Vec<_> = tickets
-                        .into_iter()
-                        .map(|(t, i, m, ticket)| {
+                        for (t, i, m, ticket) in tickets {
                             let id = ticket.id();
                             let r = ticket.wait().expect("accepted request completes");
                             assert_eq!(r.id, id, "response routed to its ticket");
-                            (t, i, m, r.id, r.output, r.sim_cycles)
-                        })
-                        .collect();
-                    (done, shed)
+                            done.push((t, i, m, r.id, r.output, r.sim_cycles));
+                        }
+                        rounds += 1;
+                        if rounds == MAX_ROUNDS
+                            || live_scrapes.load(Ordering::SeqCst) >= LIVE_SCRAPES
+                        {
+                            break;
+                        }
+                    }
+                    (done, shed, rounds)
                 })
             })
             .collect();
-        let results: Vec<(Vec<Completed>, u64)> =
+        let results: Vec<(Vec<Completed>, u64, usize)> =
             handles.into_iter().map(|h| h.join().unwrap()).collect();
         submitters_done.store(true, Ordering::SeqCst);
-        (results, scraper.join().unwrap())
+        scraper.join().unwrap();
+        results
     });
-    assert!(scrapes >= 1, "the scraper never scraped");
+    let live_scrapes = live_scrapes.into_inner();
+    assert!(
+        live_scrapes >= LIVE_SCRAPES,
+        "only {live_scrapes} scrapes overlapped the submitters in {MAX_ROUNDS} rounds"
+    );
 
     // Every request is accounted for: accepted + shed == attempted.
-    let accepted: u64 = results.iter().map(|(done, _)| done.len() as u64).sum();
-    let shed: u64 = results.iter().map(|(_, s)| s).sum();
+    let accepted: u64 = results.iter().map(|(done, _, _)| done.len() as u64).sum();
+    let shed: u64 = results.iter().map(|(_, s, _)| s).sum();
+    let rounds: usize = results.iter().map(|(_, _, r)| r).sum();
     assert_eq!(
         accepted + shed,
-        (SUBMITTERS * REQUESTS_PER_SUBMITTER) as u64,
+        (rounds * REQUESTS_PER_SUBMITTER) as u64,
         "requests lost or invented"
     );
     assert!(
@@ -165,13 +183,13 @@ fn concurrent_submitters_lose_nothing_and_drain_clean() {
     // No duplication: service-assigned ids are unique across threads.
     let unique: HashSet<u64> = results
         .iter()
-        .flat_map(|(done, _)| done.iter().map(|&(_, _, _, id, _, _)| id))
+        .flat_map(|(done, _, _)| done.iter().map(|&(_, _, _, id, _, _)| id))
         .collect();
     assert_eq!(unique.len() as u64, accepted, "duplicated response ids");
 
     // Determinism under contention: every response equals the
     // sequential run of its request's input.
-    for (done, _) in &results {
+    for (done, _, _) in &results {
         for (t, i, m, _, output, sim_cycles) in done {
             let input = request_input(graphs[*m].input_shape(), *t, *i, *m);
             let want = prepared[*m].run(&input).unwrap();
