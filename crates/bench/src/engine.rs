@@ -218,111 +218,10 @@ impl EngineReport {
                 if i + 1 == pairs.len() { "" } else { "," }
             ));
         }
-        // The seed-baseline comparison only makes sense when every seed
-        // kernel was measured; a filtered run just omits the section.
-        let all_seed_present = SEED_REFERENCE_US.iter().all(|(k, _)| {
-            self.rows
-                .iter()
-                .any(|r| r.kernel == *k && r.path == Path::Bulk)
-        });
-        let (Some((seed_total, bulk_total)), true) = (self.sparse_totals(), all_seed_present)
-        else {
-            out.push_str("  }\n}\n");
-            return out;
-        };
-        out.push_str("  },\n  \"seed_baseline\": {\n");
-        out.push_str(
-            "    \"provenance\": \"per-instruction emulation at seed commit 5dc0993, \
-             same workloads and machine; see nm_bench::engine::SEED_REFERENCE_US\",\n",
-        );
-        out.push_str("    \"wall_us_per_rep\": {\n");
-        for (i, (k, us)) in SEED_REFERENCE_US.iter().enumerate() {
-            out.push_str(&format!(
-                "      \"{}\": {:.1}{}\n",
-                k,
-                us,
-                if i + 1 == SEED_REFERENCE_US.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        out.push_str("    },\n    \"speedup_bulk_vs_seed\": {\n");
-        for (i, (k, us)) in SEED_REFERENCE_US.iter().enumerate() {
-            let s = self.speedup_vs_seed(k, *us).unwrap_or(f64::NAN);
-            out.push_str(&format!(
-                "      \"{}\": {:.2}{}\n",
-                k,
-                s,
-                if i + 1 == SEED_REFERENCE_US.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        out.push_str("    },\n");
-        out.push_str(&format!(
-            "    \"sparse_benches_aggregate_speedup\": {:.2}\n",
-            seed_total / bulk_total
-        ));
         out.push_str("  }\n}\n");
         out
     }
-
-    /// Bulk wall-clock speedup of `kernel` over the recorded seed
-    /// baseline (`seed_us` microseconds per invocation).
-    pub fn speedup_vs_seed(&self, kernel: &str, seed_us: f64) -> Option<f64> {
-        let row = self
-            .rows
-            .iter()
-            .find(|r| r.kernel == kernel && r.path == Path::Bulk)?;
-        Some(seed_us * 1e-6 / (row.wall_s / f64::from(row.reps)))
-    }
-
-    /// (seed, bulk) total seconds per invocation summed over the four
-    /// sparse FC/conv kernels — the aggregate the acceptance criterion
-    /// tracks. `None` when any seed kernel has no bulk measurement
-    /// (e.g. a filtered run): a partial sum would silently inflate the
-    /// aggregate, so none is reported instead.
-    pub fn sparse_totals(&self) -> Option<(f64, f64)> {
-        let mut seed = 0.0;
-        let mut bulk = 0.0;
-        for (k, us) in SEED_REFERENCE_US {
-            if !k.contains("sparse") {
-                continue;
-            }
-            let row = self
-                .rows
-                .iter()
-                .find(|r| r.kernel == k && r.path == Path::Bulk)?;
-            seed += us * 1e-6;
-            bulk += row.wall_s / f64::from(row.reps);
-        }
-        Some((seed, bulk))
-    }
 }
-
-/// Wall-clock per invocation, in microseconds, of the *seed tree's*
-/// per-instruction emulation (commit `5dc0993`, the state before the bulk
-/// engine PR) on the exact workloads of [`run_suite`], measured on the
-/// reference build machine (50–100 reps, two confirming runs). The seed
-/// had no manifests, so the measurement procedure was:
-/// `git worktree add DIR 5dc0993`, add the minimal crate manifests, build
-/// `--release`
-/// (no LTO — the seed defined no profile) and time `Ctx::Mem` runs of
-/// the staged jobs. These are the "before" numbers the acceptance
-/// criterion compares against; they are machine-specific, like every
-/// wall-clock row in the snapshot.
-pub const SEED_REFERENCE_US: [(&str, f64); 6] = [
-    ("fc-dense-1x2", 340.0),
-    ("fc-sparse-sw-1:8", 110.5),
-    ("fc-sparse-isa-1:8", 143.0),
-    ("conv-dense-4x2", 2025.0),
-    ("conv-sparse-sw-1:8", 782.0),
-    ("conv-sparse-isa-1:8", 1335.0),
-];
 
 fn ctx_for<'a>(path: Path, l1: &'a mut Scratchpad) -> Ctx<'a> {
     match path {
@@ -814,9 +713,9 @@ pub fn run_suite_filtered(reps: u32, filter: Option<&str>) -> EngineReport {
         // The conv kernels' shared partial-im2col step in isolation —
         // the fixed data-movement tax of Sec. 4.1.2. On the reference
         // path every position pair rebuilds both patch buffers; the bulk
-        // path charges the identical cost closed-form and materializes
-        // only each core's final patches, so these rows track the
-        // incremental-im2col win the perf gate guards. Two geometries:
+        // path charges the identical cost closed-form and builds only
+        // each core's final patches, so these rows track the bulk
+        // im2col win the perf gate guards. Two geometries:
         // the conv workload's own 3x3 stride-1 pad-1 shape, and a
         // strided 5x5 pad-2 shape whose rows mix every padding class.
         (

@@ -155,8 +155,8 @@ mod tests {
         }
         // SW sparse FC at 1:4 hovers around the dense baseline (paper:
         // +2% on average thanks to fewer weight loads on memory-bound
-        // layers; our DMA model reproduces the parity, see
-        // EXPERIMENTS.md for the per-C trend discussion).
+        // layers; our DMA model reproduces the parity, and `fig8 fc`
+        // prints the per-C rows, see DESIGN.md's experiment index).
         let sw14: f64 = [256, 512, 1024, 2048]
             .iter()
             .map(|&c| speedup(&rows, c, "sw-1:4"))

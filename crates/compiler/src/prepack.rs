@@ -51,7 +51,7 @@ use nm_core::{Error, Result, Tensor};
 use nm_kernels::conv::dense::{conv_dense_1x2_batch, conv_dense_4x2_batch};
 use nm_kernels::conv::sparse_isa::conv_sparse_isa_prepared_batch;
 use nm_kernels::conv::sparse_sw::{conv_sparse_sw_prepared_batch, SparseConvJob};
-use nm_kernels::conv::{ConvBatch, ConvJob, DecimProgram};
+use nm_kernels::conv::{ConvJob, DecimProgram};
 use nm_kernels::fc::dense::fc_dense_batch;
 use nm_kernels::fc::sparse_isa::fc_sparse_isa_batch;
 use nm_kernels::fc::sparse_sw::{fc_sparse_sw_batch, SparseFcJob};
@@ -496,9 +496,6 @@ impl<'g> PreparedGraph<'g> {
                 .iter()
                 .map(|pad| &pad[row0 * px * geom.c..(row0 + tg.iy) * px * geom.c])
                 .collect();
-            let batch = ConvBatch {
-                inputs: &tile_inputs,
-            };
             mem.reset();
             let run = match &p.tiles[i] {
                 TileWeights::Dense(range) => {
@@ -517,9 +514,9 @@ impl<'g> PreparedGraph<'g> {
                     let mut ctx = tile_ctx(mem, &self.opts);
                     match p.choice {
                         KernelChoice::ConvDense1x2 => {
-                            conv_dense_1x2_batch(&mut ctx, &job, &cluster, &batch)?
+                            conv_dense_1x2_batch(&mut ctx, &job, &cluster, &tile_inputs)?
                         }
-                        _ => conv_dense_4x2_batch(&mut ctx, &job, &cluster, &batch)?,
+                        _ => conv_dense_4x2_batch(&mut ctx, &job, &cluster, &tile_inputs)?,
                     }
                 }
                 TileWeights::Sparse { weights, program } => {
@@ -540,14 +537,14 @@ impl<'g> PreparedGraph<'g> {
                             &job,
                             &cluster,
                             program.as_ref(),
-                            &batch,
+                            &tile_inputs,
                         )?,
                         _ => conv_sparse_isa_prepared_batch(
                             &mut ctx,
                             &job,
                             &cluster,
                             program.as_ref(),
-                            &batch,
+                            &tile_inputs,
                         )?,
                     }
                 }

@@ -1709,7 +1709,6 @@ mod tests {
     fn conv_corrupted_offsets_inside_the_patch_match_the_reference() {
         use crate::conv::sparse_isa::{conv_sparse_isa_prepared, conv_sparse_isa_prepared_batch};
         use crate::conv::sparse_sw::{conv_sparse_sw_prepared, conv_sparse_sw_prepared_batch};
-        use crate::conv::ConvBatch;
         use crate::stats::Ctx;
         use nm_core::format::OffsetLayout;
         let cluster = nm_platform::Cluster::new(2, CostModel::default());
@@ -1734,12 +1733,12 @@ mod tests {
 
             let refs: Vec<&[i8]> = inputs.iter().map(Vec::as_slice).collect();
             for b in [SWEEP_MIN + 1, SWEEP_WIDTH + 1] {
-                let batch = ConvBatch { inputs: &refs[..b] };
+                let batch = &refs[..b];
                 let run = |ctx: &mut Ctx<'_>| match layout {
                     OffsetLayout::Plain => {
-                        conv_sparse_sw_prepared_batch(ctx, &job, &cluster, None, &batch)
+                        conv_sparse_sw_prepared_batch(ctx, &job, &cluster, None, batch)
                     }
-                    _ => conv_sparse_isa_prepared_batch(ctx, &job, &cluster, None, &batch),
+                    _ => conv_sparse_isa_prepared_batch(ctx, &job, &cluster, None, batch),
                 };
                 let want = run(&mut Ctx::Mem(&mut mem.clone())).unwrap();
                 let got = run(&mut Ctx::MemBulk(&mut mem.clone())).unwrap();

@@ -1,7 +1,7 @@
 //! Dense convolution baselines: the 1×2 kernel and the PULP-NN 4×2
 //! kernel (paper Sec. 4.1.1, Fig. 2 / Fig. 4 left).
 
-use super::{drive, drive_conv_batch, BatchInner, BatchRun, ConvBatch, ConvJob, EPILOGUE_ALU};
+use super::{drive_conv, drive_conv_batch, BatchInner, BatchRun, ConvJob, EPILOGUE_ALU};
 use crate::bulk::{dense_dot, loop_scaffold};
 use crate::stats::{Ctx, KernelStats};
 use nm_core::Result;
@@ -56,7 +56,7 @@ fn dense_loop(
 /// Currently infallible; returns `Result` for signature uniformity with
 /// the sparse kernels.
 pub fn conv_dense_1x2(ctx: &mut Ctx<'_>, job: &ConvJob, cluster: &Cluster) -> Result<KernelStats> {
-    Ok(drive(
+    Ok(drive_conv(
         "conv-dense-1x2".into(),
         ctx,
         job,
@@ -65,11 +65,11 @@ pub fn conv_dense_1x2(ctx: &mut Ctx<'_>, job: &ConvJob, cluster: &Cluster) -> Re
     ))
 }
 
-/// [`conv_dense_1x2`] swept batch-major over `batch.inputs`: the staged
-/// weights are held in L1 while each request's input rewrites the input
-/// buffer, yielding per-request statistics and outputs bit-identical to
-/// staging and running each request alone
-/// (see `drive_conv_batch`).
+/// [`conv_dense_1x2`] swept batch-major over `inputs` (one tile input
+/// per request): the staged weights are held in L1 while each request's
+/// input rewrites the input buffer, yielding per-request statistics and
+/// outputs bit-identical to staging and running each request alone (see
+/// `drive_conv_batch`).
 ///
 /// # Errors
 /// [`nm_core::Error::ShapeMismatch`] if a request's input length
@@ -78,14 +78,14 @@ pub fn conv_dense_1x2_batch(
     ctx: &mut Ctx<'_>,
     job: &ConvJob,
     cluster: &Cluster,
-    batch: &ConvBatch<'_>,
+    inputs: &[&[i8]],
 ) -> Result<BatchRun> {
     drive_conv_batch(
         "conv-dense-1x2",
         ctx,
         job,
         cluster,
-        batch,
+        inputs,
         Some(BatchInner::Dense),
         dense_loop(job, 0),
     )
@@ -100,7 +100,7 @@ pub fn conv_dense_1x2_batch(
 /// # Errors
 /// Currently infallible; returns `Result` for signature uniformity.
 pub fn conv_dense_4x2(ctx: &mut Ctx<'_>, job: &ConvJob, cluster: &Cluster) -> Result<KernelStats> {
-    Ok(drive(
+    Ok(drive_conv(
         "conv-dense-4x2".into(),
         ctx,
         job,
@@ -109,7 +109,7 @@ pub fn conv_dense_4x2(ctx: &mut Ctx<'_>, job: &ConvJob, cluster: &Cluster) -> Re
     ))
 }
 
-/// [`conv_dense_4x2`] swept batch-major over `batch.inputs` — the 4×2
+/// [`conv_dense_4x2`] swept batch-major over `inputs` — the 4×2
 /// analogue of [`conv_dense_1x2_batch`].
 ///
 /// # Errors
@@ -119,14 +119,14 @@ pub fn conv_dense_4x2_batch(
     ctx: &mut Ctx<'_>,
     job: &ConvJob,
     cluster: &Cluster,
-    batch: &ConvBatch<'_>,
+    inputs: &[&[i8]],
 ) -> Result<BatchRun> {
     drive_conv_batch(
         "conv-dense-4x2",
         ctx,
         job,
         cluster,
-        batch,
+        inputs,
         Some(BatchInner::Dense),
         dense_loop(job, job.geom.k / 4),
     )

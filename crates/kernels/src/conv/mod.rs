@@ -23,9 +23,9 @@ pub mod per_channel;
 pub mod sparse_isa;
 pub mod sparse_sw;
 
-use crate::bulk::decim_table;
-use crate::im2col::{im2col_patches, Im2colCharges, PatchState};
-use crate::layout::{copy_i8_to_bytes, ConvBufs};
+use crate::bulk::{decim_table, table_below};
+use crate::im2col::{build_patches, im2col_patches, Im2colCharges};
+use crate::layout::{copy_i8_to_bytes, nm_segment_bytes, ConvBufs};
 use crate::stats::{BatchRun, Ctx, KernelStats};
 use nm_core::format::{NmMatrix, OffsetLayout};
 use nm_core::quant::Requant;
@@ -34,6 +34,7 @@ use nm_core::{ConvGeom, Error, Result};
 use nm_isa::{Core, InstrBlock, Memory};
 use nm_platform::{chunk_range, Cluster, ClusterStats, Scratchpad};
 use sparse_sw::SparseConvJob;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// One convolution invocation: geometry, requantization and L1 buffers.
@@ -72,7 +73,7 @@ pub struct DecimProgram {
     table: Vec<u32>,
     /// Whether every table entry is below the patch length — validated
     /// once here so the per-pair gathers can run unchecked forever after
-    /// (see [`crate::bulk::table_below`]).
+    /// (see [`table_below`]).
     in_range: bool,
     nm: Nm,
     rows: usize,
@@ -89,15 +90,6 @@ impl DecimProgram {
     /// [`Error::Unsupported`] for [`OffsetLayout::Interleaved`] (an FC
     /// layout; conv kernels never consume it).
     pub fn from_matrix(weights: &NmMatrix) -> Result<Self> {
-        let (base, step) = match weights.layout() {
-            OffsetLayout::Plain => (0, 1),
-            OffsetLayout::Duplicated => (0, 2),
-            OffsetLayout::Interleaved => {
-                return Err(Error::Unsupported(
-                    "interleaved offsets are an FC layout; no conv decimation table".into(),
-                ))
-            }
-        };
         let nm = weights.nm();
         let table = decim_table(
             weights.offsets_bytes(),
@@ -106,10 +98,10 @@ impl DecimProgram {
             weights.nz_per_row(),
             nm.offset_bits(),
             nm.m(),
-            base,
-            step,
+            0,
+            decode_step(weights.layout())?,
         );
-        let in_range = crate::bulk::table_below(&table, weights.cols());
+        let in_range = table_below(&table, weights.cols());
         Ok(DecimProgram {
             table,
             in_range,
@@ -172,26 +164,77 @@ impl DecimProgram {
     }
 }
 
-/// The shared spatial driver: splits output positions across cores,
-/// performs the im2col for each pair and invokes the kernel-specific
-/// channel loop, which reads the patch buffers ([`drive_conv`] with
-/// `patches_read`).
-pub(crate) fn drive<F>(
-    name: String,
-    ctx: &mut Ctx<'_>,
-    job: &ConvJob,
-    cluster: &Cluster,
-    channel_loop: F,
-) -> KernelStats
-where
-    F: FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32),
-{
-    drive_conv(name, ctx, job, cluster, true, channel_loop)
+/// Offset-stream entries per weight block of a conv offset layout: 1
+/// for [`OffsetLayout::Plain`], 2 for [`OffsetLayout::Duplicated`]
+/// (entries `2b` and `2b + 1` both carry block `b`).
+///
+/// # Errors
+/// [`Error::Unsupported`] for [`OffsetLayout::Interleaved`] (an FC
+/// layout; conv kernels never consume it).
+fn decode_step(layout: OffsetLayout) -> Result<usize> {
+    match layout {
+        OffsetLayout::Plain => Ok(1),
+        OffsetLayout::Duplicated => Ok(2),
+        OffsetLayout::Interleaved => Err(Error::Unsupported(
+            "interleaved offsets are an FC layout; no conv decimation table".into(),
+        )),
+    }
 }
 
-/// [`drive`] with an explicit patch-consumption policy.
+/// How a sparse conv entry point addresses its packed offsets.
+pub(crate) struct SparseTable<'p> {
+    /// Per-channel offset segment stride in L1 (bytes).
+    pub(crate) seg: u32,
+    /// The decimation table on the bulk path, `None` off it.
+    pub(crate) table: Option<Cow<'p, [u32]>>,
+    /// Whether every entry passed [`crate::bulk::table_below`].
+    pub(crate) in_range: bool,
+}
+
+/// The preamble of the sparse conv entry points, whose offsets are staged
+/// in `layout`: validates the job, and `program` on every path (so a
+/// stale program is rejected even on runs that would not consume it).
+/// The bulk path's table is borrowed from `program` when one is passed,
+/// else decoded from the staged offsets; every output position pair
+/// (and, batch-major, every request) reuses it.
+pub(crate) fn sparse_table<'p>(
+    ctx: &mut Ctx<'_>,
+    job: &SparseConvJob,
+    layout: OffsetLayout,
+    program: Option<&'p DecimProgram>,
+) -> Result<SparseTable<'p>> {
+    job.validate()?;
+    let nz = job.nz_per_channel();
+    let seg = nm_segment_bytes(job.nm, nz, layout);
+    if let Some(p) = program {
+        p.check(job, layout)?;
+    }
+    let (table, in_range) = match (ctx, program) {
+        (Ctx::MemBulk(_), Some(p)) => (Some(Cow::Borrowed(p.table())), p.in_range()),
+        (Ctx::MemBulk(mem), None) => {
+            let geom = job.conv.geom;
+            let offs = mem
+                .slice(job.conv.bufs.offsets, geom.k * seg)
+                .expect("scratchpad is zero-copy");
+            let (bits, m) = (job.nm.offset_bits(), job.nm.m());
+            let table = decim_table(offs, geom.k, seg, nz, bits, m, 0, decode_step(layout)?);
+            let in_range = table_below(&table, geom.patch_len());
+            (Some(Cow::Owned(table)), in_range)
+        }
+        _ => (None, false),
+    };
+    Ok(SparseTable {
+        seg: seg as u32,
+        table,
+        in_range,
+    })
+}
+
+/// The shared spatial driver: splits output positions across cores,
+/// performs the im2col for each position pair and invokes the
+/// kernel-specific channel loop, which reads the patch buffers.
 ///
-/// On the reference path the im2col runs per position, instruction by
+/// On the reference path the im2col runs per pair, instruction by
 /// instruction, and the channel loop charges as it computes. The bulk
 /// path runs two walks: [`compute_conv`] moves the data and writes the
 /// outputs, then the analytic walk — the only one the analytic path
@@ -204,14 +247,13 @@ pub(crate) fn drive_conv<F>(
     ctx: &mut Ctx<'_>,
     job: &ConvJob,
     cluster: &Cluster,
-    patches_read: bool,
     mut channel_loop: F,
 ) -> KernelStats
 where
     F: FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32),
 {
     if let Ctx::MemBulk(mem) = ctx {
-        compute_conv(mem, job, cluster, patches_read, &mut channel_loop);
+        compute_conv(mem, job, cluster, &mut channel_loop);
     }
     let mut ctx = ctx.charging();
     let geom = &job.geom;
@@ -223,7 +265,7 @@ where
     for core_id in 0..cluster.n_cores() {
         let mut core = Core::new(cluster.costs());
         core.kernel_overhead();
-        let buf = job.bufs.im2col + (core_id * geom.im2col_bytes_per_core()) as u32;
+        let buf = im2col_buf(job, core_id);
         for (pos, n_patches) in position_pairs(geom, cluster, core_id) {
             match ctx.path() {
                 Ctx::Mem(mem) => {
@@ -244,36 +286,29 @@ where
     }
 }
 
-/// The bulk path's compute walk: per core, a [`PatchState`] records each
-/// position pair, materializes it before the channel loop when
-/// `patches_read` (sliding from the previous pair's contents), and
-/// writes the core's final patch buffers at the end, so the scratchpad
-/// ends bit-identical to the reference's; without `patches_read` — the
-/// im2col-only engine workloads — only those final buffers are written.
-/// Nothing is charged: the channel loop's bulk arm gets a scratch core.
-fn compute_conv<F>(
-    mem: &mut Scratchpad,
-    job: &ConvJob,
-    cluster: &Cluster,
-    patches_read: bool,
-    channel_loop: &mut F,
-) where
+/// The bulk path's compute walk: per core and position pair, one
+/// uncharged [`build_patches`] call rebuilds the pair's im2col buffers,
+/// then the channel loop reads them, so the scratchpad ends
+/// bit-identical to the reference's. Nothing is charged: the channel
+/// loop's bulk arm gets a scratch core.
+fn compute_conv<F>(mem: &mut Scratchpad, job: &ConvJob, cluster: &Cluster, channel_loop: &mut F)
+where
     F: FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32),
 {
     let geom = &job.geom;
     let mut scratch = Core::new(cluster.costs());
     for core_id in 0..cluster.n_cores() {
-        let buf = job.bufs.im2col + (core_id * geom.im2col_bytes_per_core()) as u32;
-        let mut patches = PatchState::new(job.bufs.input, buf);
+        let buf = im2col_buf(job, core_id);
         for (pos, n_patches) in position_pairs(geom, cluster, core_id) {
-            patches.record(geom, pos, n_patches);
-            if patches_read {
-                patches.materialize(mem, geom);
-            }
+            build_patches(mem, geom, job.bufs.input, buf, pos, n_patches);
             channel_loop(&mut scratch, &mut Ctx::MemBulk(mem), pos, n_patches, buf);
         }
-        patches.finish(mem, geom);
     }
+}
+
+/// Core `core_id`'s im2col region: two `patch_len()` buffers.
+fn im2col_buf(job: &ConvJob, core_id: usize) -> u32 {
+    job.bufs.im2col + (core_id * job.geom.im2col_bytes_per_core()) as u32
 }
 
 /// Core `core_id`'s share of the output positions in the kernels'
@@ -287,17 +322,6 @@ fn position_pairs(
     let range = chunk_range(geom.oy() * geom.ox(), cluster.n_cores(), core_id);
     let end = range.end;
     range.step_by(2).map(move |pos| (pos, (end - pos).min(2)))
-}
-
-/// The per-request inputs of a batch-major sweep over one staged conv
-/// tile (`drive_conv_batch`): the tile's weights, offsets and decoded
-/// decimation table stay resident in L1 for the whole batch; between
-/// requests only the input buffer is rewritten.
-#[derive(Debug, Clone, Copy)]
-pub struct ConvBatch<'a> {
-    /// One tile input per request (HWC, `geom.input_elems()` bytes
-    /// each).
-    pub inputs: &'a [&'a [i8]],
 }
 
 /// The kernel family's inner-compute shape, handed to
@@ -321,8 +345,11 @@ pub(crate) enum BatchInner<'a> {
     Dense,
 }
 
-/// Batch-major sweep driver: runs every request of `batch` over a tile
-/// whose weights are staged **once** for the whole batch.
+/// Batch-major sweep driver: runs every request of `inputs` (one tile
+/// input per request, HWC, `geom.input_elems()` bytes each) over a tile
+/// whose weights, offsets and decoded decimation table are staged
+/// **once** for the whole batch; between requests only the input buffer
+/// is rewritten.
 ///
 /// On the bulk path no request touches the modeled scratchpad when the
 /// family has a [`BatchInner`]: as many [`crate::bulk::SWEEP_WIDTH`]-wide
@@ -355,7 +382,7 @@ pub(crate) fn drive_conv_batch<F>(
     ctx: &mut Ctx<'_>,
     job: &ConvJob,
     cluster: &Cluster,
-    batch: &ConvBatch<'_>,
+    inputs: &[&[i8]],
     inner: Option<BatchInner<'_>>,
     mut channel_loop: F,
 ) -> Result<BatchRun>
@@ -364,7 +391,7 @@ where
 {
     let in_elems = job.geom.input_elems();
     let out_elems = job.geom.output_elems();
-    for (r, input) in batch.inputs.iter().enumerate() {
+    for (r, input) in inputs.iter().enumerate() {
         if input.len() != in_elems {
             return Err(Error::ShapeMismatch(format!(
                 "batch request {r}: tile input has {} elements, geometry wants {in_elems}",
@@ -372,7 +399,7 @@ where
             )));
         }
     }
-    let b = batch.inputs.len();
+    let b = inputs.len();
     let mut outputs = Vec::with_capacity(if ctx.is_mem() { b * out_elems } else { 0 });
     let stage = |mem: &mut Scratchpad, input: &[i8]| {
         let dst = mem.slice_mut(job.bufs.input, in_elems);
@@ -385,17 +412,10 @@ where
     match ctx {
         Ctx::Mem(mem) => {
             let mut stats = Vec::with_capacity(b);
-            for input in batch.inputs {
+            for input in inputs {
                 stage(mem, input);
                 let mut ctx = Ctx::Mem(mem);
-                let run = drive_conv(
-                    name.to_string(),
-                    &mut ctx,
-                    job,
-                    cluster,
-                    true,
-                    &mut channel_loop,
-                );
+                let run = drive_conv(name.to_string(), &mut ctx, job, cluster, &mut channel_loop);
                 stats.push(Arc::new(run));
                 read_out(mem, &mut outputs);
             }
@@ -403,7 +423,7 @@ where
         }
         Ctx::MemBulk(mem) => {
             let swept = inner.as_ref().map_or(0, |_| crate::bulk::sweep_len(b));
-            let (swept, fallback) = batch.inputs.split_at(swept);
+            let (swept, fallback) = inputs.split_at(swept);
             outputs.resize(swept.len() * out_elems, 0);
             match inner {
                 _ if swept.is_empty() => {}
@@ -427,7 +447,7 @@ where
             }
             for input in fallback {
                 stage(mem, input);
-                compute_conv(mem, job, cluster, true, &mut channel_loop);
+                compute_conv(mem, job, cluster, &mut channel_loop);
                 read_out(mem, &mut outputs);
             }
         }
@@ -438,7 +458,6 @@ where
         &mut Ctx::Analytic,
         job,
         cluster,
-        true,
         &mut channel_loop,
     );
     Ok(BatchRun::shared(b, stats, outputs))
@@ -448,19 +467,36 @@ where
 /// on the emulation paths performs) only the patch building over every
 /// output position — no channel loops. This is the conv kernels' fixed
 /// data-movement tax in isolation, used by the engine bench to track the
-/// bulk path's incremental-im2col win; `dense_macs` is the layer's
-/// dense-equivalent MAC count so throughput rows normalize like the full
-/// kernels'.
+/// bulk path's im2col cost; `dense_macs` is the layer's dense-equivalent
+/// MAC count so throughput rows normalize like the full kernels'.
 ///
-/// On the bulk path nothing reads the intermediate patches, so only each
-/// core's final patch buffers are materialized (see [`PatchState`]).
+/// On the bulk path nothing reads the patches, so only the buffers the
+/// reference leaves behind are built: per core, each slot's last
+/// position (slot 1 keeps the previous pair's second patch when the last
+/// step holds one patch). The statistics come from the shared driver's
+/// charging walk (`drive_conv` on `Ctx::charging`), which is the analytic
+/// pass on the bulk tier.
 pub fn im2col_only(name: &str, ctx: &mut Ctx<'_>, job: &ConvJob, cluster: &Cluster) -> KernelStats {
+    if let Ctx::MemBulk(mem) = ctx {
+        let (geom, input) = (&job.geom, job.bufs.input);
+        for core_id in 0..cluster.n_cores() {
+            let buf = im2col_buf(job, core_id);
+            let Some((pos, n_patches)) = position_pairs(geom, cluster, core_id).last() else {
+                continue;
+            };
+            build_patches(mem, geom, input, buf, pos, n_patches);
+            let first = chunk_range(geom.oy() * geom.ox(), cluster.n_cores(), core_id).start;
+            if n_patches == 1 && pos > first {
+                let slot1 = buf + geom.patch_len() as u32;
+                build_patches(mem, geom, input, slot1, pos - 1, 1);
+            }
+        }
+    }
     drive_conv(
         name.to_string(),
-        ctx,
+        &mut ctx.charging(),
         job,
         cluster,
-        false,
         |_, _, _, _, _| {},
     )
 }
@@ -558,7 +594,7 @@ mod tests {
         let cluster = Cluster::new(4, CostModel::default());
         type Stage<'w> = Box<dyn Fn(&mut Scratchpad, &[i8]) -> ConvBufs + 'w>;
         type RunOne<'w> = Box<dyn Fn(&mut Ctx<'_>, &ConvBufs) -> KernelStats + 'w>;
-        type RunBatch<'w> = Box<dyn Fn(&mut Ctx<'_>, &ConvBufs, &ConvBatch<'_>) -> BatchRun + 'w>;
+        type RunBatch<'w> = Box<dyn Fn(&mut Ctx<'_>, &ConvBufs, &[&[i8]]) -> BatchRun + 'w>;
         let dense_job = move |bufs: &ConvBufs| ConvJob {
             geom,
             requant: Requant::for_dot_len(geom.patch_len()),
@@ -649,8 +685,7 @@ mod tests {
                     let mut mem = Scratchpad::new("l1", 256 * 1024);
                     let bufs = stage(&mut mem, &inputs[0]);
                     let mut ctx = mk(path, &mut mem);
-                    let batch = ConvBatch { inputs: &refs[..b] };
-                    let run = run_batch(&mut ctx, &bufs, &batch);
+                    let run = run_batch(&mut ctx, &bufs, &refs[..b]);
                     assert_eq!(
                         run.stats,
                         seq_stats[..b],
@@ -763,14 +798,9 @@ mod tests {
         let t = Instant::now();
         for _ in 0..reps {
             let mut ctx = Ctx::MemBulk(&mut mem);
-            let run = conv_sparse_isa_prepared_batch(
-                &mut ctx,
-                &job,
-                &cluster,
-                Some(&program),
-                &ConvBatch { inputs: &refs },
-            )
-            .unwrap();
+            let run =
+                conv_sparse_isa_prepared_batch(&mut ctx, &job, &cluster, Some(&program), &refs)
+                    .unwrap();
             sink = sink.wrapping_add(run.stats[0].cycles());
         }
         let full = t.elapsed().as_secs_f64();
@@ -785,7 +815,7 @@ mod tests {
                 &mut ctx,
                 &job.conv,
                 &cluster,
-                &ConvBatch { inputs: &refs },
+                &refs,
                 None,
                 |_, _, _, _, _| {},
             )

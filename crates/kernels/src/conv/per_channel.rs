@@ -9,12 +9,11 @@
 //! inner loop. This works because the N:M format is *per-row* local: no
 //! cross-channel state exists outside the im2col buffer.
 //!
-//! On the bulk path the shared spatial driver keeps the incremental
-//! per-core [`crate::im2col::PatchState`]: because this kernel's channel
-//! loops read the patch buffers every position, they are materialized
-//! eagerly (full per-pair rebuilds of real bytes), while the im2col
-//! *charging* still comes from the memoized closed-form blocks — the
-//! mixed kernel inherits the exact-parity contract unchanged.
+//! On the bulk path the shared spatial driver rebuilds each position
+//! pair's patch buffers before the channel loops read them (uncharged
+//! full rebuilds of real bytes), while the im2col *charging* comes from
+//! the analytic pass's memoized closed-form blocks — the mixed kernel
+//! inherits the exact-parity contract unchanged.
 //!
 //! Row payloads are heterogeneous (dense rows store `FY*FX*C` bytes,
 //! 1:16 rows a sixteenth of that), so the kernel addresses rows through
@@ -24,7 +23,7 @@
 use super::dense::channel_1xn;
 use super::sparse_isa::{channel_sparse_isa, decimate_mode};
 use super::sparse_sw::channel_sparse_sw;
-use super::{drive, ConvJob};
+use super::{drive_conv, ConvJob};
 use crate::stats::{Ctx, KernelStats};
 use nm_core::sparsity::Nm;
 use nm_core::{Error, Result};
@@ -44,8 +43,9 @@ pub enum ChannelEngine {
 /// A per-channel mixed-sparsity convolution job.
 ///
 /// `row_values[k]` / `row_offsets[k]` are the L1 addresses of channel
-/// `k`'s weight payload and packed offset segment; both tables may be
-/// left empty in analytic mode ([`Ctx::Analytic`]).
+/// `k`'s weight payload and packed offset segment. Both tables need `K`
+/// entries on the emulation paths; they may be left empty in analytic
+/// mode ([`Ctx::Analytic`]), which addresses nothing.
 #[derive(Debug, Clone)]
 pub struct ChannelConvJob {
     /// Geometry, requantization and shared buffers.
@@ -79,7 +79,9 @@ impl ChannelConvJob {
         total / self.patterns.len().max(1) as f64
     }
 
-    fn validate(&self) -> Result<()> {
+    /// `with_mem`: the run emulates against a scratchpad, so both row
+    /// address tables must cover every channel.
+    fn validate(&self, with_mem: bool) -> Result<()> {
         let geom = &self.conv.geom;
         if self.patterns.len() != geom.k {
             return Err(Error::ShapeMismatch(format!(
@@ -88,6 +90,7 @@ impl ChannelConvJob {
                 geom.k
             )));
         }
+        check_row_tables(with_mem, geom.k, &self.row_values, &self.row_offsets)?;
         for (k, &p) in self.patterns.iter().enumerate() {
             let Some(nm) = p else { continue };
             if !nm.is_kernel_supported() {
@@ -106,12 +109,33 @@ impl ChannelConvJob {
         Ok(())
     }
 
-    fn row_addr(&self, k: usize) -> (u32, u32) {
-        (
-            self.row_values.get(k).copied().unwrap_or(0),
-            self.row_offsets.get(k).copied().unwrap_or(0),
-        )
+    /// Channel `k`'s (weight payload, offset segment) addresses on the
+    /// emulation paths; analytic runs address nothing.
+    fn row_addr(&self, ctx: &Ctx<'_>, k: usize) -> (u32, u32) {
+        match ctx {
+            Ctx::Analytic => (0, 0),
+            _ => (self.row_values[k], self.row_offsets[k]),
+        }
     }
+}
+
+/// Rejects a per-channel job whose row address tables do not cover its
+/// `k` channels on a run that emulates against a scratchpad; analytic
+/// runs accept empty tables.
+pub(crate) fn check_row_tables(
+    with_mem: bool,
+    k: usize,
+    row_values: &[u32],
+    row_offsets: &[u32],
+) -> Result<()> {
+    if with_mem && (row_values.len() != k || row_offsets.len() != k) {
+        return Err(Error::ShapeMismatch(format!(
+            "{} row value and {} row offset addresses for K={k}",
+            row_values.len(),
+            row_offsets.len()
+        )));
+    }
+    Ok(())
 }
 
 /// Runs the per-channel mixed-sparsity convolution.
@@ -121,8 +145,9 @@ impl ChannelConvJob {
 /// offsets (see [`crate::layout::stage_conv_channelwise`]).
 ///
 /// # Errors
-/// [`Error::ShapeMismatch`] if the pattern table length differs from `K`
-/// or some pattern's M does not divide the patch length;
+/// [`Error::ShapeMismatch`] if the pattern table length differs from `K`,
+/// some pattern's M does not divide the patch length, or `ctx` carries
+/// a scratchpad and a row address table lacks `K` entries;
 /// [`Error::Unsupported`] for patterns outside {1:4, 1:8, 1:16}.
 pub fn conv_channel_mixed(
     ctx: &mut Ctx<'_>,
@@ -130,20 +155,20 @@ pub fn conv_channel_mixed(
     cluster: &Cluster,
     engine: ChannelEngine,
 ) -> Result<KernelStats> {
-    job.validate()?;
+    job.validate(ctx.is_mem())?;
     let geom = job.conv.geom;
     let name = match engine {
         ChannelEngine::Software => "conv-channel-mixed-sw".to_string(),
         ChannelEngine::Isa => "conv-channel-mixed-isa".to_string(),
     };
-    Ok(drive(
+    Ok(drive_conv(
         name,
         ctx,
         &job.conv,
         cluster,
         |core, ctx, pos, n_patches, buf| {
             for k in 0..geom.k {
-                let (wrow, seg) = job.row_addr(k);
+                let (wrow, seg) = job.row_addr(ctx, k);
                 let Some(nm) = job.patterns[k] else {
                     channel_1xn(core, ctx, &job.conv, pos, n_patches, buf, k, wrow);
                     continue;

@@ -14,18 +14,16 @@
 //! the two im2col buffers of the 1×2 unrolling.
 
 use super::sparse_sw::SparseConvJob;
-use super::{drive, drive_conv_batch, BatchInner, BatchRun, ConvBatch, DecimProgram, EPILOGUE_ALU};
-use crate::bulk::{
-    conv_pair_outputs, decim_table, loop_scaffold, nm_gather_dot, offsets_len, table_below,
+use super::{
+    drive_conv, drive_conv_batch, sparse_table, BatchInner, BatchRun, DecimProgram, EPILOGUE_ALU,
 };
-use crate::layout::nm_segment_bytes;
+use crate::bulk::{conv_pair_outputs, loop_scaffold, nm_gather_dot, offsets_len};
 use crate::stats::{Ctx, KernelStats};
 use nm_core::format::OffsetLayout;
 use nm_core::sparsity::Nm;
 use nm_core::Result;
 use nm_isa::{Core, CostModel, DecimateMode, InstrBlock, Memory};
 use nm_platform::Cluster;
-use std::borrow::Cow;
 
 /// The `xDecimate` flavour for a pattern.
 ///
@@ -76,25 +74,18 @@ pub fn conv_sparse_isa_prepared(
     cluster: &Cluster,
     program: Option<&DecimProgram>,
 ) -> Result<KernelStats> {
-    job.validate()?;
-    let seg_dup = nm_segment_bytes(job.nm, job.nz_per_channel(), OffsetLayout::Duplicated) as u32;
-    if let Some(p) = program {
-        // Validated regardless of execution path, so a stale program is
-        // rejected even on runs that would not consume it.
-        p.check(job, OffsetLayout::Duplicated)?;
-    }
-    let (table, in_range) = duplicated_table(ctx, job, program, seg_dup);
-    Ok(drive(
+    let t = sparse_table(ctx, job, OffsetLayout::Duplicated, program)?;
+    Ok(drive_conv(
         format!("conv-sparse-isa-{}", job.nm),
         ctx,
         &job.conv,
         cluster,
-        isa_channel_loop(job, table.as_deref(), in_range, seg_dup),
+        isa_channel_loop(job, t.table.as_deref(), t.in_range, t.seg),
     ))
 }
 
-/// [`conv_sparse_isa_prepared`] swept batch-major over `batch.inputs` —
-/// the `xDecimate` analogue of
+/// [`conv_sparse_isa_prepared`] swept batch-major over `inputs` — the
+/// `xDecimate` analogue of
 /// [`super::sparse_sw::conv_sparse_sw_prepared_batch`]: table decoded
 /// (or validated) once for the whole batch, weights held staged, one
 /// input rewrite per request.
@@ -108,67 +99,23 @@ pub fn conv_sparse_isa_prepared_batch(
     job: &SparseConvJob,
     cluster: &Cluster,
     program: Option<&DecimProgram>,
-    batch: &ConvBatch<'_>,
+    inputs: &[&[i8]],
 ) -> Result<BatchRun> {
-    job.validate()?;
-    let seg_dup = nm_segment_bytes(job.nm, job.nz_per_channel(), OffsetLayout::Duplicated) as u32;
-    if let Some(p) = program {
-        p.check(job, OffsetLayout::Duplicated)?;
-    }
-    let (table, in_range) = duplicated_table(ctx, job, program, seg_dup);
-    let name = format!("conv-sparse-isa-{}", job.nm);
-    let inner = table.as_deref().map(|table| BatchInner::Sparse {
+    let t = sparse_table(ctx, job, OffsetLayout::Duplicated, program)?;
+    let inner = t.table.as_deref().map(|table| BatchInner::Sparse {
         nz: job.nz_per_channel(),
         table,
-        in_range,
+        in_range: t.in_range,
     });
     drive_conv_batch(
-        &name,
+        &format!("conv-sparse-isa-{}", job.nm),
         ctx,
         &job.conv,
         cluster,
-        batch,
+        inputs,
         inner,
-        isa_channel_loop(job, table.as_deref(), in_range, seg_dup),
+        isa_channel_loop(job, t.table.as_deref(), t.in_range, t.seg),
     )
-}
-
-/// The bulk path's decimation table for the duplicated offset stream
-/// (entry `2b` carries block `b`): borrowed from a prepared program when
-/// one is passed, else decoded from the staged offsets — reused by every
-/// output position pair (and, batch-major, by every request). `None` off
-/// the bulk path.
-fn duplicated_table<'p>(
-    ctx: &mut Ctx<'_>,
-    job: &SparseConvJob,
-    program: Option<&'p DecimProgram>,
-    seg_dup: u32,
-) -> (Option<Cow<'p, [u32]>>, bool) {
-    let geom = job.conv.geom;
-    let nz = job.nz_per_channel();
-    match ctx.path() {
-        Ctx::MemBulk(mem) => match program {
-            Some(p) => (Some(Cow::Borrowed(p.table())), p.in_range()),
-            None => {
-                let offs = mem
-                    .slice(job.conv.bufs.offsets, geom.k * seg_dup as usize)
-                    .expect("scratchpad is zero-copy");
-                let built = decim_table(
-                    offs,
-                    geom.k,
-                    seg_dup as usize,
-                    nz,
-                    job.nm.offset_bits(),
-                    job.nm.m(),
-                    0,
-                    2,
-                );
-                let in_range = table_below(&built, geom.patch_len());
-                (Some(Cow::Owned(built)), in_range)
-            }
-        },
-        _ => (None, false),
-    }
 }
 
 /// The ISA kernel's channel loop over one position pair, shared by the

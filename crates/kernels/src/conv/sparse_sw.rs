@@ -15,19 +15,16 @@
 //!   2-bit offsets arrive with a single byte load). Peak 0.35.
 
 use super::{
-    drive, drive_conv_batch, BatchInner, BatchRun, ConvBatch, ConvJob, DecimProgram, EPILOGUE_ALU,
+    drive_conv, drive_conv_batch, sparse_table, BatchInner, BatchRun, ConvJob, DecimProgram,
+    EPILOGUE_ALU,
 };
-use crate::bulk::{
-    conv_pair_outputs, decim_table, loop_scaffold, nm_gather_dot, offsets_len, table_below,
-};
-use crate::layout::nm_segment_bytes;
+use crate::bulk::{conv_pair_outputs, loop_scaffold, nm_gather_dot, offsets_len};
 use crate::stats::{Ctx, KernelStats};
 use nm_core::format::OffsetLayout;
 use nm_core::sparsity::Nm;
 use nm_core::{Error, Result};
 use nm_isa::{Core, CostModel, InstrBlock, InstrClass, Memory};
 use nm_platform::{Cluster, Scratchpad};
-use std::borrow::Cow;
 
 /// A sparse convolution job: the dense job description plus the pattern.
 #[derive(Debug, Clone, Copy)]
@@ -96,29 +93,22 @@ pub fn conv_sparse_sw_prepared(
     cluster: &Cluster,
     program: Option<&DecimProgram>,
 ) -> Result<KernelStats> {
-    job.validate()?;
-    let seg = nm_segment_bytes(job.nm, job.nz_per_channel(), OffsetLayout::Plain) as u32;
-    if let Some(p) = program {
-        // Validated regardless of execution path, so a stale program is
-        // rejected even on runs that would not consume it.
-        p.check(job, OffsetLayout::Plain)?;
-    }
-    let (table, in_range) = plain_table(ctx, job, program, seg);
-    Ok(drive(
+    let t = sparse_table(ctx, job, OffsetLayout::Plain, program)?;
+    Ok(drive_conv(
         format!("conv-sparse-sw-{}", job.nm),
         ctx,
         &job.conv,
         cluster,
-        sw_channel_loop(job, table.as_deref(), in_range, seg),
+        sw_channel_loop(job, t.table.as_deref(), t.in_range, t.seg),
     ))
 }
 
-/// [`conv_sparse_sw_prepared`] swept batch-major over `batch.inputs`:
-/// the packed values, offsets and the decimation table (decoded — or
-/// validated, when prepared — **once for the whole batch**) stay staged
-/// while each request's input rewrites the input buffer. Per-request
-/// statistics and outputs are bit-identical to staging and running each
-/// request alone (see `drive_conv_batch`).
+/// [`conv_sparse_sw_prepared`] swept batch-major over `inputs` (one tile
+/// input per request): the packed values, offsets and the decimation
+/// table (decoded — or validated, when prepared — **once for the whole
+/// batch**) stay staged while each request's input rewrites the input
+/// buffer. Per-request statistics and outputs are bit-identical to
+/// staging and running each request alone (see `drive_conv_batch`).
 ///
 /// # Errors
 /// As [`conv_sparse_sw_prepared`]; additionally
@@ -129,66 +119,23 @@ pub fn conv_sparse_sw_prepared_batch(
     job: &SparseConvJob,
     cluster: &Cluster,
     program: Option<&DecimProgram>,
-    batch: &ConvBatch<'_>,
+    inputs: &[&[i8]],
 ) -> Result<BatchRun> {
-    job.validate()?;
-    let seg = nm_segment_bytes(job.nm, job.nz_per_channel(), OffsetLayout::Plain) as u32;
-    if let Some(p) = program {
-        p.check(job, OffsetLayout::Plain)?;
-    }
-    let (table, in_range) = plain_table(ctx, job, program, seg);
-    let name = format!("conv-sparse-sw-{}", job.nm);
-    let inner = table.as_deref().map(|table| BatchInner::Sparse {
+    let t = sparse_table(ctx, job, OffsetLayout::Plain, program)?;
+    let inner = t.table.as_deref().map(|table| BatchInner::Sparse {
         nz: job.nz_per_channel(),
         table,
-        in_range,
+        in_range: t.in_range,
     });
     drive_conv_batch(
-        &name,
+        &format!("conv-sparse-sw-{}", job.nm),
         ctx,
         &job.conv,
         cluster,
-        batch,
+        inputs,
         inner,
-        sw_channel_loop(job, table.as_deref(), in_range, seg),
+        sw_channel_loop(job, t.table.as_deref(), t.in_range, t.seg),
     )
-}
-
-/// The bulk path's decimation table: borrowed from a prepared program
-/// when one is passed, else decoded from the staged offsets — each table
-/// entry is reused by every output position pair (and, batch-major, by
-/// every request). `None` off the bulk path.
-fn plain_table<'p>(
-    ctx: &mut Ctx<'_>,
-    job: &SparseConvJob,
-    program: Option<&'p DecimProgram>,
-    seg: u32,
-) -> (Option<Cow<'p, [u32]>>, bool) {
-    let geom = job.conv.geom;
-    let nz = job.nz_per_channel();
-    match ctx.path() {
-        Ctx::MemBulk(mem) => match program {
-            Some(p) => (Some(Cow::Borrowed(p.table())), p.in_range()),
-            None => {
-                let offs = mem
-                    .slice(job.conv.bufs.offsets, geom.k * seg as usize)
-                    .expect("scratchpad is zero-copy");
-                let built = decim_table(
-                    offs,
-                    geom.k,
-                    seg as usize,
-                    nz,
-                    job.nm.offset_bits(),
-                    job.nm.m(),
-                    0,
-                    1,
-                );
-                let in_range = table_below(&built, geom.patch_len());
-                (Some(Cow::Owned(built)), in_range)
-            }
-        },
-        _ => (None, false),
-    }
 }
 
 /// The software kernel's channel loop over one position pair, shared by

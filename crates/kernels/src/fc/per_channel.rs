@@ -19,6 +19,7 @@
 use super::dense::channels as dense_channels;
 use super::sparse_sw::{channel as sparse_channel, SparseFcJob};
 use super::{run_fc, FcJob};
+use crate::conv::per_channel::check_row_tables;
 use crate::stats::{Ctx, KernelStats};
 use nm_core::sparsity::Nm;
 use nm_core::{Error, Result};
@@ -27,8 +28,9 @@ use nm_platform::{chunk_range, Cluster};
 /// A per-channel mixed-sparsity FC job.
 ///
 /// `row_values[k]` / `row_offsets[k]` address channel `k`'s weight
-/// payload and packed offset segment in L1; both may be empty in
-/// analytic mode.
+/// payload and packed offset segment in L1. Both tables need `K` entries
+/// on the emulation paths; they may be empty in analytic mode, which
+/// addresses nothing.
 #[derive(Debug, Clone)]
 pub struct ChannelFcJob {
     /// Geometry, requantization and shared buffers.
@@ -52,7 +54,9 @@ impl ChannelFcJob {
         }
     }
 
-    fn validate(&self) -> Result<()> {
+    /// `with_mem`: the run emulates against a scratchpad, so both row
+    /// address tables must cover every channel.
+    fn validate(&self, with_mem: bool) -> Result<()> {
         let geom = &self.fc.geom;
         if self.patterns.len() != geom.k {
             return Err(Error::ShapeMismatch(format!(
@@ -61,6 +65,7 @@ impl ChannelFcJob {
                 geom.k
             )));
         }
+        check_row_tables(with_mem, geom.k, &self.row_values, &self.row_offsets)?;
         for (k, &p) in self.patterns.iter().enumerate() {
             let Some(nm) = p else { continue };
             if !nm.is_kernel_supported() {
@@ -79,11 +84,13 @@ impl ChannelFcJob {
         Ok(())
     }
 
-    fn row_addr(&self, k: usize) -> (u32, u32) {
-        (
-            self.row_values.get(k).copied().unwrap_or(0),
-            self.row_offsets.get(k).copied().unwrap_or(0),
-        )
+    /// Channel `k`'s (weight payload, offset segment) addresses on the
+    /// emulation paths; analytic runs address nothing.
+    fn row_addr(&self, ctx: &Ctx<'_>, k: usize) -> (u32, u32) {
+        match ctx {
+            Ctx::Analytic => (0, 0),
+            _ => (self.row_values[k], self.row_offsets[k]),
+        }
     }
 }
 
@@ -92,22 +99,23 @@ impl ChannelFcJob {
 /// [`crate::layout::stage_fc_channelwise`]).
 ///
 /// # Errors
-/// [`Error::ShapeMismatch`] if the pattern table length differs from `K`
-/// or some pattern's M does not divide `C`; [`Error::Unsupported`] for
+/// [`Error::ShapeMismatch`] if the pattern table length differs from `K`,
+/// some pattern's M does not divide `C`, or `ctx` carries a scratchpad
+/// and a row address table lacks `K` entries; [`Error::Unsupported`] for
 /// patterns outside {1:4, 1:8, 1:16}.
 pub fn fc_channel_mixed(
     ctx: &mut Ctx<'_>,
     job: &ChannelFcJob,
     cluster: &Cluster,
 ) -> Result<KernelStats> {
-    job.validate()?;
+    job.validate(ctx.is_mem())?;
     let geom = job.fc.geom;
     let name = "fc-channel-mixed-sw".to_string();
     Ok(run_fc(name, &geom, ctx, cluster, |core_id, core, ctx| {
         let range = chunk_range(geom.k, cluster.n_cores(), core_id);
         let mut k = range.start;
         while k < range.end {
-            let (wrow, seg) = job.row_addr(k);
+            let (wrow, seg) = job.row_addr(ctx, k);
             match job.patterns[k] {
                 None => {
                     // Pair adjacent dense channels: their rows are

@@ -19,7 +19,7 @@
 //! per-instruction reference and the closed-form [`patch_block`] that
 //! the analytic walk charges, so they agree by construction.
 //!
-//! # The incremental bulk path ([`PatchState`])
+//! # Charging and moving on the three contexts
 //!
 //! On the per-instruction reference path ([`crate::Ctx::Mem`]) every
 //! output position pair rebuilds both patch buffers from the input
@@ -31,25 +31,15 @@
 //!   the full rebuild through a memoized [`patch_block`]
 //!   ([`Im2colCharges::pair`]; positions sharing a padding class share
 //!   one [`InstrBlock`]), so cycles, instret and per-class counts match
-//!   the reference *by construction* — the cost model still prices the
-//!   full data movement the modeled core performs; only the host-side
-//!   work shrinks.
-//! * **Intermediate patches are virtual.** The bulk compute walk keeps a
-//!   per-core [`PatchState`] that records which output position each
-//!   patch slot logically holds without touching the scratchpad.
-//!   Kernels whose channel loops read the buffers call
-//!   [`PatchState::materialize`] per position; the im2col-only engine
-//!   workloads skip that and let [`PatchState::finish`] write **only each
-//!   core's final patch buffers** — the state the reference path leaves
-//!   behind — so full-memory parity holds with none of the intermediate
-//!   traffic.
-//! * **Materialization slides along the output row.** Adjacent positions
-//!   share `fx - stride` of their `fx` patch columns per row. When a
-//!   materialized slot holds a same-row neighbor, the builder
-//!   `copy_within`-shifts the retained `(fx - stride) * c` columns from
-//!   it and copies/zero-fills only the new ones from the input; patches
-//!   with no materialized neighbor (row changes, `ox == 1`,
-//!   `stride >= fx`) are built in full.
+//!   the reference *by construction*.
+//! * **Movement is uncharged.** The bulk compute walk rebuilds each
+//!   position pair's buffers with the crate-private `build_patches`:
+//!   the same `row_split` rows as the reference, one fill or up to
+//!   pad-fill / contiguous copy / pad-fill per row, on one borrow of the
+//!   raw scratchpad bytes. Every buffer holds the reference's bytes when
+//!   the channel loop reads it. The im2col-only engine workload, whose
+//!   buffers nothing reads, builds only each core's final patches — the
+//!   state the reference leaves behind.
 //!
 //! The parity suite (`tests/bulk_parity.rs`) enforces bit-exact buffers
 //! and exact statistics for strided, padded (including `pad >= fx`),
@@ -311,8 +301,8 @@ pub fn im2col_patches(
 /// The block for `(oy, ox)` depends only on how many filter rows fall
 /// above/below the input and on the horizontal `(left, span)` split —
 /// interior positions all share one class — so a conv invocation touches
-/// only a handful of distinct blocks. Shared by every core of a `drive`
-/// invocation.
+/// only a handful of distinct blocks. Shared by every core of a
+/// `conv::drive_conv` invocation.
 #[derive(Debug)]
 pub struct Im2colCharges {
     costs: CostModel,
@@ -413,231 +403,46 @@ impl Im2colCharges {
     }
 }
 
-/// Per-core incremental im2col state for the bulk compute walk.
-///
-/// Tracks which output position each of the core's two patch buffers
-/// *logically* holds ([`PatchState::record`]) separately from what is
-/// *materialized* in the scratchpad ([`PatchState::materialize`] /
-/// [`PatchState::finish`]). It moves data only; see the module docs for
-/// the full contract.
-#[derive(Debug)]
-pub struct PatchState {
+/// Builds the im2col buffers of one position pair without charging:
+/// patch `p` (flat output position `pos + p`) at `buf + p * patch_len`,
+/// one fill or up to pad-fill / contiguous copy / pad-fill per row
+/// straight from the [`row_split`] — the bytes [`im2col_patches`] writes,
+/// on one borrow of the raw scratchpad (bus errors still panic via slice
+/// bounds).
+pub(crate) fn build_patches(
+    mem: &mut Scratchpad,
+    geom: &ConvGeom,
     input: u32,
     buf: u32,
-    /// Flat output position each slot logically holds after `record`.
-    logical: [Option<usize>; 2],
-    /// Flat output position each slot's scratchpad bytes actually hold.
-    materialized: [Option<usize>; 2],
-}
-
-impl PatchState {
-    /// Creates the state for one core: `input` is the input tensor base,
-    /// `buf` the core's im2col region (two `patch_len()` buffers).
-    pub fn new(input: u32, buf: u32) -> Self {
-        PatchState {
-            input,
-            buf,
-            logical: [None; 2],
-            materialized: [None; 2],
-        }
-    }
-
-    /// Records which output positions `pos .. pos + n_patches` the two
-    /// slots now logically hold, without touching memory; the bulk
-    /// compute walk then materializes them ([`PatchState::materialize`]
-    /// / [`PatchState::finish`]). The im2col's cost is charged by the
-    /// analytic walk ([`Im2colCharges::pair`]), never here.
-    ///
-    /// # Panics
-    /// Panics if `n_patches` is not 1 or 2 or positions run past the
-    /// output (mirroring [`im2col_patches`]).
-    pub fn record(&mut self, geom: &ConvGeom, pos: usize, n_patches: usize) {
-        assert!(
-            n_patches == 1 || n_patches == 2,
-            "kernels unroll over at most two patches"
-        );
-        let ox_total = geom.ox();
-        for p in 0..n_patches {
-            let flat = pos + p;
-            assert!(flat < ox_total * geom.oy(), "output position out of range");
-            self.logical[p] = Some(flat);
-        }
-    }
-
-    /// Brings the scratchpad buffers up to date with the logical slot
-    /// contents; slots whose bytes already match are untouched. Eager
-    /// callers (kernels whose channel loops read the buffers every
-    /// position) rebuild each stale slot in full — one contiguous copy
-    /// per in-bounds row, exactly the reference's movement.
-    pub fn materialize(&mut self, mem: &mut Scratchpad, geom: &ConvGeom) {
-        self.sync(mem, geom, false);
-    }
-
-    /// Materializes the final patch buffers — call once per core after
-    /// its position loop, so the scratchpad ends bit-identical to the
-    /// reference path's (which rebuilt the buffers at every position).
-    /// Here a slot with a materialized same-row neighbor (including its
-    /// own previous contents) is built by `copy_within`-shifting the
-    /// retained `(fx - |Δox| * stride) * c` columns per row and
-    /// copying/zero-filling only the new ones — worthwhile precisely
-    /// because this runs once, not per position.
-    pub fn finish(&mut self, mem: &mut Scratchpad, geom: &ConvGeom) {
-        self.sync(mem, geom, true);
-    }
-
-    fn sync(&mut self, mem: &mut Scratchpad, geom: &ConvGeom, slide: bool) {
-        let plen = geom.patch_len();
-        let ox_total = geom.ox();
-        // One bulk borrow for the whole patch build; row operations are
-        // plain slice copies (bus errors still panic via slice bounds).
-        let bytes = mem.bytes_mut();
-        for p in 0..2 {
-            let Some(pos) = self.logical[p] else { continue };
-            if self.materialized[p] == Some(pos) {
+    pos: usize,
+    n_patches: usize,
+) {
+    let (c, ox_total) = (geom.c, geom.ox());
+    debug_assert!(n_patches == 1 || n_patches == 2);
+    debug_assert!(pos + n_patches <= ox_total * geom.oy());
+    let row_bytes = geom.fx * c;
+    let bytes = mem.bytes_mut();
+    for p in 0..n_patches {
+        let (oy, ox) = ((pos + p) / ox_total, (pos + p) % ox_total);
+        let dst = buf as usize + p * geom.patch_len();
+        for ky in 0..geom.fy {
+            let s = row_split(geom, oy, ox, ky);
+            let dst_row = dst + ky * row_bytes;
+            let Some(y) = s.y else {
+                bytes[dst_row..dst_row + row_bytes].fill(0);
                 continue;
+            };
+            if s.left > 0 {
+                bytes[dst_row..dst_row + s.left * c].fill(0);
             }
-            let (oy, ox) = (pos / ox_total, pos % ox_total);
-            let dst = self.buf + (p * plen) as u32;
-            // Pick the materialized slot with the smallest same-row
-            // shift still sharing columns with the target patch.
-            let mut source: Option<(usize, usize, usize)> = None; // (slot, src_ox, |Δox|)
-            for (q, &mat) in self.materialized.iter().enumerate() {
-                if !slide {
-                    break;
-                }
-                let Some(mpos) = mat else { continue };
-                if mpos / ox_total != oy {
-                    continue;
-                }
-                let src_ox = mpos % ox_total;
-                let dx = src_ox.abs_diff(ox);
-                if dx == 0 || dx * geom.stride >= geom.fx {
-                    continue;
-                }
-                if source.is_none_or(|(_, _, best)| dx < best) {
-                    source = Some((q, src_ox, dx));
-                }
+            if s.span > 0 {
+                let src = input as usize + (y * geom.ix + s.x) * c;
+                bytes.copy_within(src..src + s.span * c, dst_row + s.left * c);
             }
-            match source {
-                Some((q, src_ox, _)) => {
-                    let src = self.buf + (q * plen) as u32;
-                    build_patch_shifted(bytes, geom, self.input, src, src_ox, dst, oy, ox);
-                }
-                None => build_patch_full(bytes, geom, self.input, dst, oy, ox),
+            if s.right > 0 {
+                let start = dst_row + (s.left + s.span) * c;
+                bytes[start..start + s.right * c].fill(0);
             }
-            self.materialized[p] = Some(pos);
-        }
-    }
-}
-
-/// Writes patch-row columns `[lo, hi)` (input row `y`, patch origin
-/// column `x0`) on the raw scratchpad bytes — data movement only,
-/// charging is the caller's.
-#[allow(clippy::too_many_arguments)]
-fn write_row_cols(
-    bytes: &mut [u8],
-    geom: &ConvGeom,
-    input: u32,
-    dst_row: u32,
-    y: Option<usize>,
-    x0: isize,
-    lo: usize,
-    hi: usize,
-) {
-    if hi <= lo {
-        return;
-    }
-    let c = geom.c;
-    let dst_row = dst_row as usize;
-    let Some(y) = y else {
-        bytes[dst_row + lo * c..dst_row + hi * c].fill(0);
-        return;
-    };
-    let (left_end, right_start) = x_bounds(geom, x0);
-    let zl_hi = hi.min(left_end);
-    if zl_hi > lo {
-        bytes[dst_row + lo * c..dst_row + zl_hi * c].fill(0);
-    }
-    let s_lo = lo.max(left_end);
-    let s_hi = hi.min(right_start);
-    if s_hi > s_lo {
-        let src = input as usize + (y * geom.ix + (x0 + s_lo as isize) as usize) * c;
-        bytes.copy_within(src..src + (s_hi - s_lo) * c, dst_row + s_lo * c);
-    }
-    let zr_lo = lo.max(right_start);
-    if hi > zr_lo {
-        bytes[dst_row + zr_lo * c..dst_row + hi * c].fill(0);
-    }
-}
-
-/// Builds the full patch for `(oy, ox)` at `dst` (movement only): one
-/// fill or up to pad-fill / contiguous-copy / pad-fill per row, straight
-/// from the [`row_split`] — the hot path of eager materialization.
-fn build_patch_full(bytes: &mut [u8], geom: &ConvGeom, input: u32, dst: u32, oy: usize, ox: usize) {
-    let c = geom.c;
-    let row_bytes = geom.fx * c;
-    for ky in 0..geom.fy {
-        let s = row_split(geom, oy, ox, ky);
-        let dst_row = dst as usize + ky * row_bytes;
-        let Some(y) = s.y else {
-            bytes[dst_row..dst_row + row_bytes].fill(0);
-            continue;
-        };
-        if s.left > 0 {
-            bytes[dst_row..dst_row + s.left * c].fill(0);
-        }
-        if s.span > 0 {
-            let src = input as usize + (y * geom.ix + s.x) * c;
-            bytes.copy_within(src..src + s.span * c, dst_row + s.left * c);
-        }
-        if s.right > 0 {
-            let start = dst_row + (s.left + s.span) * c;
-            bytes[start..start + s.right * c].fill(0);
-        }
-    }
-}
-
-/// Builds the patch for `(oy, dst_ox)` at `dst` by shifting the retained
-/// columns from the materialized patch for `(oy, src_ox)` at `src` and
-/// writing only the new ones (movement only).
-///
-/// The retained columns cover the same input coordinates in both
-/// patches — including any zero padding — so the `copy_within` is exact
-/// regardless of which padding class the row is in.
-#[allow(clippy::too_many_arguments)]
-fn build_patch_shifted(
-    bytes: &mut [u8],
-    geom: &ConvGeom,
-    input: u32,
-    src: u32,
-    src_ox: usize,
-    dst: u32,
-    oy: usize,
-    dst_ox: usize,
-) {
-    let c = geom.c;
-    let row_bytes = geom.fx * c;
-    let shift = (dst_ox as isize - src_ox as isize) * geom.stride as isize;
-    let keep = geom.fx - shift.unsigned_abs();
-    debug_assert!(shift != 0 && keep > 0, "caller checked overlap");
-    let x0 = (dst_ox * geom.stride) as isize - geom.pad as isize;
-    for ky in 0..geom.fy {
-        let s = row_split(geom, oy, dst_ox, ky);
-        let src_row = src as usize + ky * row_bytes;
-        let dst_row = dst + (ky * row_bytes) as u32;
-        if shift > 0 {
-            // Sliding right: retained columns move to the row start, new
-            // columns appear on the right.
-            let sc = shift as usize;
-            bytes.copy_within(
-                src_row + sc * c..src_row + (sc + keep) * c,
-                dst_row as usize,
-            );
-            write_row_cols(bytes, geom, input, dst_row, s.y, x0, keep, geom.fx);
-        } else {
-            let sc = (-shift) as usize;
-            bytes.copy_within(src_row..src_row + keep * c, dst_row as usize + sc * c);
-            write_row_cols(bytes, geom, input, dst_row, s.y, x0, 0, sc);
         }
     }
 }
@@ -751,42 +556,33 @@ mod tests {
         }
     }
 
-    /// The memoized pair charges and PatchState's slide/full
-    /// materialization must agree with the reference on stats and bytes
-    /// at every position, whether it materializes eagerly or only at the
-    /// end.
+    /// The memoized pair charges and the uncharged `build_patches` must
+    /// agree with the reference: bytes after every position pair, stats
+    /// over the whole walk.
     #[test]
-    fn patch_state_matches_reference_charges_and_bytes() {
+    fn build_patches_matches_reference_charges_and_bytes() {
         for g in geom_grid() {
-            for eager in [true, false] {
-                let (l1, input_addr, buf) = staged(&g);
-                let mut l1_ref = l1.clone();
-                let mut l1_bulk = l1.clone();
-                let mut reference = Core::new(CostModel::default());
-                let mut fast = Core::new(CostModel::default());
-                let mut charges = Im2colCharges::new(CostModel::default());
-                let mut state = PatchState::new(input_addr, buf);
-                let n_pos = g.oy() * g.ox();
-                let mut pos = 0;
-                while pos < n_pos {
-                    let n = (n_pos - pos).min(2);
-                    im2col_patches(&mut reference, &mut l1_ref, &g, input_addr, buf, pos, n);
-                    fast.charge_block(&charges.pair(&g, &InstrBlock::new(), pos, n));
-                    state.record(&g, pos, n);
-                    if eager {
-                        state.materialize(&mut l1_bulk, &g);
-                        assert_eq!(
-                            l1_ref.bytes(),
-                            l1_bulk.bytes(),
-                            "geom {g:?} pos {pos} eager bytes"
-                        );
-                    }
-                    pos += n;
-                }
-                state.finish(&mut l1_bulk, &g);
-                assert_eq!(l1_ref.bytes(), l1_bulk.bytes(), "geom {g:?} final bytes");
-                assert_eq!(fast.stats(), reference.stats(), "geom {g:?} stats");
+            let (l1, input_addr, buf) = staged(&g);
+            let mut l1_ref = l1.clone();
+            let mut l1_bulk = l1.clone();
+            let mut reference = Core::new(CostModel::default());
+            let mut fast = Core::new(CostModel::default());
+            let mut charges = Im2colCharges::new(CostModel::default());
+            let n_pos = g.oy() * g.ox();
+            let mut pos = 0;
+            while pos < n_pos {
+                let n = (n_pos - pos).min(2);
+                im2col_patches(&mut reference, &mut l1_ref, &g, input_addr, buf, pos, n);
+                fast.charge_block(&charges.pair(&g, &InstrBlock::new(), pos, n));
+                build_patches(&mut l1_bulk, &g, input_addr, buf, pos, n);
+                assert_eq!(
+                    l1_ref.bytes(),
+                    l1_bulk.bytes(),
+                    "geom {g:?} pos {pos} bytes"
+                );
+                pos += n;
             }
+            assert_eq!(fast.stats(), reference.stats(), "geom {g:?} stats");
         }
     }
 

@@ -34,7 +34,7 @@ pub enum ExecTier {
 /// [`nm_isa::InstrBlock`] (im2col through its memoized closed form), so
 /// they are the only charge sites outside the reference tier. A kernel
 /// called on `MemBulk` returns the statistics of its own analytic pass,
-/// which the two drivers (`fc::run_fc`, `conv::drive`) run after the
+/// which the two drivers (`fc::run_fc`, `conv::drive_conv`) run after the
 /// compute pass. Outputs equal the reference's bit for bit, and
 /// statistics equal them for any [`nm_isa::CostModel`] (enforced by the
 /// parity tests in `tests/bulk_parity.rs`). Use `Mem` when validating

@@ -77,8 +77,8 @@ impl Scratchpad {
     }
 
     /// Direct mutable view of the backing bytes — the bulk accessor the
-    /// incremental im2col materializer batches its row copies and fills
-    /// on (one borrow per patch instead of one trait dispatch per row).
+    /// bulk im2col builder batches its row copies and fills on (one
+    /// borrow per position pair instead of one trait dispatch per row).
     /// Out-of-range indexing through the returned slice panics exactly
     /// like the per-access bus errors of [`Memory`].
     pub fn bytes_mut(&mut self) -> &mut [u8] {

@@ -9,8 +9,8 @@
 //! epochs; that is substituted here (see DESIGN.md) by a task small
 //! enough to train in seconds while exhibiting the paper's qualitative
 //! accuracy result: **1:4 and 1:8 match the dense baseline, 1:16 loses
-//! about a point**. EXPERIMENTS.md records our proxy numbers next to the
-//! paper's Table 2 accuracies.
+//! about a point**. `nm-bench`'s `accuracy` binary prints the proxy
+//! numbers next to the paper's Table 2 accuracies (DESIGN.md).
 
 // Indexed loops in this crate deliberately mirror the register-level
 // structure of the kernels / math notation of the paper.

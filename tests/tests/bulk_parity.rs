@@ -552,6 +552,105 @@ fn per_channel_mixed_bulk_parity() {
     }
 }
 
+// Per-channel jobs built by `ChannelConvJob::new` / `ChannelFcJob::new`
+// carry no row address tables: they are analytic-only. Both emulation
+// tiers must reject them (and tables short of K entries) with
+// `ShapeMismatch` instead of reading every channel from address 0, while
+// the analytic path keeps accepting them.
+#[test]
+fn per_channel_mixed_rejects_missing_row_tables_on_both_tiers() {
+    use nm_core::Error;
+    let patterns = |k: usize| -> Vec<Option<Nm>> {
+        (0..k)
+            .map(|i| [None, Some(Nm::ONE_OF_EIGHT)][i % 2])
+            .collect()
+    };
+    let cluster = Cluster::new(4, CostModel::default());
+
+    let geom = ConvGeom::square(16, 6, 5, 3, 1, 1).unwrap();
+    let w = ChannelNmMatrix::prune_from_dense(
+        &random_data(geom.weight_elems(), 91),
+        geom.k,
+        geom.patch_len(),
+        &patterns(geom.k),
+        OffsetLayout::Plain,
+    )
+    .unwrap();
+    let mut l1 = Scratchpad::new("l1", 256 * 1024);
+    let input = random_data(geom.input_elems(), 93);
+    let (bufs, row_values, row_offsets) =
+        stage_conv_channelwise(&mut l1, &geom, &input, &w, cluster.n_cores()).unwrap();
+    let conv = ConvJob {
+        geom,
+        requant: Requant::for_dot_len(geom.patch_len() / 8),
+        bufs,
+    };
+    let bare = ChannelConvJob::new(conv, patterns(geom.k));
+    let short = ChannelConvJob {
+        row_values: row_values[1..].to_vec(),
+        row_offsets,
+        ..bare.clone()
+    };
+    for job in [&bare, &short] {
+        for engine in [ChannelEngine::Software, ChannelEngine::Isa] {
+            for bulk in [false, true] {
+                let mut mem = l1.clone();
+                let mut ctx = if bulk {
+                    Ctx::MemBulk(&mut mem)
+                } else {
+                    Ctx::Mem(&mut mem)
+                };
+                let got = conv_channel_mixed(&mut ctx, job, &cluster, engine);
+                assert!(
+                    matches!(got, Err(Error::ShapeMismatch(_))),
+                    "conv {engine:?} bulk={bulk}: {got:?}"
+                );
+            }
+        }
+    }
+    assert!(conv_channel_mixed(&mut Ctx::Analytic, &bare, &cluster, ChannelEngine::Isa).is_ok());
+
+    let geom = FcGeom::new(64, 6).unwrap();
+    let w = ChannelNmMatrix::prune_from_dense(
+        &random_data(geom.weight_elems(), 95),
+        geom.k,
+        geom.c,
+        &patterns(geom.k),
+        OffsetLayout::Plain,
+    )
+    .unwrap();
+    let mut l1 = Scratchpad::new("l1", 256 * 1024);
+    let (bufs, row_values, row_offsets) =
+        stage_fc_channelwise(&mut l1, &geom, &random_data(geom.c, 97), &w).unwrap();
+    let fc = FcJob {
+        geom,
+        requant: Requant::for_dot_len(geom.c / 8),
+        bufs,
+    };
+    let bare = ChannelFcJob::new(fc, patterns(geom.k));
+    let short = ChannelFcJob {
+        row_values,
+        row_offsets: row_offsets[1..].to_vec(),
+        ..bare.clone()
+    };
+    for job in [&bare, &short] {
+        for bulk in [false, true] {
+            let mut mem = l1.clone();
+            let mut ctx = if bulk {
+                Ctx::MemBulk(&mut mem)
+            } else {
+                Ctx::Mem(&mut mem)
+            };
+            let got = fc_channel_mixed(&mut ctx, job, &cluster);
+            assert!(
+                matches!(got, Err(Error::ShapeMismatch(_))),
+                "fc bulk={bulk}: {got:?}"
+            );
+        }
+    }
+    assert!(fc_channel_mixed(&mut Ctx::Analytic, &bare, &cluster).is_ok());
+}
+
 /// End to end: the compiled executor must produce identical outputs and
 /// identical cycle totals on both emulation paths.
 #[test]
