@@ -15,7 +15,7 @@
 //! fixed lane shift. Convolution kernels go one step further and
 //! pre-decode each channel's offsets into an index table
 //! ([`decim_table`]) once per invocation, because the same table is
-//! reused by every output position pair.
+//! reused by every chunk of the lane sweep ([`conv_sweep_sparse`]).
 //!
 //! The gathers index their activation windows *unchecked* after a cheap
 //! pre-validation of the packed index stream ([`offsets_below`],
@@ -53,7 +53,7 @@ pub(crate) fn offsets_len(entries: usize, bits: usize) -> usize {
 ///
 /// On x86-64 the 16-byte chunks run through explicit SSE2 `pmaddwd`
 /// (sign-extend both operands to `i16`, multiply-add pairs — exact, see
-/// [`dot8`]); elsewhere the loop stays as 16 lane-parallel
+/// [`lane_dot`]); elsewhere the loop stays as 16 lane-parallel
 /// `i16`-widening accumulator chains, the shape the backend
 /// auto-vectorizes. Wrapping `i32` addition is associative and
 /// commutative, so either reassociation is bit-exact.
@@ -465,11 +465,11 @@ pub(crate) fn decim_table(
 }
 
 /// True when every pre-decoded table index is below `limit` — the
-/// pre-validation that lets [`indexed_dot`] / [`indexed_dot2`] gather
-/// unchecked. A branch-free max fold so it vectorizes; it runs once per
-/// table (at kernel invocation, or once for the lifetime of a prepared
-/// [`crate::conv::DecimProgram`]) and is then amortized over every
-/// output position pair.
+/// pre-validation that lets the conv sweep ([`conv_sweep_sparse`]) read
+/// its patch rows unchecked. A branch-free max fold so it vectorizes; it
+/// runs once per table (at kernel invocation, or once for the lifetime
+/// of a prepared [`crate::conv::DecimProgram`]) and is then amortized
+/// over every sweep chunk.
 #[inline]
 pub(crate) fn table_below(table: &[u32], limit: usize) -> bool {
     let mut max = 0u32;
@@ -477,99 +477,6 @@ pub(crate) fn table_below(table: &[u32], limit: usize) -> bool {
         max = max.max(t);
     }
     table.is_empty() || (max as usize) < limit
-}
-
-/// Wrapping dot of packed values against one activation buffer through a
-/// pre-decoded index table. Instantiate `CHECKED = false` only after
-/// [`table_below`]`(tab, act.len())` held (same contract as [`at`]).
-///
-/// On x86-64 the gathers land in an 8-byte stack buffer that feeds SSE2
-/// `pmaddwd` (exact for `i8 × i8`, see [`dot8`]); elsewhere a two-chain
-/// scalar walk. Both are reassociations of the same wrapping-`i32` sum,
-/// so the result is bit-identical either way.
-#[inline]
-pub(crate) fn indexed_dot<const CHECKED: bool>(values: &[u8], tab: &[u32], act: &[u8]) -> i32 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        indexed_dot_sse2::<CHECKED>(values, tab, act)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let mut acc0 = 0i32;
-        let mut acc1 = 0i32;
-        let pairs = values.chunks_exact(2);
-        let rem = pairs.remainder();
-        for (v, t) in pairs.zip(tab.chunks_exact(2)) {
-            acc0 = madd(acc0, v[0], at::<CHECKED>(act, t[0] as usize));
-            acc1 = madd(acc1, v[1], at::<CHECKED>(act, t[1] as usize));
-        }
-        if let [v] = rem {
-            acc0 = madd(acc0, *v, act[tab[values.len() - 1] as usize]);
-        }
-        acc0.wrapping_add(acc1)
-    }
-}
-
-/// [`indexed_dot`]'s SSE2 body: 8 table-gathered activation bytes per
-/// step, sign-extended alongside the matching weight bytes and folded
-/// through `pmaddwd` into one `i32x4` accumulator; the sub-8 tail stays
-/// scalar. The gather itself is serial either way (no SSE2 gather
-/// instruction exists) — the win is the 8-wide multiply-add.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn indexed_dot_sse2<const CHECKED: bool>(values: &[u8], tab: &[u32], act: &[u8]) -> i32 {
-    use core::arch::x86_64::*;
-    #[inline(always)]
-    fn extend(r: &[u8; 8]) -> __m128i {
-        // SAFETY: SSE2 is part of the x86-64 baseline ABI.
-        unsafe {
-            let x = _mm_loadl_epi64(r.as_ptr().cast());
-            _mm_srai_epi16::<8>(_mm_unpacklo_epi8(_mm_setzero_si128(), x))
-        }
-    }
-    let chunks = values.len() / 8;
-    let mut gathered = [0u8; 8];
-    // SAFETY: SSE2 is part of the x86-64 baseline ABI; operands are
-    // stack arrays and in-bounds 8-byte slices.
-    let mut sum = unsafe {
-        let mut acc = _mm_setzero_si128();
-        for c in 0..chunks {
-            for (j, g) in gathered.iter_mut().enumerate() {
-                *g = at::<CHECKED>(act, tab[8 * c + j] as usize);
-            }
-            let v: &[u8; 8] = values[8 * c..8 * c + 8].try_into().expect("exact chunk");
-            acc = _mm_add_epi32(acc, _mm_madd_epi16(extend(v), extend(&gathered)));
-        }
-        let mut lanes = [0i32; 4];
-        _mm_storeu_si128(lanes.as_mut_ptr().cast(), acc);
-        lanes.iter().fold(0i32, |s, &l| s.wrapping_add(l))
-    };
-    for i in 8 * chunks..values.len() {
-        sum = madd(sum, values[i], at::<CHECKED>(act, tab[i] as usize));
-    }
-    sum
-}
-
-/// [`indexed_dot`] over two patch buffers in one table walk (the 1×2
-/// unrolling's data reuse, host-side). The two accumulator chains are
-/// independent; a deeper 4-chain unroll measured *slower* (the gathers
-/// are the bottleneck, and the extra index bookkeeping just widens the
-/// loop), so the plain walk stays.
-#[inline]
-pub(crate) fn indexed_dot2<const CHECKED: bool>(
-    values: &[u8],
-    tab: &[u32],
-    act0: &[u8],
-    act1: &[u8],
-) -> (i32, i32) {
-    let mut acc0 = 0i32;
-    let mut acc1 = 0i32;
-    for (&wv, &t) in values.iter().zip(tab) {
-        let i = t as usize;
-        acc0 = madd(acc0, wv, at::<CHECKED>(act0, i));
-        acc1 = madd(acc1, wv, at::<CHECKED>(act1, i));
-    }
-    (acc0, acc1)
 }
 
 /// CSR row dot product: non-zero `i` multiplies `values[i]` with the
@@ -777,98 +684,29 @@ pub(crate) fn write_out(mem: &mut nm_platform::Scratchpad, addr: u32, data: &[i8
     crate::layout::copy_i8_to_bytes(dst, data);
 }
 
-/// Computes one output position pair for every channel of a sparse
-/// convolution from the pre-decoded [`decim_table`] and writes the
-/// outputs into the output tensor (host-side; the analytic walk charges).
-/// `outs` is a reusable scratch buffer owned by the kernel invocation so
-/// the per-pair loop stays allocation-free. Pass `in_range = true` only
-/// when [`table_below`]`(table, patch_len)` held — the gathers then skip
-/// per-element bounds checks; a table that failed validation runs the
-/// checked loops and panics exactly where the old ones did.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn conv_pair_outputs(
-    mem: &mut nm_platform::Scratchpad,
-    job: &crate::conv::ConvJob,
-    nz: usize,
-    table: &[u32],
-    in_range: bool,
-    pos: usize,
-    n_patches: usize,
-    buf: u32,
-    outs: &mut Vec<i8>,
-) {
-    if in_range {
-        conv_pair_outputs_impl::<false>(mem, job, nz, table, pos, n_patches, buf, outs);
-    } else {
-        conv_pair_outputs_impl::<true>(mem, job, nz, table, pos, n_patches, buf, outs);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn conv_pair_outputs_impl<const CHECKED: bool>(
-    mem: &mut nm_platform::Scratchpad,
-    job: &crate::conv::ConvJob,
-    nz: usize,
-    table: &[u32],
-    pos: usize,
-    n_patches: usize,
-    buf: u32,
-    outs: &mut Vec<i8>,
-) {
-    let geom = &job.geom;
-    let plen = geom.patch_len();
-    let kt = geom.k;
-    outs.clear();
-    outs.resize(n_patches * kt, 0);
-    {
-        let values = mem
-            .slice(job.bufs.weights, kt * nz)
-            .expect("scratchpad is zero-copy");
-        // SAFETY precondition of `CHECKED = false`: both activation
-        // windows are exactly `plen` long, and the caller validated
-        // every table entry `< plen` via `table_below`.
-        let act0 = mem.slice(buf, plen).expect("scratchpad is zero-copy");
-        // One exact chunk per channel — no per-channel slice arithmetic
-        // or bounds checks in the channel loop (`nz >= 1` always:
-        // `patch_len` is a non-zero multiple of M).
-        let rows = values.chunks_exact(nz).zip(table.chunks_exact(nz));
-        if n_patches == 2 {
-            let act1 = mem
-                .slice(buf + plen as u32, plen)
-                .expect("scratchpad is zero-copy");
-            for (k, (v, t)) in rows.enumerate() {
-                let (a0, a1) = indexed_dot2::<CHECKED>(v, t, act0, act1);
-                outs[k] = job.requant.apply(a0);
-                outs[kt + k] = job.requant.apply(a1);
-            }
-        } else {
-            for (k, (v, t)) in rows.enumerate() {
-                outs[k] = job.requant.apply(indexed_dot::<CHECKED>(v, t, act0));
-            }
-        }
-    }
-    write_out(mem, job.bufs.output + (pos * kt) as u32, outs);
-}
-
-/// Request-inner batch sweep for the sparse conv families: computes the
-/// outputs of `inputs` (a batch's requests) for every output position in
-/// one walk. Per position the transposed
-/// patch block ([`crate::im2col::patch_transposed`]) makes each
-/// decimation-table entry's activations contiguous across requests, so
-/// every weight byte and table index is loaded **once** and feeds
-/// `inputs.len()` multiply-adds in a vectorizable inner loop — this is
-/// where batch-major serving beats a sequential per-request loop, whose
-/// gather walk reloads the index/weight streams for every request.
+/// Lane sweep for the sparse conv families: computes the outputs of
+/// `inputs` (a batch's requests; a single run is a batch of one) in one
+/// walk. A lane is one (request, output position) pair. The `B·P` lanes
+/// of `B` requests over `P` positions are walked request-major in
+/// [`SWEEP_WIDTH`]-wide chunks, so one request fills a chunk with 8 of
+/// its own positions, and a chunk of a small tile spans several
+/// requests. Per chunk the lane-transposed patch block
+/// ([`crate::im2col::patch_lanes`]) makes each decimation-table entry's
+/// activations contiguous across lanes, so every weight byte and table
+/// index is loaded **once** per chunk and feeds all its lanes'
+/// multiply-adds — the 1×2 unrolling's data reuse, 8 patches wide.
 ///
 /// Wrapping `i32` accumulation is associative and commutative and the
-/// product multiset per (request, channel, position) matches
-/// [`indexed_dot`] exactly, so outputs are bit-identical to running each
-/// request alone. Request `r`'s output tile lands at
-/// `out[r * output_elems()..]`. Nothing is charged: every request's
-/// statistics are the tile's analytic walk (see `conv::drive_conv_batch`).
+/// product multiset per (request, channel, position) is the kernel's, so
+/// outputs are bit-identical to running each request alone. Request
+/// `r`'s output tile lands at `out[r * output_elems()..]`. Nothing is
+/// charged: the statistics are the tile's analytic walk (see
+/// `conv::drive_conv`).
 ///
-/// `in_range` as in [`conv_pair_outputs`]: pass `true` only when
-/// [`table_below`]`(table, patch_len)` held.
+/// Pass `in_range = true` only when [`table_below`]`(table, patch_len)`
+/// held: the dots then read patch rows unchecked. A table that failed
+/// validation runs the checked loop, which panics on an index past the
+/// patch instead of reading it.
 pub(crate) fn conv_sweep_sparse(
     mem: &nm_platform::Scratchpad,
     job: &crate::conv::ConvJob,
@@ -879,18 +717,16 @@ pub(crate) fn conv_sweep_sparse(
     out: &mut [u8],
 ) {
     if in_range {
-        sweep_requests::<false>(mem, job, nz, Tables::PerChannel(table), inputs, out);
+        sweep_lanes::<false>(mem, job, nz, Tables::PerChannel(table), inputs, out);
     } else {
-        sweep_requests::<true>(mem, job, nz, Tables::PerChannel(table), inputs, out);
+        sweep_lanes::<true>(mem, job, nz, Tables::PerChannel(table), inputs, out);
     }
 }
 
 /// [`conv_sweep_sparse`] for the dense conv families: the "table" is the
 /// identity (every patch element participates), shared by every output
-/// channel, so the walk is a dense dot against the transposed patch
-/// block with the same once-per-weight load amortization. Bit-identity
-/// vs [`dense_dot`] for the same reason as the sparse sweep (same
-/// product multiset, wrapping addition).
+/// channel, so the walk is a dense dot against the lane-transposed patch
+/// block with the same once-per-weight load amortization.
 pub(crate) fn conv_sweep_dense(
     mem: &nm_platform::Scratchpad,
     job: &crate::conv::ConvJob,
@@ -901,24 +737,86 @@ pub(crate) fn conv_sweep_dense(
     let identity: Vec<u32> = (0..plen as u32).collect();
     // The identity is below `plen` by construction, so the unchecked
     // gather contract holds.
-    sweep_requests::<false>(mem, job, plen, Tables::Shared(&identity), inputs, out);
+    sweep_lanes::<false>(mem, job, plen, Tables::Shared(&identity), inputs, out);
 }
 
-/// Lane width of the request-inner sweep: one SSE2 register pair of
-/// `i32` accumulators, and the transposed patch row size.
+/// Lane blocks of up to this many entries live on the stack.
+const STACK_BLOCK: usize = 8 * 1024;
+
+/// Runs `f` on a zeroed lane block of `len` entries: on the stack up to
+/// [`STACK_BLOCK`], else on the heap. A heap block per call measured
+/// ~1.2 µs more per vit-tiny inference (2-vCPU x86-64 host, glibc): a
+/// request above the allocator's per-thread cache makes it consolidate
+/// the small chunks the graph's other nodes freed.
+fn with_lane_block<T: Lane, R>(len: usize, f: impl FnOnce(&mut [T]) -> R) -> R {
+    if len <= STACK_BLOCK {
+        f(&mut [T::default(); STACK_BLOCK][..len])
+    } else {
+        f(&mut vec![T::default(); len])
+    }
+}
+
+/// An entry of a lane-transposed block: a token byte of the FC sweep,
+/// or a patch activation of the conv sweep, sign-extended to `i16` once
+/// when the block is built because every output channel reads each
+/// patch row again.
+trait Lane: Copy + Default {
+    /// A row's 8 lanes as `i16`s.
+    #[cfg(target_arch = "x86_64")]
+    fn load(row: &[Self; SWEEP_WIDTH]) -> core::arch::x86_64::__m128i;
+    /// The lane's activation.
+    #[cfg(not(target_arch = "x86_64"))]
+    fn value(self) -> i16;
+}
+
+impl Lane for u8 {
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn load(row: &[u8; SWEEP_WIDTH]) -> core::arch::x86_64::__m128i {
+        use core::arch::x86_64::*;
+        // SAFETY: SSE2 is part of the x86-64 baseline ABI; `row` is 8
+        // bytes.
+        unsafe {
+            let x = _mm_loadl_epi64(row.as_ptr().cast());
+            _mm_srai_epi16::<8>(_mm_unpacklo_epi8(_mm_setzero_si128(), x))
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    fn value(self) -> i16 {
+        i16::from(self as i8)
+    }
+}
+
+impl Lane for i16 {
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn load(row: &[i16; SWEEP_WIDTH]) -> core::arch::x86_64::__m128i {
+        // SAFETY: SSE2 is part of the x86-64 baseline ABI; `row` is 16
+        // bytes.
+        unsafe { core::arch::x86_64::_mm_loadu_si128(row.as_ptr().cast()) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    fn value(self) -> i16 {
+        self
+    }
+}
+
+/// Lane width of the conv and FC sweeps: one SSE2 register pair of
+/// `i32` accumulators, and the lane-transposed patch row size.
 pub(crate) const SWEEP_WIDTH: usize = 8;
 
-/// Fewest live requests per chunk worth padding to [`SWEEP_WIDTH`]: with
-/// fewer live lanes the dead-lane compute exceeds what per-request
-/// compute walks would cost, so `conv::drive_conv_batch` and
-/// `fc::drive_fc_batch` route remainders below this through their
-/// per-entry fallback instead.
+/// Fewest live tokens per chunk worth padding to [`SWEEP_WIDTH`] in the
+/// FC token sweep: with fewer live lanes the dead-lane compute exceeds
+/// what per-token compute passes would cost, so `fc::drive_fc_batch`
+/// routes remainders below this through its per-token fallback. The
+/// conv sweep has no such floor: its lanes are output positions too, so
+/// every request fills its chunks.
 pub(crate) const SWEEP_MIN: usize = 5;
 
-/// How many of a batch's `n` requests (or tokens) the sweep takes: every
-/// full [`SWEEP_WIDTH`]-wide chunk, plus a short last chunk when it holds
-/// at least [`SWEEP_MIN`] live lanes. The rest run through the caller's
-/// per-entry fallback.
+/// How many of a batch's `n` FC tokens the sweep takes: every full
+/// [`SWEEP_WIDTH`]-wide chunk, plus a short last chunk when it holds at
+/// least [`SWEEP_MIN`] live lanes. The rest run through
+/// `fc::drive_fc_batch`'s per-token fallback.
 pub(crate) fn sweep_len(n: usize) -> usize {
     if n < SWEEP_MIN {
         0
@@ -947,11 +845,13 @@ impl Tables<'_> {
     }
 }
 
-/// Chunked driver: walks `inputs` in [`SWEEP_WIDTH`]-wide chunks (a
-/// short final chunk pads by duplicating its last request and discards
-/// the dead lanes). The fixed width is what keeps the inner
-/// multiply-add at a compile-time trip count — see [`dot8`].
-fn sweep_requests<const CHECKED: bool>(
+/// The chunked lane walk behind [`conv_sweep_sparse`] and
+/// [`conv_sweep_dense`]. A short last chunk repeats its last live lane
+/// and never stores the dead ones; a chunk with at most half its lanes
+/// live runs the 4-lane dot, so a tile with few output positions does
+/// not pay for 8. The fixed widths keep the inner multiply-add at a
+/// compile-time trip count — see [`lane_dot`].
+fn sweep_lanes<const CHECKED: bool>(
     mem: &nm_platform::Scratchpad,
     job: &crate::conv::ConvJob,
     nz: usize,
@@ -959,127 +859,133 @@ fn sweep_requests<const CHECKED: bool>(
     inputs: &[&[i8]],
     out: &mut [u8],
 ) {
-    let out_elems = job.geom.output_elems();
-    let mut done = 0;
-    while done < inputs.len() {
-        let take = (inputs.len() - done).min(SWEEP_WIDTH);
-        sweep_chunk::<CHECKED>(
-            mem,
-            job,
-            nz,
-            &tables,
-            &inputs[done..done + take],
-            &mut out[done * out_elems..(done + take) * out_elems],
-        );
-        done += take;
-    }
-}
-
-/// One [`SWEEP_WIDTH`]-wide request chunk of the batch sweep:
-/// up to 8 live requests (short chunks pad by repeating the last input;
-/// padded lanes compute but never store). Each weight byte and gather
-/// index is loaded once per position and feeds all 8 lanes.
-fn sweep_chunk<const CHECKED: bool>(
-    mem: &nm_platform::Scratchpad,
-    job: &crate::conv::ConvJob,
-    nz: usize,
-    tables: &Tables<'_>,
-    live: &[&[i8]],
-    out: &mut [u8],
-) {
     let geom = &job.geom;
-    let plen = geom.patch_len();
-    let kt = geom.k;
-    let out_elems = geom.output_elems();
-    debug_assert!(!live.is_empty() && live.len() <= SWEEP_WIDTH);
-    debug_assert_eq!(out.len(), live.len() * out_elems);
-    let padded: [&[i8]; SWEEP_WIDTH] = core::array::from_fn(|r| live[r.min(live.len() - 1)]);
+    let (kt, positions, out_elems) = (geom.k, geom.oy() * geom.ox(), geom.output_elems());
+    debug_assert_eq!(out.len(), inputs.len() * out_elems);
     let values = mem
         .slice(job.bufs.weights, kt * nz)
         .expect("scratchpad is zero-copy");
-    let mut patches = vec![0u8; plen * SWEEP_WIDTH];
-    for pos in 0..geom.oy() * geom.ox() {
-        crate::im2col::patch_transposed::<SWEEP_WIDTH>(geom, &padded, pos, &mut patches);
-        for (k, v) in values.chunks_exact(nz).enumerate() {
-            let acc = dot8::<CHECKED>(v, tables.channel(k, nz), &patches);
-            for (r, &a) in acc.iter().enumerate().take(live.len()) {
-                out[r * out_elems + pos * kt + k] = job.requant.apply(a) as u8;
+    let lanes = inputs.len() * positions;
+    with_lane_block::<i16, _>(geom.patch_len() * SWEEP_WIDTH, |patches| {
+        for first in (0..lanes).step_by(SWEEP_WIDTH) {
+            let live = (lanes - first).min(SWEEP_WIDTH);
+            // Lane `j`'s (request, position); dead lanes repeat the last.
+            let lane: [(usize, usize); SWEEP_WIDTH] = core::array::from_fn(|j| {
+                let l = first + j.min(live - 1);
+                (l / positions, l % positions)
+            });
+            crate::im2col::patch_lanes(geom, &lane.map(|(r, pos)| (inputs[r], pos)), patches);
+            let dst = lane.map(|(r, pos)| r * out_elems + pos * kt);
+            let mut store = |k: usize, acc: [i32; SWEEP_WIDTH]| {
+                for (&d, &a) in dst.iter().zip(&acc).take(live) {
+                    out[d + k] = job.requant.apply(a) as u8;
+                }
+            };
+            let channels = values.chunks_exact(nz).enumerate();
+            if live > SWEEP_WIDTH / 2 {
+                for (k, v) in channels {
+                    store(
+                        k,
+                        lane_dot::<CHECKED, 8, _>(v, tables.channel(k, nz), patches),
+                    );
+                }
+            } else {
+                for (k, v) in channels {
+                    store(
+                        k,
+                        lane_dot::<CHECKED, 4, _>(v, tables.channel(k, nz), patches),
+                    );
+                }
             }
         }
-    }
+    });
 }
 
-/// 8-lane gathered dot: `acc[r] = Σ_i w[i] * patches[t[i] * 8 + r]`
-/// (wrapping `i32`), one transposed-patch row per weight feeding all 8
-/// request lanes.
+/// Gathered dot over the first `LANES` (8 or 4) lanes of a transposed
+/// block: `acc[r] = Σ_i w[i] * patches[t[i] * 8 + r]` (wrapping `i32`)
+/// for `r < LANES`, one transposed row per weight feeding every lane;
+/// lanes from `LANES` on stay zero.
 ///
 /// The x86-64 path pairs weights through `pmaddwd`, which computes
 /// `w0*a0 + w1*a1` exactly in `i32` (products of two `i8` values stay
 /// within ±16384, so neither the pair sum nor the instruction's sole
 /// saturation case `(-32768)·(-32768)` can occur) — pairing only
 /// reassociates the wrapping-`i32` sum, so the result is bit-identical
-/// to the scalar walk and to [`indexed_dot`].
+/// to the scalar walk and to [`nm_gather_dot`].
 #[inline(always)]
-fn dot8<const CHECKED: bool>(v: &[u8], t: &[u32], patches: &[u8]) -> [i32; 8] {
+fn lane_dot<const CHECKED: bool, const LANES: usize, T: Lane>(
+    v: &[u8],
+    t: &[u32],
+    patches: &[T],
+) -> [i32; SWEEP_WIDTH] {
     debug_assert_eq!(v.len(), t.len());
+    debug_assert!(LANES == 4 || LANES == SWEEP_WIDTH);
     #[cfg(target_arch = "x86_64")]
     {
-        dot8_sse2::<CHECKED>(v, t, patches)
+        lane_dot_sse2::<CHECKED, LANES, T>(v, t, patches)
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let mut acc = [0i32; 8];
+        let mut acc = [0i32; SWEEP_WIDTH];
         for (&wv, &ti) in v.iter().zip(t) {
             let row = patch_row::<CHECKED>(patches, ti as usize);
             let w = i16::from(wv as i8);
-            for j in 0..8 {
-                acc[j] = acc[j].wrapping_add(i32::from(w * i16::from(row[j] as i8)));
+            for j in 0..LANES {
+                acc[j] = acc[j].wrapping_add(i32::from(w * row[j].value()));
             }
         }
         acc
     }
 }
 
-/// [`dot8`]'s SSE2 body (baseline on x86-64, no feature detection
-/// needed): two `__m128i` accumulators hold the 8 `i32` lanes; each
-/// step sign-extends two 8-byte patch rows to `i16`, interleaves them
-/// per lane, and `pmaddwd`s against the broadcast `[w0, w1]` pair.
+/// [`lane_dot`]'s SSE2 body (baseline on x86-64, no feature detection
+/// needed): each step loads two rows as `i16`s ([`Lane::load`]),
+/// interleaves them per lane, and `pmaddwd`s lanes 0–3 (and, 8 lanes
+/// wide, lanes 4–7) against the broadcast weight pair into one `i32x4`
+/// accumulator per half. Weights arrive 8 to a register, sign-extended
+/// once, and each of its four pairs is broadcast by one `pshufd`.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-fn dot8_sse2<const CHECKED: bool>(v: &[u8], t: &[u32], patches: &[u8]) -> [i32; 8] {
+fn lane_dot_sse2<const CHECKED: bool, const LANES: usize, T: Lane>(
+    v: &[u8],
+    t: &[u32],
+    patches: &[T],
+) -> [i32; SWEEP_WIDTH] {
     use core::arch::x86_64::*;
-    #[inline(always)]
-    fn extend(r: &[u8; 8]) -> __m128i {
-        // SAFETY: SSE2 is part of the x86-64 baseline ABI.
-        unsafe {
-            let x = _mm_loadl_epi64(r.as_ptr().cast());
-            _mm_srai_epi16::<8>(_mm_unpacklo_epi8(_mm_setzero_si128(), x))
-        }
-    }
+    let row = |i: u32| T::load(patch_row::<CHECKED, T>(patches, i as usize));
     let wpair =
         |w0: u8, w1: u8| (u32::from(w1 as i8 as u16) << 16 | u32::from(w0 as i8 as u16)) as i32;
-    // SAFETY: SSE2 is part of the x86-64 baseline ABI.
+    let whole = v.len() - v.len() % 8;
+    // SAFETY: SSE2 is part of the x86-64 baseline ABI; each weight load
+    // reads one exact 8-byte chunk of `v`.
     unsafe {
         let mut lo = _mm_setzero_si128();
         let mut hi = _mm_setzero_si128();
-        let mut i = 0;
-        while i + 1 < v.len() {
-            let r0 = extend(patch_row::<CHECKED>(patches, t[i] as usize));
-            let r1 = extend(patch_row::<CHECKED>(patches, t[i + 1] as usize));
-            let w = _mm_set1_epi32(wpair(v[i], v[i + 1]));
+        let mut step = |r0: __m128i, r1: __m128i, w: __m128i| {
             lo = _mm_add_epi32(lo, _mm_madd_epi16(_mm_unpacklo_epi16(r0, r1), w));
-            hi = _mm_add_epi32(hi, _mm_madd_epi16(_mm_unpackhi_epi16(r0, r1), w));
-            i += 2;
+            if LANES > 4 {
+                hi = _mm_add_epi32(hi, _mm_madd_epi16(_mm_unpackhi_epi16(r0, r1), w));
+            }
+        };
+        for (v8, t8) in v.chunks_exact(8).zip(t.chunks_exact(8)) {
+            let w = _mm_loadl_epi64(v8.as_ptr().cast());
+            let w = _mm_srai_epi16::<8>(_mm_unpacklo_epi8(w, w));
+            step(row(t8[0]), row(t8[1]), _mm_shuffle_epi32::<0x00>(w));
+            step(row(t8[2]), row(t8[3]), _mm_shuffle_epi32::<0x55>(w));
+            step(row(t8[4]), row(t8[5]), _mm_shuffle_epi32::<0xAA>(w));
+            step(row(t8[6]), row(t8[7]), _mm_shuffle_epi32::<0xFF>(w));
         }
-        if i < v.len() {
-            // Odd tail: pair with a zero weight (the duplicated row's
-            // products vanish exactly).
-            let r0 = extend(patch_row::<CHECKED>(patches, t[i] as usize));
-            let w = _mm_set1_epi32(wpair(v[i], 0));
-            lo = _mm_add_epi32(lo, _mm_madd_epi16(_mm_unpacklo_epi16(r0, r0), w));
-            hi = _mm_add_epi32(hi, _mm_madd_epi16(_mm_unpackhi_epi16(r0, r0), w));
+        for (v2, t2) in v[whole..].chunks(2).zip(t[whole..].chunks(2)) {
+            // An odd last weight pairs with 0, so pairing its row with
+            // itself adds exactly its own products.
+            let (w1, t1) = if let [_, w1] = v2 {
+                (*w1, t2[1])
+            } else {
+                (0, t2[0])
+            };
+            step(row(t2[0]), row(t1), _mm_set1_epi32(wpair(v2[0], w1)));
         }
-        let mut acc = [0i32; 8];
+        let mut acc = [0i32; SWEEP_WIDTH];
         _mm_storeu_si128(acc.as_mut_ptr().cast(), lo);
         _mm_storeu_si128(acc.as_mut_ptr().add(4).cast(), hi);
         acc
@@ -1090,7 +996,7 @@ fn dot8_sse2<const CHECKED: bool>(v: &[u8], t: &[u32], patches: &[u8]) -> [i32; 
 /// element `i`), checked or pre-validated unchecked (same contract as
 /// [`at`]).
 #[inline(always)]
-fn patch_row<const CHECKED: bool>(patches: &[u8], i: usize) -> &[u8; SWEEP_WIDTH] {
+fn patch_row<const CHECKED: bool, T>(patches: &[T], i: usize) -> &[T; SWEEP_WIDTH] {
     if CHECKED {
         patches[i * SWEEP_WIDTH..(i + 1) * SWEEP_WIDTH]
             .try_into()
@@ -1102,15 +1008,15 @@ fn patch_row<const CHECKED: bool>(patches: &[u8], i: usize) -> &[u8; SWEEP_WIDTH
         );
         // SAFETY: instantiated with `CHECKED = false` only after
         // `table_below` proved every table entry `< patch_len` and the
-        // buffer holds `patch_len * SWEEP_WIDTH` bytes (conv sweep), or
-        // after `FcOffsets::below_m` proved every decoded index `< C`
+        // buffer holds `patch_len * SWEEP_WIDTH` entries (conv sweep),
+        // or after `FcOffsets::below_m` proved every decoded index `< C`
         // (or the index is the identity below `C`) and the token block
-        // holds `C * SWEEP_WIDTH` bytes (`fc_sweep`).
+        // holds `C * SWEEP_WIDTH` entries (`fc_sweep`).
         unsafe {
             &*patches
                 .as_ptr()
                 .add(i * SWEEP_WIDTH)
-                .cast::<[u8; SWEEP_WIDTH]>()
+                .cast::<[T; SWEEP_WIDTH]>()
         }
     }
 }
@@ -1181,7 +1087,7 @@ impl FcOffsets<'_> {
 /// the chunk's tokens; a short last chunk repeats its last token and
 /// never stores the dead lanes), so every weight byte and gather index
 /// is loaded **once** per chunk and feeds 8 tokens' multiply-adds
-/// through [`dot8`]. Each channel's offsets are decoded from the staged
+/// through [`lane_dot`]. Each channel's offsets are decoded from the staged
 /// stream into an `nz`-entry buffer once per call; no decoded table
 /// outlives it.
 ///
@@ -1203,54 +1109,55 @@ pub(crate) fn fc_sweep(
 ) {
     let (c, k) = (job.geom.c, job.geom.k);
     debug_assert_eq!(out.len(), tokens.len() * k);
-    let mut blocks = vec![0u8; tokens.len().div_ceil(SWEEP_WIDTH) * c * SWEEP_WIDTH];
-    for (block, live) in blocks
-        .chunks_exact_mut(c * SWEEP_WIDTH)
-        .zip(tokens.chunks(SWEEP_WIDTH))
-    {
-        for r in 0..SWEEP_WIDTH {
-            let x = live[r.min(live.len() - 1)];
-            for (i, &v) in x[..c].iter().enumerate() {
-                block[i * SWEEP_WIDTH + r] = v as u8;
+    let n = tokens.len();
+    with_lane_block::<u8, _>(n.div_ceil(SWEEP_WIDTH) * c * SWEEP_WIDTH, |blocks| {
+        for (block, live) in blocks
+            .chunks_exact_mut(c * SWEEP_WIDTH)
+            .zip(tokens.chunks(SWEEP_WIDTH))
+        {
+            for r in 0..SWEEP_WIDTH {
+                let x = live[r.min(live.len() - 1)];
+                for (i, &v) in x[..c].iter().enumerate() {
+                    block[i * SWEEP_WIDTH + r] = v as u8;
+                }
             }
         }
-    }
-    let (nm, seg, per_seg) = match gather {
-        FcGather::Dense => {
-            let values = mem
-                .slice(job.bufs.weights, k * c)
-                .expect("scratchpad is zero-copy");
-            // The identity walk is below `C` by construction.
-            fc_sweep_channels::<false>(job, values, c, None, &blocks, tokens.len(), out);
-            return;
+        let (nm, seg, per_seg) = match gather {
+            FcGather::Dense => {
+                let values = mem
+                    .slice(job.bufs.weights, k * c)
+                    .expect("scratchpad is zero-copy");
+                // The identity walk is below `C` by construction.
+                fc_sweep_channels::<false>(job, values, c, None, blocks, n, out);
+                return;
+            }
+            FcGather::Plain { nm, seg } => (nm, seg, 1),
+            FcGather::Interleaved { nm, seg } => (nm, seg, 2),
+        };
+        let nz = c / nm.m();
+        let values = mem
+            .slice(job.bufs.weights, k * nz)
+            .expect("scratchpad is zero-copy");
+        let offsets = FcOffsets {
+            offs: mem
+                .slice(job.bufs.offsets, k.div_ceil(per_seg) * seg)
+                .expect("scratchpad is zero-copy"),
+            seg,
+            bits: nm.offset_bits(),
+            m: nm.m(),
+            per_seg,
+        };
+        if offsets.below_m(k, nz) {
+            fc_sweep_channels::<false>(job, values, nz, Some(&offsets), blocks, n, out);
+        } else {
+            fc_sweep_channels::<true>(job, values, nz, Some(&offsets), blocks, n, out);
         }
-        FcGather::Plain { nm, seg } => (nm, seg, 1),
-        FcGather::Interleaved { nm, seg } => (nm, seg, 2),
-    };
-    let nz = c / nm.m();
-    let values = mem
-        .slice(job.bufs.weights, k * nz)
-        .expect("scratchpad is zero-copy");
-    let offsets = FcOffsets {
-        offs: mem
-            .slice(job.bufs.offsets, k.div_ceil(per_seg) * seg)
-            .expect("scratchpad is zero-copy"),
-        seg,
-        bits: nm.offset_bits(),
-        m: nm.m(),
-        per_seg,
-    };
-    let n = tokens.len();
-    if offsets.below_m(k, nz) {
-        fc_sweep_channels::<false>(job, values, nz, Some(&offsets), &blocks, n, out);
-    } else {
-        fc_sweep_channels::<true>(job, values, nz, Some(&offsets), &blocks, n, out);
-    }
+    });
 }
 
 /// [`fc_sweep`]'s channel loop: per output channel, decode its indices
 /// into the `nz`-entry buffer (the identity when `offsets` is `None`,
-/// the dense case with `nz == C`), then one [`dot8`] per token block.
+/// the dense case with `nz == C`), then one [`lane_dot`] per token block.
 /// Instantiate `CHECKED = false` only when every decoded index is below
 /// `C` (same contract as [`patch_row`]).
 fn fc_sweep_channels<const CHECKED: bool>(
@@ -1269,7 +1176,7 @@ fn fc_sweep_channels<const CHECKED: bool>(
             offsets.decode(ch, &mut idx);
         }
         for (chunk, block) in blocks.chunks_exact(c * SWEEP_WIDTH).enumerate() {
-            let acc = dot8::<CHECKED>(v, &idx, block);
+            let acc = lane_dot::<CHECKED, SWEEP_WIDTH, _>(v, &idx, block);
             let t0 = chunk * SWEEP_WIDTH;
             for (r, &a) in acc.iter().enumerate().take(n_tokens - t0) {
                 out[(t0 + r) * k + ch] = job.requant.apply(a) as u8;
@@ -1385,7 +1292,7 @@ mod tests {
     }
 
     #[test]
-    fn decim_table_and_indexed_dots_match_gather() {
+    fn decim_table_and_lane_dots_match_gather() {
         let (bits, m, nz, channels) = (4usize, 8usize, 9usize, 3usize);
         let seg_stride = 12;
         let mut region = vec![0u8; channels * seg_stride];
@@ -1408,14 +1315,22 @@ mod tests {
             let want0 = nm_gather_dot(&values, &act0, seg, bits, m, 0, 2);
             let want1 = nm_gather_dot(&values, &act1, seg, bits, m, 0, 2);
             let t = &tab[k * nz..(k + 1) * nz];
-            assert_eq!(indexed_dot::<true>(&values, t, &act0), want0);
-            assert_eq!(indexed_dot::<false>(&values, t, &act0), want0);
-            let (got0, got1) = indexed_dot2::<true>(&values, t, &act0, &act1);
-            assert_eq!((got0, got1), (want0, want1));
-            assert_eq!(
-                indexed_dot2::<false>(&values, t, &act0, &act1),
-                (got0, got1)
-            );
+            // Lane 0 holds act0, every other lane act1, as a transposed
+            // block (element `i` of lane `j` at `i * 8 + j`).
+            let mut block = vec![0u8; nz * m * SWEEP_WIDTH];
+            for (i, row) in block.chunks_exact_mut(SWEEP_WIDTH).enumerate() {
+                row.fill(act1[i]);
+                row[0] = act0[i];
+            }
+            let wide: Vec<i16> = block.iter().map(|&a| i16::from(a as i8)).collect();
+            let mut want = [want1; SWEEP_WIDTH];
+            want[0] = want0;
+            assert_eq!(lane_dot::<true, 8, u8>(&values, t, &block), want);
+            assert_eq!(lane_dot::<false, 8, u8>(&values, t, &block), want);
+            assert_eq!(lane_dot::<false, 8, i16>(&values, t, &wide), want);
+            want[4..].fill(0);
+            assert_eq!(lane_dot::<true, 4, i16>(&values, t, &wide), want);
+            assert_eq!(lane_dot::<false, 4, i16>(&values, t, &wide), want);
         }
     }
 
@@ -1762,13 +1677,13 @@ mod tests {
     }
 
     // A corrupted offset that points past the patch must panic as a
-    // checked index. The unchecked gather would instead trip its debug
-    // assertion ("pre-validated gather index out of range") in debug
-    // builds and read out of bounds in release builds, so this message
-    // shows the fence sent the table down the checked gather in both
-    // profiles.
+    // checked slice index: a single run sweeps its one request, and the
+    // fence sends the table down the sweep's checked loop. The unchecked
+    // loop would instead trip its debug assertion ("pre-validated row
+    // range") in debug builds and read out of bounds in release builds,
+    // so this message shows the fence held in both profiles.
     #[test]
-    #[should_panic(expected = "index out of bounds")]
+    #[should_panic(expected = "out of range for slice")]
     fn conv_corrupted_offsets_past_the_patch_panic_in_the_checked_gather() {
         let (mut mem, job, _) = corrupted_conv_tile(nm_core::format::OffsetLayout::Plain, 8, 15);
         let cluster = nm_platform::Cluster::new(2, CostModel::default());

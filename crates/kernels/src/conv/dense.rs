@@ -1,7 +1,7 @@
 //! Dense convolution baselines: the 1×2 kernel and the PULP-NN 4×2
 //! kernel (paper Sec. 4.1.1, Fig. 2 / Fig. 4 left).
 
-use super::{drive_conv, drive_conv_batch, BatchInner, BatchRun, ConvJob, EPILOGUE_ALU};
+use super::{drive_conv, drive_conv_batch, BatchRun, ConvGather, ConvJob, EPILOGUE_ALU};
 use crate::bulk::{dense_dot, loop_scaffold};
 use crate::stats::{Ctx, KernelStats};
 use nm_core::Result;
@@ -11,30 +11,16 @@ use nm_platform::{Cluster, Scratchpad};
 /// The dense kernels' channel loop over one position pair, shared by the
 /// single-run and batch-major entry points: `quads` groups of four
 /// output channels (the PULP-NN 4×2 inner loop), then the remaining
-/// channels one at a time (the 1×2 loop).
+/// channels one at a time (the 1×2 loop), per instruction on the
+/// reference walk and as blocks on the analytic walk. The bulk tier
+/// computes through the lane sweep instead.
 fn dense_loop(
     job: &ConvJob,
     quads: usize,
 ) -> impl FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32) + '_ {
-    let geom = job.geom;
-    let plen = geom.patch_len();
-    let singles = 4 * quads..geom.k;
+    let plen = job.geom.patch_len();
+    let singles = 4 * quads..job.geom.k;
     move |core, ctx, pos, n_patches, buf| match ctx.path() {
-        Ctx::MemBulk(mem) => {
-            for q in 0..quads {
-                quad_channels_body(mem, job, pos, n_patches, buf, 4 * q);
-            }
-            for k in singles.clone() {
-                let wrow = job.bufs.weights + (k * plen) as u32;
-                channel_1xn_body(mem, job, pos, n_patches, buf, k, wrow);
-            }
-        }
-        Ctx::Analytic => {
-            let np = n_patches as u64;
-            let quad = quad_block(core.costs(), plen, np).repeat(quads as u64);
-            let single = channel_1xn_block(core.costs(), plen, np);
-            core.charge_block(&quad.then(single.repeat(singles.len() as u64)));
-        }
         Ctx::Mem(mem) => {
             for q in 0..quads {
                 quad_channels_reference(mem, core, job, pos, n_patches, buf, 4 * q);
@@ -43,6 +29,12 @@ fn dense_loop(
                 let wrow = job.bufs.weights + (k * plen) as u32;
                 channel_1xn_reference(mem, core, job, pos, n_patches, buf, k, wrow);
             }
+        }
+        _ => {
+            let np = n_patches as u64;
+            let quad = quad_block(core.costs(), plen, np).repeat(quads as u64);
+            let single = channel_1xn_block(core.costs(), plen, np);
+            core.charge_block(&quad.then(single.repeat(singles.len() as u64)));
         }
     }
 }
@@ -61,6 +53,7 @@ pub fn conv_dense_1x2(ctx: &mut Ctx<'_>, job: &ConvJob, cluster: &Cluster) -> Re
         ctx,
         job,
         cluster,
+        Some(ConvGather::Dense),
         dense_loop(job, 0),
     ))
 }
@@ -86,7 +79,7 @@ pub fn conv_dense_1x2_batch(
         job,
         cluster,
         inputs,
-        Some(BatchInner::Dense),
+        Some(ConvGather::Dense),
         dense_loop(job, 0),
     )
 }
@@ -105,6 +98,7 @@ pub fn conv_dense_4x2(ctx: &mut Ctx<'_>, job: &ConvJob, cluster: &Cluster) -> Re
         ctx,
         job,
         cluster,
+        Some(ConvGather::Dense),
         dense_loop(job, job.geom.k / 4),
     ))
 }
@@ -127,7 +121,7 @@ pub fn conv_dense_4x2_batch(
         job,
         cluster,
         inputs,
-        Some(BatchInner::Dense),
+        Some(ConvGather::Dense),
         dense_loop(job, job.geom.k / 4),
     )
 }
@@ -252,39 +246,6 @@ fn quad_block(costs: &CostModel, plen: usize, np: u64) -> InstrBlock {
         .then(per_chunk.repeat((plen / 4) as u64))
         .then(per_tail.repeat((plen % 4) as u64))
         .then(epilogue)
-}
-
-/// The 4×N bulk kernel body (the analytic walk charges [`quad_block`]).
-fn quad_channels_body(
-    mem: &mut Scratchpad,
-    job: &ConvJob,
-    pos: usize,
-    n_patches: usize,
-    buf: u32,
-    k0: usize,
-) {
-    let geom = &job.geom;
-    let plen = geom.patch_len();
-    // One patch-buffer view per patch (not per channel), and the
-    // four contiguous output channels stored as one slice write
-    // per patch instead of four byte stores.
-    let mut outs = [[0i8; 4]; 2];
-    {
-        for (p, out) in outs.iter_mut().enumerate().take(n_patches) {
-            let a = mem
-                .slice(buf + (p * plen) as u32, plen)
-                .expect("scratchpad is zero-copy");
-            for (f, o) in out.iter_mut().enumerate() {
-                let w = mem
-                    .slice(job.bufs.weights + ((k0 + f) * plen) as u32, plen)
-                    .expect("scratchpad is zero-copy");
-                *o = job.requant.apply(dense_dot(w, a));
-            }
-        }
-    }
-    for (p, out) in outs.iter().enumerate().take(n_patches) {
-        crate::bulk::write_out(mem, job.bufs.output + ((pos + p) * geom.k + k0) as u32, out);
-    }
 }
 
 /// The per-instruction reference of four dense output channels (the

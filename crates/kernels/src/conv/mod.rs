@@ -23,7 +23,7 @@ pub mod per_channel;
 pub mod sparse_isa;
 pub mod sparse_sw;
 
-use crate::bulk::{decim_table, table_below};
+use crate::bulk::{conv_sweep_dense, conv_sweep_sparse, decim_table, table_below};
 use crate::im2col::{build_patches, im2col_patches, Im2colCharges};
 use crate::layout::{copy_i8_to_bytes, nm_segment_bytes, ConvBufs};
 use crate::stats::{BatchRun, Ctx, KernelStats};
@@ -56,8 +56,8 @@ pub struct ConvJob {
 pub(crate) const EPILOGUE_ALU: u64 = 3;
 
 /// A pre-decoded decimation table for a sparse convolution's packed
-/// offsets — the compile-once artifact behind the bulk path's per-pair
-/// gathers.
+/// offsets — the compile-once artifact behind the bulk path's lane
+/// sweep.
 ///
 /// The bulk arms of [`sparse_sw::conv_sparse_sw`] and
 /// [`sparse_isa::conv_sparse_isa`] decode every channel's offset stream
@@ -72,8 +72,8 @@ pub(crate) const EPILOGUE_ALU: u64 = 3;
 pub struct DecimProgram {
     table: Vec<u32>,
     /// Whether every table entry is below the patch length — validated
-    /// once here so the per-pair gathers can run unchecked forever after
-    /// (see [`table_below`]).
+    /// once here so the sweep can gather unchecked forever after (see
+    /// [`table_below`]).
     in_range: bool,
     nm: Nm,
     rows: usize,
@@ -125,7 +125,7 @@ impl DecimProgram {
     }
 
     /// Whether the table passed bounds validation (entries below the
-    /// patch length), enabling the unchecked gather loops.
+    /// patch length), enabling the sweep's unchecked loop.
     pub(crate) fn in_range(&self) -> bool {
         self.in_range
     }
@@ -186,17 +186,29 @@ pub(crate) struct SparseTable<'p> {
     /// Per-channel offset segment stride in L1 (bytes).
     pub(crate) seg: u32,
     /// The decimation table on the bulk path, `None` off it.
-    pub(crate) table: Option<Cow<'p, [u32]>>,
+    table: Option<Cow<'p, [u32]>>,
     /// Whether every entry passed [`crate::bulk::table_below`].
-    pub(crate) in_range: bool,
+    in_range: bool,
+}
+
+impl SparseTable<'_> {
+    /// The bulk tier's lane-sweep gather for `job` (`None` off the bulk
+    /// tier, where no table is built).
+    pub(crate) fn gather(&self, job: &SparseConvJob) -> Option<ConvGather<'_>> {
+        self.table.as_deref().map(|table| ConvGather::Sparse {
+            nz: job.nz_per_channel(),
+            table,
+            in_range: self.in_range,
+        })
+    }
 }
 
 /// The preamble of the sparse conv entry points, whose offsets are staged
 /// in `layout`: validates the job, and `program` on every path (so a
 /// stale program is rejected even on runs that would not consume it).
 /// The bulk path's table is borrowed from `program` when one is passed,
-/// else decoded from the staged offsets; every output position pair
-/// (and, batch-major, every request) reuses it.
+/// else decoded from the staged offsets; every chunk of the lane sweep
+/// (every request's positions) reuses it.
 pub(crate) fn sparse_table<'p>(
     ctx: &mut Ctx<'_>,
     job: &SparseConvJob,
@@ -230,30 +242,84 @@ pub(crate) fn sparse_table<'p>(
     })
 }
 
+/// How the bulk tier's lane sweep ([`crate::bulk::conv_sweep_sparse`] /
+/// [`crate::bulk::conv_sweep_dense`]) gathers each output channel's
+/// activations from a lane-transposed patch block.
+pub(crate) enum ConvGather<'a> {
+    /// Gather through the pre-decoded decimation table (both sparse
+    /// families — their bulk compute is the same [`crate::bulk`] walk).
+    Sparse {
+        /// Non-zeros per output channel.
+        nz: usize,
+        /// The decoded table (`k * nz` entries).
+        table: &'a [u32],
+        /// Whether every entry passed [`crate::bulk::table_below`].
+        in_range: bool,
+    },
+    /// Dense dot over the full patch (the 1×2 and 4×2 baselines).
+    Dense,
+}
+
+impl ConvGather<'_> {
+    /// Computes every output of `inputs` (one tile input per request)
+    /// into `out`, request `r`'s tile at `out[r * output_elems()..]`.
+    fn sweep(&self, mem: &Scratchpad, job: &ConvJob, inputs: &[&[i8]], out: &mut [u8]) {
+        match *self {
+            ConvGather::Sparse {
+                nz,
+                table,
+                in_range,
+            } => conv_sweep_sparse(mem, job, nz, table, in_range, inputs, out),
+            ConvGather::Dense => conv_sweep_dense(mem, job, inputs, out),
+        }
+    }
+}
+
 /// The shared spatial driver: splits output positions across cores,
 /// performs the im2col for each position pair and invokes the
 /// kernel-specific channel loop, which reads the patch buffers.
 ///
 /// On the reference path the im2col runs per pair, instruction by
 /// instruction, and the channel loop charges as it computes. The bulk
-/// path runs two walks: [`compute_conv`] moves the data and writes the
-/// outputs, then the analytic walk — the only one the analytic path
-/// runs — charges each position pair's scaffold and closed-form im2col
-/// (memoized per padding class, shared across cores via one
-/// [`Im2colCharges`]) plus the channel loop's blocks, and its statistics
-/// are the result.
+/// path runs two walks. The compute walk moves the data and writes the
+/// outputs: with a `gather` (the four uniform families) the lane sweep
+/// computes the staged input as a batch of one, and only each core's
+/// final im2col buffers are built ([`final_patches`]); without one (the
+/// per-channel mixed kernels) [`compute_conv`] walks the position pairs.
+/// Either way the scratchpad ends bit-identical to the reference's. Then
+/// the analytic walk — the only one the analytic path runs — charges
+/// each position pair's scaffold and closed-form im2col (memoized per
+/// padding class, shared across cores via one [`Im2colCharges`]) plus
+/// the channel loop's blocks, and its statistics are the result.
 pub(crate) fn drive_conv<F>(
     name: String,
     ctx: &mut Ctx<'_>,
     job: &ConvJob,
     cluster: &Cluster,
+    gather: Option<ConvGather<'_>>,
     mut channel_loop: F,
 ) -> KernelStats
 where
     F: FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32),
 {
     if let Ctx::MemBulk(mem) = ctx {
-        compute_conv(mem, job, cluster, &mut channel_loop);
+        match gather {
+            Some(gather) => {
+                let geom = &job.geom;
+                let staged = mem.slice(job.bufs.input, geom.input_elems());
+                let input: Vec<i8> = staged
+                    .expect("staged input")
+                    .iter()
+                    .map(|&b| b as i8)
+                    .collect();
+                let mut out = vec![0u8; geom.output_elems()];
+                gather.sweep(mem, job, &[&input], &mut out);
+                let dst = mem.slice_mut(job.bufs.output, out.len());
+                dst.expect("staged output").copy_from_slice(&out);
+                final_patches(mem, job, cluster);
+            }
+            None => compute_conv(mem, job, cluster, &mut channel_loop),
+        }
     }
     let mut ctx = ctx.charging();
     let geom = &job.geom;
@@ -286,11 +352,12 @@ where
     }
 }
 
-/// The bulk path's compute walk: per core and position pair, one
-/// uncharged [`build_patches`] call rebuilds the pair's im2col buffers,
-/// then the channel loop reads them, so the scratchpad ends
-/// bit-identical to the reference's. Nothing is charged: the channel
-/// loop's bulk arm gets a scratch core.
+/// The per-channel mixed kernels' bulk compute walk: per core and
+/// position pair, one uncharged [`build_patches`] call rebuilds the
+/// pair's im2col buffers, then the channel loop reads them, so the
+/// scratchpad ends bit-identical to the reference's. Nothing is charged:
+/// the channel loop's bulk arm gets a scratch core. The four uniform
+/// families compute through the lane sweep instead (see [`drive_conv`]).
 fn compute_conv<F>(mem: &mut Scratchpad, job: &ConvJob, cluster: &Cluster, channel_loop: &mut F)
 where
     F: FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32),
@@ -302,6 +369,25 @@ where
         for (pos, n_patches) in position_pairs(geom, cluster, core_id) {
             build_patches(mem, geom, job.bufs.input, buf, pos, n_patches);
             channel_loop(&mut scratch, &mut Ctx::MemBulk(mem), pos, n_patches, buf);
+        }
+    }
+}
+
+/// Builds, uncharged, only the im2col buffers the reference walk leaves
+/// behind: per core, each slot's last position (slot 1 keeps the
+/// previous pair's second patch when the last step holds one patch).
+fn final_patches(mem: &mut Scratchpad, job: &ConvJob, cluster: &Cluster) {
+    let (geom, input) = (&job.geom, job.bufs.input);
+    for core_id in 0..cluster.n_cores() {
+        let buf = im2col_buf(job, core_id);
+        let Some((pos, n_patches)) = position_pairs(geom, cluster, core_id).last() else {
+            continue;
+        };
+        build_patches(mem, geom, input, buf, pos, n_patches);
+        let first = chunk_range(geom.oy() * geom.ox(), cluster.n_cores(), core_id).start;
+        if n_patches == 1 && pos > first {
+            let slot1 = buf + geom.patch_len() as u32;
+            build_patches(mem, geom, input, slot1, pos - 1, 1);
         }
     }
 }
@@ -324,55 +410,27 @@ fn position_pairs(
     range.step_by(2).map(move |pos| (pos, (end - pos).min(2)))
 }
 
-/// The kernel family's inner-compute shape, handed to
-/// [`drive_conv_batch`] so the bulk path can run the batch through the
-/// request-inner sweep ([`crate::bulk::conv_sweep_sparse`] /
-/// [`crate::bulk::conv_sweep_dense`]) instead of per-request compute
-/// walks. `None` (or a batch too small to amortize the transposed patch
-/// build) falls back to per-request compute walks.
-pub(crate) enum BatchInner<'a> {
-    /// Gather through the pre-decoded decimation table (both sparse
-    /// families — their bulk compute is the same [`crate::bulk`] walk).
-    Sparse {
-        /// Non-zeros per output channel.
-        nz: usize,
-        /// The decoded table (`k * nz` entries).
-        table: &'a [u32],
-        /// Whether every entry passed [`crate::bulk::table_below`].
-        in_range: bool,
-    },
-    /// Dense dot over the full patch (the 1×2 and 4×2 baselines).
-    Dense,
-}
-
-/// Batch-major sweep driver: runs every request of `inputs` (one tile
-/// input per request, HWC, `geom.input_elems()` bytes each) over a tile
-/// whose weights, offsets and decoded decimation table are staged
-/// **once** for the whole batch; between requests only the input buffer
-/// is rewritten.
+/// Batch-major driver: runs every request of `inputs` (one tile input
+/// per request, HWC, `geom.input_elems()` bytes each) over a tile whose
+/// weights, offsets and decoded decimation table are staged **once** for
+/// the whole batch.
 ///
-/// On the bulk path no request touches the modeled scratchpad when the
-/// family has a [`BatchInner`]: as many [`crate::bulk::SWEEP_WIDTH`]-wide
-/// request-inner chunks as the batch fills compute their outputs
-/// host-side from each request's own input bytes, through the same
-/// `row_split`-derived im2col decomposition
-/// (`crate::im2col::patch_transposed`) and the same wrapping `i32`
-/// product multiset the kernels execute (see
-/// [`crate::bulk::conv_sweep_sparse`]), so every output byte equals a
-/// freshly staged sequential run's. Each weight byte and decimation index
-/// is loaded once per chunk and feeds every lane's accumulator, where a
-/// sequential loop re-walks the index/weight streams per request. A
-/// remainder too small to fill a chunk (below `SWEEP_MIN` live requests),
-/// or a family without a [`BatchInner`], runs [`compute_conv`] per
-/// request instead, the input buffer rewritten first (stale im2col and
-/// output regions are dead values: every kernel rebuilds patches before
-/// reading and overwrites every output element).
+/// On the bulk path no request touches the modeled scratchpad: the lane
+/// sweep (`gather`, see [`crate::bulk::conv_sweep_sparse`]) computes
+/// every request's outputs host-side from its own input bytes, with its
+/// (request, position) lanes walked 8 at a time, through the same
+/// `row_split`-derived im2col decomposition (`crate::im2col::patch_lanes`)
+/// and the same wrapping `i32` product multiset the kernels execute, so
+/// every output byte equals a freshly staged sequential run's. Each
+/// weight byte and decimation index is loaded once per chunk and feeds
+/// every lane's accumulator. Every batch size runs this one compute; the
+/// four families always pass a `gather` on the bulk tier.
 ///
 /// Cycle accounting is input-value-independent, so every request on the
 /// bulk and analytic paths shares the tile's one analytic walk. The
-/// reference path runs the full per-instruction drive per request,
-/// serving as the oracle the batched kernel parity tests compare
-/// against.
+/// reference path rewrites the input buffer and runs the full
+/// per-instruction drive per request, serving as the oracle the batched
+/// kernel parity tests compare against.
 ///
 /// # Errors
 /// [`Error::ShapeMismatch`] if any request's input length disagrees with
@@ -383,7 +441,7 @@ pub(crate) fn drive_conv_batch<F>(
     job: &ConvJob,
     cluster: &Cluster,
     inputs: &[&[i8]],
-    inner: Option<BatchInner<'_>>,
+    gather: Option<ConvGather<'_>>,
     mut channel_loop: F,
 ) -> Result<BatchRun>
 where
@@ -401,55 +459,31 @@ where
     }
     let b = inputs.len();
     let mut outputs = Vec::with_capacity(if ctx.is_mem() { b * out_elems } else { 0 });
-    let stage = |mem: &mut Scratchpad, input: &[i8]| {
-        let dst = mem.slice_mut(job.bufs.input, in_elems);
-        copy_i8_to_bytes(dst.expect("staged input in range"), input);
-    };
-    let read_out = |mem: &mut Scratchpad, outputs: &mut Vec<u8>| {
-        let src = mem.slice(job.bufs.output, out_elems);
-        outputs.extend_from_slice(src.expect("staged output in range"));
-    };
     match ctx {
         Ctx::Mem(mem) => {
             let mut stats = Vec::with_capacity(b);
             for input in inputs {
-                stage(mem, input);
+                let dst = mem.slice_mut(job.bufs.input, in_elems);
+                copy_i8_to_bytes(dst.expect("staged input in range"), input);
                 let mut ctx = Ctx::Mem(mem);
-                let run = drive_conv(name.to_string(), &mut ctx, job, cluster, &mut channel_loop);
+                let run = drive_conv(
+                    name.to_string(),
+                    &mut ctx,
+                    job,
+                    cluster,
+                    None,
+                    &mut channel_loop,
+                );
                 stats.push(Arc::new(run));
-                read_out(mem, &mut outputs);
+                let src = mem.slice(job.bufs.output, out_elems);
+                outputs.extend_from_slice(src.expect("staged output in range"));
             }
             return Ok(BatchRun { stats, outputs });
         }
         Ctx::MemBulk(mem) => {
-            let swept = inner.as_ref().map_or(0, |_| crate::bulk::sweep_len(b));
-            let (swept, fallback) = inputs.split_at(swept);
-            outputs.resize(swept.len() * out_elems, 0);
-            match inner {
-                _ if swept.is_empty() => {}
-                Some(BatchInner::Sparse {
-                    nz,
-                    table,
-                    in_range,
-                }) => crate::bulk::conv_sweep_sparse(
-                    mem,
-                    job,
-                    nz,
-                    table,
-                    in_range,
-                    swept,
-                    &mut outputs,
-                ),
-                Some(BatchInner::Dense) => {
-                    crate::bulk::conv_sweep_dense(mem, job, swept, &mut outputs)
-                }
-                None => {}
-            }
-            for input in fallback {
-                stage(mem, input);
-                compute_conv(mem, job, cluster, &mut channel_loop);
-                read_out(mem, &mut outputs);
-            }
+            outputs.resize(b * out_elems, 0);
+            let gather = gather.expect("the bulk tier sweeps every conv batch");
+            gather.sweep(mem, job, inputs, &mut outputs);
         }
         Ctx::Analytic => {}
     }
@@ -458,6 +492,7 @@ where
         &mut Ctx::Analytic,
         job,
         cluster,
+        None,
         &mut channel_loop,
     );
     Ok(BatchRun::shared(b, stats, outputs))
@@ -471,32 +506,20 @@ where
 /// MAC count so throughput rows normalize like the full kernels'.
 ///
 /// On the bulk path nothing reads the patches, so only the buffers the
-/// reference leaves behind are built: per core, each slot's last
-/// position (slot 1 keeps the previous pair's second patch when the last
-/// step holds one patch). The statistics come from the shared driver's
-/// charging walk (`drive_conv` on `Ctx::charging`), which is the analytic
-/// pass on the bulk tier.
+/// reference leaves behind are built (`final_patches`, as a single conv
+/// run does after its sweep). The statistics come from the shared
+/// driver's charging walk (`drive_conv` on `Ctx::charging`), which is the
+/// analytic pass on the bulk tier.
 pub fn im2col_only(name: &str, ctx: &mut Ctx<'_>, job: &ConvJob, cluster: &Cluster) -> KernelStats {
     if let Ctx::MemBulk(mem) = ctx {
-        let (geom, input) = (&job.geom, job.bufs.input);
-        for core_id in 0..cluster.n_cores() {
-            let buf = im2col_buf(job, core_id);
-            let Some((pos, n_patches)) = position_pairs(geom, cluster, core_id).last() else {
-                continue;
-            };
-            build_patches(mem, geom, input, buf, pos, n_patches);
-            let first = chunk_range(geom.oy() * geom.ox(), cluster.n_cores(), core_id).start;
-            if n_patches == 1 && pos > first {
-                let slot1 = buf + geom.patch_len() as u32;
-                build_patches(mem, geom, input, slot1, pos - 1, 1);
-            }
-        }
+        final_patches(mem, job, cluster);
     }
     drive_conv(
         name.to_string(),
         &mut ctx.charging(),
         job,
         cluster,
+        None,
         |_, _, _, _, _| {},
     )
 }
@@ -707,6 +730,76 @@ mod tests {
         }
     }
 
+    // Tiles with fewer output positions than the sweep width: with a 2x2
+    // output one chunk holds the positions of two requests, B = 3 and 5
+    // end on a half-live chunk (the 4-lane dot), and B = 1 runs only
+    // that. Pre-padded and padded (per-lane row) geometries, all four
+    // families: bulk outputs and per-request statistics must equal the
+    // reference's.
+    #[test]
+    fn small_tiles_sweep_across_requests() {
+        let nm = Nm::ONE_OF_EIGHT;
+        let cluster = Cluster::new(4, CostModel::default());
+        for geom in [
+            ConvGeom::square(8, 6, 4, 3, 1, 0).unwrap(),
+            ConvGeom::square(8, 6, 2, 3, 1, 1).unwrap(),
+        ] {
+            assert_eq!(geom.oy() * geom.ox(), 4);
+            let inputs: Vec<Vec<i8>> = (0..5u64)
+                .map(|r| random_data(geom.input_elems(), 7 + r))
+                .collect();
+            let refs: Vec<&[i8]> = inputs.iter().map(Vec::as_slice).collect();
+            let dense_w = random_data(geom.weight_elems(), 11);
+            let prune = |layout| {
+                NmMatrix::prune_from_dense(&dense_w, geom.k, geom.patch_len(), nm, layout).unwrap()
+            };
+            let (sw, isa) = (prune(OffsetLayout::Plain), prune(OffsetLayout::Duplicated));
+            let dense_job = |bufs| ConvJob {
+                geom,
+                requant: Requant::for_dot_len(geom.patch_len()),
+                bufs,
+            };
+            let sparse_job = |bufs| SparseConvJob {
+                conv: ConvJob {
+                    geom,
+                    requant: Requant::for_dot_len(geom.patch_len() / nm.m()),
+                    bufs,
+                },
+                nm,
+            };
+            for family in ["dense-1x2", "dense-4x2", "sparse-sw", "sparse-isa"] {
+                let mut base = Scratchpad::new("l1", 64 * 1024);
+                let bufs = match family {
+                    "sparse-sw" => stage_conv_sparse(&mut base, &geom, refs[0], &sw, 4),
+                    "sparse-isa" => stage_conv_sparse(&mut base, &geom, refs[0], &isa, 4),
+                    _ => stage_conv_dense(&mut base, &geom, refs[0], &dense_w, 4),
+                }
+                .unwrap();
+                let run = |ctx: &mut Ctx<'_>, batch: &[&[i8]]| {
+                    match family {
+                        "dense-1x2" => conv_dense_1x2_batch(ctx, &dense_job(bufs), &cluster, batch),
+                        "dense-4x2" => conv_dense_4x2_batch(ctx, &dense_job(bufs), &cluster, batch),
+                        "sparse-sw" => {
+                            let job = sparse_job(bufs);
+                            conv_sparse_sw_prepared_batch(ctx, &job, &cluster, None, batch)
+                        }
+                        _ => {
+                            let job = sparse_job(bufs);
+                            conv_sparse_isa_prepared_batch(ctx, &job, &cluster, None, batch)
+                        }
+                    }
+                    .unwrap()
+                };
+                for b in [1, 2, 3, 5] {
+                    let want = run(&mut Ctx::Mem(&mut base.clone()), &refs[..b]);
+                    let got = run(&mut Ctx::MemBulk(&mut base.clone()), &refs[..b]);
+                    assert_eq!(got.outputs, want.outputs, "{family} {geom:?} b{b} outputs");
+                    assert_eq!(got.stats, want.stats, "{family} {geom:?} b{b} stats");
+                }
+            }
+        }
+    }
+
     /// A program built for different weights must be rejected, not
     /// silently gather the wrong activations.
     #[test]
@@ -804,26 +897,8 @@ mod tests {
             sink = sink.wrapping_add(run.stats[0].cycles());
         }
         let full = t.elapsed().as_secs_f64();
-        // (b) per-request compute walks with a noop channel loop (no
-        // sweep): input rewrite + im2col materialization + output
-        // capture, plus the one analytic walk
-        let t = Instant::now();
-        for _ in 0..reps {
-            let mut ctx = Ctx::MemBulk(&mut mem);
-            let run = drive_conv_batch(
-                "noop",
-                &mut ctx,
-                &job.conv,
-                &cluster,
-                &refs,
-                None,
-                |_, _, _, _, _| {},
-            )
-            .unwrap();
-            sink = sink.wrapping_add(run.stats[0].cycles());
-        }
-        let noop = t.elapsed().as_secs_f64();
-        // (c) single run: compute walk + analytic walk
+        // (b) single run: lane sweep of the staged input + final
+        // patches + analytic walk
         let t = Instant::now();
         for _ in 0..reps * 16 {
             let mut ctx = Ctx::MemBulk(&mut mem);
@@ -831,26 +906,23 @@ mod tests {
             sink = sink.wrapping_add(s.cycles());
         }
         let single = t.elapsed().as_secs_f64() / 16.0;
-        // (d) transposed patch materialization alone (two 8-wide chunks
-        // per position, matching the b16 sweep's chunking)
-        let padded: [&[i8]; 8] = core::array::from_fn(|r| refs[r]);
-        let mut patches = vec![0u8; job.conv.geom.patch_len() * 8];
+        // (c) lane-transposed patch builds alone (the b16 sweep's chunks:
+        // 8 consecutive lanes of one request each)
+        let positions = geom.oy() * geom.ox();
+        let mut patches = vec![0i16; geom.patch_len() * 8];
         let t = Instant::now();
         for _ in 0..reps {
-            for pos in 0..job.conv.geom.oy() * job.conv.geom.ox() {
-                for _ in 0..2 {
-                    crate::im2col::patch_transposed::<8>(
-                        &job.conv.geom,
-                        &padded,
-                        pos,
-                        &mut patches,
-                    );
-                    sink = sink.wrapping_add(u64::from(patches[0]));
-                }
+            for first in (0..16 * positions).step_by(8) {
+                let lanes: [(&[i8], usize); 8] = core::array::from_fn(|j| {
+                    let l = (first + j).min(16 * positions - 1);
+                    (refs[l / positions], l % positions)
+                });
+                crate::im2col::patch_lanes(&geom, &lanes, &mut patches);
+                sink = sink.wrapping_add(patches[0] as u64);
             }
         }
-        let transpose = t.elapsed().as_secs_f64();
-        // (e) the sweep alone (all 16 requests)
+        let build = t.elapsed().as_secs_f64();
+        // (d) the sweep alone (all 16 requests)
         let mut out = vec![0u8; 16 * job.conv.geom.output_elems()];
         let t = Instant::now();
         for _ in 0..reps {
@@ -866,7 +938,7 @@ mod tests {
             sink = sink.wrapping_add(u64::from(out[0]));
         }
         let sweep = t.elapsed().as_secs_f64();
-        // (f) the analytic walk alone (the statistics every request
+        // (e) the analytic walk alone (the statistics every request
         // shares)
         let t = Instant::now();
         for _ in 0..reps {
@@ -876,8 +948,8 @@ mod tests {
         let analytic = t.elapsed().as_secs_f64();
         println!("sink {sink}");
         println!(
-            "transpose x2/pos   : {transpose:8.3} s  ({:.3} ms/req)",
-            transpose / reps as f64 / 16.0 * 1e3
+            "patch_lanes b16    : {build:8.3} s  ({:.3} ms/req)",
+            build / reps as f64 / 16.0 * 1e3
         );
         println!(
             "sweep 16 req       : {sweep:8.3} s  ({:.3} ms/req)",
@@ -890,10 +962,6 @@ mod tests {
         println!(
             "full batch-16      : {full:8.3} s  ({:.3} ms/req)",
             full / reps as f64 / 16.0 * 1e3
-        );
-        println!(
-            "noop walks b16     : {noop:8.3} s  ({:.3} ms/req)",
-            noop / reps as f64 / 16.0 * 1e3
         );
         println!(
             "single run x16     : {:8.3} s  ({:.3} ms/req)",

@@ -166,6 +166,7 @@ pub fn conv_channel_mixed(
         ctx,
         &job.conv,
         cluster,
+        None,
         |core, ctx, pos, n_patches, buf| {
             for k in 0..geom.k {
                 let (wrow, seg) = job.row_addr(ctx, k);

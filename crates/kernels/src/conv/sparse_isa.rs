@@ -14,10 +14,8 @@
 //! the two im2col buffers of the 1×2 unrolling.
 
 use super::sparse_sw::SparseConvJob;
-use super::{
-    drive_conv, drive_conv_batch, sparse_table, BatchInner, BatchRun, DecimProgram, EPILOGUE_ALU,
-};
-use crate::bulk::{conv_pair_outputs, loop_scaffold, nm_gather_dot, offsets_len};
+use super::{drive_conv, drive_conv_batch, sparse_table, BatchRun, DecimProgram, EPILOGUE_ALU};
+use crate::bulk::{loop_scaffold, nm_gather_dot, offsets_len};
 use crate::stats::{Ctx, KernelStats};
 use nm_core::format::OffsetLayout;
 use nm_core::sparsity::Nm;
@@ -80,7 +78,8 @@ pub fn conv_sparse_isa_prepared(
         ctx,
         &job.conv,
         cluster,
-        isa_channel_loop(job, t.table.as_deref(), t.in_range, t.seg),
+        t.gather(job),
+        isa_channel_loop(job, t.seg),
     ))
 }
 
@@ -102,52 +101,40 @@ pub fn conv_sparse_isa_prepared_batch(
     inputs: &[&[i8]],
 ) -> Result<BatchRun> {
     let t = sparse_table(ctx, job, OffsetLayout::Duplicated, program)?;
-    let inner = t.table.as_deref().map(|table| BatchInner::Sparse {
-        nz: job.nz_per_channel(),
-        table,
-        in_range: t.in_range,
-    });
     drive_conv_batch(
         &format!("conv-sparse-isa-{}", job.nm),
         ctx,
         &job.conv,
         cluster,
         inputs,
-        inner,
-        isa_channel_loop(job, t.table.as_deref(), t.in_range, t.seg),
+        t.gather(job),
+        isa_channel_loop(job, t.seg),
     )
 }
 
 /// The ISA kernel's channel loop over one position pair, shared by the
-/// single-run and batch-major entry points.
-fn isa_channel_loop<'a>(
-    job: &'a SparseConvJob,
-    table: Option<&'a [u32]>,
-    in_range: bool,
+/// single-run and batch-major entry points: per channel on the
+/// reference walk, one repeated block on the analytic walk. The bulk
+/// tier computes through the lane sweep instead.
+fn isa_channel_loop(
+    job: &SparseConvJob,
     seg_dup: u32,
-) -> impl FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32) + 'a {
+) -> impl FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32) + '_ {
     let geom = job.conv.geom;
     let nz = job.nz_per_channel();
     let mode = decimate_mode(job.nm);
-    let mut outs = Vec::new(); // reused per pair by the bulk arm
     move |core, ctx, pos, n_patches, buf| match ctx.path() {
-        Ctx::MemBulk(mem) => {
-            let table = table.expect("table built for the bulk path");
-            conv_pair_outputs(
-                mem, &job.conv, nz, table, in_range, pos, n_patches, buf, &mut outs,
-            );
-        }
-        Ctx::Analytic => {
-            // Uniform channels: one repeated block per pair.
-            let block = channel_block(core.costs(), job, n_patches as u64);
-            core.charge_block(&block.repeat(geom.k as u64));
-        }
         Ctx::Mem(_) => {
             for k in 0..geom.k {
                 let wrow = job.conv.bufs.weights + (k * nz) as u32;
                 let krow = job.conv.bufs.offsets + k as u32 * seg_dup;
                 channel_sparse_isa(core, ctx, job, mode, pos, n_patches, buf, k, wrow, krow);
             }
+        }
+        _ => {
+            // Uniform channels: one repeated block per pair.
+            let block = channel_block(core.costs(), job, n_patches as u64);
+            core.charge_block(&block.repeat(geom.k as u64));
         }
     }
 }

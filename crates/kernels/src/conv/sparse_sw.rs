@@ -15,10 +15,9 @@
 //!   2-bit offsets arrive with a single byte load). Peak 0.35.
 
 use super::{
-    drive_conv, drive_conv_batch, sparse_table, BatchInner, BatchRun, ConvJob, DecimProgram,
-    EPILOGUE_ALU,
+    drive_conv, drive_conv_batch, sparse_table, BatchRun, ConvJob, DecimProgram, EPILOGUE_ALU,
 };
-use crate::bulk::{conv_pair_outputs, loop_scaffold, nm_gather_dot, offsets_len};
+use crate::bulk::{loop_scaffold, nm_gather_dot, offsets_len};
 use crate::stats::{Ctx, KernelStats};
 use nm_core::format::OffsetLayout;
 use nm_core::sparsity::Nm;
@@ -99,7 +98,8 @@ pub fn conv_sparse_sw_prepared(
         ctx,
         &job.conv,
         cluster,
-        sw_channel_loop(job, t.table.as_deref(), t.in_range, t.seg),
+        t.gather(job),
+        sw_channel_loop(job, t.seg),
     ))
 }
 
@@ -122,51 +122,39 @@ pub fn conv_sparse_sw_prepared_batch(
     inputs: &[&[i8]],
 ) -> Result<BatchRun> {
     let t = sparse_table(ctx, job, OffsetLayout::Plain, program)?;
-    let inner = t.table.as_deref().map(|table| BatchInner::Sparse {
-        nz: job.nz_per_channel(),
-        table,
-        in_range: t.in_range,
-    });
     drive_conv_batch(
         &format!("conv-sparse-sw-{}", job.nm),
         ctx,
         &job.conv,
         cluster,
         inputs,
-        inner,
-        sw_channel_loop(job, t.table.as_deref(), t.in_range, t.seg),
+        t.gather(job),
+        sw_channel_loop(job, t.seg),
     )
 }
 
 /// The software kernel's channel loop over one position pair, shared by
-/// the single-run and batch-major entry points.
-fn sw_channel_loop<'a>(
-    job: &'a SparseConvJob,
-    table: Option<&'a [u32]>,
-    in_range: bool,
+/// the single-run and batch-major entry points: per channel on the
+/// reference walk, one repeated block on the analytic walk. The bulk
+/// tier computes through the lane sweep instead.
+fn sw_channel_loop(
+    job: &SparseConvJob,
     seg: u32,
-) -> impl FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32) + 'a {
+) -> impl FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32) + '_ {
     let geom = job.conv.geom;
     let nz = job.nz_per_channel();
-    let mut outs = Vec::new(); // reused per pair by the bulk arm
     move |core, ctx, pos, n_patches, buf| match ctx.path() {
-        Ctx::MemBulk(mem) => {
-            let table = table.expect("table built for the bulk path");
-            conv_pair_outputs(
-                mem, &job.conv, nz, table, in_range, pos, n_patches, buf, &mut outs,
-            );
-        }
-        Ctx::Analytic => {
-            // Uniform channels: one repeated block per pair.
-            let block = channel_block(core.costs(), job, n_patches as u64);
-            core.charge_block(&block.repeat(geom.k as u64));
-        }
         Ctx::Mem(_) => {
             for k in 0..geom.k {
                 let wrow = job.conv.bufs.weights + (k * nz) as u32;
                 let krow = job.conv.bufs.offsets + k as u32 * seg;
                 channel_sparse_sw(core, ctx, job, pos, n_patches, buf, k, wrow, krow);
             }
+        }
+        _ => {
+            // Uniform channels: one repeated block per pair.
+            let block = channel_block(core.costs(), job, n_patches as u64);
+            core.charge_block(&block.repeat(geom.k as u64));
         }
     }
 }

@@ -32,14 +32,17 @@
 //!   ([`Im2colCharges::pair`]; positions sharing a padding class share
 //!   one [`InstrBlock`]), so cycles, instret and per-class counts match
 //!   the reference *by construction*.
-//! * **Movement is uncharged.** The bulk compute walk rebuilds each
-//!   position pair's buffers with the crate-private `build_patches`:
-//!   the same `row_split` rows as the reference, one fill or up to
-//!   pad-fill / contiguous copy / pad-fill per row, on one borrow of the
-//!   raw scratchpad bytes. Every buffer holds the reference's bytes when
-//!   the channel loop reads it. The im2col-only engine workload, whose
-//!   buffers nothing reads, builds only each core's final patches — the
-//!   state the reference leaves behind.
+//! * **Movement is uncharged.** The conv sweep never reads the
+//!   scratchpad's im2col buffers: the crate-private `patch_lanes` builds
+//!   each 8-lane chunk's patches straight from the requests' inputs,
+//!   lane-transposed, from the same `row_split` rows as the reference.
+//!   A single run, and the im2col-only engine workload, then build only
+//!   each core's final patches with the crate-private `build_patches`
+//!   (one fill or up to pad-fill / contiguous copy / pad-fill per row,
+//!   on one borrow of the raw scratchpad bytes), so the scratchpad ends
+//!   in the state the reference leaves behind. The per-channel mixed
+//!   kernels' compute walk rebuilds each position pair's buffers with
+//!   `build_patches` before its channel loop reads them.
 //!
 //! The parity suite (`tests/bulk_parity.rs`) enforces bit-exact buffers
 //! and exact statistics for strided, padded (including `pad >= fx`),
@@ -120,43 +123,136 @@ fn row_split(geom: &ConvGeom, oy: usize, ox: usize, ky: usize) -> RowSplit {
     }
 }
 
-/// Builds the *transposed* im2col patch block for output position `pos`
-/// across `NR` batch request inputs: element `i` of request `r`'s patch
-/// lands at `dst[i * NR + r]` (`dst.len() == patch_len() * NR`).
-/// Host-side data movement only — the batch sweep
-/// (`conv::drive_conv_batch`) uses this layout so each gathered patch
-/// element is contiguous across requests and the request-inner dot loop
-/// vectorizes at a compile-time width. Row decomposition goes through
-/// the same [`row_split`] as every other im2col consumer, so the
-/// per-request bytes are exactly what a per-request materialization
-/// would produce.
-pub(crate) fn patch_transposed<const NR: usize>(
-    geom: &ConvGeom,
-    inputs: &[&[i8]; NR],
-    pos: usize,
-    dst: &mut [u8],
-) {
-    let c = geom.c;
-    let row_bytes = geom.fx * c;
-    debug_assert_eq!(dst.len(), geom.patch_len() * NR);
-    let (oy, ox) = (pos / geom.ox(), pos % geom.ox());
-    for ky in 0..geom.fy {
-        let s = row_split(geom, oy, ox, ky);
-        let base = ky * row_bytes;
-        let Some(y) = s.y else {
-            dst[base * NR..(base + row_bytes) * NR].fill(0);
-            continue;
-        };
-        let (left, span) = (s.left * c, s.span * c);
-        dst[base * NR..(base + left) * NR].fill(0);
-        dst[(base + left + span) * NR..(base + row_bytes) * NR].fill(0);
-        let src0 = (y * geom.ix + s.x) * c;
-        let span_dst = &mut dst[(base + left) * NR..(base + left + span) * NR];
-        for (r, input) in inputs.iter().enumerate() {
-            let src = &input[src0..src0 + span];
-            for (i, &v) in src.iter().enumerate() {
-                span_dst[i * NR + r] = v as u8;
+/// Lanes per [`patch_lanes`] block: the conv sweep's width.
+const LANES: usize = crate::bulk::SWEEP_WIDTH;
+
+/// Builds the lane-transposed im2col block of one conv sweep chunk:
+/// lane `j` is `lanes[j] = (input, flat output position)`, and element
+/// `i` of its patch lands at `dst[i * 8 + j]` (`dst` holds 8 entries per
+/// patch element), sign-extended to `i16`, so each gathered patch
+/// element is one 16-byte row across lanes and the sweep's dot runs at a
+/// compile-time width. Host-side data movement only. Row decomposition
+/// goes through the same [`row_split`] as every other im2col consumer,
+/// so each lane holds exactly the bytes `build_patches` writes for its
+/// (input, position).
+///
+/// Each patch row is one 8×8 byte transpose per 8 bytes
+/// ([`transpose_lanes`]) of the 8 lanes' rows. When every lane's first
+/// and last patch rows are whole in-bounds spans — every chunk of the
+/// executor's pre-padded (`pad = 0`) tiles — all its rows are, one input
+/// row apart, and the transpose reads them straight from the inputs.
+/// Otherwise (padded direct kernel calls, at the edges) each lane's row
+/// is first staged with its zero padding. Input reads are bounds-checked
+/// slices; an empty span reads nothing.
+pub(crate) fn patch_lanes(geom: &ConvGeom, lanes: &[(&[i8], usize); LANES], dst: &mut [i16]) {
+    let (c, ox_total) = (geom.c, geom.ox());
+    let row = geom.fx * c;
+    assert_eq!(dst.len(), geom.patch_len() * LANES, "one block of 8 lanes");
+    let yx = lanes.map(|(_, pos)| (pos / ox_total, pos % ox_total));
+    let top = yx.map(|(oy, ox)| row_split(geom, oy, ox, 0));
+    let whole = |s: &RowSplit| s.y.is_some() && s.span == geom.fx;
+    let interior = top
+        .iter()
+        .zip(&yx)
+        .all(|(s, &(oy, ox))| whole(s) && whole(&row_split(geom, oy, ox, geom.fy - 1)));
+    let mut stage = if interior {
+        Vec::new()
+    } else {
+        vec![0i8; LANES * row]
+    };
+    for (ky, dst) in dst.chunks_exact_mut(row * LANES).enumerate() {
+        for ((lane, &(oy, ox)), &(input, _)) in stage.chunks_exact_mut(row).zip(&yx).zip(lanes) {
+            let s = row_split(geom, oy, ox, ky);
+            let span = span_bytes(geom, input, &s);
+            lane.fill(0);
+            lane[s.left * c..][..span.len()].copy_from_slice(span);
+        }
+        let src = core::array::from_fn(|j| {
+            if interior {
+                let (s, input) = (&top[j], lanes[j].0);
+                let start = ((s.y.unwrap_or(0) + ky) * geom.ix + s.x) * c;
+                &input[start..start + row]
+            } else {
+                &stage[j * row..(j + 1) * row]
             }
+        });
+        transpose_lanes(&src, dst);
+    }
+}
+
+/// The input bytes of a row's in-bounds span (empty for a vertical-pad
+/// row or an empty span, without indexing the input).
+fn span_bytes<'a>(geom: &ConvGeom, input: &'a [i8], s: &RowSplit) -> &'a [i8] {
+    match s.y {
+        Some(y) if s.span > 0 => {
+            let start = (y * geom.ix + s.x) * geom.c;
+            &input[start..start + s.span * geom.c]
+        }
+        _ => &[],
+    }
+}
+
+/// Interleaves 8 equal-length byte rows, sign-extended: `dst[i * 8 + j]
+/// = src[j][i]`. On x86-64, rows of 8 bytes or more go through SSE2 8×8
+/// transposes (a ragged tail re-transposes the last 8 columns, rewriting
+/// identical values); shorter rows, and other targets, take the scalar
+/// scatter.
+fn transpose_lanes(src: &[&[i8]; LANES], dst: &mut [i16]) {
+    let n = dst.len() / LANES;
+    assert!(src.iter().all(|s| s.len() == n), "equal-length lane rows");
+    #[cfg(target_arch = "x86_64")]
+    if n >= 8 {
+        for at in (0..n).step_by(8) {
+            let at = at.min(n - 8);
+            let rows = src.map(|s| &s[at..at + 8]);
+            transpose8x8(&rows, &mut dst[at * LANES..(at + 8) * LANES]);
+        }
+        return;
+    }
+    for (j, s) in src.iter().enumerate() {
+        for (d, &v) in dst[j..].iter_mut().step_by(LANES).zip(*s) {
+            *d = i16::from(v);
+        }
+    }
+}
+
+/// One SSE2 8×8 byte transpose, sign-extended: `dst[i * 8 + j] =
+/// rows[j][i]`. Three rounds of interleaves (words, doublewords,
+/// quadwords) leave each pair of columns `2q, 2q + 1` byte-interleaved
+/// in one register, lane-major; arithmetic shifts then split it into
+/// the two columns' `i16` rows without further shuffles.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn transpose8x8(rows: &[&[i8]; LANES], dst: &mut [i16]) {
+    use core::arch::x86_64::*;
+    assert!(rows.iter().all(|r| r.len() == 8) && dst.len() == 64);
+    // SAFETY: SSE2 is part of the x86-64 baseline ABI; each load reads
+    // the 8 bytes of a row and the eight stores write the 128 bytes of
+    // `dst`, all bounds-checked just above.
+    unsafe {
+        let ld = |j: usize| _mm_loadl_epi64(rows[j].as_ptr().cast());
+        // (row, column) at byte 4 * (c / 2) + 2 * (r % 2) + c % 2.
+        let a01 = _mm_unpacklo_epi16(ld(0), ld(1));
+        let a23 = _mm_unpacklo_epi16(ld(2), ld(3));
+        let a45 = _mm_unpacklo_epi16(ld(4), ld(5));
+        let a67 = _mm_unpacklo_epi16(ld(6), ld(7));
+        // Rows 0-3 (b) and 4-7 (c): columns 0-3 (lo) and 4-7 (hi), with
+        // (row, column) at byte 8 * (c / 2 % 2) + 2 * (r % 4) + c % 2.
+        let (b_lo, b_hi) = (_mm_unpacklo_epi32(a01, a23), _mm_unpackhi_epi32(a01, a23));
+        let (c_lo, c_hi) = (_mm_unpacklo_epi32(a45, a67), _mm_unpackhi_epi32(a45, a67));
+        // Columns 2q and 2q + 1 with (row, column) at byte 2 * r + c % 2.
+        let pairs = [
+            _mm_unpacklo_epi64(b_lo, c_lo),
+            _mm_unpackhi_epi64(b_lo, c_lo),
+            _mm_unpacklo_epi64(b_hi, c_hi),
+            _mm_unpackhi_epi64(b_hi, c_hi),
+        ];
+        let out = dst.as_mut_ptr();
+        for (q, pair) in pairs.into_iter().enumerate() {
+            let even = _mm_srai_epi16::<8>(_mm_slli_epi16::<8>(pair));
+            let odd = _mm_srai_epi16::<8>(pair);
+            _mm_storeu_si128(out.add(16 * q).cast(), even);
+            _mm_storeu_si128(out.add(16 * q + 8).cast(), odd);
         }
     }
 }
@@ -583,6 +679,68 @@ mod tests {
                 pos += n;
             }
             assert_eq!(fast.stats(), reference.stats(), "geom {g:?} stats");
+        }
+    }
+
+    /// `patch_lanes` must hold, lane by lane, the bytes `build_patches`
+    /// writes for the same (input, position): on the padding-class grid,
+    /// on DS-CNN's C = 1 stem (4-byte patch rows) padded and as the
+    /// executor's pre-padded tile, and for lane sets that are uniform,
+    /// straddle an output-row edge or a request boundary, or repeat
+    /// their last lane — plus every chunk a two-request sweep forms.
+    #[test]
+    fn patch_lanes_match_build_patches() {
+        let mut geoms = geom_grid();
+        geoms.extend([
+            ConvGeom::square(8, 4, 7, 3, 2, 1).unwrap(), // strided, odd positions
+            ConvGeom::square(8, 2, 4, 3, 1, 3).unwrap(), // pad >= fx
+            ConvGeom::square(8, 4, 6, 1, 1, 0).unwrap(), // pointwise
+            ConvGeom::new(8, 3, 3, 6, 3, 3, 1, 0).unwrap(), // ox == 1
+            ConvGeom::square(8, 2, 9, 2, 3, 1).unwrap(), // stride > fx
+            ConvGeom::new(1, 64, 10, 49, 4, 10, 2, 2).unwrap(), // DS-CNN stem
+            ConvGeom::new(1, 64, 14, 53, 4, 10, 2, 0).unwrap(), // its tile
+        ]);
+        for g in geoms {
+            let positions = g.oy() * g.ox();
+            let inputs: Vec<Vec<i8>> = (0..2u64)
+                .map(|r| crate::testdata::random_data(g.input_elems(), 5 + r))
+                .collect();
+            // Each lane's expected patch: staged alone, built alone.
+            let patch = |r: usize, pos: usize| {
+                let mut l1 = Scratchpad::new("l1", 64 * 1024);
+                let input = l1.alloc(g.input_elems(), 4).unwrap();
+                let buf = l1.alloc(g.patch_len(), 4).unwrap();
+                crate::layout::copy_i8_to_bytes(
+                    l1.slice_mut(input, g.input_elems()).unwrap(),
+                    &inputs[r],
+                );
+                build_patches(&mut l1, &g, input, buf, pos, 1);
+                l1.slice(buf, g.patch_len()).unwrap().to_vec()
+            };
+            // Lanes `first..first + live` of the two requests' positions,
+            // the dead ones repeating the last.
+            let lane_sets = [
+                (0, LANES),                           // uniform start
+                (g.ox().saturating_sub(3), LANES),    // output-row edge
+                (positions.saturating_sub(3), LANES), // request boundary
+                (0, 3),                               // repeated last lane
+            ];
+            let chunks = (0..2 * positions)
+                .step_by(LANES)
+                .map(|first| (first, (2 * positions - first).min(LANES)));
+            let mut dst = vec![0i16; g.patch_len() * LANES];
+            for (first, live) in lane_sets.into_iter().chain(chunks) {
+                let lane: [(usize, usize); LANES] = core::array::from_fn(|j| {
+                    let l = (first + j.min(live - 1)).min(2 * positions - 1);
+                    (l / positions, l % positions)
+                });
+                let lanes = lane.map(|(r, pos)| (inputs[r].as_slice(), pos));
+                patch_lanes(&g, &lanes, &mut dst);
+                for (j, &(r, pos)) in lane.iter().enumerate() {
+                    let got: Vec<u8> = dst[j..].iter().step_by(LANES).map(|&v| v as u8).collect();
+                    assert_eq!(got, patch(r, pos), "{g:?} lanes {first}+{live}, lane {j}");
+                }
+            }
         }
     }
 

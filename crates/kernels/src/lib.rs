@@ -15,10 +15,13 @@
 //!   (verified against [`mod@reference`]) while counting cycles.
 //! * **Bulk** ([`Ctx::MemBulk`], [`ExecTier::Bulk`]): the same outputs
 //!   from zero-copy scratchpad slices, several times faster. Bulk arms
-//!   only move data and write outputs; they never charge. A kernel
-//!   called on this context returns the statistics of its own analytic
-//!   pass, which the drivers run once after the compute pass, so they
-//!   are bit- and cycle-identical to the reference.
+//!   only move data and write outputs; they never charge. The four
+//!   uniform conv families compute through one 8-lane sweep whose lanes
+//!   are (request, output position) pairs, so a single run, a batch of
+//!   one, fills its lanes with its own positions. A kernel called on
+//!   this context returns the statistics of its own analytic pass,
+//!   which the drivers run once after the compute pass, so they are
+//!   bit- and cycle-identical to the reference.
 //! * **Analytic** ([`Ctx::Analytic`]): no memory traffic and no
 //!   outputs. Analytic arms are the only charge sites outside the
 //!   reference: each kernel unit charges one [`nm_isa::InstrBlock`] —

@@ -359,29 +359,29 @@ fn conv_sparse_isa_bulk_parity() {
     }
 }
 
-/// Geometries stressing the incremental bulk im2col: column reuse along
-/// a row (stride < fx), none at all (stride > fx, ox == 1, pointwise),
-/// and padding classes up to fully padded edges (pad >= fx). C = 8 keeps
-/// `patch_len` a multiple of 8 so the same grid serves the 1:8 sparse
-/// kernels.
-fn incremental_im2col_geoms() -> Vec<ConvGeom> {
+/// Geometries covering the im2col padding classes: overlapping patches
+/// (stride < fx), disjoint ones (stride > fx, ox == 1, pointwise), and
+/// padded edges up to fully padded rows (pad >= fx), where the lane
+/// sweep's rows split differently per lane. C = 8 keeps `patch_len` a
+/// multiple of 8 so the same grid serves the 1:8 sparse kernels.
+fn padding_class_geoms() -> Vec<ConvGeom> {
     vec![
         ConvGeom::square(8, 4, 7, 3, 2, 1).unwrap(), // strided, odd positions
         ConvGeom::square(8, 2, 4, 3, 1, 3).unwrap(), // pad >= fx: fully padded edges
         ConvGeom::square(8, 4, 6, 1, 1, 0).unwrap(), // pointwise: whole-row copies
-        ConvGeom::new(8, 3, 3, 6, 3, 3, 1, 0).unwrap(), // ox == 1: no horizontal reuse
+        ConvGeom::new(8, 3, 3, 6, 3, 3, 1, 0).unwrap(), // ox == 1: a single column
         ConvGeom::square(8, 2, 9, 2, 3, 1).unwrap(), // stride > fx: disjoint patches
     ]
 }
 
-/// The incremental bulk im2col must stay bit-exact and stat-exact for
-/// every conv kernel on the reuse/no-reuse/padded geometry grid —
-/// including under the stalled cost model (exercised by
-/// `assert_full_parity`) and through the per-channel mixed kernel.
+/// Single runs must stay bit-exact and stat-exact for every conv kernel
+/// on the padding-class geometry grid — including under the stalled
+/// cost model (exercised by `assert_full_parity`) and through the
+/// per-channel mixed kernel.
 #[test]
-fn conv_incremental_im2col_parity() {
+fn conv_padding_class_parity() {
     let nm = Nm::ONE_OF_EIGHT;
-    for geom in incremental_im2col_geoms() {
+    for geom in padding_class_geoms() {
         let input = random_data(geom.input_elems(), 73);
         let dense = random_data(geom.weight_elems(), 79);
         let rq = Requant::for_dot_len(geom.patch_len());
@@ -466,7 +466,7 @@ fn conv_incremental_im2col_parity() {
 /// their buffers on either path).
 #[test]
 fn im2col_only_bulk_parity() {
-    for geom in incremental_im2col_geoms() {
+    for geom in padding_class_geoms() {
         let input = random_data(geom.input_elems(), 83);
         let weights = random_data(geom.weight_elems(), 89);
         let mut l1 = Scratchpad::new("l1", 512 * 1024);
@@ -702,8 +702,8 @@ fn compiled_executor_bulk_parity() {
         );
     }
 
-    // A strided, heavily padded conv exercises the incremental im2col's
-    // padding classes through the executor's tiling too.
+    // A strided, heavily padded conv exercises the im2col padding
+    // classes through the executor's tiling too.
     let mut cw = random_i8(4 * 3 * 3 * 8, 73);
     make_exact_nm(&mut cw, 4, 3 * 3 * 8, nm);
     let conv = ConvLayer::new(
