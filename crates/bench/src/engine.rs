@@ -112,9 +112,33 @@ pub struct EngineRow {
     pub sim_cycles: u64,
 }
 
+/// The host a report was measured on: thread-dependent rows mean
+/// little without it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Host {
+    /// `std::thread::available_parallelism` (1 when it cannot be read).
+    pub available_parallelism: usize,
+    /// Worker threads per layer call of the `net-*` rows' prepared
+    /// graphs: their default `host_threads = 0`, resolved. The serve
+    /// rows run at 1.
+    pub host_threads: usize,
+}
+
+impl Host {
+    /// Reads the current host.
+    pub fn detect() -> Host {
+        Host {
+            available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            host_threads: Options::new(Target::SparseIsa).resolved_host_threads(),
+        }
+    }
+}
+
 /// A kernel family's measurements across every path.
 #[derive(Debug, Clone)]
 pub struct EngineReport {
+    /// The host the rows were measured on.
+    pub host: Host,
     /// Rows in [`Path::ALL`] order per kernel.
     pub rows: Vec<EngineRow>,
 }
@@ -138,6 +162,7 @@ impl EngineReport {
     /// Panics if `reports` is empty.
     pub fn best_of(reports: Vec<EngineReport>) -> EngineReport {
         assert!(!reports.is_empty(), "at least one report");
+        let host = reports[0].host;
         let mut rows: Vec<EngineRow> = Vec::new();
         for report in reports {
             for r in report.rows {
@@ -154,7 +179,7 @@ impl EngineReport {
                 }
             }
         }
-        EngineReport { rows }
+        EngineReport { host, rows }
     }
 
     /// Bulk-over-reference wall-clock speedup for `kernel`.
@@ -184,6 +209,10 @@ impl EngineReport {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"benchmark\": \"engine-throughput\",\n");
         out.push_str("  \"unit\": \"simulated dense-equivalent MACs per wall-clock second\",\n");
+        out.push_str(&format!(
+            "  \"host\": {{\"available_parallelism\": {}, \"host_threads\": {}}},\n",
+            self.host.available_parallelism, self.host.host_threads
+        ));
         out.push_str("  \"rows\": [\n");
         for (i, r) in self.rows.iter().enumerate() {
             out.push_str(&format!(
@@ -836,7 +865,10 @@ pub fn run_suite_filtered(reps: u32, filter: Option<&str>) -> EngineReport {
             "workload {name} produced rows under a different kernel name"
         );
     }
-    EngineReport { rows }
+    EngineReport {
+        host: Host::detect(),
+        rows,
+    }
 }
 
 #[cfg(test)]
@@ -969,6 +1001,7 @@ mod tests {
     #[test]
     fn best_of_merges_ragged_and_reordered_reps() {
         let rep1 = EngineReport {
+            host: Host::detect(),
             rows: vec![
                 row("a", Path::Reference, 10.0),
                 row("a", Path::Bulk, 100.0),
@@ -976,6 +1009,7 @@ mod tests {
             ],
         };
         let rep2 = EngineReport {
+            host: Host::detect(),
             rows: vec![
                 // Reordered relative to rep1, and missing "only-in-1".
                 row("a", Path::Bulk, 150.0),

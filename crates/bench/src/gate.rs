@@ -298,8 +298,12 @@ mod tests {
     /// MACs/s.)
     #[test]
     fn parse_to_json_parse_round_trips() {
-        use crate::engine::{EngineReport, EngineRow};
+        use crate::engine::{EngineReport, EngineRow, Host};
         let original = EngineReport {
+            host: Host {
+                available_parallelism: 2,
+                host_threads: 2,
+            },
             rows: vec![
                 EngineRow {
                     kernel: "fc-x".into(),
@@ -326,6 +330,7 @@ mod tests {
         // Rebuild an EngineReport from the parsed rows (Path survives
         // the name round-trip) and emit again: same gate rows.
         let rebuilt = EngineReport {
+            host: original.host,
             rows: parsed
                 .iter()
                 .map(|r| EngineRow {
@@ -340,6 +345,50 @@ mod tests {
                 .collect(),
         };
         assert_eq!(parse_rows(&rebuilt.to_json()).unwrap(), parsed);
+    }
+
+    /// An engine report opens with the host it was measured on, one
+    /// object before `"rows"`: the parser skips it and still reads every
+    /// row, from a live report and from the checked-in snapshot.
+    #[test]
+    fn parse_rows_reads_rows_after_the_host_object() {
+        use crate::engine::{EngineReport, EngineRow, Host};
+        let host = Host {
+            available_parallelism: 3,
+            host_threads: 3,
+        };
+        let report = EngineReport {
+            host,
+            rows: vec![EngineRow {
+                kernel: "fc-x".into(),
+                path: Path::Bulk,
+                reps: 1,
+                wall_s: 1.0,
+                dense_macs: 5,
+                sim_macs_per_sec: 5.0,
+                sim_cycles: 1,
+            }],
+        };
+        let json = report.to_json();
+        let (host_at, rows_at) = (
+            json.find("\"host\": {").unwrap(),
+            json.find("\"rows\"").unwrap(),
+        );
+        assert!(host_at < rows_at, "host precedes rows:\n{json}");
+        assert!(json.contains("\"host\": {\"available_parallelism\": 3, \"host_threads\": 3}"));
+        assert_eq!(parse_rows(&json).unwrap(), report_rows(&report));
+        let snapshot = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_engine.json"
+        ))
+        .expect("checked-in snapshot");
+        let host_at = snapshot.find("\"host\": {\"available_parallelism\": ");
+        assert!(host_at.is_some_and(|h| h < snapshot.find("\"rows\"").unwrap()));
+        assert_eq!(
+            parse_rows(&snapshot).unwrap().len(),
+            3 * 11 + 2 * 8,
+            "kernel rows on 3 paths, network and serve rows on 2"
+        );
     }
 
     /// The checked-in snapshot carries the serving rows, and batching
@@ -364,21 +413,20 @@ mod tests {
         // Both wins are structural, so both families must show a real
         // gain, not merely avoid regressing. The MLP family runs a
         // batch through each Linear tile as one token stream (tile
-        // weights stage once per batch — ~1.15× measured). The conv
-        // family runs batch-major (`BatchPlan::ConvBatchMajor`): each
-        // tile's packed weights and decimation table are
-        // staged/validated once per batch, every request shares the
-        // tile's one analytic pass (its statistics are
-        // input-value-independent), and — the larger share — the
-        // requests run request-inner through the transposed-patch
-        // sweep, loading each weight byte and gather index once for
-        // eight requests' multiply-adds (~1.8× measured at b16). The floors sit well below the measured
-        // gains so the swings observed between best-of refreshes cannot
-        // trip them, while losing the batch-major win (per-request
-        // restaging, re-charging, or a sweep that degenerates to
-        // per-request walks) drops the ratio toward ~1.0 and fails.
-        // `BatchPlan` only reports the sharing; these ratios are what
-        // prove it happens.
+        // weights stage once per batch; ~3.5× at the snapshot). The
+        // conv family runs batch-major (`BatchPlan::ConvBatchMajor`).
+        // Batch 1 runs the same 16-lane conv sweep as a batch (a lone
+        // request fills the lanes with its own output positions), so a
+        // batch shares three things: each tile's weight staging (packed
+        // weights and decimation table staged and validated once), one
+        // analytic pass per tile (statistics are
+        // input-value-independent), and, in tiles with fewer output
+        // positions than lanes, chunks whose lanes span requests
+        // (~1.12× at b16 in the snapshot). The floors sit below the
+        // measured gains, while losing the batch-major win (per-request
+        // restaging or re-charging) drops the ratio toward ~1.0 and
+        // fails. `BatchPlan` only reports the sharing; these ratios are
+        // what prove it happens.
         for (family, floor) in [("net-serve-resnet18", 1.10), ("net-serve-mlp", 1.05)] {
             for b in [1, 4, 16] {
                 let kernel = format!("{family}-b{b}");

@@ -69,6 +69,18 @@ impl Options {
         }
     }
 
+    /// Worker threads per layer call: [`Options::host_threads`], with `0`
+    /// resolved to the host's available parallelism (1 when it cannot be
+    /// read). [`crate::prepack::PreparedGraph`] resolves it once, at
+    /// prepare: the lookup reads cgroup files and costs tens of
+    /// microseconds.
+    pub fn resolved_host_threads(&self) -> usize {
+        match self.host_threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        }
+    }
+
     /// The cluster implied by the options.
     ///
     /// # Panics

@@ -212,9 +212,8 @@ pub struct PreparedGraph<'g> {
     /// one out for the duration of their item batch and the pool resets
     /// it on checkin, so every checkout observes the fresh state.
     pool: ScratchpadPool,
-    /// Worker threads per layer call: [`Options::host_threads`] with `0`
-    /// resolved to the host parallelism once, at prepare time (the
-    /// lookup reads cgroup files and costs tens of microseconds).
+    /// Worker threads per layer call
+    /// ([`Options::resolved_host_threads`], resolved once at prepare).
     threads: usize,
 }
 
@@ -239,7 +238,7 @@ impl<'g> PreparedGraph<'g> {
             graph: GraphRef::Borrowed(graph),
             opts: *opts,
             pool: ScratchpadPool::new("L1", opts.l1_budget),
-            threads: host_threads(opts),
+            threads: opts.resolved_host_threads(),
         })
     }
 
@@ -258,7 +257,7 @@ impl<'g> PreparedGraph<'g> {
             graph: GraphRef::Shared(graph),
             opts: *opts,
             pool: ScratchpadPool::new("L1", opts.l1_budget),
-            threads: host_threads(opts),
+            threads: opts.resolved_host_threads(),
         })
     }
 
@@ -761,15 +760,6 @@ impl<'g> PreparedGraph<'g> {
 
     fn checkin(&self, mem: Scratchpad) {
         self.pool.checkin(mem);
-    }
-}
-
-/// Worker threads for `opts`: [`Options::host_threads`], with `0`
-/// resolved to the host parallelism.
-fn host_threads(opts: &Options) -> usize {
-    match opts.host_threads {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
     }
 }
 

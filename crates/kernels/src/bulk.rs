@@ -17,12 +17,21 @@
 //! ([`decim_table`]) once per invocation, because the same table is
 //! reused by every chunk of the lane sweep ([`conv_sweep_sparse`]).
 //!
+//! The two lane sweeps — the conv sweep, 16 (request, output position)
+//! lanes per chunk, and the FC token sweep, 8 tokens per chunk — share
+//! one dot ([`lane_dot`]) and one blocked epilogue ([`store_block`]):
+//! output channels run 8 at a time, their lane accumulators are
+//! requantized in SSE2 registers and byte-transposed, and each live lane
+//! takes one 8-byte store.
+//!
 //! The gathers index their activation windows *unchecked* after a cheap
 //! pre-validation of the packed index stream ([`offsets_below`],
-//! [`u16_indices_below`]) — the only `unsafe` in the crate, each site
-//! carrying its proof obligation next to the validation that discharges
-//! it. Streams that fail validation fall back to the bounds-checked
-//! loops, preserving the original panic behavior.
+//! [`u16_indices_below`]) — the only non-intrinsic `unsafe` in the
+//! crate, each site carrying its proof obligation next to the
+//! validation that discharges it; the other `unsafe` blocks are SSE2
+//! intrinsics over bounds-checked slices. Streams that fail validation
+//! fall back to the bounds-checked loops, preserving the original panic
+//! behavior.
 //!
 //! The baseline formats get the same treatment: [`csr_rows_out`],
 //! [`dcsr_gather_dot`] and [`blockwise_rows_out`] are the closed forms
@@ -688,13 +697,13 @@ pub(crate) fn write_out(mem: &mut nm_platform::Scratchpad, addr: u32, data: &[i8
 /// `inputs` (a batch's requests; a single run is a batch of one) in one
 /// walk. A lane is one (request, output position) pair. The `B·P` lanes
 /// of `B` requests over `P` positions are walked request-major in
-/// [`SWEEP_WIDTH`]-wide chunks, so one request fills a chunk with 8 of
+/// [`CONV_LANES`]-wide chunks, so one request fills a chunk with 16 of
 /// its own positions, and a chunk of a small tile spans several
 /// requests. Per chunk the lane-transposed patch block
 /// ([`crate::im2col::patch_lanes`]) makes each decimation-table entry's
 /// activations contiguous across lanes, so every weight byte and table
 /// index is loaded **once** per chunk and feeds all its lanes'
-/// multiply-adds — the 1×2 unrolling's data reuse, 8 patches wide.
+/// multiply-adds — the 1×2 unrolling's data reuse, 16 patches wide.
 ///
 /// Wrapping `i32` accumulation is associative and commutative and the
 /// product multiset per (request, channel, position) is the kernel's, so
@@ -740,8 +749,10 @@ pub(crate) fn conv_sweep_dense(
     sweep_lanes::<false>(mem, job, plen, Tables::Shared(&identity), inputs, out);
 }
 
-/// Lane blocks of up to this many entries live on the stack.
-const STACK_BLOCK: usize = 8 * 1024;
+/// Lane blocks of up to this many entries live on the stack: 16 Ki, so
+/// a 576-element DS-CNN patch block of [`CONV_LANES`] lanes (9,216
+/// entries) stays off the heap.
+const STACK_BLOCK: usize = 16 * 1024;
 
 /// Runs `f` on a zeroed lane block of `len` entries: on the stack up to
 /// [`STACK_BLOCK`], else on the heap. A heap block per call measured
@@ -761,9 +772,9 @@ fn with_lane_block<T: Lane, R>(len: usize, f: impl FnOnce(&mut [T]) -> R) -> R {
 /// when the block is built because every output channel reads each
 /// patch row again.
 trait Lane: Copy + Default {
-    /// A row's 8 lanes as `i16`s.
+    /// 8 consecutive lanes as `i16`s.
     #[cfg(target_arch = "x86_64")]
-    fn load(row: &[Self; SWEEP_WIDTH]) -> core::arch::x86_64::__m128i;
+    fn load(lanes: &[Self; 8]) -> core::arch::x86_64::__m128i;
     /// The lane's activation.
     #[cfg(not(target_arch = "x86_64"))]
     fn value(self) -> i16;
@@ -772,12 +783,12 @@ trait Lane: Copy + Default {
 impl Lane for u8 {
     #[cfg(target_arch = "x86_64")]
     #[inline(always)]
-    fn load(row: &[u8; SWEEP_WIDTH]) -> core::arch::x86_64::__m128i {
+    fn load(lanes: &[u8; 8]) -> core::arch::x86_64::__m128i {
         use core::arch::x86_64::*;
-        // SAFETY: SSE2 is part of the x86-64 baseline ABI; `row` is 8
+        // SAFETY: SSE2 is part of the x86-64 baseline ABI; `lanes` is 8
         // bytes.
         unsafe {
-            let x = _mm_loadl_epi64(row.as_ptr().cast());
+            let x = _mm_loadl_epi64(lanes.as_ptr().cast());
             _mm_srai_epi16::<8>(_mm_unpacklo_epi8(_mm_setzero_si128(), x))
         }
     }
@@ -790,10 +801,10 @@ impl Lane for u8 {
 impl Lane for i16 {
     #[cfg(target_arch = "x86_64")]
     #[inline(always)]
-    fn load(row: &[i16; SWEEP_WIDTH]) -> core::arch::x86_64::__m128i {
-        // SAFETY: SSE2 is part of the x86-64 baseline ABI; `row` is 16
+    fn load(lanes: &[i16; 8]) -> core::arch::x86_64::__m128i {
+        // SAFETY: SSE2 is part of the x86-64 baseline ABI; `lanes` is 16
         // bytes.
-        unsafe { core::arch::x86_64::_mm_loadu_si128(row.as_ptr().cast()) }
+        unsafe { core::arch::x86_64::_mm_loadu_si128(lanes.as_ptr().cast()) }
     }
     #[cfg(not(target_arch = "x86_64"))]
     fn value(self) -> i16 {
@@ -801,8 +812,14 @@ impl Lane for i16 {
     }
 }
 
-/// Lane width of the conv and FC sweeps: one SSE2 register pair of
-/// `i32` accumulators, and the lane-transposed patch row size.
+/// Lanes per chunk of the conv sweep ((request, output position) pairs),
+/// and the row width of its lane-transposed `i16` patch block: two SSE2
+/// registers per row, four `i32x4` accumulators per output channel.
+pub(crate) const CONV_LANES: usize = 2 * SWEEP_WIDTH;
+
+/// Lane width of the FC token sweep (tokens per chunk, one SSE2 register
+/// pair of `i32` accumulators), and the channel block of the
+/// requantize epilogue ([`store_block`]): one 8-byte store per lane.
 pub(crate) const SWEEP_WIDTH: usize = 8;
 
 /// Fewest live tokens per chunk worth padding to [`SWEEP_WIDTH`] in the
@@ -847,10 +864,11 @@ impl Tables<'_> {
 
 /// The chunked lane walk behind [`conv_sweep_sparse`] and
 /// [`conv_sweep_dense`]. A short last chunk repeats its last live lane
-/// and never stores the dead ones; a chunk with at most half its lanes
-/// live runs the 4-lane dot, so a tile with few output positions does
-/// not pay for 8. The fixed widths keep the inner multiply-add at a
-/// compile-time trip count — see [`lane_dot`].
+/// and never stores the dead ones. The dot's width follows the live
+/// lanes: 16 above 8, 8 for 5–8 and 4 for at most 4, so a tile with few
+/// output positions does not pay for 16. The fixed widths keep the
+/// inner multiply-add at a compile-time trip count — see [`lane_dot`];
+/// the outputs leave through [`lane_channels`]' blocked epilogue.
 fn sweep_lanes<const CHECKED: bool>(
     mem: &nm_platform::Scratchpad,
     job: &crate::conv::ConvJob,
@@ -866,45 +884,195 @@ fn sweep_lanes<const CHECKED: bool>(
         .slice(job.bufs.weights, kt * nz)
         .expect("scratchpad is zero-copy");
     let lanes = inputs.len() * positions;
-    with_lane_block::<i16, _>(geom.patch_len() * SWEEP_WIDTH, |patches| {
-        for first in (0..lanes).step_by(SWEEP_WIDTH) {
-            let live = (lanes - first).min(SWEEP_WIDTH);
+    let index = |k: usize| tables.channel(k, nz);
+    with_lane_block::<i16, _>(geom.patch_len() * CONV_LANES, |patches| {
+        for first in (0..lanes).step_by(CONV_LANES) {
+            let live = (lanes - first).min(CONV_LANES);
             // Lane `j`'s (request, position); dead lanes repeat the last.
-            let lane: [(usize, usize); SWEEP_WIDTH] = core::array::from_fn(|j| {
+            let lane: [(usize, usize); CONV_LANES] = core::array::from_fn(|j| {
                 let l = first + j.min(live - 1);
                 (l / positions, l % positions)
             });
             crate::im2col::patch_lanes(geom, &lane.map(|(r, pos)| (inputs[r], pos)), patches);
             let dst = lane.map(|(r, pos)| r * out_elems + pos * kt);
-            let mut store = |k: usize, acc: [i32; SWEEP_WIDTH]| {
-                for (&d, &a) in dst.iter().zip(&acc).take(live) {
-                    out[d + k] = job.requant.apply(a) as u8;
-                }
-            };
-            let channels = values.chunks_exact(nz).enumerate();
-            if live > SWEEP_WIDTH / 2 {
-                for (k, v) in channels {
-                    store(
-                        k,
-                        lane_dot::<CHECKED, 8, _>(v, tables.channel(k, nz), patches),
-                    );
-                }
-            } else {
-                for (k, v) in channels {
-                    store(
-                        k,
-                        lane_dot::<CHECKED, 4, _>(v, tables.channel(k, nz), patches),
-                    );
-                }
+            let (rq, p) = (job.requant, &*patches);
+            match live {
+                9.. => lane_channels::<CHECKED, 16, CONV_LANES, i16>(
+                    values, nz, index, p, rq, &dst, live, 0, out,
+                ),
+                5..=8 => lane_channels::<CHECKED, 8, CONV_LANES, i16>(
+                    values, nz, index, p, rq, &dst, live, 0, out,
+                ),
+                _ => lane_channels::<CHECKED, 4, CONV_LANES, i16>(
+                    values, nz, index, p, rq, &dst, live, 0, out,
+                ),
             }
         }
     });
 }
 
-/// Gathered dot over the first `LANES` (8 or 4) lanes of a transposed
-/// block: `acc[r] = Σ_i w[i] * patches[t[i] * 8 + r]` (wrapping `i32`)
-/// for `r < LANES`, one transposed row per weight feeding every lane;
-/// lanes from `LANES` on stay zero.
+/// The channel loop of one lane block, shared by both sweeps: channel
+/// `c` of `values` (its `nz` weights, `index(c)` its gather rows) runs a
+/// `LANES`-lane [`lane_dot`] over `block`, and lane `j < live` writes
+/// its output byte at `out[dst[j] + k0 + c]`. Every whole group of 8
+/// channels leaves through the blocked epilogue ([`store_block`]); the
+/// channels past the last multiple of 8 are requantized and stored one
+/// byte at a time.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn lane_channels<'t, const CHECKED: bool, const LANES: usize, const W: usize, T: Lane>(
+    values: &[u8],
+    nz: usize,
+    index: impl Fn(usize) -> &'t [u32],
+    block: &[T],
+    requant: Requant,
+    dst: &[usize; W],
+    live: usize,
+    k0: usize,
+    out: &mut [u8],
+) {
+    let whole = values.len() / nz / SWEEP_WIDTH * SWEEP_WIDTH;
+    let mut acc = [[0i32; W]; SWEEP_WIDTH];
+    // One dot call site over every channel, so the dot is inlined once
+    // rather than unrolled 8 times per group.
+    for (c, v) in values.chunks_exact(nz).enumerate() {
+        let a = lane_dot::<CHECKED, LANES, W, T>(v, index(c), block);
+        if c >= whole {
+            for (&d, &a) in dst.iter().zip(&a).take(live) {
+                out[d + k0 + c] = requant.apply(a) as u8;
+            }
+            continue;
+        }
+        acc[c % SWEEP_WIDTH] = a;
+        if c % SWEEP_WIDTH == SWEEP_WIDTH - 1 {
+            store_block::<LANES, W>(requant, &acc, dst, live, k0 + c + 1 - SWEEP_WIDTH, out);
+        }
+    }
+}
+
+/// The blocked requantize epilogue of both lane sweeps: `acc[c][j]` is
+/// channel `k0 + c`'s accumulator in lane `j`, and each live lane `j <
+/// live` gets its 8 output bytes `requant.apply(acc[c][j])` (`c` in
+/// `0..8`) at `out[dst[j] + k0..][..8]`. Dead lanes are never stored.
+///
+/// On x86-64 the requantize runs in SSE2 registers ([`requant_lanes`])
+/// and one byte transpose ([`transpose_bytes`]) turns the 8 channel
+/// registers into per-lane 8-byte rows, so each live lane costs one
+/// 8-byte store instead of 8 scalar requantize-and-store steps.
+#[inline(always)]
+fn store_block<const LANES: usize, const W: usize>(
+    requant: Requant,
+    acc: &[[i32; W]; SWEEP_WIDTH],
+    dst: &[usize; W],
+    live: usize,
+    k0: usize,
+    out: &mut [u8],
+) {
+    debug_assert!(live <= LANES && LANES <= W && W <= CONV_LANES);
+    #[cfg(target_arch = "x86_64")]
+    {
+        let ch: [_; SWEEP_WIDTH] =
+            core::array::from_fn(|c| requant_lanes::<LANES, W>(requant, &acc[c]));
+        let rows = transpose_bytes::<LANES>(&ch);
+        let mut bytes = [0u64; CONV_LANES];
+        // SAFETY: SSE2 is part of the x86-64 baseline ABI; the eight
+        // 16-byte stores fill exactly the 128 bytes of `bytes`.
+        unsafe {
+            for (m, row) in rows.iter().enumerate() {
+                core::arch::x86_64::_mm_storeu_si128(bytes.as_mut_ptr().add(2 * m).cast(), *row);
+            }
+        }
+        for (&d, b) in dst.iter().zip(bytes).take(live) {
+            out[d + k0..d + k0 + SWEEP_WIDTH].copy_from_slice(&b.to_le_bytes());
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    for (j, &d) in dst.iter().enumerate().take(live) {
+        for (c, a) in acc.iter().enumerate() {
+            out[d + k0 + c] = requant.apply(a[j]) as u8;
+        }
+    }
+}
+
+/// [`Requant::apply`] on lanes `0..LANES` of one channel's accumulators,
+/// in SSE2 registers: wrapping bias add (`paddd`), arithmetic shift by
+/// the register count (`psrad`; `Requant::new` rejects shifts of 32 or
+/// more), then `packs_epi32` and `packs_epi16`, whose saturations to
+/// `i16` and then `i8` compose to exactly `clip_i8`. Byte `j` of the
+/// result is lane `j`'s output, for `j < LANES` (and `j < 8` when
+/// `LANES <= 8`).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn requant_lanes<const LANES: usize, const W: usize>(
+    requant: Requant,
+    acc: &[i32; W],
+) -> core::arch::x86_64::__m128i {
+    use core::arch::x86_64::*;
+    assert!(LANES <= W && (W == SWEEP_WIDTH || W == CONV_LANES));
+    // SAFETY: SSE2 is part of the x86-64 baseline ABI; each load reads
+    // one of the `W / 4` 16-byte quarters of `acc`, and quarters 2 and 3
+    // are read only when `LANES > 8`, so `W = 16` (asserted above).
+    unsafe {
+        let bias = _mm_set1_epi32(requant.bias());
+        let shift = _mm_cvtsi32_si128(i32::from(requant.shift()));
+        let q = |i: usize| {
+            let a = _mm_loadu_si128(acc.as_ptr().add(4 * i).cast());
+            _mm_sra_epi32(_mm_add_epi32(a, bias), shift)
+        };
+        let lo = _mm_packs_epi32(q(0), q(1));
+        let hi = if LANES > SWEEP_WIDTH {
+            _mm_packs_epi32(q(2), q(3))
+        } else {
+            lo
+        };
+        _mm_packs_epi16(lo, hi)
+    }
+}
+
+/// Byte transpose of 8 channel registers into lane rows: byte `j` of
+/// `ch[c]` is lane `j`'s output of channel `c`, and qword `j % 2` of
+/// `rows[j / 2]` becomes lane `j`'s 8 channel bytes, for `j < LANES` (8
+/// or 16; rows past `LANES / 2` stay zero). Three rounds of interleaves
+/// (bytes, words, doublewords) per 8 lanes — an 8×8 byte transpose per
+/// half.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn transpose_bytes<const LANES: usize>(
+    ch: &[core::arch::x86_64::__m128i; SWEEP_WIDTH],
+) -> [core::arch::x86_64::__m128i; SWEEP_WIDTH] {
+    use core::arch::x86_64::*;
+    // SAFETY: SSE2 is part of the x86-64 baseline ABI; register
+    // operations only.
+    unsafe {
+        let mut rows = [_mm_setzero_si128(); SWEEP_WIDTH];
+        for h in 0..LANES.div_ceil(SWEEP_WIDTH) {
+            // Channel pairs as 16-bit units, lanes 8h..8h + 8.
+            let pair = |c: usize| {
+                if h == 0 {
+                    _mm_unpacklo_epi8(ch[c], ch[c + 1])
+                } else {
+                    _mm_unpackhi_epi8(ch[c], ch[c + 1])
+                }
+            };
+            let (p01, p23, p45, p67) = (pair(0), pair(2), pair(4), pair(6));
+            // Channels 0-3 (a) and 4-7 (b) as 32-bit units: lanes
+            // 8h..8h + 4 (lo) and 8h + 4..8h + 8 (hi).
+            let (a_lo, a_hi) = (_mm_unpacklo_epi16(p01, p23), _mm_unpackhi_epi16(p01, p23));
+            let (b_lo, b_hi) = (_mm_unpacklo_epi16(p45, p67), _mm_unpackhi_epi16(p45, p67));
+            rows[4 * h] = _mm_unpacklo_epi32(a_lo, b_lo);
+            rows[4 * h + 1] = _mm_unpackhi_epi32(a_lo, b_lo);
+            rows[4 * h + 2] = _mm_unpacklo_epi32(a_hi, b_hi);
+            rows[4 * h + 3] = _mm_unpackhi_epi32(a_hi, b_hi);
+        }
+        rows
+    }
+}
+
+/// Gathered dot over the first `LANES` (4, 8 or 16) lanes of a
+/// transposed block whose rows hold `W` lanes (16 for the conv sweep, 8
+/// for the FC sweep): `acc[r] = Σ_i w[i] * block[t[i] * W + r]`
+/// (wrapping `i32`) for `r < LANES`, one transposed row per weight
+/// feeding every lane; lanes from `LANES` on stay zero.
 ///
 /// The x86-64 path pairs weights through `pmaddwd`, which computes
 /// `w0*a0 + w1*a1` exactly in `i32` (products of two `i8` values stay
@@ -913,22 +1081,22 @@ fn sweep_lanes<const CHECKED: bool>(
 /// reassociates the wrapping-`i32` sum, so the result is bit-identical
 /// to the scalar walk and to [`nm_gather_dot`].
 #[inline(always)]
-fn lane_dot<const CHECKED: bool, const LANES: usize, T: Lane>(
+fn lane_dot<const CHECKED: bool, const LANES: usize, const W: usize, T: Lane>(
     v: &[u8],
     t: &[u32],
-    patches: &[T],
-) -> [i32; SWEEP_WIDTH] {
+    block: &[T],
+) -> [i32; W] {
     debug_assert_eq!(v.len(), t.len());
-    debug_assert!(LANES == 4 || LANES == SWEEP_WIDTH);
+    debug_assert!(matches!(LANES, 4 | 8 | 16) && LANES <= W);
     #[cfg(target_arch = "x86_64")]
     {
-        lane_dot_sse2::<CHECKED, LANES, T>(v, t, patches)
+        lane_dot_sse2::<CHECKED, LANES, W, T>(v, t, block)
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let mut acc = [0i32; SWEEP_WIDTH];
+        let mut acc = [0i32; W];
         for (&wv, &ti) in v.iter().zip(t) {
-            let row = patch_row::<CHECKED>(patches, ti as usize);
+            let row = patch_row::<CHECKED, W, T>(block, ti as usize);
             let w = i16::from(wv as i8);
             for j in 0..LANES {
                 acc[j] = acc[j].wrapping_add(i32::from(w * row[j].value()));
@@ -939,41 +1107,52 @@ fn lane_dot<const CHECKED: bool, const LANES: usize, T: Lane>(
 }
 
 /// [`lane_dot`]'s SSE2 body (baseline on x86-64, no feature detection
-/// needed): each step loads two rows as `i16`s ([`Lane::load`]),
-/// interleaves them per lane, and `pmaddwd`s lanes 0–3 (and, 8 lanes
-/// wide, lanes 4–7) against the broadcast weight pair into one `i32x4`
-/// accumulator per half. Weights arrive 8 to a register, sign-extended
-/// once, and each of its four pairs is broadcast by one `pshufd`.
+/// needed): each step loads two rows as `i16`s ([`Lane::load`], 8 lanes
+/// per register), interleaves them per lane, and `pmaddwd`s every 4
+/// live lanes against the broadcast weight pair into one `i32x4`
+/// accumulator. Weights arrive 8 to a register, sign-extended once, and
+/// each of its four pairs is broadcast by one `pshufd` that feeds all
+/// the lanes: at 16 lanes, both 8-lane halves of each row.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-fn lane_dot_sse2<const CHECKED: bool, const LANES: usize, T: Lane>(
+fn lane_dot_sse2<const CHECKED: bool, const LANES: usize, const W: usize, T: Lane>(
     v: &[u8],
     t: &[u32],
-    patches: &[T],
-) -> [i32; SWEEP_WIDTH] {
+    block: &[T],
+) -> [i32; W] {
     use core::arch::x86_64::*;
-    let row = |i: u32| T::load(patch_row::<CHECKED, T>(patches, i as usize));
+    let row = |i: u32| patch_row::<CHECKED, W, T>(block, i as usize);
+    let half = |r: &[T; W], h: usize| -> __m128i {
+        T::load(r[8 * h..8 * h + 8].try_into().expect("8-lane half row"))
+    };
     let wpair =
         |w0: u8, w1: u8| (u32::from(w1 as i8 as u16) << 16 | u32::from(w0 as i8 as u16)) as i32;
     let whole = v.len() - v.len() % 8;
+    assert!(W == SWEEP_WIDTH || W == CONV_LANES);
     // SAFETY: SSE2 is part of the x86-64 baseline ABI; each weight load
-    // reads one exact 8-byte chunk of `v`.
+    // reads one exact 8-byte chunk of `v`, and the final stores write
+    // the `W / 4` (2 or 4, asserted above) 16-byte quarters of `acc`.
     unsafe {
-        let mut lo = _mm_setzero_si128();
-        let mut hi = _mm_setzero_si128();
-        let mut step = |r0: __m128i, r1: __m128i, w: __m128i| {
-            lo = _mm_add_epi32(lo, _mm_madd_epi16(_mm_unpacklo_epi16(r0, r1), w));
-            if LANES > 4 {
-                hi = _mm_add_epi32(hi, _mm_madd_epi16(_mm_unpackhi_epi16(r0, r1), w));
+        let mut acc4 = [_mm_setzero_si128(); 4];
+        let mut step = |i0: u32, i1: u32, w: __m128i| {
+            let (r0, r1) = (row(i0), row(i1));
+            for h in 0..LANES.div_ceil(8) {
+                let (a, b) = (half(r0, h), half(r1, h));
+                acc4[2 * h] =
+                    _mm_add_epi32(acc4[2 * h], _mm_madd_epi16(_mm_unpacklo_epi16(a, b), w));
+                if LANES > 4 {
+                    acc4[2 * h + 1] =
+                        _mm_add_epi32(acc4[2 * h + 1], _mm_madd_epi16(_mm_unpackhi_epi16(a, b), w));
+                }
             }
         };
         for (v8, t8) in v.chunks_exact(8).zip(t.chunks_exact(8)) {
             let w = _mm_loadl_epi64(v8.as_ptr().cast());
             let w = _mm_srai_epi16::<8>(_mm_unpacklo_epi8(w, w));
-            step(row(t8[0]), row(t8[1]), _mm_shuffle_epi32::<0x00>(w));
-            step(row(t8[2]), row(t8[3]), _mm_shuffle_epi32::<0x55>(w));
-            step(row(t8[4]), row(t8[5]), _mm_shuffle_epi32::<0xAA>(w));
-            step(row(t8[6]), row(t8[7]), _mm_shuffle_epi32::<0xFF>(w));
+            step(t8[0], t8[1], _mm_shuffle_epi32::<0x00>(w));
+            step(t8[2], t8[3], _mm_shuffle_epi32::<0x55>(w));
+            step(t8[4], t8[5], _mm_shuffle_epi32::<0xAA>(w));
+            step(t8[6], t8[7], _mm_shuffle_epi32::<0xFF>(w));
         }
         for (v2, t2) in v[whole..].chunks(2).zip(t[whole..].chunks(2)) {
             // An odd last weight pairs with 0, so pairing its row with
@@ -983,41 +1162,33 @@ fn lane_dot_sse2<const CHECKED: bool, const LANES: usize, T: Lane>(
             } else {
                 (0, t2[0])
             };
-            step(row(t2[0]), row(t1), _mm_set1_epi32(wpair(v2[0], w1)));
+            step(t2[0], t1, _mm_set1_epi32(wpair(v2[0], w1)));
         }
-        let mut acc = [0i32; SWEEP_WIDTH];
-        _mm_storeu_si128(acc.as_mut_ptr().cast(), lo);
-        _mm_storeu_si128(acc.as_mut_ptr().add(4).cast(), hi);
+        let mut acc = [0i32; W];
+        for (q, a) in acc4.iter().enumerate().take(W / 4) {
+            _mm_storeu_si128(acc.as_mut_ptr().add(4 * q).cast(), *a);
+        }
         acc
     }
 }
 
-/// One transposed-patch row (the [`SWEEP_WIDTH`] activations of patch
-/// element `i`), checked or pre-validated unchecked (same contract as
-/// [`at`]).
+/// One transposed-block row (the `W` lane entries of block element
+/// `i`), checked or pre-validated unchecked (same contract as [`at`]).
 #[inline(always)]
-fn patch_row<const CHECKED: bool, T>(patches: &[T], i: usize) -> &[T; SWEEP_WIDTH] {
+fn patch_row<const CHECKED: bool, const W: usize, T>(block: &[T], i: usize) -> &[T; W] {
     if CHECKED {
-        patches[i * SWEEP_WIDTH..(i + 1) * SWEEP_WIDTH]
+        block[i * W..(i + 1) * W]
             .try_into()
             .expect("exact row width")
     } else {
-        debug_assert!(
-            (i + 1) * SWEEP_WIDTH <= patches.len(),
-            "pre-validated row range"
-        );
+        debug_assert!((i + 1) * W <= block.len(), "pre-validated row range");
         // SAFETY: instantiated with `CHECKED = false` only after
         // `table_below` proved every table entry `< patch_len` and the
-        // buffer holds `patch_len * SWEEP_WIDTH` entries (conv sweep),
-        // or after `FcOffsets::below_m` proved every decoded index `< C`
+        // block holds `patch_len * CONV_LANES` entries (conv sweep), or
+        // after `FcOffsets::below_m` proved every decoded index `< C`
         // (or the index is the identity below `C`) and the token block
         // holds `C * SWEEP_WIDTH` entries (`fc_sweep`).
-        unsafe {
-            &*patches
-                .as_ptr()
-                .add(i * SWEEP_WIDTH)
-                .cast::<[T; SWEEP_WIDTH]>()
-        }
+        unsafe { &*block.as_ptr().add(i * W).cast::<[T; W]>() }
     }
 }
 
@@ -1087,9 +1258,11 @@ impl FcOffsets<'_> {
 /// the chunk's tokens; a short last chunk repeats its last token and
 /// never stores the dead lanes), so every weight byte and gather index
 /// is loaded **once** per chunk and feeds 8 tokens' multiply-adds
-/// through [`lane_dot`]. Each channel's offsets are decoded from the staged
-/// stream into an `nz`-entry buffer once per call; no decoded table
-/// outlives it.
+/// through [`lane_dot`]. The channels run 8 at a time: each group's
+/// offsets are decoded from the staged stream into an `8 · nz`-entry
+/// buffer once per call (no decoded table outlives it), and each
+/// chunk's 8 channels leave through the conv sweep's blocked epilogue
+/// ([`store_block`]), tokens as lanes.
 ///
 /// Wrapping `i32` accumulation is associative and commutative and the
 /// product multiset per (token, channel) is the kernel's, so every output
@@ -1155,11 +1328,12 @@ pub(crate) fn fc_sweep(
     });
 }
 
-/// [`fc_sweep`]'s channel loop: per output channel, decode its indices
-/// into the `nz`-entry buffer (the identity when `offsets` is `None`,
-/// the dense case with `nz == C`), then one [`lane_dot`] per token block.
-/// Instantiate `CHECKED = false` only when every decoded index is below
-/// `C` (same contract as [`patch_row`]).
+/// [`fc_sweep`]'s channel loop: per group of up to 8 output channels,
+/// decode their indices into the `8 · nz`-entry buffer (the identity
+/// when `offsets` is `None`, the dense case with `nz == C`), then one
+/// [`lane_channels`] pass per token block. Instantiate `CHECKED = false`
+/// only when every decoded index is below `C` (same contract as
+/// [`patch_row`]).
 fn fc_sweep_channels<const CHECKED: bool>(
     job: &crate::fc::FcJob,
     values: &[u8],
@@ -1170,17 +1344,37 @@ fn fc_sweep_channels<const CHECKED: bool>(
     out: &mut [u8],
 ) {
     let (c, k) = (job.geom.c, job.geom.k);
-    let mut idx: Vec<u32> = (0..nz as u32).collect();
-    for (ch, v) in values.chunks_exact(nz).enumerate() {
+    // Channel `ch` of a group gathers through `idx[ch * stride..][..nz]`:
+    // its own decoded indices, or the one identity walk of the dense
+    // kernel.
+    let (stride, len) = match offsets {
+        Some(_) => (nz, SWEEP_WIDTH * nz),
+        None => (0, nz),
+    };
+    let mut idx: Vec<u32> = (0..len).map(|i| (i % nz) as u32).collect();
+    for (g, group) in values.chunks(SWEEP_WIDTH * nz).enumerate() {
+        let k0 = g * SWEEP_WIDTH;
         if let Some(offsets) = offsets {
-            offsets.decode(ch, &mut idx);
-        }
-        for (chunk, block) in blocks.chunks_exact(c * SWEEP_WIDTH).enumerate() {
-            let acc = lane_dot::<CHECKED, SWEEP_WIDTH, _>(v, &idx, block);
-            let t0 = chunk * SWEEP_WIDTH;
-            for (r, &a) in acc.iter().enumerate().take(n_tokens - t0) {
-                out[(t0 + r) * k + ch] = job.requant.apply(a) as u8;
+            for (ch, idx) in idx.chunks_exact_mut(nz).take(group.len() / nz).enumerate() {
+                offsets.decode(k0 + ch, idx);
             }
+        }
+        let index = |ch: usize| &idx[ch * stride..ch * stride + nz];
+        for (chunk, block) in blocks.chunks_exact(c * SWEEP_WIDTH).enumerate() {
+            let t0 = chunk * SWEEP_WIDTH;
+            let dst: [usize; SWEEP_WIDTH] = core::array::from_fn(|r| (t0 + r) * k);
+            let live = (n_tokens - t0).min(SWEEP_WIDTH);
+            lane_channels::<CHECKED, SWEEP_WIDTH, SWEEP_WIDTH, u8>(
+                group,
+                nz,
+                index,
+                block,
+                job.requant,
+                &dst,
+                live,
+                k0,
+                out,
+            );
         }
     }
 }
@@ -1293,44 +1487,221 @@ mod tests {
 
     #[test]
     fn decim_table_and_lane_dots_match_gather() {
-        let (bits, m, nz, channels) = (4usize, 8usize, 9usize, 3usize);
-        let seg_stride = 12;
-        let mut region = vec![0u8; channels * seg_stride];
-        for k in 0..channels {
-            let entries: Vec<u8> = (0..2 * nz).map(|e| ((e * 5 + k) % m) as u8).collect();
-            let packed = pack(&entries, bits);
-            region[k * seg_stride..k * seg_stride + packed.len()].copy_from_slice(&packed);
-        }
-        let tab = decim_table(&region, channels, seg_stride, nz, bits, m, 0, 2);
-        assert_eq!(tab.len(), channels * nz);
-        assert!(table_below(&tab, nz * m));
-        let act0: Vec<u8> = random_data(nz * m, 3).iter().map(|&v| v as u8).collect();
-        let act1: Vec<u8> = random_data(nz * m, 5).iter().map(|&v| v as u8).collect();
-        for k in 0..channels {
-            let values: Vec<u8> = random_data(nz, k as u64 + 13)
-                .iter()
-                .map(|&v| v as u8)
-                .collect();
-            let seg = &region[k * seg_stride..];
-            let want0 = nm_gather_dot(&values, &act0, seg, bits, m, 0, 2);
-            let want1 = nm_gather_dot(&values, &act1, seg, bits, m, 0, 2);
-            let t = &tab[k * nz..(k + 1) * nz];
-            // Lane 0 holds act0, every other lane act1, as a transposed
-            // block (element `i` of lane `j` at `i * 8 + j`).
-            let mut block = vec![0u8; nz * m * SWEEP_WIDTH];
-            for (i, row) in block.chunks_exact_mut(SWEEP_WIDTH).enumerate() {
-                row.fill(act1[i]);
-                row[0] = act0[i];
+        let (bits, m, channels) = (4usize, 8usize, 3usize);
+        // nz below 8, past a multiple of 8, and DS-CNN's 72 (= 576 / 8).
+        for nz in [5usize, 9, 72] {
+            let seg_stride = offsets_len(2 * nz, bits) + 3;
+            let mut region = vec![0u8; channels * seg_stride];
+            for k in 0..channels {
+                let entries: Vec<u8> = (0..2 * nz).map(|e| ((e * 5 + k) % m) as u8).collect();
+                let packed = pack(&entries, bits);
+                region[k * seg_stride..k * seg_stride + packed.len()].copy_from_slice(&packed);
             }
-            let wide: Vec<i16> = block.iter().map(|&a| i16::from(a as i8)).collect();
-            let mut want = [want1; SWEEP_WIDTH];
-            want[0] = want0;
-            assert_eq!(lane_dot::<true, 8, u8>(&values, t, &block), want);
-            assert_eq!(lane_dot::<false, 8, u8>(&values, t, &block), want);
-            assert_eq!(lane_dot::<false, 8, i16>(&values, t, &wide), want);
-            want[4..].fill(0);
-            assert_eq!(lane_dot::<true, 4, i16>(&values, t, &wide), want);
-            assert_eq!(lane_dot::<false, 4, i16>(&values, t, &wide), want);
+            let tab = decim_table(&region, channels, seg_stride, nz, bits, m, 0, 2);
+            assert_eq!(tab.len(), channels * nz);
+            assert!(table_below(&tab, nz * m));
+            // One activation window per lane.
+            let acts: Vec<Vec<u8>> = (0..CONV_LANES as u64)
+                .map(|j| {
+                    random_data(nz * m, 3 + j)
+                        .iter()
+                        .map(|&v| v as u8)
+                        .collect()
+                })
+                .collect();
+            // Transposed blocks, element `i` of lane `j` at `i * W + j`:
+            // bytes 8 lanes wide (the FC sweep's), `i16` 16 wide (the
+            // conv sweep's).
+            let bytes: Vec<u8> = (0..nz * m)
+                .flat_map(|i| acts[..SWEEP_WIDTH].iter().map(move |a| a[i]))
+                .collect();
+            let wide: Vec<i16> = (0..nz * m)
+                .flat_map(|i| acts.iter().map(move |a| i16::from(a[i] as i8)))
+                .collect();
+            for k in 0..channels {
+                let values: Vec<u8> = random_data(nz, k as u64 + 13)
+                    .iter()
+                    .map(|&v| v as u8)
+                    .collect();
+                let seg = &region[k * seg_stride..];
+                let want: Vec<i32> = acts
+                    .iter()
+                    .map(|a| nm_gather_dot(&values, a, seg, bits, m, 0, 2))
+                    .collect();
+                // The first `lanes` lanes of `want`, the rest zero.
+                fn first<const W: usize>(want: &[i32], lanes: usize) -> [i32; W] {
+                    core::array::from_fn(|j| if j < lanes { want[j] } else { 0 })
+                }
+                let t = &tab[k * nz..(k + 1) * nz];
+                let ctx = format!("nz {nz} channel {k}");
+                assert_eq!(
+                    lane_dot::<true, 8, 8, u8>(&values, t, &bytes),
+                    first(&want, 8),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    lane_dot::<false, 8, 8, u8>(&values, t, &bytes),
+                    first(&want, 8),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    lane_dot::<true, 16, 16, i16>(&values, t, &wide),
+                    first(&want, 16),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    lane_dot::<false, 16, 16, i16>(&values, t, &wide),
+                    first(&want, 16),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    lane_dot::<true, 8, 16, i16>(&values, t, &wide),
+                    first(&want, 8),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    lane_dot::<false, 8, 16, i16>(&values, t, &wide),
+                    first(&want, 8),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    lane_dot::<true, 4, 16, i16>(&values, t, &wide),
+                    first(&want, 4),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    lane_dot::<false, 4, 16, i16>(&values, t, &wide),
+                    first(&want, 4),
+                    "{ctx}"
+                );
+            }
+        }
+    }
+
+    /// Accumulators that probe the requantize's edges at shift `s`: the
+    /// `i32` extremes, 0, ±1, the last values that stay inside `i8`
+    /// after the shift and the first that saturate, plus random ones.
+    fn edge_accumulators(s: u32, seed: u64) -> Vec<i32> {
+        let mut accs = vec![i32::MIN, i32::MAX, 0, 1, -1];
+        for edge in [127i32 << s, 128i32 << s] {
+            for a in [edge, edge.wrapping_add(1), edge.wrapping_sub(1)] {
+                accs.extend([a, a.wrapping_neg()]);
+            }
+        }
+        let noise = random_data(4 * 64, seed);
+        accs.extend(
+            noise
+                .chunks_exact(4)
+                .map(|b| i32::from_le_bytes([b[0] as u8, b[1] as u8, b[2] as u8, b[3] as u8])),
+        );
+        accs
+    }
+
+    // The blocked epilogue must store, lane by lane, exactly what
+    // `Requant::apply` returns: every shift, biases at the `i32`
+    // extremes, accumulators at every saturation edge, at each lane
+    // width the sweeps use, with dead lanes left untouched.
+    #[test]
+    fn store_block_requantizes_like_apply() {
+        fn check<const LANES: usize, const W: usize>(rq: Requant, accs: &[i32], live: usize) {
+            let (k0, stride) = (3usize, 13usize);
+            let dst: [usize; W] = core::array::from_fn(|j| j * stride);
+            for window in 0..accs.len().div_ceil(SWEEP_WIDTH * LANES) {
+                let acc: [[i32; W]; SWEEP_WIDTH] = core::array::from_fn(|c| {
+                    core::array::from_fn(|j| {
+                        let i = window * SWEEP_WIDTH * LANES + c * LANES + j;
+                        if j < LANES {
+                            accs[i % accs.len()]
+                        } else {
+                            0
+                        }
+                    })
+                });
+                let mut out = vec![0xA5u8; W * stride + k0 + SWEEP_WIDTH];
+                store_block::<LANES, W>(rq, &acc, &dst, live, k0, &mut out);
+                for (j, &d) in dst.iter().enumerate() {
+                    for (c, a) in acc.iter().enumerate() {
+                        let want = if j < live { rq.apply(a[j]) as u8 } else { 0xA5 };
+                        assert_eq!(
+                            out[d + k0 + c],
+                            want,
+                            "{rq:?} lane {j} channel {c} acc {}",
+                            a[j]
+                        );
+                    }
+                }
+            }
+        }
+        let random_biases: Vec<i32> = random_data(16, 29)
+            .chunks_exact(4)
+            .map(|b| i32::from_le_bytes([b[0] as u8, b[1] as u8, b[2] as u8, b[3] as u8]))
+            .collect();
+        for shift in 0..32u8 {
+            let accs = edge_accumulators(u32::from(shift), 31 + u64::from(shift));
+            for &bias in [0, 1, -1, i32::MIN, i32::MAX].iter().chain(&random_biases) {
+                let rq = Requant::new(bias, shift).unwrap();
+                check::<16, 16>(rq, &accs, 16);
+                check::<16, 16>(rq, &accs, 9);
+                check::<8, 16>(rq, &accs, 8);
+                check::<8, 16>(rq, &accs, 5);
+                check::<4, 16>(rq, &accs, 3);
+                check::<8, 8>(rq, &accs, 8);
+                check::<8, 8>(rq, &accs, 6);
+            }
+        }
+    }
+
+    // The epilogue's byte transpose: lane `j`'s row holds byte `j` of
+    // every channel register, for 16 and 8 lanes, and an 8×8 transpose
+    // of the 8-lane rows gives back the channel registers.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn transpose_bytes_round_trips() {
+        use core::arch::x86_64::*;
+        let m: Vec<u8> = random_data(8 * 16, 37).iter().map(|&v| v as u8).collect();
+        let load = |b: &[u8]| {
+            let mut x = [0u8; 16];
+            x[..b.len()].copy_from_slice(b);
+            // SAFETY: SSE2 is part of the x86-64 baseline ABI; `x` is 16
+            // bytes.
+            unsafe { _mm_loadu_si128(x.as_ptr().cast()) }
+        };
+        let lane_rows = |rows: &[__m128i; SWEEP_WIDTH]| {
+            let mut bytes = [0u8; 128];
+            for (q, r) in rows.iter().enumerate() {
+                // SAFETY: as above; each store writes 16 of `bytes`' 128.
+                unsafe { _mm_storeu_si128(bytes.as_mut_ptr().add(16 * q).cast(), *r) };
+            }
+            bytes
+        };
+        let ch: [__m128i; SWEEP_WIDTH] = core::array::from_fn(|c| load(&m[16 * c..16 * c + 16]));
+        let rows16 = lane_rows(&transpose_bytes::<16>(&ch));
+        let rows8 = lane_rows(&transpose_bytes::<8>(&ch));
+        for j in 0..16 {
+            for c in 0..8 {
+                assert_eq!(
+                    rows16[8 * j + c],
+                    m[16 * c + j],
+                    "16 lanes: lane {j} channel {c}"
+                );
+                if j < 8 {
+                    assert_eq!(
+                        rows8[8 * j + c],
+                        m[16 * c + j],
+                        "8 lanes: lane {j} channel {c}"
+                    );
+                }
+            }
+        }
+        let again: [__m128i; SWEEP_WIDTH] =
+            core::array::from_fn(|j| load(&rows8[8 * j..8 * j + 8]));
+        let back = lane_rows(&transpose_bytes::<8>(&again));
+        for c in 0..8 {
+            assert_eq!(
+                back[8 * c..8 * c + 8],
+                m[16 * c..16 * c + 8],
+                "round trip, channel {c}"
+            );
         }
     }
 

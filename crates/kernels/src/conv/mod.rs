@@ -418,7 +418,7 @@ fn position_pairs(
 /// On the bulk path no request touches the modeled scratchpad: the lane
 /// sweep (`gather`, see [`crate::bulk::conv_sweep_sparse`]) computes
 /// every request's outputs host-side from its own input bytes, with its
-/// (request, position) lanes walked 8 at a time, through the same
+/// (request, position) lanes walked 16 at a time, through the same
 /// `row_split`-derived im2col decomposition (`crate::im2col::patch_lanes`)
 /// and the same wrapping `i32` product multiset the kernels execute, so
 /// every output byte equals a freshly staged sequential run's. Each
@@ -594,10 +594,10 @@ mod tests {
     fn batch_major_sweep_is_bit_and_cycle_exact() {
         let nm = Nm::ONE_OF_EIGHT;
         let geom = ConvGeom::square(16, 6, 7, 3, 1, 1).unwrap();
-        // 14 requests cover every sweep regime at once: batches 1 and 3
-        // (per-request fallback only), 8 (full chunks only), 12 (one
-        // full 8-wide sweep chunk + a 4-request fallback remainder), 13
-        // and 14 (full chunk + a padded 5- or 6-live chunk).
+        // 49 output positions per request (49 = 3 * 16 + 1), so a batch
+        // of B ends its 16-lane sweep on a chunk of B live lanes: the
+        // 4-lane dot at B = 1 and 3, the 8-lane dot at 8 and the 16-lane
+        // dot at 12, 13 and 14, with chunks spanning requests throughout.
         let inputs: Vec<Vec<i8>> = (0..14u64)
             .map(|r| random_data(geom.input_elems(), 61 + r))
             .collect();
@@ -730,22 +730,36 @@ mod tests {
         }
     }
 
-    // Tiles with fewer output positions than the sweep width: with a 2x2
-    // output one chunk holds the positions of two requests, B = 3 and 5
-    // end on a half-live chunk (the 4-lane dot), and B = 1 runs only
-    // that. Pre-padded and padded (per-lane row) geometries, all four
-    // families: bulk outputs and per-request statistics must equal the
-    // reference's.
+    // Tiles with fewer output positions than the sweep width, so chunks
+    // span requests: output sizes P of 1, 3, 4, 7, 11 and 13 positions
+    // over B in {1, 2, 3, 5, 16, 17} requests leave a last chunk with
+    // every live-lane count from 1 to 16 (the 4-, 8- and 16-lane dots),
+    // and K in {1, 7, 8, 9, 12, 64} puts channels before, at and past
+    // the epilogue's multiples of 8. Pre-padded and padded (per-lane row)
+    // geometries, all four families: bulk outputs and per-request
+    // statistics must equal the reference's.
     #[test]
     fn small_tiles_sweep_across_requests() {
         let nm = Nm::ONE_OF_EIGHT;
         let cluster = Cluster::new(4, CostModel::default());
-        for geom in [
-            ConvGeom::square(8, 6, 4, 3, 1, 0).unwrap(),
-            ConvGeom::square(8, 6, 2, 3, 1, 1).unwrap(),
-        ] {
-            assert_eq!(geom.oy() * geom.ox(), 4);
-            let inputs: Vec<Vec<i8>> = (0..5u64)
+        let batches = [1usize, 2, 3, 5, 16, 17];
+        let grid = [
+            ConvGeom::new(8, 64, 3, 3, 3, 3, 1, 0).unwrap(), // P = 1
+            ConvGeom::new(8, 12, 5, 3, 3, 3, 1, 0).unwrap(), // P = 3
+            ConvGeom::square(8, 9, 4, 3, 1, 0).unwrap(),     // P = 4
+            ConvGeom::new(8, 8, 9, 3, 3, 3, 1, 0).unwrap(),  // P = 7
+            ConvGeom::new(8, 7, 13, 3, 3, 3, 1, 0).unwrap(), // P = 11
+            ConvGeom::new(8, 1, 15, 3, 3, 3, 1, 0).unwrap(), // P = 13
+            ConvGeom::square(8, 12, 2, 3, 1, 1).unwrap(),    // P = 4, padded
+            ConvGeom::new(8, 9, 7, 1, 3, 3, 1, 1).unwrap(),  // P = 7, padded
+        ];
+        let lasts: std::collections::BTreeSet<usize> = grid
+            .iter()
+            .flat_map(|g| batches.map(|b| (b * g.oy() * g.ox() - 1) % 16 + 1))
+            .collect();
+        assert_eq!(lasts.len(), 16, "every live-lane count ends some sweep");
+        for geom in grid {
+            let inputs: Vec<Vec<i8>> = (0..17u64)
                 .map(|r| random_data(geom.input_elems(), 7 + r))
                 .collect();
             let refs: Vec<&[i8]> = inputs.iter().map(Vec::as_slice).collect();
@@ -790,7 +804,7 @@ mod tests {
                     }
                     .unwrap()
                 };
-                for b in [1, 2, 3, 5] {
+                for b in batches {
                     let want = run(&mut Ctx::Mem(&mut base.clone()), &refs[..b]);
                     let got = run(&mut Ctx::MemBulk(&mut base.clone()), &refs[..b]);
                     assert_eq!(got.outputs, want.outputs, "{family} {geom:?} b{b} outputs");
@@ -907,13 +921,13 @@ mod tests {
         }
         let single = t.elapsed().as_secs_f64() / 16.0;
         // (c) lane-transposed patch builds alone (the b16 sweep's chunks:
-        // 8 consecutive lanes of one request each)
-        let positions = geom.oy() * geom.ox();
-        let mut patches = vec![0i16; geom.patch_len() * 8];
+        // 16 consecutive lanes each)
+        let (positions, width) = (geom.oy() * geom.ox(), crate::bulk::CONV_LANES);
+        let mut patches = vec![0i16; geom.patch_len() * width];
         let t = Instant::now();
         for _ in 0..reps {
-            for first in (0..16 * positions).step_by(8) {
-                let lanes: [(&[i8], usize); 8] = core::array::from_fn(|j| {
+            for first in (0..16 * positions).step_by(width) {
+                let lanes: [(&[i8], usize); crate::bulk::CONV_LANES] = core::array::from_fn(|j| {
                     let l = (first + j).min(16 * positions - 1);
                     (refs[l / positions], l % positions)
                 });

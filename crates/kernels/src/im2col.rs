@@ -34,8 +34,10 @@
 //!   the reference *by construction*.
 //! * **Movement is uncharged.** The conv sweep never reads the
 //!   scratchpad's im2col buffers: the crate-private `patch_lanes` builds
-//!   each 8-lane chunk's patches straight from the requests' inputs,
-//!   lane-transposed, from the same `row_split` rows as the reference.
+//!   each 16-lane chunk's patches straight from the requests' inputs,
+//!   lane-transposed (two 8×8 byte transposes per 8 patch bytes; rows
+//!   of 1, 2 or 4 bytes packed `8 / row` kernel rows per transpose),
+//!   from the same `row_split` rows as the reference.
 //!   A single run, and the im2col-only engine workload, then build only
 //!   each core's final patches with the crate-private `build_patches`
 //!   (one fill or up to pad-fill / contiguous copy / pad-fill per row,
@@ -124,30 +126,32 @@ fn row_split(geom: &ConvGeom, oy: usize, ox: usize, ky: usize) -> RowSplit {
 }
 
 /// Lanes per [`patch_lanes`] block: the conv sweep's width.
-const LANES: usize = crate::bulk::SWEEP_WIDTH;
+const LANES: usize = crate::bulk::CONV_LANES;
 
 /// Builds the lane-transposed im2col block of one conv sweep chunk:
 /// lane `j` is `lanes[j] = (input, flat output position)`, and element
-/// `i` of its patch lands at `dst[i * 8 + j]` (`dst` holds 8 entries per
-/// patch element), sign-extended to `i16`, so each gathered patch
-/// element is one 16-byte row across lanes and the sweep's dot runs at a
+/// `i` of its patch lands at `dst[i * 16 + j]` (`dst` holds 16 entries
+/// per patch element), sign-extended to `i16`, so each gathered patch
+/// element is one 32-byte row across lanes and the sweep's dot runs at a
 /// compile-time width. Host-side data movement only. Row decomposition
 /// goes through the same [`row_split`] as every other im2col consumer,
 /// so each lane holds exactly the bytes `build_patches` writes for its
 /// (input, position).
 ///
-/// Each patch row is one 8×8 byte transpose per 8 bytes
-/// ([`transpose_lanes`]) of the 8 lanes' rows. When every lane's first
+/// Each patch row is two 8×8 byte transposes per 8 bytes
+/// ([`transpose_lanes`]), one per 8-lane half. When every lane's first
 /// and last patch rows are whole in-bounds spans — every chunk of the
 /// executor's pre-padded (`pad = 0`) tiles — all its rows are, one input
-/// row apart, and the transpose reads them straight from the inputs.
+/// row apart, and the transposes read them straight from the inputs;
+/// rows of 1, 2 or 4 bytes are first packed `8 / row` consecutive kernel
+/// rows to an 8-byte lane row ([`packed_rows`]), so they transpose too.
 /// Otherwise (padded direct kernel calls, at the edges) each lane's row
 /// is first staged with its zero padding. Input reads are bounds-checked
 /// slices; an empty span reads nothing.
 pub(crate) fn patch_lanes(geom: &ConvGeom, lanes: &[(&[i8], usize); LANES], dst: &mut [i16]) {
     let (c, ox_total) = (geom.c, geom.ox());
     let row = geom.fx * c;
-    assert_eq!(dst.len(), geom.patch_len() * LANES, "one block of 8 lanes");
+    assert_eq!(dst.len(), geom.patch_len() * LANES, "one block of 16 lanes");
     let yx = lanes.map(|(_, pos)| (pos / ox_total, pos % ox_total));
     let top = yx.map(|(oy, ox)| row_split(geom, oy, ox, 0));
     let whole = |s: &RowSplit| s.y.is_some() && s.span == geom.fx;
@@ -155,6 +159,21 @@ pub(crate) fn patch_lanes(geom: &ConvGeom, lanes: &[(&[i8], usize); LANES], dst:
         .iter()
         .zip(&yx)
         .all(|(s, &(oy, ox))| whole(s) && whole(&row_split(geom, oy, ox, geom.fy - 1)));
+    // Where lane `j`'s kernel row `ky` starts in its input (interior).
+    let start = |j: usize, ky: usize| {
+        let s = &top[j];
+        ((s.y.unwrap_or(0) + ky) * geom.ix + s.x) * c
+    };
+    if interior && geom.fy * row >= 8 {
+        let stride = geom.ix * c;
+        let rows: [_; LANES] = core::array::from_fn(|j| (lanes[j].0, start(j, 0)));
+        match row {
+            1 => return packed_rows::<1>(&rows, stride, dst),
+            2 => return packed_rows::<2>(&rows, stride, dst),
+            4 => return packed_rows::<4>(&rows, stride, dst),
+            _ => {}
+        }
+    }
     let mut stage = if interior {
         Vec::new()
     } else {
@@ -169,14 +188,38 @@ pub(crate) fn patch_lanes(geom: &ConvGeom, lanes: &[(&[i8], usize); LANES], dst:
         }
         let src = core::array::from_fn(|j| {
             if interior {
-                let (s, input) = (&top[j], lanes[j].0);
-                let start = ((s.y.unwrap_or(0) + ky) * geom.ix + s.x) * c;
-                &input[start..start + row]
+                &lanes[j].0[start(j, ky)..][..row]
             } else {
                 &stage[j * row..(j + 1) * row]
             }
         });
         transpose_lanes(&src, dst);
+    }
+}
+
+/// [`patch_lanes`] for interior chunks whose patch rows are `R` (1, 2
+/// or 4) bytes: `8 / R` consecutive kernel rows of each lane, one input
+/// row (`stride` bytes) apart from `rows[j] = (input, first row's
+/// start)`, are packed into one 8-byte lane row, so one transpose per
+/// 8-lane half writes all of them. The last group starts early enough to
+/// end at the patch's last row (rewriting identical values), so the
+/// patch needs at least 8 bytes.
+fn packed_rows<const R: usize>(rows: &[(&[i8], usize); LANES], stride: usize, dst: &mut [i16]) {
+    let (per, fy) = (8 / R, dst.len() / (R * LANES));
+    assert!(8 % R == 0 && fy >= per, "whole kernel rows per 8 bytes");
+    for ky in (0..fy).step_by(per) {
+        let ky = ky.min(fy - per);
+        let packed: [[i8; 8]; LANES] = core::array::from_fn(|j| {
+            let (input, first) = rows[j];
+            let mut w = [0i8; 8];
+            for (q, part) in w.chunks_exact_mut(R).enumerate() {
+                let at = first + (ky + q) * stride;
+                part.copy_from_slice(&input[at..at + R]);
+            }
+            w
+        });
+        let src = packed.each_ref().map(|w| &w[..]);
+        transpose_lanes(&src, &mut dst[ky * R * LANES..(ky + per) * R * LANES]);
     }
 }
 
@@ -192,11 +235,11 @@ fn span_bytes<'a>(geom: &ConvGeom, input: &'a [i8], s: &RowSplit) -> &'a [i8] {
     }
 }
 
-/// Interleaves 8 equal-length byte rows, sign-extended: `dst[i * 8 + j]
-/// = src[j][i]`. On x86-64, rows of 8 bytes or more go through SSE2 8×8
-/// transposes (a ragged tail re-transposes the last 8 columns, rewriting
-/// identical values); shorter rows, and other targets, take the scalar
-/// scatter.
+/// Interleaves 16 equal-length byte rows, sign-extended: `dst[i * 16 +
+/// j] = src[j][i]`. On x86-64, rows of 8 bytes or more go through SSE2
+/// 8×8 transposes, one per 8-lane half (a ragged tail re-transposes the
+/// last 8 columns, rewriting identical values); shorter rows, and other
+/// targets, take the scalar scatter.
 fn transpose_lanes(src: &[&[i8]; LANES], dst: &mut [i16]) {
     let n = dst.len() / LANES;
     assert!(src.iter().all(|s| s.len() == n), "equal-length lane rows");
@@ -204,8 +247,10 @@ fn transpose_lanes(src: &[&[i8]; LANES], dst: &mut [i16]) {
     if n >= 8 {
         for at in (0..n).step_by(8) {
             let at = at.min(n - 8);
-            let rows = src.map(|s| &s[at..at + 8]);
-            transpose8x8(&rows, &mut dst[at * LANES..(at + 8) * LANES]);
+            for (h, half) in src.chunks_exact(8).enumerate() {
+                let rows = core::array::from_fn(|j| &half[j][at..at + 8]);
+                transpose8x8(&rows, &mut dst[at * LANES + 8 * h..]);
+            }
         }
         return;
     }
@@ -216,19 +261,21 @@ fn transpose_lanes(src: &[&[i8]; LANES], dst: &mut [i16]) {
     }
 }
 
-/// One SSE2 8×8 byte transpose, sign-extended: `dst[i * 8 + j] =
-/// rows[j][i]`. Three rounds of interleaves (words, doublewords,
-/// quadwords) leave each pair of columns `2q, 2q + 1` byte-interleaved
-/// in one register, lane-major; arithmetic shifts then split it into
-/// the two columns' `i16` rows without further shuffles.
+/// One SSE2 8×8 byte transpose, sign-extended, into 8 lanes of 8 block
+/// rows: `dst[i * 16 + j] = rows[j][i]`. Three rounds of interleaves
+/// (words, doublewords, quadwords) leave each pair of columns `2q, 2q +
+/// 1` byte-interleaved in one register, lane-major; arithmetic shifts
+/// then split it into the two columns' `i16` rows without further
+/// shuffles.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-fn transpose8x8(rows: &[&[i8]; LANES], dst: &mut [i16]) {
+fn transpose8x8(rows: &[&[i8]; 8], dst: &mut [i16]) {
     use core::arch::x86_64::*;
-    assert!(rows.iter().all(|r| r.len() == 8) && dst.len() == 64);
+    assert!(rows.iter().all(|r| r.len() == 8) && dst.len() >= 7 * LANES + 8);
     // SAFETY: SSE2 is part of the x86-64 baseline ABI; each load reads
-    // the 8 bytes of a row and the eight stores write the 128 bytes of
-    // `dst`, all bounds-checked just above.
+    // the 8 bytes of a row and each of the eight stores writes entries
+    // `i * 16..i * 16 + 8` of `dst` for one `i < 8`, all bounds-checked
+    // just above.
     unsafe {
         let ld = |j: usize| _mm_loadl_epi64(rows[j].as_ptr().cast());
         // (row, column) at byte 4 * (c / 2) + 2 * (r % 2) + c % 2.
@@ -251,8 +298,8 @@ fn transpose8x8(rows: &[&[i8]; LANES], dst: &mut [i16]) {
         for (q, pair) in pairs.into_iter().enumerate() {
             let even = _mm_srai_epi16::<8>(_mm_slli_epi16::<8>(pair));
             let odd = _mm_srai_epi16::<8>(pair);
-            _mm_storeu_si128(out.add(16 * q).cast(), even);
-            _mm_storeu_si128(out.add(16 * q + 8).cast(), odd);
+            _mm_storeu_si128(out.add(2 * q * LANES).cast(), even);
+            _mm_storeu_si128(out.add((2 * q + 1) * LANES).cast(), odd);
         }
     }
 }
@@ -685,9 +732,13 @@ mod tests {
     /// `patch_lanes` must hold, lane by lane, the bytes `build_patches`
     /// writes for the same (input, position): on the padding-class grid,
     /// on DS-CNN's C = 1 stem (4-byte patch rows) padded and as the
-    /// executor's pre-padded tile, and for lane sets that are uniform,
-    /// straddle an output-row edge or a request boundary, or repeat
-    /// their last lane — plus every chunk a two-request sweep forms.
+    /// executor's pre-padded tile, on pre-padded tiles whose 1-, 2- and
+    /// 4-byte rows pack several kernel rows per transpose (a last group
+    /// that starts early included) or stay scalar (3-byte rows, patches
+    /// under 8 bytes), and for lane sets that are uniform, straddle an
+    /// output-row edge or a request boundary in either 8-lane half, or
+    /// repeat their last lane in either half — plus every chunk a
+    /// two-request sweep forms.
     #[test]
     fn patch_lanes_match_build_patches() {
         let mut geoms = geom_grid();
@@ -699,6 +750,11 @@ mod tests {
             ConvGeom::square(8, 2, 9, 2, 3, 1).unwrap(), // stride > fx
             ConvGeom::new(1, 64, 10, 49, 4, 10, 2, 2).unwrap(), // DS-CNN stem
             ConvGeom::new(1, 64, 14, 53, 4, 10, 2, 0).unwrap(), // its tile
+            ConvGeom::new(2, 4, 8, 9, 2, 3, 1, 0).unwrap(), // 4-byte rows, fy = 3
+            ConvGeom::new(1, 4, 12, 20, 2, 9, 1, 0).unwrap(), // 2-byte rows, fy = 9
+            ConvGeom::new(1, 4, 3, 20, 1, 10, 1, 0).unwrap(), // 1-byte rows, fy = 10
+            ConvGeom::new(3, 4, 6, 6, 1, 3, 1, 0).unwrap(), // 3-byte rows
+            ConvGeom::new(1, 4, 6, 6, 2, 2, 1, 0).unwrap(), // 4-byte patch
         ]);
         for g in geoms {
             let positions = g.oy() * g.ox();
@@ -720,10 +776,12 @@ mod tests {
             // Lanes `first..first + live` of the two requests' positions,
             // the dead ones repeating the last.
             let lane_sets = [
-                (0, LANES),                           // uniform start
-                (g.ox().saturating_sub(3), LANES),    // output-row edge
-                (positions.saturating_sub(3), LANES), // request boundary
-                (0, 3),                               // repeated last lane
+                (0, LANES),                            // uniform start
+                (g.ox().saturating_sub(3), LANES),     // output-row edge
+                (positions.saturating_sub(3), LANES),  // request boundary
+                (positions.saturating_sub(11), LANES), // ... in the upper half
+                (0, 3),                                // repeated last lane
+                (0, 11),                               // ... in the upper half
             ];
             let chunks = (0..2 * positions)
                 .step_by(LANES)

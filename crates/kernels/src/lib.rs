@@ -16,9 +16,11 @@
 //! * **Bulk** ([`Ctx::MemBulk`], [`ExecTier::Bulk`]): the same outputs
 //!   from zero-copy scratchpad slices, several times faster. Bulk arms
 //!   only move data and write outputs; they never charge. The four
-//!   uniform conv families compute through one 8-lane sweep whose lanes
-//!   are (request, output position) pairs, so a single run, a batch of
-//!   one, fills its lanes with its own positions. A kernel called on
+//!   uniform conv families compute through one 16-lane sweep whose
+//!   lanes are (request, output position) pairs, so a single run, a
+//!   batch of one, fills its lanes with its own positions; it and the
+//!   FC token sweep write their outputs through one blocked requantize
+//!   epilogue, 8 channels per store. A kernel called on
 //!   this context returns the statistics of its own analytic pass,
 //!   which the drivers run once after the compute pass, so they are
 //!   bit- and cycle-identical to the reference.

@@ -4,12 +4,15 @@
 //! statistics. Every token's output and statistics must equal
 //! that token staged and run alone on the reference tier — for the
 //! dense, software-N:M and `xDecimate` kernels at every kernel pattern,
-//! at token counts on both sides of every sweep-chunk edge (1, 2, 7, 8,
-//! 9, 13, 17: a lone token, remainders below and above `SWEEP_MIN`,
-//! exact chunks), directly at the kernel layer and through the compiled
-//! executor with K-tiled layers and 1 or 3 host threads. Inputs include
-//! rows pinned at -128 and 127, so the sweep's `i16` lanes and wrapping
-//! sums are exercised at their extremes.
+//! at token counts on both sides of every sweep-chunk edge (1, 2, 5, 7,
+//! 8, 9, 13, 16, 17: a lone token, remainders below and above
+//! `SWEEP_MIN`, exact chunks), directly at the kernel layer and through
+//! the compiled executor with K-tiled layers and 1 or 3 host threads.
+//! The kernel layer also covers output widths K of 2, 6, 10, 12 and 16,
+//! so channels fall before, at and past the multiples of 8 the sweep's
+//! requantize epilogue stores as one block. Inputs include rows pinned
+//! at -128 and 127, so the sweep's `i16` lanes and wrapping sums are
+//! exercised at their extremes.
 
 use nm_compiler::patterns::select_kernel;
 use nm_compiler::tiling::tile_fc;
@@ -30,7 +33,7 @@ use nm_nn::graph::GraphBuilder;
 use nm_nn::layer::LinearLayer;
 use nm_platform::{Cluster, Scratchpad};
 
-const TOKEN_COUNTS: [usize; 7] = [1, 2, 7, 8, 9, 13, 17];
+const TOKEN_COUNTS: [usize; 9] = [1, 2, 5, 7, 8, 9, 13, 16, 17];
 
 #[derive(Debug, Clone, Copy)]
 enum Kind {
@@ -151,7 +154,7 @@ impl Tile {
 fn kernel_token_sweep_matches_per_token_reference() {
     let cluster = Cluster::new(8, CostModel::default());
     // C = 48 gives 1:16 an odd non-zero count (3); C = 128 a long walk.
-    for (c, k) in [(48, 10), (128, 6)] {
+    for (c, k) in [(48, 10), (128, 6), (32, 2), (32, 12), (48, 16)] {
         let geom = FcGeom::new(c, k).unwrap();
         for kind in kinds() {
             let tile = Tile::new(kind, geom, 101 + c as u64);
