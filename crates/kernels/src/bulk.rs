@@ -8,21 +8,26 @@
 //! products are the same multiset; wrapping addition is associative and
 //! commutative).
 //!
-//! The decode+dot loops are specialized per offset width and layout so
-//! the hot path runs without per-element divisions: 4-bit plain offsets
-//! decode two blocks per stream byte, 2-bit plain four, and the
-//! duplicated/interleaved pair layouts one or two blocks per byte at a
-//! fixed lane shift. Convolution kernels go one step further and
-//! pre-decode each channel's offsets into an index table
-//! ([`decim_table`]) once per invocation, because the same table is
-//! reused by every chunk of the lane sweep ([`conv_sweep_sparse`]).
+//! The FC kernels' per-token gathers are specialized per offset width
+//! so the hot path runs without per-element divisions: 4-bit plain
+//! offsets decode two blocks per stream byte, 2-bit plain four, and the
+//! `xDecimate` kernel's interleaved pair stream feeds both channels of a
+//! pair in one walk.
+//!
+//! Every convolution kernel computes through one lane sweep
+//! ([`conv_sweep`]): each output channel supplies its own weight row and
+//! gather indices ([`ChannelRow`]) — an N:M channel an index table
+//! pre-decoded from its offset segment ([`decim_table`], once per
+//! invocation, reused by every chunk of the sweep), a dense channel the
+//! identity walk over the patch. The per-channel mixed kernels mix both
+//! kinds in one sweep.
 //!
 //! The two lane sweeps — the conv sweep, 16 (request, output position)
 //! lanes per chunk, and the FC token sweep, 8 tokens per chunk — share
-//! one dot ([`lane_dot`]) and one blocked epilogue ([`store_block`]):
-//! output channels run 8 at a time, their lane accumulators are
-//! requantized in SSE2 registers and byte-transposed, and each live lane
-//! takes one 8-byte store.
+//! one channel loop ([`lane_channels`]), one dot ([`lane_dot`]) and one
+//! blocked epilogue ([`store_block`]): output channels run 8 at a time,
+//! their lane accumulators are requantized in SSE2 registers and
+//! byte-transposed, and each live lane takes one 8-byte store.
 //!
 //! The gathers index their activation windows *unchecked* after a cheap
 //! pre-validation of the packed index stream ([`offsets_below`],
@@ -161,8 +166,8 @@ fn at<const CHECKED: bool>(act: &[u8], i: usize) -> u8 {
         // dispatchers below — after `offsets_below` proved every offset
         // `< m` and the activation window holds `values.len() * m` bytes
         // (so each index `b * m + o` is `< act.len()`), or after
-        // `table_below` proved every pre-decoded index below the
-        // activation window length.
+        // `u16_indices_below` proved every CSR column index below the
+        // input length.
         unsafe { *act.get_unchecked(i) }
     }
 }
@@ -217,11 +222,11 @@ pub(crate) fn offsets_below(offs: &[u8], bits: usize, entries: usize, m: usize) 
     (0..entries).all(|i| unpack_offset(offs, bits, i) < m)
 }
 
-/// Decimated wrapping dot product: for each non-zero `b`, multiplies
-/// `values[b]` with the activation at `b * m + offset(b)`, where the
-/// offset comes from entry `base + step * b` of the packed stream.
-/// `step`/`base` encode the three offset layouts: plain `(0, 1)`,
-/// duplicated `(0, 2)`, interleaved channel `q` `(q, 2)`.
+/// Decimated wrapping dot product over a plain-layout offset stream
+/// ([`nm_core::format::OffsetLayout::Plain`], the FC software kernel):
+/// for each non-zero `b`, multiplies `values[b]` with the activation at
+/// `b * m + offset(b)`, where `offset(b)` is entry `b` of the packed
+/// stream.
 #[inline]
 pub(crate) fn nm_gather_dot(
     values: &[u8],
@@ -229,34 +234,20 @@ pub(crate) fn nm_gather_dot(
     offsets: &[u8],
     bits: usize,
     m: usize,
-    base: usize,
-    step: usize,
 ) -> i32 {
-    // Pre-validated unchecked-index window (plain layouts only — the
-    // pair loops stay checked): when every offset in the stream decodes
-    // below `m` and the activation window covers all `values.len()`
-    // blocks, the specialized loops skip per-element bounds checks
-    // (`at::<false>`); otherwise they run checked and panic exactly
-    // where the old loops did. The validation scan runs only on the
-    // arms that consume its result.
+    debug_assert!(bits == 2 || bits == 4);
+    // Pre-validated unchecked-index window: when every offset in the
+    // stream decodes below `m` and the activation window covers all
+    // `values.len()` blocks, the specialized loops skip per-element
+    // bounds checks (`at::<false>`); otherwise they run checked and
+    // panic exactly where the old loops did.
     let safe =
-        || activations.len() >= values.len() * m && offsets_below(offsets, bits, values.len(), m);
-    debug_assert!(base == 0 || step != 1, "plain layout streams start at 0");
-    match (bits, step) {
-        (4, 1) if safe() => gather_dot_4bit_plain::<false>(values, activations, offsets, m),
-        (4, 1) => gather_dot_4bit_plain::<true>(values, activations, offsets, m),
-        (2, 1) if safe() => gather_dot_2bit_plain::<false>(values, activations, offsets, m),
-        (2, 1) => gather_dot_2bit_plain::<true>(values, activations, offsets, m),
-        (4, 2) => gather_dot_4bit_pair(values, activations, offsets, m, base),
-        (2, 2) => gather_dot_2bit_pair(values, activations, offsets, m, base),
-        _ => {
-            let mut acc = 0i32;
-            for (b, &wv) in values.iter().enumerate() {
-                let o = unpack_offset(offsets, bits, base + step * b);
-                acc = madd(acc, wv, activations[b * m + o]);
-            }
-            acc
-        }
+        activations.len() >= values.len() * m && offsets_below(offsets, bits, values.len(), m);
+    match (bits, safe) {
+        (4, true) => gather_dot_4bit_plain::<false>(values, activations, offsets, m),
+        (4, false) => gather_dot_4bit_plain::<true>(values, activations, offsets, m),
+        (_, true) => gather_dot_2bit_plain::<false>(values, activations, offsets, m),
+        (_, false) => gather_dot_2bit_plain::<true>(values, activations, offsets, m),
     }
 }
 
@@ -404,54 +395,13 @@ pub(crate) fn gather_dot2_pair(
     }
 }
 
-/// 4-bit pair stream (duplicated / interleaved): block `b`'s entry for
-/// lane `q` is nibble `q` of byte `b`.
-fn gather_dot_4bit_pair(values: &[u8], act: &[u8], offs: &[u8], m: usize, q: usize) -> i32 {
-    let shift = 4 * q as u32;
-    let mut acc0 = 0i32;
-    let mut acc1 = 0i32;
-    let mut row = 0usize;
-    let pairs = values.chunks_exact(2);
-    let rem = pairs.remainder();
-    for (v, ob) in pairs.zip(offs.chunks_exact(2)) {
-        acc0 = madd(acc0, v[0], act[row + ((ob[0] >> shift) & 0xF) as usize]);
-        acc1 = madd(acc1, v[1], act[row + m + ((ob[1] >> shift) & 0xF) as usize]);
-        row += 2 * m;
-    }
-    if let [v] = rem {
-        let b = values.len() - 1;
-        acc0 = madd(acc0, *v, act[row + unpack_offset(offs, 4, 2 * b + q)]);
-    }
-    acc0.wrapping_add(acc1)
-}
-
-/// 2-bit pair stream (1:4 duplicated / interleaved): two blocks per
-/// byte; block `b`'s lane-`q` entry sits at bit `4 * (b % 2) + 2 * q`.
-fn gather_dot_2bit_pair(values: &[u8], act: &[u8], offs: &[u8], m: usize, q: usize) -> i32 {
-    let s = 2 * q as u32;
-    let mut acc0 = 0i32;
-    let mut acc1 = 0i32;
-    let mut row = 0usize;
-    let pairs = values.chunks_exact(2);
-    let rem = pairs.remainder();
-    for (v, &ob) in pairs.zip(offs) {
-        acc0 = madd(acc0, v[0], act[row + ((ob >> s) & 3) as usize]);
-        acc1 = madd(acc1, v[1], act[row + m + ((ob >> (4 + s)) & 3) as usize]);
-        row += 2 * m;
-    }
-    if let [v] = rem {
-        let b = values.len() - 1;
-        acc0 = madd(acc0, *v, act[row + unpack_offset(offs, 2, 2 * b + q)]);
-    }
-    acc0.wrapping_add(acc1)
-}
-
 /// Pre-decoded decimation table for the convolution kernels: entry
 /// `k * nz + b` is the patch-buffer index `b * m + offset` of channel
 /// `k`'s block `b`. Channels' segments start at `seg_stride` intervals in
-/// `offs_region`; entry `base + step * b` of a segment carries block
-/// `b`'s offset (the same stream walk the `xDecimate` csr performs).
-#[allow(clippy::too_many_arguments)]
+/// `offs_region`; entry `step * b` of a segment carries block `b`'s
+/// offset: `step` is 1 for the plain layout and 2 for the duplicated one,
+/// whose entries `2b` and `2b + 1` both carry block `b` (the same stream
+/// walk the `xDecimate` csr performs).
 pub(crate) fn decim_table(
     offs_region: &[u8],
     channels: usize,
@@ -459,14 +409,13 @@ pub(crate) fn decim_table(
     nz: usize,
     bits: usize,
     m: usize,
-    base: usize,
     step: usize,
 ) -> Vec<u32> {
     let mut table = Vec::with_capacity(channels * nz);
     for k in 0..channels {
         let seg = &offs_region[k * seg_stride..];
         for b in 0..nz {
-            let o = unpack_offset(seg, bits, base + step * b);
+            let o = unpack_offset(seg, bits, step * b);
             table.push((b * m + o) as u32);
         }
     }
@@ -474,7 +423,7 @@ pub(crate) fn decim_table(
 }
 
 /// True when every pre-decoded table index is below `limit` — the
-/// pre-validation that lets the conv sweep ([`conv_sweep_sparse`]) read
+/// pre-validation that lets the conv sweep ([`conv_sweep`]) read
 /// its patch rows unchecked. A branch-free max fold so it vectorizes; it
 /// runs once per table (at kernel invocation, or once for the lifetime
 /// of a prepared [`crate::conv::DecimProgram`]) and is then amortized
@@ -693,17 +642,19 @@ pub(crate) fn write_out(mem: &mut nm_platform::Scratchpad, addr: u32, data: &[i8
     crate::layout::copy_i8_to_bytes(dst, data);
 }
 
-/// Lane sweep for the sparse conv families: computes the outputs of
-/// `inputs` (a batch's requests; a single run is a batch of one) in one
-/// walk. A lane is one (request, output position) pair. The `B·P` lanes
-/// of `B` requests over `P` positions are walked request-major in
-/// [`CONV_LANES`]-wide chunks, so one request fills a chunk with 16 of
-/// its own positions, and a chunk of a small tile spans several
-/// requests. Per chunk the lane-transposed patch block
-/// ([`crate::im2col::patch_lanes`]) makes each decimation-table entry's
-/// activations contiguous across lanes, so every weight byte and table
-/// index is loaded **once** per chunk and feeds all its lanes'
-/// multiply-adds — the 1×2 unrolling's data reuse, 16 patches wide.
+/// The conv lane sweep, the bulk tier's one compute for every conv
+/// kernel: computes the outputs of `inputs` (a batch's requests; a
+/// single run is a batch of one) in one walk, channel `c` of `rows`
+/// gathering its patch elements through its own indices. A lane is one
+/// (request, output position) pair. The `B·P` lanes of `B` requests over
+/// `P` positions are walked request-major in [`CONV_LANES`]-wide chunks,
+/// so one request fills a chunk with 16 of its own positions, and a
+/// chunk of a small tile spans several requests. Per chunk the
+/// lane-transposed patch block ([`crate::im2col::patch_lanes`]) makes
+/// each gather index's activations contiguous across lanes, so every
+/// weight byte and index is loaded **once** per chunk and feeds all its
+/// lanes' multiply-adds — the 1×2 unrolling's data reuse, 16 patches
+/// wide.
 ///
 /// Wrapping `i32` accumulation is associative and commutative and the
 /// product multiset per (request, channel, position) is the kernel's, so
@@ -712,41 +663,23 @@ pub(crate) fn write_out(mem: &mut nm_platform::Scratchpad, addr: u32, data: &[i8
 /// charged: the statistics are the tile's analytic walk (see
 /// `conv::drive_conv`).
 ///
-/// Pass `in_range = true` only when [`table_below`]`(table, patch_len)`
-/// held: the dots then read patch rows unchecked. A table that failed
-/// validation runs the checked loop, which panics on an index past the
-/// patch instead of reading it.
-pub(crate) fn conv_sweep_sparse(
-    mem: &nm_platform::Scratchpad,
+/// Pass `in_range = true` only when every index of `rows` is below the
+/// patch length ([`table_below`] held for each decoded table; an
+/// identity walk is below it by construction): the dots then read patch
+/// rows unchecked. Rows that failed validation run the checked loop,
+/// which panics on an index past the patch instead of reading it.
+pub(crate) fn conv_sweep(
     job: &crate::conv::ConvJob,
-    nz: usize,
-    table: &[u32],
+    rows: &[ChannelRow<'_>],
     in_range: bool,
     inputs: &[&[i8]],
     out: &mut [u8],
 ) {
     if in_range {
-        sweep_lanes::<false>(mem, job, nz, Tables::PerChannel(table), inputs, out);
+        sweep_lanes::<false>(job, rows, inputs, out);
     } else {
-        sweep_lanes::<true>(mem, job, nz, Tables::PerChannel(table), inputs, out);
+        sweep_lanes::<true>(job, rows, inputs, out);
     }
-}
-
-/// [`conv_sweep_sparse`] for the dense conv families: the "table" is the
-/// identity (every patch element participates), shared by every output
-/// channel, so the walk is a dense dot against the lane-transposed patch
-/// block with the same once-per-weight load amortization.
-pub(crate) fn conv_sweep_dense(
-    mem: &nm_platform::Scratchpad,
-    job: &crate::conv::ConvJob,
-    inputs: &[&[i8]],
-    out: &mut [u8],
-) {
-    let plen = job.geom.patch_len();
-    let identity: Vec<u32> = (0..plen as u32).collect();
-    // The identity is below `plen` by construction, so the unchecked
-    // gather contract holds.
-    sweep_lanes::<false>(mem, job, plen, Tables::Shared(&identity), inputs, out);
 }
 
 /// Lane blocks of up to this many entries live on the stack: 16 Ki, so
@@ -844,47 +777,33 @@ pub(crate) fn sweep_len(n: usize) -> usize {
     }
 }
 
-/// Per-channel gather indices for the sweep: the sparse families have
-/// `nz` entries per output channel, the dense families share one
-/// identity walk across all channels.
-enum Tables<'a> {
-    PerChannel(&'a [u32]),
-    Shared(&'a [u32]),
-}
+/// One output channel's row for the lane sweeps' channel loop
+/// ([`lane_channels`]): its weights and, one per weight, the index of
+/// the block element each multiplies, so its dot is `Σ_i w[i] ·
+/// block[t[i]]`. Every kernel hands the sweeps a slice of rows — a
+/// uniform family's cut from its staged weights and one index table,
+/// the per-channel mixed kernels' each of its own length — so one
+/// channel loop serves every gather kind.
+pub(crate) type ChannelRow<'a> = (&'a [u8], &'a [u32]);
 
-impl Tables<'_> {
-    #[inline(always)]
-    fn channel(&self, k: usize, nz: usize) -> &[u32] {
-        match self {
-            Tables::PerChannel(t) => &t[k * nz..(k + 1) * nz],
-            Tables::Shared(t) => t,
-        }
-    }
-}
-
-/// The chunked lane walk behind [`conv_sweep_sparse`] and
-/// [`conv_sweep_dense`]. A short last chunk repeats its last live lane
-/// and never stores the dead ones. The dot's width follows the live
-/// lanes: 16 above 8, 8 for 5–8 and 4 for at most 4, so a tile with few
-/// output positions does not pay for 16. The fixed widths keep the
-/// inner multiply-add at a compile-time trip count — see [`lane_dot`];
-/// the outputs leave through [`lane_channels`]' blocked epilogue.
+/// The chunked lane walk behind [`conv_sweep`]. A short last chunk
+/// repeats its last live lane and never stores the dead ones. The dot's
+/// width follows the live lanes: 16 above 8, 8 for 5–8 and 4 for at most
+/// 4, so a tile with few output positions does not pay for 16. The fixed
+/// widths keep the inner multiply-add at a compile-time trip count — see
+/// [`lane_dot`]; the outputs leave through [`lane_channels`]' blocked
+/// epilogue.
 fn sweep_lanes<const CHECKED: bool>(
-    mem: &nm_platform::Scratchpad,
     job: &crate::conv::ConvJob,
-    nz: usize,
-    tables: Tables<'_>,
+    rows: &[ChannelRow<'_>],
     inputs: &[&[i8]],
     out: &mut [u8],
 ) {
     let geom = &job.geom;
     let (kt, positions, out_elems) = (geom.k, geom.oy() * geom.ox(), geom.output_elems());
+    debug_assert_eq!(rows.len(), kt);
     debug_assert_eq!(out.len(), inputs.len() * out_elems);
-    let values = mem
-        .slice(job.bufs.weights, kt * nz)
-        .expect("scratchpad is zero-copy");
     let lanes = inputs.len() * positions;
-    let index = |k: usize| tables.channel(k, nz);
     with_lane_block::<i16, _>(geom.patch_len() * CONV_LANES, |patches| {
         for first in (0..lanes).step_by(CONV_LANES) {
             let live = (lanes - first).min(CONV_LANES);
@@ -897,33 +816,27 @@ fn sweep_lanes<const CHECKED: bool>(
             let dst = lane.map(|(r, pos)| r * out_elems + pos * kt);
             let (rq, p) = (job.requant, &*patches);
             match live {
-                9.. => lane_channels::<CHECKED, 16, CONV_LANES, i16>(
-                    values, nz, index, p, rq, &dst, live, 0, out,
-                ),
-                5..=8 => lane_channels::<CHECKED, 8, CONV_LANES, i16>(
-                    values, nz, index, p, rq, &dst, live, 0, out,
-                ),
-                _ => lane_channels::<CHECKED, 4, CONV_LANES, i16>(
-                    values, nz, index, p, rq, &dst, live, 0, out,
-                ),
+                9.. => {
+                    lane_channels::<CHECKED, 16, CONV_LANES, i16>(rows, p, rq, &dst, live, 0, out)
+                }
+                5..=8 => {
+                    lane_channels::<CHECKED, 8, CONV_LANES, i16>(rows, p, rq, &dst, live, 0, out)
+                }
+                _ => lane_channels::<CHECKED, 4, CONV_LANES, i16>(rows, p, rq, &dst, live, 0, out),
             }
         }
     });
 }
 
 /// The channel loop of one lane block, shared by both sweeps: channel
-/// `c` of `values` (its `nz` weights, `index(c)` its gather rows) runs a
-/// `LANES`-lane [`lane_dot`] over `block`, and lane `j < live` writes
-/// its output byte at `out[dst[j] + k0 + c]`. Every whole group of 8
-/// channels leaves through the blocked epilogue ([`store_block`]); the
-/// channels past the last multiple of 8 are requantized and stored one
-/// byte at a time.
+/// `c` of `rows` runs a `LANES`-lane [`lane_dot`] over `block`, and lane
+/// `j < live` writes its output byte at `out[dst[j] + k0 + c]`. Every
+/// whole group of 8 channels leaves through the blocked epilogue
+/// ([`store_block`]); the channels past the last multiple of 8 are
+/// requantized and stored one byte at a time.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn lane_channels<'t, const CHECKED: bool, const LANES: usize, const W: usize, T: Lane>(
-    values: &[u8],
-    nz: usize,
-    index: impl Fn(usize) -> &'t [u32],
+fn lane_channels<const CHECKED: bool, const LANES: usize, const W: usize, T: Lane>(
+    rows: &[ChannelRow<'_>],
     block: &[T],
     requant: Requant,
     dst: &[usize; W],
@@ -931,12 +844,12 @@ fn lane_channels<'t, const CHECKED: bool, const LANES: usize, const W: usize, T:
     k0: usize,
     out: &mut [u8],
 ) {
-    let whole = values.len() / nz / SWEEP_WIDTH * SWEEP_WIDTH;
+    let whole = rows.len() / SWEEP_WIDTH * SWEEP_WIDTH;
     let mut acc = [[0i32; W]; SWEEP_WIDTH];
     // One dot call site over every channel, so the dot is inlined once
     // rather than unrolled 8 times per group.
-    for (c, v) in values.chunks_exact(nz).enumerate() {
-        let a = lane_dot::<CHECKED, LANES, W, T>(v, index(c), block);
+    for (c, &(v, t)) in rows.iter().enumerate() {
+        let a = lane_dot::<CHECKED, LANES, W, T>(v, t, block);
         if c >= whole {
             for (&d, &a) in dst.iter().zip(&a).take(live) {
                 out[d + k0 + c] = requant.apply(a) as u8;
@@ -1183,8 +1096,9 @@ fn patch_row<const CHECKED: bool, const W: usize, T>(block: &[T], i: usize) -> &
     } else {
         debug_assert!((i + 1) * W <= block.len(), "pre-validated row range");
         // SAFETY: instantiated with `CHECKED = false` only after
-        // `table_below` proved every table entry `< patch_len` and the
-        // block holds `patch_len * CONV_LANES` entries (conv sweep), or
+        // `table_below` proved every decoded table entry `< patch_len`
+        // (the other rows are the identity below it) and the block holds
+        // `patch_len * CONV_LANES` entries (conv sweep), or
         // after `FcOffsets::below_m` proved every decoded index `< C`
         // (or the index is the identity below `C`) and the token block
         // holds `C * SWEEP_WIDTH` entries (`fc_sweep`).
@@ -1252,10 +1166,9 @@ impl FcOffsets<'_> {
 
 /// Token-inner sweep for the FC kernels: computes the outputs of
 /// `tokens` (a staged tile's token stream) in one walk over the staged
-/// weights — the FC twin of [`conv_sweep_sparse`] /
-/// [`conv_sweep_dense`]. The tokens are transposed into
-/// [`SWEEP_WIDTH`]-wide blocks (row `i` of a block holds input `i` of
-/// the chunk's tokens; a short last chunk repeats its last token and
+/// weights — the FC twin of [`conv_sweep`]. The tokens are transposed
+/// into [`SWEEP_WIDTH`]-wide blocks (row `i` of a block holds input `i`
+/// of the chunk's tokens; a short last chunk repeats its last token and
 /// never stores the dead lanes), so every weight byte and gather index
 /// is loaded **once** per chunk and feeds 8 tokens' multiply-adds
 /// through [`lane_dot`]. The channels run 8 at a time: each group's
@@ -1359,15 +1272,17 @@ fn fc_sweep_channels<const CHECKED: bool>(
                 offsets.decode(k0 + ch, idx);
             }
         }
-        let index = |ch: usize| &idx[ch * stride..ch * stride + nz];
+        let mut rows: [ChannelRow<'_>; SWEEP_WIDTH] = Default::default();
+        for (ch, (row, v)) in rows.iter_mut().zip(group.chunks_exact(nz)).enumerate() {
+            *row = (v, &idx[ch * stride..ch * stride + nz]);
+        }
+        let rows = &rows[..group.len() / nz];
         for (chunk, block) in blocks.chunks_exact(c * SWEEP_WIDTH).enumerate() {
             let t0 = chunk * SWEEP_WIDTH;
             let dst: [usize; SWEEP_WIDTH] = core::array::from_fn(|r| (t0 + r) * k);
             let live = (n_tokens - t0).min(SWEEP_WIDTH);
             lane_channels::<CHECKED, SWEEP_WIDTH, SWEEP_WIDTH, u8>(
-                group,
-                nz,
-                index,
+                rows,
                 block,
                 job.requant,
                 &dst,
@@ -1391,6 +1306,7 @@ pub(crate) fn loop_scaffold(costs: &CostModel, extra_alu: u64) -> InstrBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conv::ConvGather;
     use crate::testdata::random_data;
 
     fn pack(entries: &[u8], bits: usize) -> Vec<u8> {
@@ -1441,22 +1357,53 @@ mod tests {
         acc
     }
 
+    // Every production decode of a packed offset stream must gather
+    // what the reference walk gathers, for every (bits, m) and odd/even
+    // lengths: the FC software kernel's plain loops (checked and
+    // unchecked), the conv table of the plain (step 1) and duplicated
+    // (step 2) layouts, and the FC sweep's plain and interleaved decode
+    // (channel `base` of a pair).
     #[test]
     fn specialized_gathers_match_reference() {
         for (bits, m) in [(2usize, 4usize), (4, 8), (4, 16)] {
             for nz in [1, 2, 3, 4, 5, 8, 11] {
                 let values: Vec<u8> = random_data(nz, 7).iter().map(|&v| v as u8).collect();
                 let act: Vec<u8> = random_data(nz * m, 11).iter().map(|&v| v as u8).collect();
+                let table_dot = |idx: &[u32]| {
+                    assert_eq!(idx.len(), nz);
+                    idx.iter()
+                        .zip(&values)
+                        .fold(0i32, |s, (&i, &w)| madd(s, w, act[i as usize]))
+                };
                 for (base, step) in [(0, 1), (0, 2), (1, 2)] {
                     let entries: Vec<u8> = (0..(base + step * nz))
                         .map(|e| ((e * 7 + 3) % m.min(1 << bits)) as u8)
                         .collect();
                     let offs = pack(&entries, bits);
-                    assert_eq!(
-                        nm_gather_dot(&values, &act, &offs, bits, m, base, step),
-                        gather_ref(&values, &act, &offs, bits, m, base, step),
-                        "bits={bits} m={m} nz={nz} base={base} step={step}"
-                    );
+                    let want = gather_ref(&values, &act, &offs, bits, m, base, step);
+                    let ctx = format!("bits={bits} m={m} nz={nz} base={base} step={step}");
+                    let fc = FcOffsets {
+                        offs: &offs,
+                        seg: 0,
+                        bits,
+                        m,
+                        per_seg: step,
+                    };
+                    let mut idx = vec![0u32; nz];
+                    fc.decode(base, &mut idx);
+                    assert_eq!(table_dot(&idx), want, "FC decode {ctx}");
+                    if base == 0 {
+                        let table = decim_table(&offs, 1, 0, nz, bits, m, step);
+                        assert_eq!(table_dot(&table), want, "conv table {ctx}");
+                    }
+                    if step == 1 {
+                        assert_eq!(nm_gather_dot(&values, &act, &offs, bits, m), want, "{ctx}");
+                        let checked = match bits {
+                            4 => gather_dot_4bit_plain::<true>(&values, &act, &offs, m),
+                            _ => gather_dot_2bit_plain::<true>(&values, &act, &offs, m),
+                        };
+                        assert_eq!(checked, want, "checked {ctx}");
+                    }
                 }
             }
         }
@@ -1474,8 +1421,8 @@ mod tests {
                     .map(|e| ((e * 3 + 1) % m.min(1 << bits)) as u8)
                     .collect();
                 let offs = pack(&entries, bits);
-                let want0 = nm_gather_dot(&v0, &act, &offs, bits, m, 0, 2);
-                let want1 = nm_gather_dot(&v1, &act, &offs, bits, m, 1, 2);
+                let want0 = gather_ref(&v0, &act, &offs, bits, m, 0, 2);
+                let want1 = gather_ref(&v1, &act, &offs, bits, m, 1, 2);
                 assert_eq!(
                     gather_dot2_pair(&v0, &v1, &act, &offs, bits, m),
                     (want0, want1),
@@ -1497,7 +1444,7 @@ mod tests {
                 let packed = pack(&entries, bits);
                 region[k * seg_stride..k * seg_stride + packed.len()].copy_from_slice(&packed);
             }
-            let tab = decim_table(&region, channels, seg_stride, nz, bits, m, 0, 2);
+            let tab = decim_table(&region, channels, seg_stride, nz, bits, m, 2);
             assert_eq!(tab.len(), channels * nz);
             assert!(table_below(&tab, nz * m));
             // One activation window per lane.
@@ -1526,7 +1473,7 @@ mod tests {
                 let seg = &region[k * seg_stride..];
                 let want: Vec<i32> = acts
                     .iter()
-                    .map(|a| nm_gather_dot(&values, a, seg, bits, m, 0, 2))
+                    .map(|a| gather_ref(&values, a, seg, bits, m, 0, 2))
                     .collect();
                 // The first `lanes` lanes of `want`, the rest zero.
                 fn first<const W: usize>(want: &[i32], lanes: usize) -> [i32; W] {
@@ -1978,7 +1925,7 @@ mod tests {
         };
         let seg = crate::layout::nm_segment_bytes(job.nm, nz, layout);
         let offs = mem.slice(job.conv.bufs.offsets, geom.k * seg).unwrap();
-        let table = decim_table(offs, geom.k, seg, nz, 4, 8, 0, step);
+        let table = decim_table(offs, geom.k, seg, nz, 4, 8, step);
         let in_range = table_below(&table, geom.patch_len());
         (table, in_range)
     }
@@ -2035,8 +1982,12 @@ mod tests {
             let out_elems = job.conv.geom.output_elems();
             let sweep = |checked: bool| {
                 let mut out = vec![0u8; (refs.len() - 1) * out_elems];
-                let nz = job.nz_per_channel();
-                conv_sweep_sparse(&mem, &job.conv, nz, &table, !checked, &refs[1..], &mut out);
+                let gather = ConvGather::Sparse {
+                    nz: job.nz_per_channel(),
+                    table: &table,
+                    in_range: !checked,
+                };
+                gather.sweep(&mem, &job.conv, &refs[1..], &mut out);
                 out
             };
             assert_eq!(
@@ -2076,8 +2027,12 @@ mod tests {
         assert!(!in_range, "the fence must reject index 79 >= 72");
         let refs: Vec<&[i8]> = inputs[1..].iter().map(Vec::as_slice).collect();
         let mut out = vec![0u8; refs.len() * job.conv.geom.output_elems()];
-        let nz = job.nz_per_channel();
-        conv_sweep_sparse(&mem, &job.conv, nz, &table, in_range, &refs, &mut out);
+        let gather = ConvGather::Sparse {
+            nz: job.nz_per_channel(),
+            table: &table,
+            in_range,
+        };
+        gather.sweep(&mem, &job.conv, &refs, &mut out);
     }
 
     // Offsets that fail the `offsets_below` fence take the checked sweep

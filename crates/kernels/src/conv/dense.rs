@@ -2,10 +2,10 @@
 //! kernel (paper Sec. 4.1.1, Fig. 2 / Fig. 4 left).
 
 use super::{drive_conv, drive_conv_batch, BatchRun, ConvGather, ConvJob, EPILOGUE_ALU};
-use crate::bulk::{dense_dot, loop_scaffold};
+use crate::bulk::loop_scaffold;
 use crate::stats::{Ctx, KernelStats};
 use nm_core::Result;
-use nm_isa::{Core, CostModel, InstrBlock, Memory};
+use nm_isa::{Core, CostModel, InstrBlock};
 use nm_platform::{Cluster, Scratchpad};
 
 /// The dense kernels' channel loop over one position pair, shared by the
@@ -127,10 +127,11 @@ pub fn conv_dense_4x2_batch(
 }
 
 /// One output channel over `n_patches` im2col buffers (the 1×2 / 1×1
-/// inner loop) behind its loop scaffold, in every context. `wrow`
-/// addresses the channel's dense weight row in L1 (unused in analytic
-/// mode) — passed explicitly so the per-channel mixed kernel can address
-/// heterogeneous rows.
+/// inner loop) behind its loop scaffold: per instruction on the
+/// reference walk, one block on the analytic walk. `wrow` addresses the
+/// channel's dense weight row in L1 (unused in analytic mode) — passed
+/// explicitly so the per-channel mixed kernel can address heterogeneous
+/// rows.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn channel_1xn(
     core: &mut Core,
@@ -143,12 +144,11 @@ pub(crate) fn channel_1xn(
     wrow: u32,
 ) {
     match ctx.path() {
-        Ctx::MemBulk(mem) => channel_1xn_body(mem, job, pos, n_patches, buf, k, wrow),
-        Ctx::Analytic => {
+        Ctx::Mem(mem) => channel_1xn_reference(mem, core, job, pos, n_patches, buf, k, wrow),
+        _ => {
             let block = channel_1xn_block(core.costs(), job.geom.patch_len(), n_patches as u64);
             core.charge_block(&block);
         }
-        Ctx::Mem(mem) => channel_1xn_reference(mem, core, job, pos, n_patches, buf, k, wrow),
     }
 }
 
@@ -163,34 +163,6 @@ fn channel_1xn_block(costs: &CostModel, plen: usize, np: u64) -> InstrBlock {
         .then(per_chunk.repeat((plen / 4) as u64))
         .then(per_tail.repeat((plen % 4) as u64))
         .then(epilogue)
-}
-
-/// The 1×N bulk kernel body: outputs from zero-copy slices (the analytic
-/// walk charges [`channel_1xn_block`]).
-fn channel_1xn_body(
-    mem: &mut Scratchpad,
-    job: &ConvJob,
-    pos: usize,
-    n_patches: usize,
-    buf: u32,
-    k: usize,
-    wrow: u32,
-) {
-    let geom = &job.geom;
-    let plen = geom.patch_len();
-    let mut outs = [0i8; 2];
-    {
-        let w = mem.slice(wrow, plen).expect("scratchpad is zero-copy");
-        for (p, out) in outs.iter_mut().enumerate().take(n_patches) {
-            let a = mem
-                .slice(buf + (p * plen) as u32, plen)
-                .expect("scratchpad is zero-copy");
-            *out = job.requant.apply(dense_dot(w, a));
-        }
-    }
-    for (p, &out) in outs.iter().enumerate().take(n_patches) {
-        mem.store_i8(job.bufs.output + ((pos + p) * geom.k + k) as u32, out);
-    }
 }
 
 /// The per-instruction reference of one dense output channel, loop

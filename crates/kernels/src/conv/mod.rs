@@ -23,7 +23,7 @@ pub mod per_channel;
 pub mod sparse_isa;
 pub mod sparse_sw;
 
-use crate::bulk::{conv_sweep_dense, conv_sweep_sparse, decim_table, table_below};
+use crate::bulk::{conv_sweep, decim_table, table_below, ChannelRow};
 use crate::im2col::{build_patches, im2col_patches, Im2colCharges};
 use crate::layout::{copy_i8_to_bytes, nm_segment_bytes, ConvBufs};
 use crate::stats::{BatchRun, Ctx, KernelStats};
@@ -33,6 +33,7 @@ use nm_core::sparsity::Nm;
 use nm_core::{ConvGeom, Error, Result};
 use nm_isa::{Core, InstrBlock, Memory};
 use nm_platform::{chunk_range, Cluster, ClusterStats, Scratchpad};
+use per_channel::{ChannelConvJob, ChannelEngine};
 use sparse_sw::SparseConvJob;
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -59,15 +60,15 @@ pub(crate) const EPILOGUE_ALU: u64 = 3;
 /// offsets — the compile-once artifact behind the bulk path's lane
 /// sweep.
 ///
-/// The bulk arms of [`sparse_sw::conv_sparse_sw`] and
-/// [`sparse_isa::conv_sparse_isa`] decode every channel's offset stream
-/// into patch-buffer indices once per invocation. That decode depends
-/// only on the packed weights, so a compile-once executor can build the
-/// table a single time ([`DecimProgram::from_matrix`]) and pass it to the
-/// `_prepared` kernel entry points on every inference, paying zero decode
-/// work per run. The table is identical to the one the kernels build
-/// themselves (same stream walk), so outputs and charged cycles are
-/// unchanged.
+/// On the bulk tier, [`sparse_sw::conv_sparse_sw`] and
+/// [`sparse_isa::conv_sparse_isa`] decode every channel's staged offset
+/// stream into patch-buffer indices once per invocation, before their
+/// lane sweep. That decode depends only on the packed weights, so a
+/// compile-once executor can build the table a single time
+/// ([`DecimProgram::from_matrix`]) and pass it to the `_prepared` kernel
+/// entry points on every inference, paying zero decode work per run. The
+/// table is identical to the one the kernels build themselves (same
+/// stream walk), so outputs and charged cycles are unchanged.
 #[derive(Debug, Clone)]
 pub struct DecimProgram {
     table: Vec<u32>,
@@ -98,7 +99,6 @@ impl DecimProgram {
             weights.nz_per_row(),
             nm.offset_bits(),
             nm.m(),
-            0,
             decode_step(weights.layout())?,
         );
         let in_range = table_below(&table, weights.cols());
@@ -229,7 +229,7 @@ pub(crate) fn sparse_table<'p>(
                 .slice(job.conv.bufs.offsets, geom.k * seg)
                 .expect("scratchpad is zero-copy");
             let (bits, m) = (job.nm.offset_bits(), job.nm.m());
-            let table = decim_table(offs, geom.k, seg, nz, bits, m, 0, decode_step(layout)?);
+            let table = decim_table(offs, geom.k, seg, nz, bits, m, decode_step(layout)?);
             let in_range = table_below(&table, geom.patch_len());
             (Some(Cow::Owned(table)), in_range)
         }
@@ -242,9 +242,9 @@ pub(crate) fn sparse_table<'p>(
     })
 }
 
-/// How the bulk tier's lane sweep ([`crate::bulk::conv_sweep_sparse`] /
-/// [`crate::bulk::conv_sweep_dense`]) gathers each output channel's
-/// activations from a lane-transposed patch block.
+/// How the bulk tier's lane sweep ([`crate::bulk::conv_sweep`]) finds
+/// each output channel's weights and the patch elements it gathers: the
+/// kernel's [`ChannelRow`]s, resolved against the staged scratchpad.
 pub(crate) enum ConvGather<'a> {
     /// Gather through the pre-decoded decimation table (both sparse
     /// families — their bulk compute is the same [`crate::bulk`] walk).
@@ -258,19 +258,45 @@ pub(crate) enum ConvGather<'a> {
     },
     /// Dense dot over the full patch (the 1×2 and 4×2 baselines).
     Dense,
+    /// A per-channel mixed job, every channel with its own row: an N:M
+    /// channel gathers through a table decoded from its staged offset
+    /// segment (in the engine's layout), a dense channel through the
+    /// identity walk over the patch.
+    Mixed(&'a ChannelConvJob, ChannelEngine),
 }
 
 impl ConvGather<'_> {
     /// Computes every output of `inputs` (one tile input per request)
     /// into `out`, request `r`'s tile at `out[r * output_elems()..]`.
-    fn sweep(&self, mem: &Scratchpad, job: &ConvJob, inputs: &[&[i8]], out: &mut [u8]) {
+    pub(crate) fn sweep(&self, mem: &Scratchpad, job: &ConvJob, inputs: &[&[i8]], out: &mut [u8]) {
+        let (k, plen) = (job.geom.k, job.geom.patch_len());
+        let weights = |nz: usize| {
+            mem.slice(job.bufs.weights, k * nz)
+                .expect("scratchpad is zero-copy")
+        };
         match *self {
             ConvGather::Sparse {
                 nz,
                 table,
                 in_range,
-            } => conv_sweep_sparse(mem, job, nz, table, in_range, inputs, out),
-            ConvGather::Dense => conv_sweep_dense(mem, job, inputs, out),
+            } => {
+                let rows: Vec<ChannelRow<'_>> = weights(nz)
+                    .chunks_exact(nz)
+                    .zip(table.chunks_exact(nz))
+                    .collect();
+                conv_sweep(job, &rows, in_range, inputs, out);
+            }
+            ConvGather::Dense => {
+                // One identity walk for every channel: below the patch
+                // length by construction, so the sweep gathers unchecked.
+                let identity: Vec<u32> = (0..plen as u32).collect();
+                let rows: Vec<ChannelRow<'_>> = weights(plen)
+                    .chunks_exact(plen)
+                    .map(|w| (w, &identity[..]))
+                    .collect();
+                conv_sweep(job, &rows, true, inputs, out);
+            }
+            ConvGather::Mixed(mixed, engine) => mixed.sweep(mem, engine, inputs, out),
         }
     }
 }
@@ -282,15 +308,14 @@ impl ConvGather<'_> {
 /// On the reference path the im2col runs per pair, instruction by
 /// instruction, and the channel loop charges as it computes. The bulk
 /// path runs two walks. The compute walk moves the data and writes the
-/// outputs: with a `gather` (the four uniform families) the lane sweep
-/// computes the staged input as a batch of one, and only each core's
-/// final im2col buffers are built ([`final_patches`]); without one (the
-/// per-channel mixed kernels) [`compute_conv`] walks the position pairs.
-/// Either way the scratchpad ends bit-identical to the reference's. Then
-/// the analytic walk — the only one the analytic path runs — charges
-/// each position pair's scaffold and closed-form im2col (memoized per
-/// padding class, shared across cores via one [`Im2colCharges`]) plus
-/// the channel loop's blocks, and its statistics are the result.
+/// outputs: the lane sweep (`gather`, which every kernel passes on the
+/// bulk tier) computes the staged input as a batch of one, and only each
+/// core's final im2col buffers are built ([`final_patches`]), so the
+/// scratchpad ends bit-identical to the reference's. Then the analytic
+/// walk — the only one the analytic path runs — charges each position
+/// pair's scaffold and closed-form im2col (memoized per padding class,
+/// shared across cores via one [`Im2colCharges`]) plus the channel
+/// loop's blocks, and its statistics are the result.
 pub(crate) fn drive_conv<F>(
     name: String,
     ctx: &mut Ctx<'_>,
@@ -303,23 +328,19 @@ where
     F: FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32),
 {
     if let Ctx::MemBulk(mem) = ctx {
-        match gather {
-            Some(gather) => {
-                let geom = &job.geom;
-                let staged = mem.slice(job.bufs.input, geom.input_elems());
-                let input: Vec<i8> = staged
-                    .expect("staged input")
-                    .iter()
-                    .map(|&b| b as i8)
-                    .collect();
-                let mut out = vec![0u8; geom.output_elems()];
-                gather.sweep(mem, job, &[&input], &mut out);
-                let dst = mem.slice_mut(job.bufs.output, out.len());
-                dst.expect("staged output").copy_from_slice(&out);
-                final_patches(mem, job, cluster);
-            }
-            None => compute_conv(mem, job, cluster, &mut channel_loop),
-        }
+        let geom = &job.geom;
+        let staged = mem.slice(job.bufs.input, geom.input_elems());
+        let input: Vec<i8> = staged
+            .expect("staged input")
+            .iter()
+            .map(|&b| b as i8)
+            .collect();
+        let mut out = vec![0u8; geom.output_elems()];
+        let gather = gather.expect("the bulk tier sweeps every conv kernel");
+        gather.sweep(mem, job, &[&input], &mut out);
+        let dst = mem.slice_mut(job.bufs.output, out.len());
+        dst.expect("staged output").copy_from_slice(&out);
+        final_patches(mem, job, cluster);
     }
     let mut ctx = ctx.charging();
     let geom = &job.geom;
@@ -349,27 +370,6 @@ where
         name,
         cluster: ClusterStats::from_cores(per_core, cluster.costs().barrier_cycles),
         dense_macs: geom.macs() as u64,
-    }
-}
-
-/// The per-channel mixed kernels' bulk compute walk: per core and
-/// position pair, one uncharged [`build_patches`] call rebuilds the
-/// pair's im2col buffers, then the channel loop reads them, so the
-/// scratchpad ends bit-identical to the reference's. Nothing is charged:
-/// the channel loop's bulk arm gets a scratch core. The four uniform
-/// families compute through the lane sweep instead (see [`drive_conv`]).
-fn compute_conv<F>(mem: &mut Scratchpad, job: &ConvJob, cluster: &Cluster, channel_loop: &mut F)
-where
-    F: FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32),
-{
-    let geom = &job.geom;
-    let mut scratch = Core::new(cluster.costs());
-    for core_id in 0..cluster.n_cores() {
-        let buf = im2col_buf(job, core_id);
-        for (pos, n_patches) in position_pairs(geom, cluster, core_id) {
-            build_patches(mem, geom, job.bufs.input, buf, pos, n_patches);
-            channel_loop(&mut scratch, &mut Ctx::MemBulk(mem), pos, n_patches, buf);
-        }
     }
 }
 
@@ -938,17 +938,14 @@ mod tests {
         let build = t.elapsed().as_secs_f64();
         // (d) the sweep alone (all 16 requests)
         let mut out = vec![0u8; 16 * job.conv.geom.output_elems()];
+        let gather = ConvGather::Sparse {
+            nz: job.nz_per_channel(),
+            table: program.table(),
+            in_range: program.in_range(),
+        };
         let t = Instant::now();
         for _ in 0..reps {
-            crate::bulk::conv_sweep_sparse(
-                &mem,
-                &job.conv,
-                job.nz_per_channel(),
-                program.table(),
-                program.in_range(),
-                &refs,
-                &mut out,
-            );
+            gather.sweep(&mem, &job.conv, &refs, &mut out);
             sink = sink.wrapping_add(u64::from(out[0]));
         }
         let sweep = t.elapsed().as_secs_f64();

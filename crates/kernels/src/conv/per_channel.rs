@@ -9,10 +9,12 @@
 //! inner loop. This works because the N:M format is *per-row* local: no
 //! cross-channel state exists outside the im2col buffer.
 //!
-//! On the bulk path the shared spatial driver rebuilds each position
-//! pair's patch buffers before the channel loops read them (uncharged
-//! full rebuilds of real bytes), while the im2col *charging* comes from
-//! the analytic pass's memoized closed-form blocks — the mixed kernel
+//! On the bulk tier the mixed kernel computes through the uniform
+//! kernels' lane sweep, each channel with its own weight row and gather
+//! indices: an N:M channel gathers through a table decoded from its
+//! offset segment, a dense channel through the identity walk over the
+//! patch. The charging comes from the analytic pass, each channel's
+//! block plus the memoized closed-form im2col — the mixed kernel
 //! inherits the exact-parity contract unchanged.
 //!
 //! Row payloads are heterogeneous (dense rows store `FY*FX*C` bytes,
@@ -23,11 +25,13 @@
 use super::dense::channel_1xn;
 use super::sparse_isa::{channel_sparse_isa, decimate_mode};
 use super::sparse_sw::channel_sparse_sw;
-use super::{drive_conv, ConvJob};
+use super::{drive_conv, ConvGather, ConvJob};
+use crate::bulk::{conv_sweep, decim_table, offsets_len, table_below, ChannelRow};
 use crate::stats::{Ctx, KernelStats};
 use nm_core::sparsity::Nm;
 use nm_core::{Error, Result};
-use nm_platform::Cluster;
+use nm_isa::Memory;
+use nm_platform::{Cluster, Scratchpad};
 
 /// Which kernel family serves the sparse channels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -117,6 +121,51 @@ impl ChannelConvJob {
             _ => (self.row_values[k], self.row_offsets[k]),
         }
     }
+
+    /// The bulk tier's compute ([`ConvGather::Mixed`]): one lane sweep
+    /// over `inputs` in which channel `k` reads its staged weight row and
+    /// gathers through its own indices — entry `step * b` of its offset
+    /// segment decodes block `b` (`step` 1 in the software engine's plain
+    /// layout, 2 in the `xDecimate` engine's duplicated one), and a dense
+    /// channel walks the whole patch.
+    pub(crate) fn sweep(
+        &self,
+        mem: &Scratchpad,
+        engine: ChannelEngine,
+        inputs: &[&[i8]],
+        out: &mut [u8],
+    ) {
+        let plen = self.conv.geom.patch_len();
+        let step = match engine {
+            ChannelEngine::Software => 1,
+            ChannelEngine::Isa => 2,
+        };
+        let slice = |addr, len| mem.slice(addr, len).expect("scratchpad is zero-copy");
+        let tables: Vec<Option<Vec<u32>>> = self
+            .patterns
+            .iter()
+            .zip(&self.row_offsets)
+            .map(|(p, &seg)| {
+                p.map(|nm| {
+                    let (nz, bits) = (plen / nm.m(), nm.offset_bits());
+                    let offs = slice(seg, offsets_len(step * nz, bits));
+                    decim_table(offs, 1, 0, nz, bits, nm.m(), step)
+                })
+            })
+            .collect();
+        let identity: Vec<u32> = (0..plen as u32).collect();
+        let rows: Vec<ChannelRow<'_>> = tables
+            .iter()
+            .zip(&self.row_values)
+            .map(|(t, &w)| {
+                let t = t.as_deref().unwrap_or(&identity);
+                (slice(w, t.len()), t)
+            })
+            .collect();
+        // The identity is below the patch length by construction.
+        let in_range = tables.iter().flatten().all(|t| table_below(t, plen));
+        conv_sweep(&self.conv, &rows, in_range, inputs, out);
+    }
 }
 
 /// Rejects a per-channel job whose row address tables do not cover its
@@ -166,7 +215,7 @@ pub fn conv_channel_mixed(
         ctx,
         &job.conv,
         cluster,
-        None,
+        Some(ConvGather::Mixed(job, engine)),
         |core, ctx, pos, n_patches, buf| {
             for k in 0..geom.k {
                 let (wrow, seg) = job.row_addr(ctx, k);

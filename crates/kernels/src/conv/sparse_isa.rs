@@ -15,12 +15,12 @@
 
 use super::sparse_sw::SparseConvJob;
 use super::{drive_conv, drive_conv_batch, sparse_table, BatchRun, DecimProgram, EPILOGUE_ALU};
-use crate::bulk::{loop_scaffold, nm_gather_dot, offsets_len};
+use crate::bulk::loop_scaffold;
 use crate::stats::{Ctx, KernelStats};
 use nm_core::format::OffsetLayout;
 use nm_core::sparsity::Nm;
 use nm_core::Result;
-use nm_isa::{Core, CostModel, DecimateMode, InstrBlock, Memory};
+use nm_isa::{Core, CostModel, DecimateMode, InstrBlock};
 use nm_platform::Cluster;
 
 /// The `xDecimate` flavour for a pattern.
@@ -156,7 +156,8 @@ fn channel_block(costs: &CostModel, job: &SparseConvJob, np: u64) -> InstrBlock 
 }
 
 /// One output channel × `n_patches` patches with `xDecimate`, behind its
-/// loop scaffold.
+/// loop scaffold: per instruction on the reference walk, one block on
+/// the analytic walk.
 ///
 /// The instruction's block/lane pointer advances every *two* executions,
 /// so the kernel always issues `xDecimate` in pairs. With a single
@@ -183,33 +184,6 @@ pub(crate) fn channel_sparse_isa(
     let entries_per_word = job.nm.offsets_per_word(); // 8 (4-bit) or 16 (2-bit)
 
     match ctx.path() {
-        Ctx::MemBulk(mem) => {
-            let (m, bits) = (job.nm.m(), job.nm.offset_bits());
-            let mut outs = [0i8; 2];
-            {
-                let values = mem.slice(wrow, nz).expect("scratchpad is zero-copy");
-                // Duplicated stream: entries 2b and 2b + 1 both carry
-                // block b's offset — the csr walk of the reference's
-                // paired xDecimate executions reads 2b for buffer 0 and
-                // 2b + 1 for buffer 1, so entry 2b serves every patch.
-                let offs = mem
-                    .slice(seg, offsets_len(2 * nz, bits))
-                    .expect("scratchpad is zero-copy");
-                for (p, out) in outs.iter_mut().enumerate().take(n_patches) {
-                    let a = mem
-                        .slice(buf + (p * plen) as u32, plen)
-                        .expect("scratchpad is zero-copy");
-                    *out = job
-                        .conv
-                        .requant
-                        .apply(nm_gather_dot(values, a, offs, bits, m, 0, 2));
-                }
-            }
-            for (p, &out) in outs.iter().enumerate().take(n_patches) {
-                mem.store_i8(job.conv.bufs.output + ((pos + p) * geom.k + k) as u32, out);
-            }
-        }
-        Ctx::Analytic => core.charge_block(&channel_block(core.costs(), job, n_patches as u64)),
         Ctx::Mem(mem) => {
             core.outer_loop_iter();
             core.alu_n(3);
@@ -262,6 +236,7 @@ pub(crate) fn channel_sparse_isa(
                 );
             }
         }
+        _ => core.charge_block(&channel_block(core.costs(), job, n_patches as u64)),
     }
 }
 

@@ -17,7 +17,7 @@
 use super::{
     drive_conv, drive_conv_batch, sparse_table, BatchRun, ConvJob, DecimProgram, EPILOGUE_ALU,
 };
-use crate::bulk::{loop_scaffold, nm_gather_dot, offsets_len};
+use crate::bulk::loop_scaffold;
 use crate::stats::{Ctx, KernelStats};
 use nm_core::format::OffsetLayout;
 use nm_core::sparsity::Nm;
@@ -178,8 +178,9 @@ fn channel_block(costs: &CostModel, job: &SparseConvJob, np: u64) -> InstrBlock 
 }
 
 /// One output channel of the software sparse kernel behind its loop
-/// scaffold. `wrow` / `seg` address the channel's packed non-zero values
-/// and offset segment in L1 (unused in analytic mode) — passed
+/// scaffold: per instruction on the reference walk, one block on the
+/// analytic walk. `wrow` / `seg` address the channel's packed non-zero
+/// values and offset segment in L1 (unused in analytic mode) — passed
 /// explicitly so the per-channel mixed kernel can address heterogeneous
 /// rows.
 #[allow(clippy::too_many_arguments)]
@@ -201,28 +202,6 @@ pub(crate) fn channel_sparse_sw(
     let nz = job.nz_per_channel();
     let (chunks, tail) = (nz / 4, nz % 4);
     match ctx.path() {
-        Ctx::MemBulk(mem) => {
-            let mut outs = [0i8; 2];
-            {
-                let values = mem.slice(wrow, nz).expect("scratchpad is zero-copy");
-                let offs = mem
-                    .slice(seg, offsets_len(nz, bits))
-                    .expect("scratchpad is zero-copy");
-                for (p, out) in outs.iter_mut().enumerate().take(n_patches) {
-                    let a = mem
-                        .slice(buf + (p * plen) as u32, plen)
-                        .expect("scratchpad is zero-copy");
-                    *out = job
-                        .conv
-                        .requant
-                        .apply(nm_gather_dot(values, a, offs, bits, m, 0, 1));
-                }
-            }
-            for (p, &out) in outs.iter().enumerate().take(n_patches) {
-                mem.store_i8(job.conv.bufs.output + ((pos + p) * geom.k + k) as u32, out);
-            }
-        }
-        Ctx::Analytic => core.charge_block(&channel_block(core.costs(), job, n_patches as u64)),
         Ctx::Mem(mem) => {
             core.outer_loop_iter();
             core.alu_n(3);
@@ -284,6 +263,7 @@ pub(crate) fn channel_sparse_sw(
                 );
             }
         }
+        _ => core.charge_block(&channel_block(core.costs(), job, n_patches as u64)),
     }
 }
 

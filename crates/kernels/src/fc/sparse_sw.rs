@@ -146,8 +146,6 @@ fn core_body(mem: &mut Scratchpad, job: &SparseFcJob, seg: u32, range: Range<usi
                 &offs[k * seg as usize..],
                 bits,
                 m,
-                0,
-                1,
             );
             job.fc.requant.apply(acc)
         })
@@ -196,7 +194,7 @@ pub(crate) fn channel(
                     .expect("scratchpad is zero-copy");
                 job.fc
                     .requant
-                    .apply(nm_gather_dot(values, input, offs, bits, m, 0, 1))
+                    .apply(nm_gather_dot(values, input, offs, bits, m))
             };
             mem.store_i8(job.fc.bufs.output + k as u32, out);
         }

@@ -38,13 +38,12 @@
 //!   lane-transposed (two 8×8 byte transposes per 8 patch bytes; rows
 //!   of 1, 2 or 4 bytes packed `8 / row` kernel rows per transpose),
 //!   from the same `row_split` rows as the reference.
-//!   A single run, and the im2col-only engine workload, then build only
-//!   each core's final patches with the crate-private `build_patches`
-//!   (one fill or up to pad-fill / contiguous copy / pad-fill per row,
-//!   on one borrow of the raw scratchpad bytes), so the scratchpad ends
-//!   in the state the reference leaves behind. The per-channel mixed
-//!   kernels' compute walk rebuilds each position pair's buffers with
-//!   `build_patches` before its channel loop reads them.
+//!   A single run of any conv kernel, the per-channel mixed ones
+//!   included, and the im2col-only engine workload then build only each
+//!   core's final patches with the crate-private `build_patches` (one
+//!   fill or up to pad-fill / contiguous copy / pad-fill per row, on one
+//!   borrow of the raw scratchpad bytes), so the scratchpad ends in the
+//!   state the reference leaves behind.
 //!
 //! The parity suite (`tests/bulk_parity.rs`) enforces bit-exact buffers
 //! and exact statistics for strided, padded (including `pad >= fx`),

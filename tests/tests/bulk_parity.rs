@@ -426,35 +426,41 @@ fn conv_padding_class_parity() {
             }
         }
 
-        // Per-channel mixed (dense + 1:8 rows share the im2col).
+        // Per-channel mixed (dense + 1:8 rows share the im2col), both
+        // engines.
         let patterns: Vec<_> = (0..geom.k)
             .map(|i| if i % 2 == 0 { None } else { Some(nm) })
             .collect();
-        let w = ChannelNmMatrix::prune_from_dense(
-            &dense,
-            geom.k,
-            geom.patch_len(),
-            &patterns,
-            OffsetLayout::Plain,
-        )
-        .unwrap();
-        let rq = Requant::for_dot_len((geom.patch_len() / nm.m()).max(1));
-        let mut l1 = Scratchpad::new("l1", 512 * 1024);
-        let (bufs, row_values, row_offsets) =
-            stage_conv_channelwise(&mut l1, &geom, &input, &w, 4).unwrap();
-        let job = ChannelConvJob {
-            conv: ConvJob {
-                geom,
-                requant: rq,
-                bufs,
-            },
-            patterns,
-            row_values,
-            row_offsets,
-        };
-        assert_full_parity(&l1, 4, |ctx, cluster| {
-            conv_channel_mixed(ctx, &job, cluster, ChannelEngine::Software).unwrap()
-        });
+        for (engine, layout) in [
+            (ChannelEngine::Software, OffsetLayout::Plain),
+            (ChannelEngine::Isa, OffsetLayout::Duplicated),
+        ] {
+            let w = ChannelNmMatrix::prune_from_dense(
+                &dense,
+                geom.k,
+                geom.patch_len(),
+                &patterns,
+                layout,
+            )
+            .unwrap();
+            let rq = Requant::for_dot_len((geom.patch_len() / nm.m()).max(1));
+            let mut l1 = Scratchpad::new("l1", 512 * 1024);
+            let (bufs, row_values, row_offsets) =
+                stage_conv_channelwise(&mut l1, &geom, &input, &w, 4).unwrap();
+            let job = ChannelConvJob {
+                conv: ConvJob {
+                    geom,
+                    requant: rq,
+                    bufs,
+                },
+                patterns: patterns.clone(),
+                row_values,
+                row_offsets,
+            };
+            assert_full_parity(&l1, 4, |ctx, cluster| {
+                conv_channel_mixed(ctx, &job, cluster, engine).unwrap()
+            });
+        }
     }
 }
 
@@ -519,9 +525,11 @@ fn per_channel_mixed_bulk_parity() {
         fc_channel_mixed(ctx, &job, cluster).unwrap()
     });
 
-    // Conv, both engines.
+    // Conv, both engines. K = 12: the lane sweep's blocked epilogue
+    // takes channels 0-7 (mixed patterns inside one group) and stores
+    // channels 8-11 one byte at a time.
     for engine in [ChannelEngine::Software, ChannelEngine::Isa] {
-        let geom = ConvGeom::square(16, 5, 5, 3, 1, 1).unwrap();
+        let geom = ConvGeom::square(16, 12, 5, 3, 1, 1).unwrap();
         let patterns: Vec<_> = (0..geom.k).map(|i| ladder[i % ladder.len()]).collect();
         let layout = match engine {
             ChannelEngine::Software => OffsetLayout::Plain,

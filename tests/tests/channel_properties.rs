@@ -1,7 +1,7 @@
 //! Property tests over the per-channel variable-sparsity extension
 //! (paper future work): format round trips, kernel bit-exactness vs the
-//! reference, analytic/emulated cycle identity, and assignment-policy
-//! invariants.
+//! reference, bulk/reference and analytic/emulated parity, and
+//! assignment-policy invariants.
 
 use nm_compiler::channelwise::conv_channel_sweep;
 use nm_core::format::{ChannelNmMatrix, OffsetLayout};
@@ -30,6 +30,19 @@ fn pattern_strategy() -> impl Strategy<Value = Option<Nm>> {
 
 fn engine_strategy() -> impl Strategy<Value = ChannelEngine> {
     prop_oneof![Just(ChannelEngine::Software), Just(ChannelEngine::Isa)]
+}
+
+/// A cost model where every knob is distinct and non-zero (the one of
+/// `bulk_parity.rs`), so a statistic batched wrongly cannot hide.
+fn stalled_model() -> CostModel {
+    CostModel {
+        base: 1,
+        load_stall: 2,
+        branch_taken_penalty: 3,
+        outer_loop_instrs: 3,
+        kernel_overhead_instrs: 60,
+        ..CostModel::VEGA
+    }
 }
 
 proptest! {
@@ -66,9 +79,12 @@ proptest! {
         prop_assert!(w.density() <= 1.0 + 1e-12);
     }
 
+    // Up to 19 channels, so the bulk tier's lane sweep reaches its
+    // 8-channel epilogue groups (and the bytewise channels past them)
+    // with different pattern lengths inside one group.
     #[test]
     fn per_channel_kernel_is_bit_exact_and_cycle_deterministic(
-        patterns in prop::collection::vec(pattern_strategy(), 2..6),
+        patterns in prop::collection::vec(pattern_strategy(), 2..20),
         engine in engine_strategy(),
         img in 4usize..7,
         seed in 1u64..10_000,
@@ -85,24 +101,33 @@ proptest! {
             &dense, geom.k, geom.patch_len(), &patterns, layout).unwrap();
         let pruned = w.to_dense();
         let rq = Requant::for_dot_len(geom.patch_len() / 8);
-        let cluster = Cluster::new(4, CostModel::default());
         let mut l1 = Scratchpad::new("l1", 512 * 1024);
         let (bufs, row_values, row_offsets) =
-            stage_conv_channelwise(&mut l1, &geom, &input, &w, cluster.n_cores()).unwrap();
+            stage_conv_channelwise(&mut l1, &geom, &input, &w, 4).unwrap();
         let job = ChannelConvJob {
             conv: ConvJob { geom, requant: rq, bufs },
             patterns,
             row_values,
             row_offsets,
         };
-        let stats = conv_channel_mixed(&mut Ctx::Mem(&mut l1), &job, &cluster, engine).unwrap();
-        let got: Vec<i8> = (0..geom.output_elems() as u32)
-            .map(|i| nm_isa::Memory::load_i8(&l1, bufs.output + i))
-            .collect();
-        prop_assert_eq!(got, conv_ref(&geom, &input, &pruned, rq));
-        let analytic = conv_channel_mixed(&mut Ctx::Analytic, &job, &cluster, engine).unwrap();
-        prop_assert_eq!(stats.cycles(), analytic.cycles());
-        prop_assert_eq!(stats.cluster.total_macs(), analytic.cluster.total_macs());
+        for costs in [CostModel::default(), stalled_model()] {
+            let cluster = Cluster::new(4, costs);
+            let (mut reference, mut bulk) = (l1.clone(), l1.clone());
+            let stats =
+                conv_channel_mixed(&mut Ctx::Mem(&mut reference), &job, &cluster, engine).unwrap();
+            let got: Vec<i8> = (0..geom.output_elems() as u32)
+                .map(|i| nm_isa::Memory::load_i8(&reference, bufs.output + i))
+                .collect();
+            prop_assert_eq!(got, conv_ref(&geom, &input, &pruned, rq));
+            let analytic = conv_channel_mixed(&mut Ctx::Analytic, &job, &cluster, engine).unwrap();
+            prop_assert_eq!(&analytic, &stats);
+            // The bulk tier, from a clone of the same staging: the whole
+            // scratchpad and every statistic equal the reference run's.
+            let bulk_stats =
+                conv_channel_mixed(&mut Ctx::MemBulk(&mut bulk), &job, &cluster, engine).unwrap();
+            prop_assert!(bulk.bytes() == reference.bytes(), "bulk scratchpad diverged");
+            prop_assert_eq!(bulk_stats, stats);
+        }
     }
 
     #[test]
