@@ -416,7 +416,7 @@ fn position_pairs(
 /// the whole batch.
 ///
 /// On the bulk path no request touches the modeled scratchpad: the lane
-/// sweep (`gather`, see [`crate::bulk::conv_sweep_sparse`]) computes
+/// sweep (`gather`, see [`crate::bulk::conv_sweep`]) computes
 /// every request's outputs host-side from its own input bytes, with its
 /// (request, position) lanes walked 16 at a time, through the same
 /// `row_split`-derived im2col decomposition (`crate::im2col::patch_lanes`)

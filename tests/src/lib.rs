@@ -7,6 +7,19 @@ pub fn random_i8(n: usize, seed: u64) -> Vec<i8> {
     XorShift::new(seed).fill_weights(n, 42)
 }
 
+/// A cost model where every knob is distinct and non-zero, so a fast
+/// path that batches stalls or penalties incorrectly cannot hide.
+pub fn stalled_model() -> nm_isa::CostModel {
+    nm_isa::CostModel {
+        base: 1,
+        load_stall: 2,
+        branch_taken_penalty: 3,
+        outer_loop_instrs: 3,
+        kernel_overhead_instrs: 60,
+        ..nm_isa::CostModel::VEGA
+    }
+}
+
 /// Forces a dense buffer into an exact N:M pattern (exactly N non-zeros
 /// per block), so sparsity detection picks the intended pattern.
 pub fn make_exact_nm(w: &mut [i8], rows: usize, cols: usize, nm: nm_core::sparsity::Nm) {

@@ -19,6 +19,7 @@ use nm_core::format::{
 use nm_core::quant::Requant;
 use nm_core::sparsity::Nm;
 use nm_core::{ConvGeom, FcGeom};
+use nm_integration::stalled_model;
 use nm_isa::CostModel;
 use nm_kernels::baseline::blockwise::{fc_blockwise, stage_blockwise_fc};
 use nm_kernels::baseline::csr::{fc_csr, stage_csr_fc};
@@ -40,19 +41,6 @@ use nm_kernels::layout::{
 use nm_kernels::testdata::{random_data, random_sparse_data};
 use nm_kernels::{Ctx, KernelStats};
 use nm_platform::{Cluster, Scratchpad};
-
-/// A cost model where every knob is distinct and non-zero, so a fast
-/// path that batches stalls or penalties incorrectly cannot hide.
-fn stalled_model() -> CostModel {
-    CostModel {
-        base: 1,
-        load_stall: 2,
-        branch_taken_penalty: 3,
-        outer_loop_instrs: 3,
-        kernel_overhead_instrs: 60,
-        ..CostModel::VEGA
-    }
-}
 
 /// Runs `kernel` on the reference and bulk paths over clones of the same
 /// staged scratchpad and asserts full-memory bit-exactness plus exact

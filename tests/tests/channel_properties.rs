@@ -8,7 +8,7 @@ use nm_core::format::{ChannelNmMatrix, OffsetLayout};
 use nm_core::quant::Requant;
 use nm_core::sparsity::Nm;
 use nm_core::ConvGeom;
-use nm_integration::random_i8;
+use nm_integration::{random_i8, stalled_model};
 use nm_isa::CostModel;
 use nm_kernels::conv::per_channel::{conv_channel_mixed, ChannelConvJob, ChannelEngine};
 use nm_kernels::conv::ConvJob;
@@ -30,19 +30,6 @@ fn pattern_strategy() -> impl Strategy<Value = Option<Nm>> {
 
 fn engine_strategy() -> impl Strategy<Value = ChannelEngine> {
     prop_oneof![Just(ChannelEngine::Software), Just(ChannelEngine::Isa)]
-}
-
-/// A cost model where every knob is distinct and non-zero (the one of
-/// `bulk_parity.rs`), so a statistic batched wrongly cannot hide.
-fn stalled_model() -> CostModel {
-    CostModel {
-        base: 1,
-        load_stall: 2,
-        branch_taken_penalty: 3,
-        outer_loop_instrs: 3,
-        kernel_overhead_instrs: 60,
-        ..CostModel::VEGA
-    }
 }
 
 proptest! {
