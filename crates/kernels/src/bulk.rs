@@ -395,6 +395,21 @@ pub(crate) fn gather_dot2_pair(
     }
 }
 
+/// The one offset decoder of both lane sweeps ([`decim_table`] for conv,
+/// [`FcOffsets::decode`] for FC): `idx[b] = b * m + o`, where entry
+/// `base + step * b` of one channel's packed segment `seg` is `o`.
+pub(crate) fn decode_offsets(
+    seg: &[u8],
+    bits: usize,
+    m: usize,
+    (base, step): (usize, usize),
+    idx: &mut [u32],
+) {
+    for (b, i) in idx.iter_mut().enumerate() {
+        *i = (b * m + unpack_offset(seg, bits, base + step * b)) as u32;
+    }
+}
+
 /// Pre-decoded decimation table for the convolution kernels: entry
 /// `k * nz + b` is the patch-buffer index `b * m + offset` of channel
 /// `k`'s block `b`. Channels' segments start at `seg_stride` intervals in
@@ -411,13 +426,10 @@ pub(crate) fn decim_table(
     m: usize,
     step: usize,
 ) -> Vec<u32> {
-    let mut table = Vec::with_capacity(channels * nz);
+    let mut table = vec![0u32; channels * nz];
     for k in 0..channels {
         let seg = &offs_region[k * seg_stride..];
-        for b in 0..nz {
-            let o = unpack_offset(seg, bits, step * b);
-            table.push((b * m + o) as u32);
-        }
+        decode_offsets(seg, bits, m, (0, step), &mut table[k * nz..(k + 1) * nz]);
     }
     table
 }
@@ -1148,10 +1160,8 @@ impl FcOffsets<'_> {
     /// (`idx.len()` = non-zeros per channel).
     fn decode(&self, ch: usize, idx: &mut [u32]) {
         let seg = &self.offs[(ch / self.per_seg) * self.seg..];
-        let (base, step) = (ch % self.per_seg, self.per_seg);
-        for (b, i) in idx.iter_mut().enumerate() {
-            *i = (b * self.m + unpack_offset(seg, self.bits, base + step * b)) as u32;
-        }
+        let base_step = (ch % self.per_seg, self.per_seg);
+        decode_offsets(seg, self.bits, self.m, base_step, idx);
     }
 
     /// Whether every offset of the `k` channels' segments decodes below

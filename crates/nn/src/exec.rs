@@ -8,7 +8,7 @@
 
 use crate::graph::{Graph, Node, OpKind};
 use crate::layer::{AttentionLayer, ConvLayer, LinearLayer};
-use crate::ops::{self, dot};
+use crate::ops::{self, matmul};
 use nm_core::{Error, Result, Tensor};
 
 /// Runs the graph on `input`, returning the output tensor.
@@ -94,8 +94,8 @@ pub fn conv2d(x: &Tensor<i8>, l: &ConvLayer) -> Tensor<i8> {
     out
 }
 
-/// Linear layer over `[C]` or row-wise over `[T, C]`: every output is
-/// one contiguous dot of an input row against a weight row.
+/// Linear layer over `[C]` or row-wise over `[T, C]`: one
+/// register-tiled int8 matmul of the input rows against the weight rows.
 pub fn linear(x: &Tensor<i8>, l: &LinearLayer) -> Tensor<i8> {
     let (t, c) = match x.shape() {
         [c] => (1, *c),
@@ -105,15 +105,7 @@ pub fn linear(x: &Tensor<i8>, l: &LinearLayer) -> Tensor<i8> {
     assert_eq!(c, l.geom.c);
     let k = l.geom.k;
     let mut data = vec![0i8; t * k];
-    if c > 0 {
-        for (xrow, out) in x.data().chunks_exact(c).zip(data.chunks_exact_mut(k)) {
-            for (o, wrow) in out.iter_mut().zip(l.weights.chunks_exact(c)) {
-                *o = l.requant.apply(dot(wrow, xrow));
-            }
-        }
-    } else {
-        data.fill(l.requant.apply(0));
-    }
+    matmul(x.data(), &l.weights, (t, k, c), l.requant, &mut data, k);
     let shape: Vec<usize> = if x.shape().len() == 1 {
         vec![k]
     } else {
@@ -122,50 +114,71 @@ pub fn linear(x: &Tensor<i8>, l: &LinearLayer) -> Tensor<i8> {
     Tensor::from_vec(&shape, data).expect("shape consistent")
 }
 
-/// Multi-head self-attention over `[T, D]`. Per head, each score is the
-/// dot of a row of Q with a row of K (both contiguous in the fused QKV
-/// output), and each context value the dot of a softmax row with a row
-/// of Vᵀ.
+/// Multi-head self-attention over `[T, D]` in four calls of the
+/// register-tiled int8 matmul behind [`linear`]: the QKV projection; per
+/// head, the scores of its Q rows against its K rows and the context of
+/// the softmax rows against its Vᵀ, written into the head's columns of
+/// the `[T, D]` context; and the output projection. Each head's Q, K and
+/// Vᵀ are copied out of the fused QKV rows into one buffer first, so
+/// every operand is row-major.
 pub fn attention(x: &Tensor<i8>, a: &AttentionLayer) -> Tensor<i8> {
     let t = x.shape()[0];
     let d = a.dim;
     let hd = a.head_dim();
     let qkv = linear(x, &a.qkv); // [T, 3D]
     let qkv = qkv.data();
-    let row = |i: usize, part: usize, h: usize| &qkv[i * 3 * d + part * d + h * hd..][..hd];
     let mut context = vec![0i8; t * d];
     let mut scores = vec![0i8; t * t];
     let mut probs = vec![0i8; t * t];
-    let mut vt = vec![0i8; hd * t];
+    // One head's Q (`t x hd`), K (`t x hd`) and Vᵀ (`hd x t`).
+    let mut head = vec![0i8; 3 * t * hd];
     for h in 0..a.heads {
+        let (q, rest) = head.split_at_mut(t * hd);
+        let (k, vt) = rest.split_at_mut(t * hd);
         for i in 0..t {
-            for j in 0..t {
-                scores[i * t + j] = a.score_requant.apply(dot(row(i, 0, h), row(j, 1, h)));
-            }
-            for (jv, &v) in row(i, 2, h).iter().enumerate() {
+            let row = |part: usize| &qkv[i * 3 * d + part * d + h * hd..][..hd];
+            q[i * hd..][..hd].copy_from_slice(row(0));
+            k[i * hd..][..hd].copy_from_slice(row(1));
+            for (jv, &v) in row(2).iter().enumerate() {
                 vt[jv * t + i] = v;
             }
         }
+        matmul(q, k, (t, t, hd), a.score_requant, &mut scores, t);
         ops::softmax_rows(&scores, t, &mut probs);
-        for i in 0..t {
-            let p = &probs[i * t..(i + 1) * t];
-            for (jv, v) in vt.chunks_exact(t).enumerate() {
-                context[i * d + h * hd + jv] = a.context_requant.apply(dot(p, v));
-            }
-        }
+        let cols = &mut context[h * hd..]; // the head's columns, rows `d` apart
+        matmul(&probs, vt, (t, hd, t), a.context_requant, cols, d);
     }
     let ctx_t = Tensor::from_vec(&[t, d], context).expect("t x d");
     linear(&ctx_t, &a.proj)
 }
 
 /// The scalar triple-loop linear and attention (strided `matmul` over an
-/// explicit Kᵀ) that the contiguous-dot [`linear`] and [`attention`]
+/// explicit Kᵀ) that the register-tiled [`linear`] and [`attention`]
 /// replaced, kept as the references the tests check them against.
 #[cfg(test)]
 mod reference {
     use crate::layer::{AttentionLayer, LinearLayer};
     use crate::ops;
+    use nm_core::quant::Requant;
     use nm_core::Tensor;
+
+    /// Scalar `A (m x k) · B (k x n)` with requantization, B walked down
+    /// its columns.
+    pub fn matmul(a: &[i8], b: &[i8], m: usize, k: usize, n: usize, rq: Requant) -> Vec<i8> {
+        assert_eq!(a.len(), m * k);
+        assert_eq!(b.len(), k * n);
+        let mut out = vec![0i8; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0i32;
+                for p in 0..k {
+                    acc = acc.wrapping_add(i32::from(a[i * k + p]) * i32::from(b[p * n + j]));
+                }
+                out[i * n + j] = rq.apply(acc);
+            }
+        }
+        out
+    }
 
     pub fn linear(x: &Tensor<i8>, l: &LinearLayer) -> Tensor<i8> {
         let (t, c) = match x.shape() {
@@ -215,9 +228,9 @@ mod reference {
                     kt[j * t + row] = k[row * hd + j];
                 }
             }
-            let scores = ops::matmul(&q, &kt, t, hd, t, a.score_requant);
+            let scores = matmul(&q, &kt, t, hd, t, a.score_requant);
             let probs = ops::softmax(&Tensor::from_vec(&[t, t], scores).expect("t x t"));
-            let ctx = ops::matmul(probs.data(), &v, t, t, hd, a.context_requant);
+            let ctx = matmul(probs.data(), &v, t, t, hd, a.context_requant);
             for row in 0..t {
                 for j in 0..hd {
                     context[row * d + h * hd + j] = ctx[row * hd + j];
@@ -265,11 +278,25 @@ mod tests {
     #[test]
     fn linear_matches_scalar_reference_on_random_shapes() {
         let mut rng = XorShift::new(41);
+        // Every tile edge: token counts 0-9, K mod 4 and C mod 8.
+        for t in 0..=9 {
+            for k in 1..=8 {
+                for c in 1..=16 {
+                    let l = random_linear(&mut rng, c, k);
+                    let x = Tensor::from_vec(&[t, c], extreme_data(&mut rng, t * c, 3)).unwrap();
+                    assert_eq!(
+                        linear(&x, &l),
+                        reference::linear(&x, &l),
+                        "t {t} c {c} k {k}"
+                    );
+                }
+            }
+        }
         for case in 0..120 {
-            // Dims off the 16-lane grid, single tokens and 1-D inputs.
+            // Dims off the tile grid, single tokens and 1-D inputs.
             let c = 1 + (rng.next_u64() % 53) as usize;
-            let k = 1 + (rng.next_u64() % 21) as usize;
-            let t = (rng.next_u64() % 5) as usize;
+            let k = 1 + (rng.next_u64() % 70) as usize;
+            let t = (rng.next_u64() % 41) as usize;
             let l = random_linear(&mut rng, c, k);
             let x = if case % 4 == 0 {
                 Tensor::from_vec(&[c], extreme_data(&mut rng, c, 3)).unwrap()
@@ -280,30 +307,43 @@ mod tests {
         }
     }
 
+    /// One random attention block of `heads` heads of width `hd` over
+    /// `t` tokens, against the scalar reference.
+    fn check_attention(rng: &mut XorShift, t: usize, heads: usize, hd: usize, period: usize) {
+        let d = heads * hd;
+        let att = AttentionLayer::new(
+            d,
+            heads,
+            random_linear(rng, d, 3 * d),
+            random_linear(rng, d, d),
+            Requant::new(0, (rng.next_u64() % 10) as u8).unwrap(),
+            Requant::new(0, (rng.next_u64() % 10) as u8).unwrap(),
+        )
+        .unwrap();
+        let x = Tensor::from_vec(&[t, d], extreme_data(rng, t * d, period)).unwrap();
+        let want = reference::attention(&x, &att);
+        assert_eq!(attention(&x, &att), want, "heads {heads} hd {hd} t {t}");
+    }
+
     #[test]
     fn attention_matches_scalar_reference_on_random_shapes() {
         let mut rng = XorShift::new(43);
+        // Every tile edge of the four matmuls: token counts 1-9 (rows of
+        // every product, columns of the scores) and head widths 1-9
+        // (columns of the context, shared length of the scores).
+        for t in 1..=9 {
+            for heads in 1..=2 {
+                for hd in 1..=9 {
+                    check_attention(&mut rng, t, heads, hd, 2);
+                }
+            }
+        }
+        // Up to 40 tokens and a model width of 69.
         for case in 0..90 {
-            let heads = 1 + case % 3;
-            let hd = 1 + (rng.next_u64() % 19) as usize;
-            let d = heads * hd;
-            let t = 1 + (rng.next_u64() % 18) as usize;
-            let att = AttentionLayer::new(
-                d,
-                heads,
-                random_linear(&mut rng, d, 3 * d),
-                random_linear(&mut rng, d, d),
-                Requant::new(0, (rng.next_u64() % 10) as u8).unwrap(),
-                Requant::new(0, (rng.next_u64() % 10) as u8).unwrap(),
-            )
-            .unwrap();
+            let hd = 1 + (rng.next_u64() % 23) as usize;
+            let t = 1 + (rng.next_u64() % 40) as usize;
             let period = if case % 2 == 0 { 2 } else { 11 };
-            let x = Tensor::from_vec(&[t, d], extreme_data(&mut rng, t * d, period)).unwrap();
-            assert_eq!(
-                attention(&x, &att),
-                reference::attention(&x, &att),
-                "heads {heads} hd {hd} t {t}"
-            );
+            check_attention(&mut rng, t, 1 + case % 3, hd, period);
         }
     }
 

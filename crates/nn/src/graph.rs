@@ -288,8 +288,13 @@ impl GraphBuilder {
     /// Adds a LayerNorm over the last axis.
     ///
     /// # Errors
-    /// [`Error::ShapeMismatch`] if `x` is unknown.
+    /// [`Error::ShapeMismatch`] if `x` is unknown, 0-D, or its last axis
+    /// is empty (a row with no mean).
     pub fn layer_norm(&mut self, x: NodeId) -> Result<NodeId> {
+        let s = self.shape(x)?;
+        if s.last().is_none_or(|&d| d == 0) {
+            return Err(Error::ShapeMismatch(format!("layernorm over {s:?}")));
+        }
         self.unary(x, OpKind::LayerNorm)
     }
 
@@ -326,10 +331,11 @@ impl GraphBuilder {
     /// Adds global average pooling (HWC → C).
     ///
     /// # Errors
-    /// [`Error::ShapeMismatch`] if the input is not 3-D.
+    /// [`Error::ShapeMismatch`] if the input is not 3-D or its spatial
+    /// map is empty (a mean over no positions).
     pub fn global_avg_pool(&mut self, x: NodeId) -> Result<NodeId> {
         let s = self.shape(x)?.to_vec();
-        if s.len() != 3 {
+        if s.len() != 3 || s[0] == 0 || s[1] == 0 {
             return Err(Error::ShapeMismatch(format!("global pool over {s:?}")));
         }
         Ok(self.push(OpKind::GlobalAvgPool, vec![x], vec![s[2]]))
@@ -432,6 +438,33 @@ mod tests {
         let mut b2 = GraphBuilder::new(&[4]);
         assert!(b2.global_avg_pool(b2.input()).is_err());
         assert!(b2.clone().finish(99).is_err());
+    }
+
+    #[test]
+    fn zero_width_layer_norm_is_rejected() {
+        let mut b = GraphBuilder::new(&[4, 0]);
+        assert!(matches!(
+            b.layer_norm(b.input()),
+            Err(Error::ShapeMismatch(_))
+        ));
+        let mut scalar = GraphBuilder::new(&[]);
+        assert!(scalar.layer_norm(scalar.input()).is_err());
+        let mut ok = GraphBuilder::new(&[4, 1]);
+        assert!(ok.layer_norm(ok.input()).is_ok());
+    }
+
+    #[test]
+    fn empty_global_avg_pool_is_rejected() {
+        for shape in [[0, 4, 3], [4, 0, 3]] {
+            let mut b = GraphBuilder::new(&shape);
+            assert!(
+                matches!(b.global_avg_pool(b.input()), Err(Error::ShapeMismatch(_))),
+                "{shape:?}"
+            );
+        }
+        // No channels is an empty output, not an empty mean.
+        let mut b = GraphBuilder::new(&[2, 2, 0]);
+        assert!(b.global_avg_pool(b.input()).is_ok());
     }
 
     #[test]

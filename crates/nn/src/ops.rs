@@ -1,53 +1,251 @@
-//! Int8 implementations of the non-matmul operators.
+//! Int8 implementations of the host operators: the non-matmul layers and
+//! the matrix product behind the reference executor's Linear and
+//! attention.
 //!
-//! These layers are outside the paper's contribution (its kernels cover
-//! convolutions and FC layers); they exist so complete networks execute
-//! deterministically. Numerical conventions follow common int8 inference
-//! practice (Deeploy-style): integer accumulation, shift-based rescaling,
-//! and lookup tables for the nonlinearities. [`gelu`] reads a 256-entry
-//! table indexed by the input byte, and [`softmax`] reads its exponential
-//! from a 129-entry Q16 table indexed by `max - v` (clamped to 128). Both
-//! tables are built once, on first use, from the closed forms they
-//! replace, so every output equals the closed form's bit for bit.
+//! These operators are outside the paper's contribution (its kernels
+//! cover convolutions and FC layers); they exist so complete networks
+//! execute deterministically. Numerical conventions follow common int8
+//! inference practice (Deeploy-style): integer accumulation, shift-based
+//! rescaling, and lookup tables for the nonlinearities. [`gelu`] reads a
+//! 256-entry table indexed by the input byte, and [`softmax`] reads its
+//! exponential from a 129-entry Q16 table indexed by `max - v` (clamped
+//! to 128). Both tables are built once, on first use, from the closed
+//! forms they replace, so every output equals the closed form's bit for
+//! bit.
 //!
-//! `dot` is the int8 dot product behind every matmul of the reference
-//! executor ([`crate::exec`]).
+//! `matmul` is the one inner loop of the reference executor's matrix
+//! products ([`crate::exec`]): each Linear layer is one call, and an
+//! attention block four (QKV projection, per-head scores, per-head
+//! context, output projection). It computes 2 × 4 output tiles in
+//! registers, so every loaded operand feeds several outputs, over
+//! operands sign-extended to `i16` in a bounded stack block; the outputs
+//! equal the serial wrapping walk bit for bit.
 
-use nm_core::quant::clip_i8;
+use nm_core::quant::{clip_i8, Requant};
 use nm_core::Tensor;
 use std::sync::OnceLock;
 
-/// Accumulator lanes of `dot`: one 16-byte vector of `i8` inputs per
-/// step.
-const DOT_LANES: usize = 16;
+/// `i16` entries of the stack block [`matmul`] widens its operands into
+/// (8 KiB): one row pair of A and as many rows of B as fit beside it.
+const WIDE: usize = 4096;
 
-/// Wrapping int8 dot product of two equal-length slices.
+/// Longest stretch of the shared dimension [`matmul`] widens at once
+/// (a multiple of 8): a longer `k` runs in chunks whose tile sums carry
+/// over, so a chunk leaves room for 2 A rows and 4 B rows in the block.
+const KC: usize = 512;
+
+/// Rows of B per tile: the output columns one row pair computes at once.
+const QUAD: usize = 4;
+
+/// Int8 matrix product with requantization over row-major A (`m x k`)
+/// and B (`n x k`): `out[i * stride + j] = rq.apply(Σ_p a[i * k + p] ·
+/// b[j * k + p])` for `i < m`, `j < n`, with wrapping `i32` sums; the
+/// other bytes of `out` are untouched.
 ///
-/// The body runs [`DOT_LANES`] independent `i32` accumulator chains, each
-/// fed an `i8 × i8` product computed in `i16` (exact: the products lie in
-/// `[-16256, 16384]`), the shape the backend vectorizes. Wrapping `i32`
-/// addition is associative and commutative, so the lane split is a pure
-/// reassociation and the sum equals the serial walk bit for bit.
+/// The outputs come in tiles of 2 rows of A × 4 rows of B ([`tile`]): on
+/// x86-64 eight SSE2 `pmaddwd` accumulators per tile, 8 shared-dimension
+/// entries per step, each loaded A and B register feeding four and two
+/// of them. The operands are sign-extended to `i16` into a stack block
+/// of [`WIDE`] entries (a quarter of that when the call fits in it), rows
+/// zero-padded to a whole number of steps: B block by block, each once
+/// per call, and A row pair by row pair, once per block of B (one block
+/// holds every row of B up to `n · k` ≈ 3,500). A `k` past [`KC`] runs in
+/// chunks that carry each tile's sums, widening both operands again per
+/// chunk.
+///
+/// `pmaddwd` adds two `i8 × i8` products exactly in `i32` (the pair sum
+/// is at most 32,768, so its sole saturation case cannot occur), and
+/// wrapping `i32` addition is associative and commutative, so every
+/// output equals the serial wrapping walk bit for bit.
 ///
 /// # Panics
-/// Panics if the lengths differ.
-#[inline]
-pub(crate) fn dot(a: &[i8], b: &[i8]) -> i32 {
-    assert_eq!(a.len(), b.len(), "dot operands differ in length");
-    let mut lanes = [0i32; DOT_LANES];
-    let a_chunks = a.chunks_exact(DOT_LANES);
-    let b_chunks = b.chunks_exact(DOT_LANES);
-    let (a_tail, b_tail) = (a_chunks.remainder(), b_chunks.remainder());
-    for (x, y) in a_chunks.zip(b_chunks) {
-        for j in 0..DOT_LANES {
-            lanes[j] = lanes[j].wrapping_add(i32::from(i16::from(x[j]) * i16::from(y[j])));
+/// Panics if A is not `m x k`, B is not `n x k`, `stride < n`, or `out`
+/// is too short for the last row.
+pub(crate) fn matmul(
+    a: &[i8],
+    b: &[i8],
+    (m, n, k): (usize, usize, usize),
+    rq: Requant,
+    out: &mut [i8],
+    stride: usize,
+) {
+    assert_eq!(a.len(), m * k, "matmul A is not m x k");
+    assert_eq!(b.len(), n * k, "matmul B is not n x k");
+    assert!(n <= stride, "matmul output rows overlap");
+    if m == 0 || n == 0 {
+        return;
+    }
+    assert!((m - 1) * stride + n <= out.len(), "matmul output too short");
+    // Widened row length: one chunk of the shared dimension, padded.
+    let kc = k.clamp(1, KC).next_multiple_of(8);
+    let nb = ((WIDE / kc - 2) / QUAD * QUAD).min(n.next_multiple_of(QUAD));
+    let chunked = k > KC;
+    // A block a quarter the size when the call fits it: zeroing 8 KiB
+    // would outweigh a small product.
+    let (mut small, mut big);
+    let block: &mut [i16] = if (2 + nb) * kc <= WIDE / 4 {
+        small = [0i16; WIDE / 4];
+        &mut small
+    } else {
+        big = [0i16; WIDE];
+        &mut big
+    };
+    let (aw, bw) = block.split_at_mut(2 * kc);
+    let bw = &mut bw[..nb * kc];
+    // Each tile's sums between chunks (a chunk fits one quad of B).
+    let mut carry = [[[0i32; QUAD]; 2]; (WIDE / KC - 2) / QUAD];
+    for j0 in (0..n).step_by(nb) {
+        let cols = (n - j0).min(nb);
+        for i0 in (0..m).step_by(2) {
+            let rows = (m - i0).min(2);
+            for p0 in (0..k.max(1)).step_by(KC) {
+                let p = p0..(p0 + KC).min(k);
+                if chunked || i0 == 0 {
+                    widen(b, k, j0..j0 + cols, p.clone(), bw, kc);
+                }
+                widen(a, k, i0..i0 + rows, p.clone(), aw, kc);
+                for (q, bq) in bw
+                    .chunks_exact(QUAD * kc)
+                    .take(cols.div_ceil(QUAD))
+                    .enumerate()
+                {
+                    let mut sums = tile(aw, bq, kc);
+                    if chunked {
+                        if p0 > 0 {
+                            for (s, c) in sums.iter_mut().flatten().zip(carry[q].iter().flatten()) {
+                                *s = s.wrapping_add(*c);
+                            }
+                        }
+                        carry[q] = sums;
+                        if p.end < k {
+                            continue;
+                        }
+                    }
+                    let bytes = requant_tile(rq, &sums);
+                    let (j, live) = (j0 + QUAD * q, (cols - QUAD * q).min(QUAD));
+                    for (r, row) in bytes.chunks_exact(QUAD).take(rows).enumerate() {
+                        let at = (i0 + r) * stride + j;
+                        if live == QUAD {
+                            out[at..at + QUAD].copy_from_slice(row);
+                        } else {
+                            out[at..at + live].copy_from_slice(&row[..live]);
+                        }
+                    }
+                }
+            }
         }
     }
-    let mut sum = lanes.iter().fold(0i32, |s, &l| s.wrapping_add(l));
-    for (&x, &y) in a_tail.iter().zip(b_tail) {
-        sum = sum.wrapping_add(i32::from(i16::from(x) * i16::from(y)));
+}
+
+/// Sign-extends columns `p` of rows `rows` of the row-major `src` (row
+/// length `k`) into consecutive `kc`-entry rows of `dst`, each
+/// zero-padded past `p.len()`.
+fn widen(
+    src: &[i8],
+    k: usize,
+    rows: std::ops::Range<usize>,
+    p: std::ops::Range<usize>,
+    dst: &mut [i16],
+    kc: usize,
+) {
+    for (r, d) in rows.zip(dst.chunks_exact_mut(kc)) {
+        let s = &src[r * k..][p.clone()];
+        let (head, pad) = d.split_at_mut(s.len());
+        for (d, &s) in head.iter_mut().zip(s) {
+            *d = i16::from(s);
+        }
+        pad.fill(0);
     }
-    sum
+}
+
+/// One 2 × 4 tile of [`matmul`]: `sums[r][c] = Σ_p a[r * kc + p] ·
+/// b[c * kc + p]` (wrapping `i32`) over the widened row pair `a` and
+/// quad `b`, rows `kc` entries long (a multiple of 8).
+///
+/// On x86-64, each 8-entry step loads both A rows and the four B rows
+/// once and `pmaddwd`s every (A, B) pair into its own `i32x4`
+/// accumulator; one transpose-add then folds each A row's four
+/// accumulators into one register of its four column sums.
+#[inline(always)]
+fn tile(a: &[i16], b: &[i16], kc: usize) -> [[i32; QUAD]; 2] {
+    let (a, b) = (&a[..2 * kc], &b[..QUAD * kc]);
+    #[cfg(target_arch = "x86_64")]
+    {
+        use core::arch::x86_64::*;
+        assert!(kc.is_multiple_of(8));
+        // SAFETY: SSE2 is part of the x86-64 baseline ABI; every load
+        // reads the 8 entries at `r * kc + p` with `p + 8 <= kc`, inside
+        // the `2 * kc` and `4 * kc` entries `a` and `b` were sliced to
+        // above, and the stores write the two `[i32; 4]` rows of `sums`.
+        unsafe {
+            let ld = |s: &[i16], at: usize| _mm_loadu_si128(s.as_ptr().add(at).cast());
+            let mut acc = [_mm_setzero_si128(); 2 * QUAD];
+            for p in (0..kc).step_by(8) {
+                let (x0, x1) = (ld(a, p), ld(a, kc + p));
+                for c in 0..QUAD {
+                    let y = ld(b, c * kc + p);
+                    acc[c] = _mm_add_epi32(acc[c], _mm_madd_epi16(x0, y));
+                    acc[QUAD + c] = _mm_add_epi32(acc[QUAD + c], _mm_madd_epi16(x1, y));
+                }
+            }
+            // Column pairs, then pairs of pairs: lane `c` of the result
+            // sums the four lanes of `v[c]`.
+            let pair = |x, y| _mm_add_epi32(_mm_unpacklo_epi32(x, y), _mm_unpackhi_epi32(x, y));
+            let fold = |v: &[__m128i]| {
+                let (s01, s23) = (pair(v[0], v[1]), pair(v[2], v[3]));
+                _mm_add_epi32(_mm_unpacklo_epi64(s01, s23), _mm_unpackhi_epi64(s01, s23))
+            };
+            let mut sums = [[0i32; QUAD]; 2];
+            for (s, v) in sums.iter_mut().zip(acc.chunks_exact(QUAD)) {
+                _mm_storeu_si128(s.as_mut_ptr().cast(), fold(v));
+            }
+            sums
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let dot = |x: &[i16], y: &[i16]| {
+            x.iter().zip(y).fold(0i32, |s, (&x, &y)| {
+                s.wrapping_add(i32::from(x) * i32::from(y))
+            })
+        };
+        let (a0, a1) = a.split_at(kc);
+        core::array::from_fn(|r| {
+            let x = if r == 0 { a0 } else { a1 };
+            core::array::from_fn(|c| dot(x, &b[c * kc..(c + 1) * kc]))
+        })
+    }
+}
+
+/// [`Requant::apply`] on a tile's 8 sums, row 0's four outputs first. On
+/// x86-64 in SSE2 registers, as the lane sweeps' epilogue does it:
+/// wrapping bias add, arithmetic shift, then `packs_epi32` and
+/// `packs_epi16`, whose saturations to `i16` and then `i8` compose to
+/// exactly `clip_i8`.
+#[inline(always)]
+fn requant_tile(rq: Requant, sums: &[[i32; QUAD]; 2]) -> [i8; 2 * QUAD] {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use core::arch::x86_64::*;
+        // SAFETY: SSE2 is part of the x86-64 baseline ABI; the loads read
+        // the two `[i32; 4]` rows of `sums`.
+        unsafe {
+            let bias = _mm_set1_epi32(rq.bias());
+            let shift = _mm_cvtsi32_si128(i32::from(rq.shift()));
+            let q = |s: &[i32; QUAD]| {
+                let v = _mm_loadu_si128(s.as_ptr().cast());
+                _mm_sra_epi32(_mm_add_epi32(v, bias), shift)
+            };
+            let w = _mm_packs_epi32(q(&sums[0]), q(&sums[1]));
+            (_mm_cvtsi128_si64(_mm_packs_epi16(w, w)) as u64)
+                .to_le_bytes()
+                .map(|b| b as i8)
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        core::array::from_fn(|i| rq.apply(sums[i / QUAD][i % QUAD]))
+    }
 }
 
 /// Elementwise ReLU.
@@ -120,7 +318,8 @@ fn pool(x: &Tensor<i8>, k: usize, s: usize, f: impl Fn(&[i8]) -> i8) -> Tensor<i
 /// Global average pooling: HWC → C (integer mean).
 ///
 /// # Panics
-/// Panics if the input is not 3-D.
+/// Panics if the input is not 3-D or its spatial map is empty
+/// ([`crate::GraphBuilder::global_avg_pool`] rejects both).
 pub fn global_avg_pool(x: &Tensor<i8>) -> Tensor<i8> {
     let shape = x.shape();
     assert_eq!(shape.len(), 3, "global pooling expects HWC");
@@ -141,34 +340,44 @@ pub fn global_avg_pool(x: &Tensor<i8>) -> Tensor<i8> {
 
 /// Row-wise integer LayerNorm over the last axis: subtract the mean,
 /// scale by the quantized reciprocal standard deviation (computed in
-/// f32, applied in fixed point — the hybrid Deeploy uses).
+/// f32, applied in fixed point — the hybrid Deeploy uses). The variance
+/// is an integer sum of squares converted to f64 once: every partial sum
+/// is an integer below 2^53, so this equals the f64 sum bit for bit.
+///
+/// # Panics
+/// Panics if `x` is 0-D or its last axis is empty
+/// ([`crate::GraphBuilder::layer_norm`] rejects both).
 pub fn layer_norm(x: &Tensor<i8>) -> Tensor<i8> {
     let shape = x.shape().to_vec();
     let d = *shape.last().expect("layernorm needs at least 1-D");
-    let rows = x.len() / d;
+    assert!(d > 0, "layernorm over an empty last axis");
     let mut out = vec![0i8; x.len()];
-    for r in 0..rows {
-        let row = &x.data()[r * d..(r + 1) * d];
-        let mean: i32 = {
-            let s: i32 = row.iter().map(|&v| i32::from(v)).sum();
-            (s + (d as i32) / 2).div_euclid(d as i32)
-        };
-        let var: f64 = row
+    for (row, o) in x.data().chunks_exact(d).zip(out.chunks_exact_mut(d)) {
+        let mean = row_mean(row);
+        let squares: i64 = row
             .iter()
-            .map(|&v| {
-                let diff = f64::from(i32::from(v) - mean);
-                diff * diff
-            })
-            .sum::<f64>()
-            / d as f64;
-        // Fixed-point reciprocal std scaled to map one sigma to ~32.
-        let inv_std_q = (32.0 / (var.sqrt() + 1e-3)).min(127.0);
-        let mult = (inv_std_q * 256.0) as i32;
-        for (i, &v) in row.iter().enumerate() {
-            out[r * d + i] = clip_i8(((i32::from(v) - mean) * mult) >> 8);
-        }
+            .map(|&v| i64::from(i32::from(v) - mean).pow(2))
+            .sum();
+        normalize_row(row, mean, squares as f64 / d as f64, o);
     }
     Tensor::from_vec(&shape, out).expect("shape preserved")
+}
+
+/// A LayerNorm row's integer mean, rounded to nearest.
+fn row_mean(row: &[i8]) -> i32 {
+    let d = row.len() as i32;
+    let s: i32 = row.iter().map(|&v| i32::from(v)).sum();
+    (s + d / 2).div_euclid(d)
+}
+
+/// Writes a LayerNorm row given its mean and variance: a fixed-point
+/// reciprocal standard deviation scaled to map one sigma to ~32.
+fn normalize_row(row: &[i8], mean: i32, var: f64, out: &mut [i8]) {
+    let inv_std_q = (32.0 / (var.sqrt() + 1e-3)).min(127.0);
+    let mult = (inv_std_q * 256.0) as i32;
+    for (o, &v) in out.iter_mut().zip(row) {
+        *o = clip_i8(((i32::from(v) - mean) * mult) >> 8);
+    }
 }
 
 /// Row-wise int8 softmax over the last axis: subtract the max, read
@@ -252,38 +461,10 @@ fn gelu_closed(v: i8) -> i8 {
     clip_i8((g * 16.0).round() as i32)
 }
 
-/// Scalar int8 matrix multiply `A (m x k) · B (k x n)` with
-/// requantization: the strided walk of the reference attention the
-/// tests check [`crate::exec::attention`] against.
-#[cfg(test)]
-pub(crate) fn matmul(
-    a: &[i8],
-    b: &[i8],
-    m: usize,
-    k: usize,
-    n: usize,
-    rq: nm_core::quant::Requant,
-) -> Vec<i8> {
-    assert_eq!(a.len(), m * k);
-    assert_eq!(b.len(), k * n);
-    let mut out = vec![0i8; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0i32;
-            for p in 0..k {
-                acc = acc.wrapping_add(i32::from(a[i * k + p]) * i32::from(b[p * n + j]));
-            }
-            out[i * n + j] = rq.apply(acc);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::XorShift;
-    use nm_core::quant::Requant;
 
     #[test]
     fn relu_zeroes_negatives() {
@@ -330,6 +511,39 @@ mod tests {
         assert!(sum.abs() <= 4, "row roughly centered, sum={sum}");
     }
 
+    // The f64 variance sum the integer sum of squares replaced.
+    fn layer_norm_f64(x: &Tensor<i8>) -> Tensor<i8> {
+        let d = *x.shape().last().unwrap();
+        let mut out = vec![0i8; x.len()];
+        for (row, o) in x.data().chunks_exact(d).zip(out.chunks_exact_mut(d)) {
+            let mean = row_mean(row);
+            let var: f64 = row
+                .iter()
+                .map(|&v| {
+                    let diff = f64::from(i32::from(v) - mean);
+                    diff * diff
+                })
+                .sum::<f64>()
+                / d as f64;
+            normalize_row(row, mean, var, o);
+        }
+        Tensor::from_vec(x.shape(), out).unwrap()
+    }
+
+    #[test]
+    fn layer_norm_matches_f64_variance() {
+        let mut rng = XorShift::new(37);
+        for d in 1..=97 {
+            let mut rows = rng.fill_weights(3 * d, 127);
+            // Constant, alternating ±128 (the largest squares) and all -128.
+            rows.extend(std::iter::repeat_n((d % 256) as u8 as i8, d));
+            rows.extend((0..d).map(|i| if i % 2 == 0 { i8::MIN } else { i8::MAX }));
+            rows.extend(std::iter::repeat_n(i8::MIN, d));
+            let t = Tensor::from_vec(&[6, d], rows).unwrap();
+            assert_eq!(layer_norm(&t), layer_norm_f64(&t), "d {d}");
+        }
+    }
+
     #[test]
     fn softmax_rows_sum_to_127ish_and_order_preserved() {
         let t = Tensor::from_vec(&[1, 4], vec![0i8, 16, 32, 48]).unwrap();
@@ -360,7 +574,9 @@ mod tests {
     fn matmul_small_identity() {
         let a = vec![1i8, 2, 3, 4]; // 2x2
         let id = vec![1i8, 0, 0, 1];
-        assert_eq!(matmul(&a, &id, 2, 2, 2, Requant::IDENTITY), a);
+        let mut out = vec![0i8; 4];
+        matmul(&a, &id, (2, 2, 2), Requant::IDENTITY, &mut out, 2);
+        assert_eq!(out, a);
     }
 
     #[test]
@@ -411,21 +627,119 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dot_matches_serial_walk_at_every_length() {
-        let mut rng = XorShift::new(31);
-        for len in 0..70 {
-            let a = rng.fill_weights(len, 127);
-            let b = rng.fill_weights(len, 127);
-            let serial = a.iter().zip(&b).fold(0i32, |s, (&x, &y)| {
-                s.wrapping_add(i32::from(x) * i32::from(y))
-            });
-            assert_eq!(dot(&a, &b), serial, "len {len}");
+    /// The serial wrapping walk of output `(i, j)`: row `i` of A against
+    /// row `j` of B.
+    fn serial(a: &[i8], b: &[i8], k: usize, i: usize, j: usize) -> i32 {
+        (0..k).fold(0i32, |s, p| {
+            s.wrapping_add(i32::from(a[i * k + p]) * i32::from(b[j * k + p]))
+        })
+    }
+
+    /// Runs [`matmul`] into a sentinel-filled buffer and checks every
+    /// output against `rq` over the serial walk, and every byte between
+    /// and past the output rows untouched.
+    fn check(a: &[i8], b: &[i8], (m, n, k): (usize, usize, usize), stride: usize, rq: Requant) {
+        let mut out = vec![0x5Ai8; m * stride + 3];
+        matmul(a, b, (m, n, k), rq, &mut out, stride);
+        for (at, &o) in out.iter().enumerate() {
+            let (i, j) = (at / stride, at % stride);
+            let want = if i < m && j < n {
+                rq.apply(serial(a, b, k, i, j))
+            } else {
+                0x5A
+            };
+            assert_eq!(
+                o, want,
+                "m {m} n {n} k {k} stride {stride} rq {rq:?} at ({i}, {j})"
+            );
         }
-        // All-extreme operands: the largest products, every lane.
-        let lo = vec![i8::MIN; 67];
-        let hi = vec![i8::MAX; 67];
-        assert_eq!(dot(&lo, &lo), 67 * 16384);
-        assert_eq!(dot(&lo, &hi), 67 * -16256);
+    }
+
+    /// Checks every output's wrapping sum exactly: with its own bias set
+    /// to the negated serial walk and no shift, an output is 0 only when
+    /// the sums agree.
+    fn check_sums(a: &[i8], b: &[i8], (m, n, k): (usize, usize, usize)) {
+        for i in 0..m {
+            for j in 0..n {
+                let rq = Requant::new(serial(a, b, k, i, j).wrapping_neg(), 0).unwrap();
+                let mut out = vec![0i8; m * n];
+                matmul(a, b, (m, n, k), rq, &mut out, n);
+                assert_eq!(out[i * n + j], 0, "m {m} n {n} k {k} at ({i}, {j})");
+            }
+        }
+    }
+
+    /// Random operands with every 5th entry at an extreme.
+    fn operand(rng: &mut XorShift, len: usize) -> Vec<i8> {
+        let mut v = rng.fill_weights(len, 127);
+        for (i, x) in v.iter_mut().enumerate().step_by(5) {
+            *x = if i % 2 == 0 { i8::MIN } else { i8::MAX };
+        }
+        v
+    }
+
+    // Every tile edge: odd and even row counts (a half-live last row
+    // pair), every column count mod 4 (a partly live last quad), every
+    // shared length mod 8 (zero-padded steps), and an output stride past
+    // the row (the per-head context write).
+    #[test]
+    fn matmul_matches_serial_walk_across_tile_edges() {
+        let mut rng = XorShift::new(53);
+        for m in 0..=9 {
+            for n in 1..=12 {
+                for k in 0..=17 {
+                    let (a, b) = (operand(&mut rng, m * k), operand(&mut rng, n * k));
+                    let shift = (rng.next_u64() % 16) as u8;
+                    let rq = Requant::new((rng.next_u64() % 512) as i32 - 256, shift).unwrap();
+                    check(&a, &b, (m, n, k), n, rq);
+                    check(&a, &b, (m, n, k), n + 1 + (k % 5), Requant::IDENTITY);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_sums_match_serial_walk_at_every_k() {
+        let mut rng = XorShift::new(31);
+        for k in 0..70 {
+            let (a, b) = (operand(&mut rng, 3 * k), operand(&mut rng, 5 * k));
+            check_sums(&a, &b, (3, 5, k));
+        }
+        // All-extreme operands: the largest products, every entry.
+        let (lo, hi) = (vec![i8::MIN; 2 * 67], vec![i8::MAX; 4 * 67]);
+        check_sums(&lo, &lo[..67], (2, 1, 67));
+        check_sums(&lo, &vec![i8::MIN; 4 * 67], (2, 4, 67));
+        check_sums(&lo, &hi, (2, 4, 67));
+        assert_eq!(serial(&lo, &hi, 67, 1, 3), 67 * -16256);
+    }
+
+    // A shared dimension past `KC` runs in chunks that carry each tile's
+    // sums; wide B runs in several blocks, each against every row pair.
+    #[test]
+    fn matmul_chunks_and_blocks_match_serial_walk() {
+        let mut rng = XorShift::new(59);
+        for (m, n, k) in [
+            (1, 1, 513),
+            (3, 9, 1031),
+            (2, 5, 1536),
+            (3, 130, 32),
+            (5, 20, 300),
+        ] {
+            let (a, b) = (operand(&mut rng, m * k), operand(&mut rng, n * k));
+            check(&a, &b, (m, n, k), n + 2, Requant::new(-77, 9).unwrap());
+            let (m2, n2) = (m.min(3), n.min(5));
+            check_sums(&a[..m2 * k], &b[..n2 * k], (m2, n2, k));
+        }
+    }
+
+    // 2^17 products of (-128)·(-128) sum to 2^31, past `i32::MAX`: every
+    // output must wrap exactly as the serial walk does.
+    #[test]
+    fn matmul_wraps_like_the_serial_walk() {
+        let k = 1 << 17;
+        let (a, b) = (vec![i8::MIN; 2 * k], vec![i8::MIN; 4 * k]);
+        assert!(k as i64 * 16384 > i64::from(i32::MAX));
+        assert_eq!(serial(&a, &b, k, 0, 0), i32::MIN);
+        check_sums(&a, &b, (2, 4, k));
     }
 }
